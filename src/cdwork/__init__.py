@@ -6,17 +6,17 @@ Internal units: hbar = 1, mass defaults to 1.
 
 __version__ = "0.1.0"
 
-from .errors import (CdworkError, ConfigError, DegenerateGaugeWarning,
-                     DegeneracyError, InvalidDetuning, NonHermitianInput,
-                     NotAState, ProtocolError, QuadratureNotConverged,
-                     StepNotConverged, SupercriticalDrive, TruncationError,
-                     ValidityWarning)
+from .errors import (BandStructureError, CdworkError, ConfigError,
+                     DegenerateGaugeWarning, DegeneracyError, InvalidDetuning,
+                     NonHermitianInput, NotAState, ProtocolError,
+                     QuadratureNotConverged, StepNotConverged,
+                     SupercriticalDrive, TruncationError, ValidityWarning)
 from .fitting import FitResult, fit_power_law
 from .geometry import (GeometricTensor, SpeedLimitReport, bures_fidelity,
                        bures_length, eta_length, evolved_density,
                        fidelity_decay_check, metric_length, path_lengths,
                        qgt, speed_limit_report)
-from .models import ParametrizedModel, two_level_model
+from .models import ParametrizedModel, SpectrumCache, two_level_model
 from .oscillator import (HOConfig, HarmonicOscillator, IonConfig,
                          WaveformTable, cd_exact_eigensystem, ho_metric,
                          ion_waveforms, ramp)
@@ -27,10 +27,11 @@ from .spectral import (CertificateReport, Spectrum, StateTrajectory,
                        assert_hermitian, cd_auxiliary, cd_coupling,
                        propagate, spectrum, transitionless_certificate)
 from .workstats import (EnergyFluctuations, ThermalEnsemble, TransitionMatrix,
-                        WorkDistribution, ensemble_energy_variance,
-                        excess_variance_direct, excess_variance_geometric,
-                        identity_check_rowsum, mean_work, model_ensemble,
-                        thermal_ensemble, transition_matrix, variance_work,
-                        work_distribution)
+                        WorkDistribution, WorkMoments,
+                        ensemble_energy_variance, excess_variance_direct,
+                        excess_variance_geometric, identity_check_rowsum,
+                        mean_work, model_ensemble, thermal_ensemble,
+                        transition_matrix, variance_work, work_distribution,
+                        work_moments)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

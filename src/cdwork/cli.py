@@ -298,8 +298,10 @@ def cmd_ising_figure2(cfg: dict) -> int:
         _emit_series(outdir, "ising_figure2_scaling",
                      {"n": data.scaling.n_values,
                       "cost_integral": data.scaling.integrals}, meta, fmt)
-        passed = data.scaling.residual_rms < data.scaling.MAX_RESIDUAL
-        note = f"alpha={data.scaling.alpha:.4f}"
+        passed = data.scaling.passed
+        note = (f"alpha={data.scaling.alpha:.4f}, fit residual "
+                f"{data.scaling.residual_rms:.3g} (gate "
+                f"{data.scaling.MAX_RESIDUAL})")
     else:
         note = "single size: trajectory only, no fit"
     write_json(outdir / "ising_figure2_summary.json",
@@ -314,7 +316,8 @@ def cmd_ion_waveforms(cfg: dict) -> int:
     outdir = _outdir(cfg)
     meta = {"config-hash": _config_hash(cfg), "command": "ion-waveforms",
             "nu": cfg["nu"], "m_eff": table.ion.effective_mass}
-    write_csv(outdir / "ion_waveforms.csv", table.columns(), meta)
+    _emit_series(outdir, "ion_waveforms", table.columns(), meta,
+                 cfg["format"] or "csv")
     validity = {
         "nu": cfg["nu"],
         "effective_mass": table.ion.effective_mass,

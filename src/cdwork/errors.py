@@ -44,6 +44,11 @@ class ProtocolError(CdworkError):
     """A parameter path violates the protocol contract."""
 
 
+class BandStructureError(CdworkError):
+    """A matrix handed to a structured eigensolver couples entries the
+    solver's band structure excludes."""
+
+
 class ConfigError(CdworkError):
     """Invalid or unknown run-configuration input."""
 

@@ -146,6 +146,11 @@ class CriticalScaling:
 
     MAX_RESIDUAL = 0.02
 
+    @property
+    def passed(self) -> bool:
+        """Whether the log residuals pass the power-law gate."""
+        return self.residual_rms < self.MAX_RESIDUAL
+
 
 def scaling_fit(n_list, delta: float, tau: float | None = None, *,
                 rel_tol: float = 1e-9) -> CriticalScaling:
@@ -153,7 +158,8 @@ def scaling_fit(n_list, delta: float, tau: float | None = None, *,
 
     ``tau`` is accepted for interface symmetry but does not enter: the
     time-integrated cost depends only on the swept parameter interval.
-    Requires at least five sizes spanning 1.5 decades.
+    Requires at least five sizes spanning 1.5 decades.  A fit whose log
+    residuals miss the gate is still returned, with ``passed`` false.
     """
     n_values = np.asarray(sorted(set(int(n) for n in n_list)), dtype=int)
     if len(n_values) < 5:
@@ -163,10 +169,6 @@ def scaling_fit(n_list, delta: float, tau: float | None = None, *,
     integrals = np.array([sweep_cost_integral(n, delta, rel_tol=rel_tol)
                           for n in n_values])
     fit = fit_power_law(n_values.astype(float), integrals)
-    if fit.residual_rms >= CriticalScaling.MAX_RESIDUAL:
-        raise ConfigError(
-            f"power-law fit residual {fit.residual_rms:.3g} exceeds "
-            f"{CriticalScaling.MAX_RESIDUAL}")
     return CriticalScaling(fit.exponent, fit.exponent_stderr,
                            fit.residual_rms, n_values, integrals, fit)
 

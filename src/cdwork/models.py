@@ -9,9 +9,14 @@ A model bundles a protocol with matrix builders:
     h1_of(t)    -> closed-form auxiliary term, if the backend has one;
                    otherwise H1 is assembled from the spectrum.
 
-Spectra along the protocol are memoized per time point since every
-downstream quantity (transition probabilities, metric tensors, work
-moments) reuses them.
+Spectra are memoized by parameter point, since every downstream
+quantity (transition probabilities, metric tensors, work moments)
+reuses them: H0 spectra are keyed by the exact float bytes of lam, and
+driving-Hamiltonian spectra by those of (lam, lamdot).  H0 depends on
+lam alone, so models of one Hamiltonian family that differ only in the
+protocol (a sweep over durations, say) may share one H0 store, handed
+to each model explicitly.  Driving-Hamiltonian spectra stay per model:
+the centered-difference dH0 fallback depends on the duration.
 """
 
 from __future__ import annotations
@@ -24,26 +29,93 @@ from .protocols import Protocol
 from .spectral import Spectrum, cd_coupling, spectrum
 
 
+class SpectrumCache:
+    """Least-recently-used map from a key to a Spectrum, holding at most
+    ``maxsize`` entries.
+
+    ``family`` names the Hamiltonian family whose spectra a shared H0
+    store holds; it is fixed by the first model that binds the store.
+    """
+
+    def __init__(self, maxsize: int):
+        if maxsize < 1:
+            raise ValueError("a spectrum cache holds at least one entry")
+        self.maxsize = int(maxsize)
+        self.family = None
+        self._entries: OrderedDict = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key) -> Spectrum | None:
+        hit = self._entries.get(key)
+        if hit is not None:
+            self._entries.move_to_end(key)
+        return hit
+
+    def put(self, key, spec: Spectrum) -> None:
+        self._entries[key] = spec
+        if len(self._entries) > self.maxsize:
+            self._entries.popitem(last=False)
+
+    def bind(self, family) -> None:
+        """Admit a model of ``family``; a store holds one family only."""
+        if family is None:
+            raise ValueError("this model names no Hamiltonian family, so it "
+                             "cannot share an H0 store")
+        if self.family is None:
+            self.family = family
+        elif self.family != family:
+            raise ValueError(f"H0 store holds spectra of {self.family!r}, "
+                             f"not of {family!r}")
+
+
 class ParametrizedModel:
     """Hermitian family H0(lambda(t)) driven along a protocol.
 
     ``truncated`` marks backends whose matrices are finite sections of
     an infinite operator; work statistics then track how much weight
     strays into the polluted top of the basis.
+
+    The matrix builders are passed as callables or, in subclasses,
+    defined as the methods ``_h0_of``, ``_dh0_of`` and ``_h1_of`` (a
+    stored bound method would tie the model into a reference cycle and
+    keep its spectra alive until the cyclic collector runs).
+    ``h0_store`` shares H0 spectra with other models of the same family
+    (subclasses name it in ``h0_family``).  The spectra a model holds
+    itself number at most ``cache_size``: by default H0 and
+    driving-Hamiltonian spectra share one private store, and with a
+    shared H0 store the private one holds driving spectra only.
     """
 
     truncated = False
+    # hashable name of the map lam -> H0; models may share an H0 store
+    # only when theirs agree, and a model naming none cannot share one
+    h0_family = None
+    _dh0_of = None
+    _h1_of = None
 
-    def __init__(self, protocol: Protocol, h0_of, dh0_of=None, h1_of=None,
-                 fd_step_scale: float = 1e-5, cache_size: int = 192):
+    def __init__(self, protocol: Protocol, h0_of=None, dh0_of=None, h1_of=None,
+                 fd_step_scale: float = 1e-5, cache_size: int = 192,
+                 h0_store: SpectrumCache | None = None):
         self.protocol = protocol
-        self._h0_of = h0_of
-        self._dh0_of = dh0_of
-        self._h1_of = h1_of
+        for name, fn in (("_h0_of", h0_of), ("_dh0_of", dh0_of),
+                         ("_h1_of", h1_of)):
+            if fn is not None:
+                setattr(self, name, fn)
         self._fd_step = fd_step_scale * protocol.duration
-        self._cache: OrderedDict = OrderedDict()
-        self._cache_size = cache_size
-        self._dim = int(h0_of(protocol.initial).shape[0])
+        self._own_store = SpectrumCache(cache_size)
+        if h0_store is None:
+            # H0 keys are bytes and driving keys pairs of bytes, so the
+            # two kinds never collide in one store
+            h0_store = self._own_store
+        else:
+            h0_store.bind(self.h0_family)
+        self._h0_store = h0_store
+        self._dim = int(self._h0_of(protocol.initial).shape[0])
+
+    def _h0_of(self, lam) -> np.ndarray:
+        raise NotImplementedError("pass h0_of or override _h0_of")
 
     @property
     def dim(self) -> int:
@@ -93,23 +165,23 @@ class ParametrizedModel:
         structure (banded, sector-split) override this."""
         return spectrum(h, check=False, degeneracy_tol=0.0)
 
-    def _cached(self, kind: str, t: float, builder) -> Spectrum:
-        key = (kind, float(t))
-        hit = self._cache.get(key)
-        if hit is not None:
-            self._cache.move_to_end(key)
-            return hit
-        spec = self._diagonalize(builder(t))
-        self._cache[key] = spec
-        if len(self._cache) > self._cache_size:
-            self._cache.popitem(last=False)
+    def spectrum0_at(self, t: float) -> Spectrum:
+        lam = self.protocol.value(t)
+        key = lam.tobytes()
+        spec = self._h0_store.get(key)
+        if spec is None:
+            spec = self._diagonalize(self._h0_of(lam))
+            self._h0_store.put(key, spec)
         return spec
 
-    def spectrum0_at(self, t: float) -> Spectrum:
-        return self._cached("h0", t, self.h0_at)
-
     def spectrum_cd_at(self, t: float) -> Spectrum:
-        return self._cached("cd", t, self.h_cd_at)
+        key = (self.protocol.value(t).tobytes(),
+               self.protocol.derivative(t).tobytes())
+        spec = self._own_store.get(key)
+        if spec is None:
+            spec = self._diagonalize(self.h_cd_at(t))
+            self._own_store.put(key, spec)
+        return spec
 
 
 def two_level_model(protocol: Protocol, field=None) -> ParametrizedModel:

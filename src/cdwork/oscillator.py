@@ -28,8 +28,9 @@ import numpy as np
 from numpy.polynomial.hermite import hermval
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import ConfigError, InvalidDetuning, SupercriticalDrive, ValidityWarning
-from .models import ParametrizedModel
+from .errors import (BandStructureError, ConfigError, InvalidDetuning,
+                     SupercriticalDrive, ValidityWarning)
+from .models import ParametrizedModel, SpectrumCache
 from .protocols import Protocol, log_ramp, quintic_ramp
 from .spectral import Spectrum, gauge_fix
 
@@ -95,11 +96,15 @@ class HOConfig:
 
 
 class HarmonicOscillator(ParametrizedModel):
-    """Truncated-Fock engine for the ramped oscillator."""
+    """Truncated-Fock engine for the ramped oscillator.
+
+    Oscillators that differ only in the ramp duration or shape have the
+    same H0 family and may share ``h0_store``.
+    """
 
     truncated = True
 
-    def __init__(self, config: HOConfig):
+    def __init__(self, config: HOConfig, h0_store: SpectrumCache | None = None):
         # fast ramps are legitimate models (only the closed-form
         # eigensystem needs the subcritical drive), so no drive check here
         config.validate(check_drive=False)
@@ -116,21 +121,22 @@ class HarmonicOscillator(ParametrizedModel):
         self._p2 = (diag - cross) * (m * w_ref / 2.0)
         # q p + p q = i (raise^2 - ladder^2): purely imaginary entries
         self._qp_sym = 1j * (np.diag(skew, -2) - np.diag(skew, 2))
-        self._sectors = (np.arange(0, d, 2), np.arange(1, d, 2))
-        proto = config.protocol()
-        super().__init__(
-            proto,
-            h0_of=self._h0_of,
-            dh0_of=lambda lam: [m * lam[0] * self._q2],
-            h1_of=self._h1_at_time,
-        )
+        super().__init__(config.protocol(), h0_store=h0_store)
+
+    @property
+    def h0_family(self):
+        c = self.config
+        return ("harmonic-oscillator", c.dim, c.mass, c.omega_ref)
 
     def _h0_of(self, lam):
         w = lam[0]
         return self._p2 / (2.0 * self.config.mass) \
             + 0.5 * self.config.mass * w * w * self._q2
 
-    def _h1_at_time(self, t):
+    def _dh0_of(self, lam):
+        return [self.config.mass * lam[0] * self._q2]
+
+    def _h1_of(self, t):
         w = self.protocol.value(t)[0]
         wd = self.protocol.derivative(t)[0]
         return self.h1_matrix(w, wd)
@@ -156,24 +162,41 @@ class HarmonicOscillator(ParametrizedModel):
         """Eigendecomposition exploiting the quadratic-Hamiltonian
         structure: h couples only levels two apart, so each parity
         sector is Hermitian tridiagonal, and a diagonal phase rotation
-        makes it real.  Eigenvalues are unsorted across sectors.
+        makes it real.  Eigenvalues are unsorted across sectors.  Raises
+        BandStructureError for any other coupling.
         """
         d = self.dim
+        self._check_band(h)
         energies = np.empty(d)
         vectors = np.zeros((d, d), dtype=complex)
         col = 0
-        for ix in self._sectors:
-            diag = h[ix, ix].real
-            off = h[ix[:-1], ix[1:]]
+        for parity in (0, 1):
+            # the sector's levels are parity, parity + 2, ...
+            diag = np.diagonal(h)[parity::2].real
+            off = np.diagonal(h, 2)[parity::2]
             mags = np.abs(off)
             args = np.where(mags > 0, np.angle(off), 0.0)
             phases = np.exp(-1j * np.concatenate(([0.0], np.cumsum(args))))
             vals, vecs = eigh_tridiagonal(diag, mags)
             block = vecs * phases[:, None] if np.any(args) else vecs
-            energies[col:col + len(ix)] = vals
-            vectors[np.ix_(ix, np.arange(col, col + len(ix)))] = block
-            col += len(ix)
+            size = len(vals)
+            energies[col:col + size] = vals
+            vectors[parity::2, col:col + size] = block
+            col += size
         return energies, vectors
+
+    def _check_band(self, h) -> None:
+        d = self.dim
+        if np.shape(h) != (d, d):
+            raise BandStructureError(
+                f"fast_eigh expects a {d}x{d} matrix, got shape {np.shape(h)}")
+        stray = np.count_nonzero(h) - sum(
+            np.count_nonzero(np.diagonal(h, k)) for k in (-2, 0, 2))
+        if stray:
+            raise BandStructureError(
+                f"fast_eigh handles matrices that couple only levels two "
+                f"apart; the input has {stray} nonzero entries outside that "
+                f"band")
 
     def _diagonalize(self, h: np.ndarray) -> Spectrum:
         energies, vectors = self.fast_eigh(h)
@@ -327,8 +350,11 @@ def ion_waveforms(config: HOConfig, nu: float, *, ion: IonConfig | None = None,
 
     # Round trip: the emitted potential must reproduce omega exactly.
     back = np.sqrt(nu * (nu - 2.0 * potential))
-    if np.abs(back - omega).max() > 1e-12 * max(1.0, omega.max()):
-        raise AssertionError("waveform round trip failed")
+    error = np.abs(back - omega).max()
+    if not error <= 1e-12 * max(1.0, omega.max()):
+        raise InvalidDetuning(
+            f"waveform round trip misses omega by {error:.3g}: at nu = "
+            f"{nu:g} the potential cannot encode omega to precision")
     return WaveformTable(times, omega, omega_dot, potential, eff1,
                          potential.copy(), phi3, rabi_1, rabi_2, rabi_3,
                          ratio, ion)

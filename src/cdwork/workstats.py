@@ -11,7 +11,11 @@ eigenvectors,
     p_{n->m}(t) = |<Psi_m(t)|n(t)>|^2,
 
 so the whole work distribution is computable from spectra alone, with
-no time propagation.
+no time propagation.  Its moments need no distribution at all:
+``work_moments`` takes them straight from the transition matrix as
+sum_nm p_n p_{n->m} (E_m(t) - eps_n(0))^k, and ``work_distribution``
+builds the sorted, merged atoms only where they are emitted or compared
+atom by atom.
 
 For drives fast enough that omegadot^2/(4 omega^4) reaches one, the
 driving Hamiltonian of the oscillator loses its discrete spectrum in
@@ -30,6 +34,13 @@ import numpy as np
 
 from .errors import TruncationError
 from .geometry import qgt_levels
+
+# largest mass a retained eigenstate may put on the polluted top of a
+# truncated basis before spectra-derived quantities are refused
+DEFICIT_TOL = 1e-8
+# work weights at or below this are rounding ghosts of exactly forbidden
+# transitions and are dropped
+PROB_FLOOR = 1e-16
 
 
 @dataclass(frozen=True)
@@ -124,7 +135,7 @@ def basis_leakage(model, ensemble, t: float, *,
 
 def transition_matrix(model, ensemble, t: float, *,
                       trusted_fraction: float = 2.0 / 3.0,
-                      deficit_tol: float = 1e-8) -> TransitionMatrix:
+                      deficit_tol: float = DEFICIT_TOL) -> TransitionMatrix:
     """Overlap-squared matrix |<Psi_m(t)|n(t)>|^2.
 
     Rows cover the ensemble's retained levels.  Raises TruncationError
@@ -168,7 +179,7 @@ def _merge_atoms(values, probs, merge_tol):
 
 
 def work_distribution(model, ensemble, t: float, kind: str = "cd", *,
-                      merge_tol: float = 1e-12, prob_floor: float = 1e-16,
+                      merge_tol: float = 1e-12, prob_floor: float = PROB_FLOOR,
                       **tm_kwargs) -> WorkDistribution:
     """P[W(t)] for the driven ("cd") or the adiabatic reference process.
 
@@ -176,6 +187,7 @@ def work_distribution(model, ensemble, t: float, kind: str = "cd", *,
     adiabatic atoms sit at eps_n(t) - eps_n(0) with weight p_n.  Atoms
     closer than merge_tol in energy are merged; atoms below prob_floor
     (rounding ghosts of exactly forbidden transitions) are dropped.
+    For the mean and variance alone, ``work_moments`` skips the atoms.
     """
     e_init = model.spectrum0_at(0.0).energies
     n_keep = ensemble.n_levels
@@ -204,11 +216,50 @@ def variance_work(dist: WorkDistribution) -> float:
     return float(dist.probabilities @ (dist.support - mean) ** 2)
 
 
+@dataclass(frozen=True)
+class WorkMoments:
+    """Mean and variance of the driven ("cd") and adiabatic work."""
+
+    mean_cd: float
+    var_cd: float
+    mean_ad: float
+    var_ad: float
+
+    @property
+    def excess(self) -> float:
+        return self.var_cd - self.var_ad
+
+
+def _weighted_moments(values, probs):
+    probs = np.where(probs > PROB_FLOOR, probs, 0.0)
+    mean = float(np.sum(probs * values))
+    return mean, float(np.sum(probs * (values - mean) ** 2))
+
+
+def work_moments(model, ensemble, t: float, **tm_kwargs) -> WorkMoments:
+    """Both processes' work mean and variance in one pass over the
+    transition matrix: sum_nm p_n p_{n->m} (E_m(t) - eps_n(0))^k for cd,
+    sum_n p_n (eps_n(t) - eps_n(0))^k for the adiabatic reference.
+
+    Weights at or below PROB_FLOOR are dropped, and basis leakage raises
+    TruncationError, exactly as in work_distribution.
+    """
+    tm = transition_matrix(model, ensemble, t, **tm_kwargs)
+    n_keep = ensemble.n_levels
+    e_init = model.spectrum0_at(0.0).energies[:n_keep]
+    e_cd = model.spectrum_cd_at(t).energies
+    mean_cd, var_cd = _weighted_moments(
+        e_cd[None, :] - e_init[:, None],
+        ensemble.weights[:, None] * tm.probabilities)
+    mean_ad, var_ad = _weighted_moments(
+        model.spectrum0_at(t).energies[:n_keep] - e_init,
+        ensemble.weights)
+    return WorkMoments(mean_cd, var_cd, mean_ad, var_ad)
+
+
 def excess_variance_direct(model, ensemble, t: float, **tm_kwargs) -> float:
-    """Var[W(t)] - Var[W(t)]_adiabatic from the two distributions."""
-    var_cd = variance_work(work_distribution(model, ensemble, t, "cd", **tm_kwargs))
-    var_ad = variance_work(work_distribution(model, ensemble, t, "adiabatic"))
-    return var_cd - var_ad
+    """Var[W(t)] - Var[W(t)]_adiabatic from the transition matrix."""
+    return work_moments(model, ensemble, t, **tm_kwargs).excess
 
 
 def excess_variance_geometric(model, ensemble, t: float) -> float:

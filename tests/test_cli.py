@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from cdwork import ValidityWarning
 from cdwork.cli import main
 
 SMALL_HO = ["--beta", "2", "--fock-dim", "80", "--grid", "51",
@@ -82,6 +83,18 @@ class TestIsingFigure2:
         assert summary["scaling"] is None
         assert not (tmp_path / "ising_figure2_scaling.csv").exists()
 
+    def test_missed_fit_gate_writes_data_and_exits_one(self, tmp_path, capsys):
+        code = main(["ising-figure2", "--n-list", "4,6,8,10,200",
+                     "--delta", "0.01", "--grid", "21",
+                     "--trajectory-sites", "8", "--out", str(tmp_path)])
+        assert code == 1
+        assert "FAIL ising-figure2" in capsys.readouterr().out
+        summary = json.loads(
+            (tmp_path / "ising_figure2_summary.json").read_text())
+        assert summary["scaling"]["passed"] is False
+        assert summary["scaling"]["residual_rms"] > 0.02
+        assert (tmp_path / "ising_figure2_scaling.csv").exists()
+
 
 class TestIonWaveforms:
     def test_csv_schema(self, tmp_path):
@@ -96,6 +109,23 @@ class TestIonWaveforms:
         validity = json.loads(
             (tmp_path / "ion_waveforms_validity.json").read_text())
         assert validity["within_validity"] is True
+
+    def test_json_format(self, tmp_path):
+        code = main(["ion-waveforms", "--nu", "3", "--grid", "21",
+                     "--format", "json", "--out", str(tmp_path)])
+        assert code == 0
+        assert not (tmp_path / "ion_waveforms.csv").exists()
+        data = json.loads((tmp_path / "ion_waveforms.json").read_text())
+        assert len(data["columns"]["Omega"]) == 21
+        assert data["metadata"]["command"] == "ion-waveforms"
+
+    def test_failed_round_trip_exit_code(self, tmp_path, capsys):
+        with pytest.warns(ValidityWarning):
+            code = main(["ion-waveforms", "--nu", "1e8", "--grid", "21",
+                         "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "InvalidDetuning" in err and "round trip" in err
 
     def test_bad_detuning_exit_code(self, tmp_path, capsys):
         code = main(["ion-waveforms", "--nu", "2", "--out", str(tmp_path)])

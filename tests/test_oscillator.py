@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from cdwork import (ConfigError, HOConfig, HarmonicOscillator, InvalidDetuning,
+from cdwork import (BandStructureError, ConfigError, HOConfig, HarmonicOscillator, InvalidDetuning,
                     SupercriticalDrive, ValidityWarning, cd_exact_eigensystem,
                     ho_metric, ion_waveforms, metric_length, model_ensemble,
                     qgt, ramp, variance_work, work_distribution)
@@ -86,6 +86,31 @@ class TestMatrices:
         for t in (0.1, 0.37, 0.62):
             h = fig1_model.h_cd_at(t)
             assert np.abs(h - h.conj().T).max() < 1e-14
+
+
+class TestFastEigh:
+    def test_matches_dense_solver_in_band(self, fig1_model):
+        h = fig1_model.h_cd_at(0.37)
+        energies, vectors = fig1_model.fast_eigh(h)
+        assert np.abs(np.sort(energies) - np.linalg.eigvalsh(h)).max() < 1e-10
+        assert np.abs(h @ vectors - vectors * energies).max() < 1e-9
+
+    def test_accepts_negative_zero_entries(self, fig1_model):
+        # a negative scale turns the zeros of qp+pq into -0.0
+        h1 = fig1_model.h1_matrix(2.0, 1.3)
+        assert np.any(np.signbit(h1.real[0, 1:2]))
+        fig1_model.fast_eigh(h1)
+
+    @pytest.mark.parametrize("distance", [1, 3, 4])
+    def test_rejects_coupling_outside_band(self, fig1_model, distance):
+        h = fig1_model.h0_matrix(2.0).astype(complex)
+        h[5, 5 + distance] = h[5 + distance, 5] = 1e-3
+        with pytest.raises(BandStructureError, match="two apart"):
+            fig1_model.fast_eigh(h)
+
+    def test_rejects_wrong_shape(self, fig1_model):
+        with pytest.raises(BandStructureError, match="shape"):
+            fig1_model.fast_eigh(np.eye(fig1_model.dim - 1))
 
 
 class TestClosedFormEigensystem:
@@ -213,6 +238,13 @@ class TestIonWaveforms:
     def test_unreachable_ramp_rejected(self):
         with pytest.raises(InvalidDetuning):
             ion_waveforms(HOConfig(1.0, 3.0, 0.8), nu=2.0)
+
+    def test_failed_round_trip_is_a_package_error(self):
+        # at nu >> omega the potential ~ nu/2 cannot encode omega to
+        # precision: the round trip fails by rounding alone
+        with pytest.warns(ValidityWarning), \
+                pytest.raises(InvalidDetuning, match="round trip"):
+            ion_waveforms(HOConfig(1.0, 3.0, 0.8), nu=1e8, grid_points=21)
 
     def test_marginal_validity_warns(self):
         weak = IonConfig(nu=3.0, delta_spin=20.0)

@@ -1,0 +1,65 @@
+import math
+
+import numpy as np
+import pytest
+
+from cdwork import (HOConfig, HarmonicOscillator, TruncationError,
+                    model_ensemble, transition_matrix, work_moments)
+from cdwork.verify import (_check_cd_gauge_invariance, _check_lz_closed_form,
+                           _check_mean_identity, _check_spectrum_contract,
+                           _sized_oscillator)
+
+# the second mean-identity draw of `verify --seed 8`: a hot ensemble on
+# a wide ramp, whose retained levels leak 2e-6 of their mass into the
+# top of a 100-level basis at t = 0
+SEED_8_DRAW = (2.970447282674969, 1.4846766662902031, 0.8117658530804871)
+
+
+def mean_identity_rng(seed):
+    """The verify generator as the mean-identity check receives it: the
+    checks that run before it draw from the same generator."""
+    rng = np.random.default_rng(seed)
+    for check in (_check_spectrum_contract, _check_cd_gauge_invariance,
+                  _check_lz_closed_form):
+        check(rng)
+    return rng
+
+
+def mean_identity_draws(rng):
+    draws = []
+    for _ in range(4):
+        omega_f = float(rng.uniform(1.5, 3.0))
+        tau = float(rng.uniform(0.5, 2.0))
+        beta = float(rng.uniform(0.7, 3.0)) if rng.random() < 0.75 else math.inf
+        draws.append((omega_f, tau, beta))
+    return draws
+
+
+def test_seed_8_draw_overflows_100_levels():
+    omega_f, tau, beta = SEED_8_DRAW
+    assert SEED_8_DRAW in mean_identity_draws(mean_identity_rng(8))
+    model = HarmonicOscillator(HOConfig(1.0, omega_f, tau, dim=100))
+    with pytest.raises(TruncationError):
+        transition_matrix(model, model_ensemble(model, beta), 0.0)
+
+
+def test_seed_8_draw_gets_a_basis_that_holds_it():
+    omega_f, tau, beta = SEED_8_DRAW
+    times = np.linspace(0.0, tau, 5)
+    model, ensemble = _sized_oscillator(omega_f, tau, beta, times)
+    assert model.dim == 120
+    scale = float(np.abs(model.spectrum0_at(0.0).energies).max())
+    for t in times:
+        moments = work_moments(model, ensemble, t)
+        assert abs(moments.mean_cd - moments.mean_ad) <= 1e-8 * scale
+
+
+def test_seed_8_mean_identity_check_passes():
+    assert _check_mean_identity(mean_identity_rng(8)).passed
+
+
+def test_default_seed_draws_keep_100_levels():
+    for omega_f, tau, beta in mean_identity_draws(mean_identity_rng(20260809)):
+        model, _ = _sized_oscillator(omega_f, tau, beta,
+                                     np.linspace(0.0, tau, 5))
+        assert model.dim == 100

@@ -10,7 +10,7 @@ from cdwork import (HOConfig, HarmonicOscillator, TruncationError,
                     excess_variance_geometric, identity_check_rowsum,
                     mean_work, model_ensemble, quintic_ramp, thermal_ensemble,
                     transition_matrix, two_level_model, variance_work,
-                    work_distribution)
+                    work_distribution, work_moments)
 
 E_CONST = math.e
 
@@ -159,6 +159,46 @@ class TestMoments:
             cd = mean_work(work_distribution(model, ensemble, t, "cd"))
             ad = mean_work(work_distribution(model, ensemble, t, "adiabatic"))
             assert abs(cd - ad) <= 1e-8 * scale
+
+
+class TestWorkMoments:
+    """work_moments against the moments of the merged distributions."""
+
+    @staticmethod
+    def assert_matches_distributions(model, ensemble, t):
+        moments = work_moments(model, ensemble, t)
+        cd = work_distribution(model, ensemble, t, "cd")
+        ad = work_distribution(model, ensemble, t, "adiabatic")
+        assert abs(moments.mean_cd - mean_work(cd)) <= 1e-12
+        assert abs(moments.var_cd - variance_work(cd)) <= 1e-12
+        assert abs(moments.mean_ad - mean_work(ad)) <= 1e-12
+        assert abs(moments.var_ad - variance_work(ad)) <= 1e-12
+        assert moments.excess == moments.var_cd - moments.var_ad
+
+    def test_oscillator_interior_and_ends(self, fig1_model, fig1_ensemble):
+        for t in (0.0, 0.13, 0.4, 0.71, 0.8):
+            self.assert_matches_distributions(fig1_model, fig1_ensemble, t)
+
+    def test_oscillator_ground_state(self, fig1_model, fig1_ground):
+        for t in (0.0, 0.4, 0.8):
+            self.assert_matches_distributions(fig1_model, fig1_ground, t)
+
+    def test_two_level_interior_and_ends(self):
+        model = two_level_model(quintic_ramp([-1.5], [2.0], 1.0))
+        ensemble = model_ensemble(model, 0.7)
+        for t in (0.0, 0.25, 0.5, 0.9, 1.0):
+            self.assert_matches_distributions(model, ensemble, t)
+
+    def test_excess_direct_is_moment_excess(self, fig1_model, fig1_ensemble):
+        moments = work_moments(fig1_model, fig1_ensemble, 0.4)
+        assert excess_variance_direct(fig1_model, fig1_ensemble, 0.4) \
+            == moments.excess
+
+    def test_basis_leakage_raises(self):
+        model = HarmonicOscillator(HOConfig(1.0, 3.0, 0.8, dim=40))
+        ensemble = model_ensemble(model, 1.0)
+        with pytest.raises(TruncationError):
+            work_moments(model, ensemble, 0.8)
 
 
 class TestExcessVariance:
