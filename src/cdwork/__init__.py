@@ -12,10 +12,10 @@ from .errors import (BandStructureError, CdworkError, ConfigError,
                      QuadratureNotConverged, StepNotConverged,
                      SupercriticalDrive, TruncationError, ValidityWarning)
 from .fitting import FitResult, fit_power_law
-from .geometry import (GeometricTensor, SpeedLimitReport, bures_fidelity,
-                       bures_length, eta_length, evolved_density,
-                       fidelity_decay_check, metric_length, path_lengths,
-                       qgt, speed_limit_report)
+from .geometry import (GeometricTensor, SpeedLimitReport, bound_chain,
+                       bures_fidelity, bures_length, evolved_density,
+                       fidelity_decay_check, path_lengths, qgt,
+                       speed_limit_report)
 from .models import ParametrizedModel, SpectrumCache, two_level_model
 from .oscillator import (HOConfig, HarmonicOscillator, IonConfig,
                          WaveformTable, cd_exact_eigensystem, ho_metric,
@@ -29,9 +29,9 @@ from .spectral import (CertificateReport, Spectrum, StateTrajectory,
 from .workstats import (EnergyFluctuations, ThermalEnsemble, TransitionMatrix,
                         WorkDistribution, WorkMoments,
                         ensemble_energy_variance, excess_variance_direct,
-                        excess_variance_geometric, identity_check_rowsum,
-                        mean_work, model_ensemble, thermal_ensemble,
-                        transition_matrix, variance_work, work_distribution,
-                        work_moments)
+                        excess_variance_geometric, fluctuation_series,
+                        identity_check_rowsum, mean_work, model_ensemble,
+                        thermal_ensemble, transition_matrix, variance_work,
+                        work_distribution, work_moments)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

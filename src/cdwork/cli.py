@@ -32,7 +32,7 @@ from .figures import ho_figure1_data, ising_figure2_data
 from .oscillator import HOConfig, ion_waveforms
 from .verify import run_verification
 
-_COMMON_KEYS = {
+_DEFAULTS = {
     "omega_i": 1.0,
     "omega_f": 3.0,
     "beta": 1.0,
@@ -42,6 +42,10 @@ _COMMON_KEYS = {
     "grid": 401,
     "n_list": None,
     "delta": 1.0,
+    "nu": 3.0,
+    "trajectory_sites": 64,
+    "chain_samples": 12,
+    "h1_scale": 1.0,
     "seed": 20260809,
     "out": None,
     "format": "csv",
@@ -49,20 +53,13 @@ _COMMON_KEYS = {
 
 _SUBCOMMAND_KEYS = {
     "ho-figure1": {"omega_i", "omega_f", "beta", "tau", "tau_list",
-                   "fock_dim", "grid", "seed", "out", "format"},
+                   "fock_dim", "grid", "out", "format"},
     "ising-figure2": {"n_list", "delta", "tau_list", "grid",
-                      "trajectory_sites", "seed", "out", "format"},
-    "ion-waveforms": {"omega_i", "omega_f", "tau", "nu", "grid", "seed",
-                      "out", "format"},
+                      "trajectory_sites", "out", "format"},
+    "ion-waveforms": {"omega_i", "omega_f", "tau", "nu", "grid", "out",
+                      "format"},
     "verify": {"seed", "fock_dim", "chain_samples", "h1_scale", "out",
                "format"},
-}
-
-_EXTRA_DEFAULTS = {
-    "nu": 3.0,
-    "trajectory_sites": 64,
-    "chain_samples": 12,
-    "h1_scale": 1.0,
 }
 
 
@@ -130,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--h1-scale", dest="h1_scale", type=float,
                            help="test hook: rescale the auxiliary term in "
                                 "the transitionless certificate")
-        p.add_argument("--seed", type=int)
+        if "seed" in keys:
+            p.add_argument("--seed", type=int)
         p.add_argument("--out", type=Path)
         p.add_argument("--format", choices=("csv", "json"))
 
@@ -145,7 +143,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     Unknown config-file keys are rejected by name.
     """
     keys = _SUBCOMMAND_KEYS[args.command]
-    resolved = {k: _COMMON_KEYS.get(k, _EXTRA_DEFAULTS.get(k)) for k in keys}
+    resolved = {k: _DEFAULTS[k] for k in keys}
     if args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text())

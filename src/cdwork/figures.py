@@ -1,14 +1,13 @@
 """Reproduction pipelines for the two study figures.
 
 These functions compute plain arrays; the CLI handles serialization.
-The oscillator study sweeps protocol durations and assembles, per
-duration, the work-moment series, the time-averaged excess fluctuation
-and the pieces of the speed-limit chain.  Every duration walks the same
-frequency path, so the sweep's oscillators share one store of H0
-spectra keyed by frequency, and the work moments come straight from
-the transition matrices.  The Ising study produces the
-excess-fluctuation trajectories across the critical point and the
-finite-size scaling fit.
+The oscillator study sweeps protocol durations; per duration it takes
+the fluctuation series from ``workstats.fluctuation_series`` and hands
+them, with the path lengths computed once for the sweep, to
+``geometry.bound_chain``.  Every duration walks the same frequency
+path, so the sweep's oscillators share one store of H0 spectra keyed by
+frequency.  The Ising study produces the excess-fluctuation
+trajectories across the critical point and the finite-size scaling fit.
 """
 
 from __future__ import annotations
@@ -17,28 +16,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import ising
 from .fitting import FitResult, fit_power_law
-from .geometry import bures_length, evolved_density, path_lengths
+from .geometry import (SpeedLimitReport, bound_chain, bures_length,
+                       evolved_density, path_lengths)
 from .models import SpectrumCache
 from .oscillator import HOConfig, HarmonicOscillator
-from .workstats import (ensemble_energy_variance, excess_variance_geometric,
-                        model_ensemble, work_moments)
-
-
-@dataclass(frozen=True)
-class TauSummary:
-    """Speed-limit quantities for one protocol duration."""
-
-    tau: float
-    avg_excess_dev: float
-    avg_energy_dev: float
-    bound_from_excess: float
-    bound_from_energy: float
-    equality_residual: float
-    ordering_ok: bool
+from .workstats import (excess_variance_geometric, fluctuation_series,
+                        model_ensemble)
 
 
 @dataclass(frozen=True)
@@ -46,7 +32,7 @@ class HoFigure1Data:
     mean_series: dict[str, np.ndarray]
     variance_series: dict[str, np.ndarray]
     excess_series: dict[str, np.ndarray]
-    tau_table: list[TauSummary]
+    tau_table: list[SpeedLimitReport]
     fit: FitResult | None
     ell: float
     eta_len: float
@@ -78,68 +64,41 @@ class HoFigure1Data:
         }
 
 
-def _moments_along_grid(model, ensemble, grid, *, want_geometric):
-    rows = {
-        "t": grid,
-        "mean_cd": np.empty_like(grid),
-        "mean_ad": np.empty_like(grid),
-        "var_cd": np.empty_like(grid),
-        "var_ad": np.empty_like(grid),
-        "excess_direct": np.empty_like(grid),
-        "excess_geometric": np.full_like(grid, np.nan),
-        "energy_variance_cd": np.empty_like(grid),
-    }
-    for i, t in enumerate(grid):
-        moments = work_moments(model, ensemble, t)
-        rows["mean_cd"][i] = moments.mean_cd
-        rows["mean_ad"][i] = moments.mean_ad
-        rows["var_cd"][i] = moments.var_cd
-        rows["var_ad"][i] = moments.var_ad
-        rows["excess_direct"][i] = moments.excess
-        if want_geometric:
-            rows["excess_geometric"][i] = excess_variance_geometric(
-                model, ensemble, t)
-        rows["energy_variance_cd"][i] = ensemble_energy_variance(
-            model, ensemble, t).variance_cd
-    return rows
-
-
 def ho_figure1_data(*, omega_i: float = 1.0, omega_f: float = 3.0,
                     beta: float = 1.0, tau: float = 0.8,
-                    tau_list=None, dim: int = 120, grid_points: int = 401,
-                    equality_tol: float = 1e-6) -> HoFigure1Data:
+                    tau_list=None, dim: int = 120,
+                    grid_points: int = 401) -> HoFigure1Data:
     """Oscillator study: work moments, excess fluctuations and the
     duration bound chain across a list of protocol durations.
 
     The durations' oscillators share one H0 store of two grids' worth
     of spectra: grids of different durations meet the same frequencies
     only up to rounding, so the distinct points outnumber one grid, and
-    a store of one grid evicts spectra the next duration needs.
+    a store of one grid evicts spectra the next duration needs.  The
+    path lengths do not depend on the duration and are computed once.
     """
     if tau_list is None:
         tau_list = [round(0.2 * k, 10) for k in range(1, 16)]
     tau_list = sorted(set(float(x) for x in tau_list) | {float(tau)})
     h0_store = SpectrumCache(2 * grid_points)
 
-    mean_series = variance_rows = excess_series = None
+    mean_series = excess_series = None
     var_blocks = {"tau": [], "t": [], "var_cd": [], "var_ad": []}
     tau_table = []
     ell = eta = bures = None
-    trivial = omega_f == omega_i
 
     for tau_k in tau_list:
         config = HOConfig(omega_i, omega_f, tau_k, dim=dim)
         model = HarmonicOscillator(config, h0_store=h0_store)
         ensemble = model_ensemble(model, beta)
         grid = np.linspace(0.0, tau_k, grid_points)
-        is_panel = math.isclose(tau_k, tau)
-        rows = _moments_along_grid(model, ensemble, grid,
-                                   want_geometric=is_panel)
+        rows = fluctuation_series(model, ensemble, grid)
         var_blocks["tau"].append(np.full_like(grid, tau_k))
-        var_blocks["t"].append(grid)
-        var_blocks["var_cd"].append(rows["var_cd"])
-        var_blocks["var_ad"].append(rows["var_ad"])
-        if is_panel:
+        for key in ("t", "var_cd", "var_ad"):
+            var_blocks[key].append(rows[key])
+        if math.isclose(tau_k, tau):
+            rows["excess_geometric"] = np.array(
+                [excess_variance_geometric(model, ensemble, t) for t in grid])
             mean_series = {k: rows[k] for k in ("t", "mean_cd", "mean_ad")}
             excess_series = {k: rows[k] for k in
                              ("t", "var_cd", "var_ad", "excess_direct",
@@ -148,32 +107,16 @@ def ho_figure1_data(*, omega_i: float = 1.0, omega_f: float = 3.0,
             eta, ell = path_lengths(model, ensemble)
             bures = bures_length(evolved_density(model, ensemble, 0.0),
                                  evolved_density(model, ensemble, tau_k))
-        avg_excess = float(simpson(np.sqrt(np.clip(rows["excess_direct"], 0, None)),
-                                   x=grid)) / tau_k
-        avg_energy = float(simpson(np.sqrt(np.clip(rows["energy_variance_cd"], 0, None)),
-                                   x=grid)) / tau_k
-        if trivial:
-            tau_table.append(TauSummary(tau_k, avg_excess, avg_energy,
-                                        0.0, 0.0, 0.0, True))
-            continue
-        bound_excess = bures / avg_excess
-        bound_energy = bures / avg_energy
-        residual = abs(tau_k * avg_excess - ell) / ell
-        ordering = (tau_k >= bound_excess * (1 - 1e-12)
-                    and bound_excess >= bound_energy * (1 - 1e-12))
-        tau_table.append(TauSummary(tau_k, avg_excess, avg_energy,
-                                    bound_excess, bound_energy, residual,
-                                    ordering))
+        tau_table.append(bound_chain(rows, ell, eta, bures))
 
     variance_rows = {k: np.concatenate(v) for k, v in var_blocks.items()}
     fit = None
-    if not trivial and len(tau_table) >= 3:
+    if ell > 0 and len(tau_table) >= 3:
         fit = fit_power_law(np.array([r.tau for r in tau_table]),
                             np.array([r.avg_excess_dev for r in tau_table]))
-    passed = all(r.ordering_ok for r in tau_table) and all(
-        r.equality_residual <= equality_tol for r in tau_table)
     return HoFigure1Data(mean_series, variance_rows, excess_series,
-                         tau_table, fit, ell, eta, bures, passed)
+                         tau_table, fit, ell, eta, bures,
+                         all(row.passed for row in tau_table))
 
 
 @dataclass(frozen=True)

@@ -119,8 +119,7 @@ def cd_excess_trajectory(config: IsingConfig, grid) -> ExcessTrajectory:
     return ExcessTrajectory(grid, lam, lam_dot, excess, np.sqrt(excess))
 
 
-def sweep_cost_integral(n_sites: int, delta: float, *, rel_tol: float = 1e-9,
-                        max_depth: int = 40) -> float:
+def sweep_cost_integral(n_sites: int, delta: float) -> float:
     """tau <dDW>_tau = integral of sqrt(g) |dlam| over [1-delta, 1+delta].
 
     Protocol independent: any sweep shape with the same endpoints and
@@ -130,7 +129,7 @@ def sweep_cost_integral(n_sites: int, delta: float, *, rel_tol: float = 1e-9,
     """
     return adaptive_simpson(
         lambda lam: math.sqrt(ground_metric(lam, n_sites)),
-        1.0 - delta, 1.0 + delta, rel_tol=rel_tol, max_depth=max_depth)
+        1.0 - delta, 1.0 + delta, rel_tol=1e-9)
 
 
 @dataclass(frozen=True)
@@ -152,12 +151,9 @@ class CriticalScaling:
         return self.residual_rms < self.MAX_RESIDUAL
 
 
-def scaling_fit(n_list, delta: float, tau: float | None = None, *,
-                rel_tol: float = 1e-9) -> CriticalScaling:
+def scaling_fit(n_list, delta: float) -> CriticalScaling:
     """Fit tau <dDW>_tau ~ N^alpha over a list of chain lengths.
 
-    ``tau`` is accepted for interface symmetry but does not enter: the
-    time-integrated cost depends only on the swept parameter interval.
     Requires at least five sizes spanning 1.5 decades.  A fit whose log
     residuals miss the gate is still returned, with ``passed`` false.
     """
@@ -166,8 +162,7 @@ def scaling_fit(n_list, delta: float, tau: float | None = None, *,
         raise ConfigError("need at least five chain lengths for the fit")
     if math.log10(n_values[-1] / n_values[0]) < 1.5:
         raise ConfigError("chain lengths must span at least 1.5 decades")
-    integrals = np.array([sweep_cost_integral(n, delta, rel_tol=rel_tol)
-                          for n in n_values])
+    integrals = np.array([sweep_cost_integral(n, delta) for n in n_values])
     fit = fit_power_law(n_values.astype(float), integrals)
     return CriticalScaling(fit.exponent, fit.exponent_stderr,
                            fit.residual_rms, n_values, integrals, fit)

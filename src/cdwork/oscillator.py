@@ -257,8 +257,6 @@ class IonConfig:
     lamb_dicke: float = 0.1
     delta_raman: float = 1e5
     delta_spin: float = 1e3
-    omega_hyperfine: float = 0.0  # bookkeeping only
-    omega_excited: float = 0.0    # bookkeeping only
     validity_min: float = 10.0
 
     @property

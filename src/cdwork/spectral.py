@@ -58,9 +58,6 @@ class Spectrum:
     def dim(self) -> int:
         return self.energies.shape[0]
 
-    def min_gap(self) -> float:
-        return float(np.diff(self.energies).min()) if self.dim > 1 else np.inf
-
 
 def spectrum(h: np.ndarray, *, check: bool = True,
              degeneracy_tol: float = 1e-9) -> Spectrum:

@@ -41,6 +41,8 @@ DEFICIT_TOL = 1e-8
 # work weights at or below this are rounding ghosts of exactly forbidden
 # transitions and are dropped
 PROB_FLOOR = 1e-16
+# basis coordinates above this share of the basis are polluted by truncation
+TRUSTED_FRACTION = 2.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -95,12 +97,12 @@ def thermal_ensemble(energies: np.ndarray, beta: float, *,
                            float(1.0 - cum[keep - 1]))
 
 
-def model_ensemble(model, beta: float, **kwargs) -> ThermalEnsemble:
+def model_ensemble(model, beta: float) -> ThermalEnsemble:
     """Thermal ensemble over the model's initial spectrum; models that
     carry their complete Hilbert space skip the truncation bookkeeping."""
-    kwargs.setdefault("complete_spectrum",
-                      not getattr(model, "truncated", False))
-    return thermal_ensemble(model.spectrum0_at(0.0).energies, beta, **kwargs)
+    complete = not getattr(model, "truncated", False)
+    return thermal_ensemble(model.spectrum0_at(0.0).energies, beta,
+                            complete_spectrum=complete)
 
 
 @dataclass(frozen=True)
@@ -113,8 +115,7 @@ class TransitionMatrix:
     basis_leakage: float
 
 
-def basis_leakage(model, ensemble, t: float, *,
-                  trusted_fraction: float = 2.0 / 3.0) -> float:
+def basis_leakage(model, ensemble, t: float) -> float:
     """Worst mass any retained instantaneous eigenstate puts on the
     truncation-polluted top of the basis coordinates.
 
@@ -127,24 +128,22 @@ def basis_leakage(model, ensemble, t: float, *,
     if not getattr(model, "truncated", False):
         return 0.0
     states = model.spectrum0_at(t).states[:, : ensemble.n_levels]
-    cap = int(trusted_fraction * model.dim)
+    cap = int(TRUSTED_FRACTION * model.dim)
     if cap >= model.dim:
         return 0.0
     return float((np.abs(states[cap:, :]) ** 2).sum(axis=0).max())
 
 
-def transition_matrix(model, ensemble, t: float, *,
-                      trusted_fraction: float = 2.0 / 3.0,
-                      deficit_tol: float = DEFICIT_TOL) -> TransitionMatrix:
+def transition_matrix(model, ensemble, t: float) -> TransitionMatrix:
     """Overlap-squared matrix |<Psi_m(t)|n(t)>|^2.
 
     Rows cover the ensemble's retained levels.  Raises TruncationError
-    when a retained eigenstate leaks more than deficit_tol of its mass
+    when a retained eigenstate leaks more than DEFICIT_TOL of its mass
     into the top of the basis coordinates (the basis is then too small
     for the requested state).
     """
-    leak = basis_leakage(model, ensemble, t, trusted_fraction=trusted_fraction)
-    if leak > deficit_tol:
+    leak = basis_leakage(model, ensemble, t)
+    if leak > DEFICIT_TOL:
         raise TruncationError(
             f"a retained eigenstate leaks {leak:.3g} of its mass into the "
             f"top of the basis at t={t:g}; enlarge the Fock basis")
@@ -179,13 +178,12 @@ def _merge_atoms(values, probs, merge_tol):
 
 
 def work_distribution(model, ensemble, t: float, kind: str = "cd", *,
-                      merge_tol: float = 1e-12, prob_floor: float = PROB_FLOOR,
-                      **tm_kwargs) -> WorkDistribution:
+                      merge_tol: float = 1e-12) -> WorkDistribution:
     """P[W(t)] for the driven ("cd") or the adiabatic reference process.
 
     cd atoms sit at E_m(t) - eps_n(0) with weight p_n p_{n->m};
     adiabatic atoms sit at eps_n(t) - eps_n(0) with weight p_n.  Atoms
-    closer than merge_tol in energy are merged; atoms below prob_floor
+    closer than merge_tol in energy are merged; atoms below PROB_FLOOR
     (rounding ghosts of exactly forbidden transitions) are dropped.
     For the mean and variance alone, ``work_moments`` skips the atoms.
     """
@@ -196,13 +194,13 @@ def work_distribution(model, ensemble, t: float, kind: str = "cd", *,
         values = e_now[:n_keep] - e_init[:n_keep]
         probs = ensemble.weights.copy()
     elif kind == "cd":
-        tm = transition_matrix(model, ensemble, t, **tm_kwargs)
+        tm = transition_matrix(model, ensemble, t)
         e_cd = model.spectrum_cd_at(t).energies
         values = (e_cd[None, :] - e_init[:n_keep, None]).ravel()
         probs = (ensemble.weights[:, None] * tm.probabilities).ravel()
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    live = probs > prob_floor
+    live = probs > PROB_FLOOR
     values, probs = _merge_atoms(values[live], probs[live], merge_tol)
     return WorkDistribution(values, probs, kind, float(t))
 
@@ -236,7 +234,7 @@ def _weighted_moments(values, probs):
     return mean, float(np.sum(probs * (values - mean) ** 2))
 
 
-def work_moments(model, ensemble, t: float, **tm_kwargs) -> WorkMoments:
+def work_moments(model, ensemble, t: float) -> WorkMoments:
     """Both processes' work mean and variance in one pass over the
     transition matrix: sum_nm p_n p_{n->m} (E_m(t) - eps_n(0))^k for cd,
     sum_n p_n (eps_n(t) - eps_n(0))^k for the adiabatic reference.
@@ -244,7 +242,7 @@ def work_moments(model, ensemble, t: float, **tm_kwargs) -> WorkMoments:
     Weights at or below PROB_FLOOR are dropped, and basis leakage raises
     TruncationError, exactly as in work_distribution.
     """
-    tm = transition_matrix(model, ensemble, t, **tm_kwargs)
+    tm = transition_matrix(model, ensemble, t)
     n_keep = ensemble.n_levels
     e_init = model.spectrum0_at(0.0).energies[:n_keep]
     e_cd = model.spectrum_cd_at(t).energies
@@ -257,9 +255,9 @@ def work_moments(model, ensemble, t: float, **tm_kwargs) -> WorkMoments:
     return WorkMoments(mean_cd, var_cd, mean_ad, var_ad)
 
 
-def excess_variance_direct(model, ensemble, t: float, **tm_kwargs) -> float:
+def excess_variance_direct(model, ensemble, t: float) -> float:
     """Var[W(t)] - Var[W(t)]_adiabatic from the transition matrix."""
-    return work_moments(model, ensemble, t, **tm_kwargs).excess
+    return work_moments(model, ensemble, t).excess
 
 
 def excess_variance_geometric(model, ensemble, t: float) -> float:
@@ -274,13 +272,13 @@ def excess_variance_geometric(model, ensemble, t: float) -> float:
     return float(ensemble.weights @ rates)
 
 
-def identity_check_rowsum(model, ensemble, t: float, **tm_kwargs) -> float:
+def identity_check_rowsum(model, ensemble, t: float) -> float:
     """max_n |sum_m p_{n->m} (E_m(t) - eps_n(t))|.
 
     Vanishes identically because the auxiliary term has zero diagonal in
     the instantaneous basis; the return value is the numerical residual.
     """
-    tm = transition_matrix(model, ensemble, t, **tm_kwargs)
+    tm = transition_matrix(model, ensemble, t)
     e_cd = model.spectrum_cd_at(t).energies
     e_now = model.spectrum0_at(t).energies[: ensemble.n_levels]
     sums = tm.probabilities @ e_cd - e_now
@@ -316,3 +314,18 @@ def ensemble_energy_variance(model, ensemble, t: float) -> EnergyFluctuations:
     return EnergyFluctuations(second_cd - first**2,
                               second_cd - second_h0,
                               second_h0 - mean_h0**2)
+
+
+def fluctuation_series(model, ensemble, grid) -> dict[str, np.ndarray]:
+    """Work moments and the driving Hamiltonian's energy variance at
+    every time of a grid, in one pass.  Columns: t, mean_cd, mean_ad,
+    var_cd, var_ad, excess_direct (var_cd - var_ad), energy_variance_cd."""
+    grid = np.asarray(grid, dtype=float)
+    values = []
+    for t in grid:
+        m = work_moments(model, ensemble, t)
+        values.append((m.mean_cd, m.mean_ad, m.var_cd, m.var_ad, m.excess,
+                       ensemble_energy_variance(model, ensemble, t).variance_cd))
+    names = ("mean_cd", "mean_ad", "var_cd", "var_ad", "excess_direct",
+             "energy_variance_cd")
+    return {"t": grid, **dict(zip(names, np.array(values).T))}

@@ -99,6 +99,14 @@ def test_criterion_3_figure1_reproduction(figure1):
            f"ordering {ordering_ok} ({elapsed:.0f} s)")
 
 
+def test_figure1_row_is_the_speed_limit_report(figure1, fig1_model,
+                                               fig1_ensemble):
+    data, _ = figure1
+    row = next(r for r in data.tau_table if r.tau == 0.8)
+    assert row == speed_limit_report(fig1_model, fig1_ensemble,
+                                     grid_points=401)
+
+
 def test_criterion_4_transitionless_certificate(panel_run):
     model = panel_run["model"]
     grid = np.linspace(0.0, 0.8, 161)

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from cdwork import ValidityWarning
+from cdwork import cli
 from cdwork.cli import main
 
 SMALL_HO = ["--beta", "2", "--fock-dim", "80", "--grid", "51",
@@ -141,6 +142,15 @@ class TestConfigHandling:
         assert code == 2
         assert "frequenzy" in capsys.readouterr().err
 
+    def test_seed_key_only_for_verify(self, tmp_path, capsys):
+        # ho-figure1 draws no random number, so a seed is not part of
+        # its configuration
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 7}))
+        code = main(["ho-figure1", "--config", str(cfg)])
+        assert code == 2
+        assert "'seed'" in capsys.readouterr().err
+
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -177,6 +187,17 @@ class TestVerifyCommand:
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert report["passed"] is True
         assert len(report["checks"]) == 24
+
+    def test_seed_flag_reaches_the_suite(self, monkeypatch, capsys):
+        seen = {}
+
+        def fake_run(seed, **kwargs):
+            seen["seed"] = seed
+            return []
+
+        monkeypatch.setattr(cli, "run_verification", fake_run)
+        assert main(["verify", "--seed", "8"]) == 0
+        assert seen["seed"] == 8
 
     def test_corrupted_auxiliary_term_fails(self, capsys):
         code = main(["verify", "--h1-scale", "2.0", "--chain-samples", "1"])

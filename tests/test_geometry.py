@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from cdwork import (HOConfig, HarmonicOscillator, NotAState,
                     ParametrizedModel, bures_fidelity, bures_length,
-                    constant_protocol, eta_length, evolved_density,
-                    fidelity_decay_check, ho_metric, log_ramp, metric_length,
-                    model_ensemble, path_lengths, qgt, quintic_ramp,
-                    speed_limit_report)
+                    constant_protocol, evolved_density, fidelity_decay_check,
+                    ho_metric, log_ramp, model_ensemble, path_lengths, qgt,
+                    quintic_ramp, speed_limit_report)
 from cdwork.ising import IsingConfig, dense_model, ground_metric
 
 
@@ -85,14 +84,14 @@ class TestFidelityDecay:
 class TestMetricLength:
     def test_constant_protocol_zero(self):
         model = HarmonicOscillator(HOConfig(2.0, 2.0, 1.0, dim=60))
-        assert metric_length(model, model_ensemble(model, 1.0)) == 0.0
+        assert path_lengths(model, model_ensemble(model, 1.0))[1] == 0.0
 
     def test_closed_form_oracle(self, fig1_model, fig1_ensemble):
         n = np.arange(fig1_ensemble.n_levels)
         oracle = math.sqrt(
             float(fig1_ensemble.weights @ (n * n + n + 1.0)) / 8.0) \
             * math.log(3.0)
-        ell = metric_length(fig1_model, fig1_ensemble)
+        _, ell = path_lengths(fig1_model, fig1_ensemble)
         assert ell == pytest.approx(oracle, rel=1e-7)
         assert ell == pytest.approx(0.6548, abs=2e-4)
 
@@ -101,7 +100,7 @@ class TestMetricLength:
         for kind, tau in (("quintic", 0.8), ("log", 1.3)):
             model = HarmonicOscillator(
                 HOConfig(1.0, 3.0, tau, dim=120, ramp_kind=kind))
-            values.append(metric_length(model, model_ensemble(model, 1.0)))
+            values.append(path_lengths(model, model_ensemble(model, 1.0))[1])
         assert values[0] == pytest.approx(values[1], abs=1e-7)
 
 
@@ -161,7 +160,7 @@ class TestBures:
 class TestEtaLength:
     def test_constant_path_zero(self):
         model = HarmonicOscillator(HOConfig(2.0, 2.0, 1.0, dim=60))
-        assert eta_length(model, model_ensemble(model, 1.0)) == 0.0
+        assert path_lengths(model, model_ensemble(model, 1.0))[0] == 0.0
 
     def test_bracketed_by_bures_and_metric(self, fig1_model, fig1_ensemble):
         eta, ell = path_lengths(fig1_model, fig1_ensemble)
@@ -186,6 +185,18 @@ class TestSpeedLimit:
         assert report.bures_len == pytest.approx(0.476, abs=0.005)
         assert report.tau >= report.bound_from_excess
         assert report.bound_from_excess >= report.bound_from_energy
+
+    def test_constant_protocol_passes_with_zero_bounds(self):
+        # ell = 0 exactly, while the endpoint Bures length is arccos
+        # rounding near F = 1 (~1e-8), above the chain tolerance
+        model = HarmonicOscillator(HOConfig(2.0, 2.0, 1.0, dim=60))
+        report = speed_limit_report(model, model_ensemble(model, 1.0),
+                                    grid_points=51)
+        assert report.ell == 0.0
+        assert report.passed
+        assert report.bound_from_excess == 0.0
+        assert report.bound_from_energy == 0.0
+        assert report.equality_residual == 0.0
 
     def test_doubling_tau_halves_average_excess(self):
         reports = []

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from cdwork import (BandStructureError, ConfigError, HOConfig, HarmonicOscillator, InvalidDetuning,
                     SupercriticalDrive, ValidityWarning, cd_exact_eigensystem,
-                    ho_metric, ion_waveforms, metric_length, model_ensemble,
+                    ho_metric, ion_waveforms, model_ensemble, path_lengths,
                     qgt, ramp, variance_work, work_distribution)
 from cdwork.oscillator import IonConfig
 
@@ -198,7 +198,7 @@ class TestTruncationConvergence:
             values[dim] = (
                 float(dist.probabilities @ dist.support),
                 variance_work(dist),
-                metric_length(model, ensemble),
+                path_lengths(model, ensemble)[1],
             )
         for a, b in zip(values[120], values[240]):
             assert abs(a - b) < 1e-7
