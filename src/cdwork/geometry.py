@@ -33,6 +33,10 @@ from scipy.integrate import simpson
 from .errors import DegeneracyError, NotAState
 from .quadrature import adaptive_simpson_multi
 
+# relative gap (against the spectral scale) below which a level counts as
+# degenerate, where its geometric tensor diverges
+DEGENERACY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class GeometricTensor:
@@ -50,7 +54,7 @@ def _coupling_matrices(model, t):
     return spec, [spec.states.conj().T @ p @ spec.states for p in parts]
 
 
-def qgt_levels(model, levels, t: float, *, degeneracy_tol: float = 1e-9) -> np.ndarray:
+def qgt_levels(model, levels, t: float) -> np.ndarray:
     """Geometric tensors for several levels at once, shape (L, P, P).
 
     Shares the spectrum and coupling matrices across levels.
@@ -64,7 +68,7 @@ def qgt_levels(model, levels, t: float, *, degeneracy_tol: float = 1e-9) -> np.n
     for i, n in enumerate(levels):
         gaps = e - e[n]
         gaps[n] = 1.0
-        if np.any((np.abs(gaps) < degeneracy_tol * scale)
+        if np.any((np.abs(gaps) < DEGENERACY_TOL * scale)
                   & (np.arange(len(e)) != n)):
             raise DegeneracyError(f"level {n} is near-degenerate at t={t:g}")
         inv2 = 1.0 / gaps**2
@@ -77,8 +81,8 @@ def qgt_levels(model, levels, t: float, *, degeneracy_tol: float = 1e-9) -> np.n
     return out
 
 
-def qgt(model, level: int, t: float, **kwargs) -> GeometricTensor:
-    q = qgt_levels(model, [level], t, **kwargs)[0]
+def qgt(model, level: int, t: float) -> GeometricTensor:
+    q = qgt_levels(model, [level], t)[0]
     g = 0.5 * (q.real + q.real.T)
     return GeometricTensor(q, g, int(level))
 

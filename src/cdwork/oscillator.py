@@ -26,13 +26,19 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial.hermite import hermval
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import (BandStructureError, ConfigError, InvalidDetuning,
                      SupercriticalDrive, ValidityWarning)
 from .models import ParametrizedModel, SpectrumCache
 from .protocols import Protocol, log_ramp, quintic_ramp
 from .spectral import Spectrum, gauge_fix
+
+# LAPACK's real symmetric tridiagonal divide-and-conquer solver, resolved
+# once: scipy's eigh_tridiagonal picks the same routine but validates its
+# arguments on every call
+_STEVD = get_lapack_funcs("stevd", dtype=np.float64)
 
 
 def ramp(omega_i: float, omega_f: float, tau: float) -> Protocol:
@@ -163,7 +169,8 @@ class HarmonicOscillator(ParametrizedModel):
         structure: h couples only levels two apart, so each parity
         sector is Hermitian tridiagonal, and a diagonal phase rotation
         makes it real.  Eigenvalues are unsorted across sectors.  Raises
-        BandStructureError for any other coupling.
+        BandStructureError for any other coupling, ValueError for NaN or
+        inf on the band and LinAlgError when LAPACK's stevd fails.
         """
         d = self.dim
         self._check_band(h)
@@ -177,7 +184,12 @@ class HarmonicOscillator(ParametrizedModel):
             mags = np.abs(off)
             args = np.where(mags > 0, np.angle(off), 0.0)
             phases = np.exp(-1j * np.concatenate(([0.0], np.cumsum(args))))
-            vals, vecs = eigh_tridiagonal(diag, mags)
+            if not (np.isfinite(diag).all() and np.isfinite(mags).all()):
+                raise ValueError("fast_eigh input has non-finite entries "
+                                 "on its band")
+            vals, vecs, info = _STEVD(diag, mags)
+            if info:
+                raise LinAlgError(f"LAPACK stevd failed with info={info}")
             block = vecs * phases[:, None] if np.any(args) else vecs
             size = len(vals)
             energies[col:col + size] = vals

@@ -107,7 +107,8 @@ def _check_certificate(model, h1_scale, levels, grid_points=81):
     return CheckResult(
         "transitionless-certificate",
         cert.passed,
-        f"worst overlap {cert.worst():.9f} (h1 scale {h1_scale:g})")
+        f"worst overlap {cert.worst():.9f} (h1 scale {h1_scale:g}, "
+        f"{cert.substeps} steps per interval)")
 
 
 def _check_bare_control(model, grid_points=81):
@@ -116,7 +117,8 @@ def _check_bare_control(model, grid_points=81):
                                       tol=3e-7)
     fid = float(cert.final_fidelity[0])
     return CheckResult("bare-drive-control-fails", fid < 0.999,
-                       f"bare final fidelity {fid:.6f}")
+                       f"bare final fidelity {fid:.6f} "
+                       f"({cert.substeps} steps per interval)")
 
 
 def _sized_oscillator(omega_f, tau, beta, times):

@@ -43,6 +43,8 @@ DEFICIT_TOL = 1e-8
 PROB_FLOOR = 1e-16
 # basis coordinates above this share of the basis are polluted by truncation
 TRUSTED_FRACTION = 2.0 / 3.0
+# thermal weight a truncated spectrum may leave beyond its retained levels
+TAIL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -65,14 +67,13 @@ class ThermalEnsemble:
 
 
 def thermal_ensemble(energies: np.ndarray, beta: float, *,
-                     tail_tol: float = 1e-10,
                      complete_spectrum: bool = False) -> ThermalEnsemble:
     """Canonical weights exp(-beta eps_n)/Z over an ascending spectrum.
 
     For a truncated spectrum (the default reading), levels are kept
-    until the cumulative weight reaches 1 - tail_tol, and a
+    until the cumulative weight reaches 1 - TAIL_TOL, and a
     TruncationError signals that the top of the available spectrum still
-    carries weight above tail_tol (the continuing tail cannot then be
+    carries weight above TAIL_TOL (the continuing tail cannot then be
     certified).  With ``complete_spectrum`` the energies are the whole
     Hilbert space and every level is kept.
     """
@@ -87,12 +88,12 @@ def thermal_ensemble(energies: np.ndarray, beta: float, *,
     log_z = float(np.log(z) - beta * energies[0])
     if complete_spectrum:
         return ThermalEnsemble(beta, p, log_z, 0.0)
-    if p[-1] > tail_tol:
+    if p[-1] > TAIL_TOL:
         raise TruncationError(
             f"top retained level still carries weight {p[-1]:.3g} "
-            f"(> {tail_tol:g}); enlarge the basis")
+            f"(> {TAIL_TOL:g}); enlarge the basis")
     cum = np.cumsum(p)
-    keep = int(np.searchsorted(cum, 1.0 - tail_tol) + 1)
+    keep = int(np.searchsorted(cum, 1.0 - TAIL_TOL) + 1)
     return ThermalEnsemble(beta, p[:keep] / cum[keep - 1], log_z,
                            float(1.0 - cum[keep - 1]))
 

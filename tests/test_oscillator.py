@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import eigh_tridiagonal
 
 from cdwork import (BandStructureError, ConfigError, HOConfig, HarmonicOscillator, InvalidDetuning,
                     SupercriticalDrive, ValidityWarning, cd_exact_eigensystem,
@@ -111,6 +112,30 @@ class TestFastEigh:
     def test_rejects_wrong_shape(self, fig1_model):
         with pytest.raises(BandStructureError, match="shape"):
             fig1_model.fast_eigh(np.eye(fig1_model.dim - 1))
+
+    @pytest.mark.parametrize("entry", [(4, 4), (4, 6)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_band(self, fig1_model, entry, bad):
+        h = fig1_model.h_cd_at(0.37).copy()
+        h[entry] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            fig1_model.fast_eigh(h)
+
+    def test_same_bits_as_scipy_tridiagonal_solver(self, fig1_model):
+        # reference: scipy's validated front end to the same LAPACK routine
+        h = fig1_model.h_cd_at(0.37)
+        energies, vectors = fig1_model.fast_eigh(h)
+        col = 0
+        for parity in (0, 1):
+            off = np.diagonal(h, 2)[parity::2]
+            phases = np.exp(-1j * np.concatenate(([0.0], np.cumsum(np.angle(off)))))
+            vals, vecs = eigh_tridiagonal(np.diagonal(h)[parity::2].real,
+                                          np.abs(off))
+            size = len(vals)
+            assert np.array_equal(energies[col:col + size], vals)
+            assert np.array_equal(vectors[parity::2, col:col + size],
+                                  vecs * phases[:, None])
+            col += size
 
 
 class TestClosedFormEigensystem:

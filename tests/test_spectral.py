@@ -11,6 +11,7 @@ from cdwork import (DegenerateGaugeWarning, DegeneracyError, HOConfig,
                     assert_hermitian, cd_auxiliary, cd_coupling, propagate,
                     quintic_ramp, spectrum, transitionless_certificate,
                     two_level_model)
+from cdwork.spectral import _run_grid
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1j], [1j, 0.0]])
@@ -194,6 +195,22 @@ class TestPropagate:
         assert np.abs(traj.states[-1] - finer.states[-1]).max() < 2e-7
         assert traj.norm_drift < 1e-10
 
+    def test_fixed_step_error_is_fourth_order(self, rng):
+        # same family as the halving contract; each doubling of the step
+        # count must cut the error by close to 2^4 = 16
+        h_slow = 0.4 * random_hermitian(rng, 6)
+        h_fast = 0.3 * random_hermitian(rng, 6)
+        psi0 = np.zeros(6, dtype=complex)
+        psi0[0] = 1.0
+        h_at = lambda t: h_slow + np.sin(3.0 * t) * h_fast
+        grid = np.linspace(0.0, 1.0, 11)
+        reference = _run_grid(h_at, psi0, grid, 256, np.linalg.eigh)[-1]
+        errors = [np.linalg.norm(
+            _run_grid(h_at, psi0, grid, r, np.linalg.eigh)[-1] - reference)
+            for r in (1, 2, 4, 8)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert coarse / fine >= 12.0
+
     def test_not_converged_raises(self, rng):
         h_at = lambda t: np.sin(400.0 * t) * 50.0 * SX + 30.0 * t * SZ
         psi0 = np.array([1.0, 0.0], dtype=complex)
@@ -212,7 +229,7 @@ class TestPropagate:
 class TestCertificate:
     def test_slow_two_level_ramp_without_cd_passes(self):
         # narrow span keeps the diabatic amplitude below the certificate
-        # threshold at a duration a second-order stepper can afford
+        # threshold at a duration the stepper can afford
         proto = quintic_ramp([-0.1], [0.1], 100.0)
         model = two_level_model(proto)
         grid = np.linspace(0.0, proto.duration, 51)
@@ -229,3 +246,31 @@ class TestCertificate:
                                              include_cd=False, tol=3e-7)
         assert not without.passed
         assert without.final_fidelity[0] < 0.999
+
+    def test_verify_point_cost_and_accuracy(self, fig1_model):
+        # the verify suite's certificate: nine levels, 81-point grid
+        grid = np.linspace(0.0, fig1_model.tau, 81)
+        psi0 = fig1_model.spectrum0_at(0.0).states[:, :9]
+
+        def h_at(t):
+            return fig1_model.h0_at(t) + fig1_model.h1_at(t)
+
+        solves = []
+
+        def counting_eigh(h):
+            solves.append(1)
+            return fig1_model.fast_eigh(h)
+
+        traj = propagate(h_at, psi0, grid, tol=3e-7, eigh=counting_eigh)
+        assert len(solves) <= 1500
+        # 16 fixed steps land within 2e-12 of a 200-step run, with 2,560
+        # solves instead of 32,000
+        reference = _run_grid(h_at, psi0, grid, 16, fig1_model.fast_eigh)[-1]
+        assert np.linalg.norm(traj.states[-1] - reference, axis=0).max() < 3e-7
+
+    @pytest.mark.parametrize("h1_scale", [0.99, 1.01])
+    def test_verify_point_catches_wrong_prefactor(self, fig1_model, h1_scale):
+        grid = np.linspace(0.0, fig1_model.tau, 81)
+        cert = transitionless_certificate(fig1_model, np.arange(9), grid,
+                                          h1_scale=h1_scale, tol=3e-7)
+        assert not cert.passed
