@@ -37,6 +37,10 @@ class HoFigure1Data:
     ell: float
     eta_len: float
     bures_len: float
+    # retained thermal levels K (the populated coupling rows of the
+    # geometry) and the bound on the weight beyond them
+    ensemble_levels: int
+    tail_bound: float
     passed: bool
 
     def summary(self) -> dict:
@@ -44,6 +48,8 @@ class HoFigure1Data:
             "ell": self.ell,
             "eta_length": self.eta_len,
             "bures_length": self.bures_len,
+            "ensemble_levels": self.ensemble_levels,
+            "tail_bound": self.tail_bound,
             "fit": self.fit.as_dict() if self.fit is not None else None,
             "max_equality_residual": max(
                 (row.equality_residual for row in self.tau_table), default=0.0),
@@ -85,7 +91,7 @@ def ho_figure1_data(*, omega_i: float = 1.0, omega_f: float = 3.0,
     mean_series = excess_series = None
     var_blocks = {"tau": [], "t": [], "var_cd": [], "var_ad": []}
     tau_table = []
-    ell = eta = bures = None
+    ell = eta = bures = first_ensemble = None
 
     for tau_k in tau_list:
         config = HOConfig(omega_i, omega_f, tau_k, dim=dim)
@@ -104,6 +110,7 @@ def ho_figure1_data(*, omega_i: float = 1.0, omega_f: float = 3.0,
                              ("t", "var_cd", "var_ad", "excess_direct",
                               "excess_geometric")}
         if ell is None:
+            first_ensemble = ensemble
             eta, ell = path_lengths(model, ensemble)
             bures = bures_length(evolved_density(model, ensemble, 0.0),
                                  evolved_density(model, ensemble, tau_k))
@@ -116,6 +123,7 @@ def ho_figure1_data(*, omega_i: float = 1.0, omega_f: float = 3.0,
                             np.array([r.avg_excess_dev for r in tau_table]))
     return HoFigure1Data(mean_series, variance_rows, excess_series,
                          tau_table, fit, ell, eta, bures,
+                         first_ensemble.n_levels, first_ensemble.tail_bound,
                          all(row.passed for row in tau_table))
 
 

@@ -21,6 +21,15 @@ counterdiabatic driving.  Three path functionals enter the chain:
 They obey bures <= eta <= ell, and tau times the time-averaged excess
 work-fluctuation amplitude equals ell exactly (hbar = 1 units);
 ``bound_chain`` assembles that chain.
+
+Both lengths are weighted by the level populations: a pair of levels
+(n, k) enters ell only through p_n and eta only through
+(p_n - p_k)^2/(p_n + p_k), so a pair counts only if one of its levels
+is populated.  The geometry is therefore built from coupling rows
+<n|dH0/dlam_mu|k> for the populated levels n (the ensemble's retained
+prefix of K levels) against every k, a K x d array instead of the
+d x d matrix V^dagger dH0 V; the unpopulated rows would only ever be
+multiplied by zero weights.
 """
 
 from __future__ import annotations
@@ -48,37 +57,42 @@ class GeometricTensor:
     level: int
 
 
-def _coupling_matrices(model, t):
+def _coupling_rows(model, t, rows):
+    """Spectrum at t and, per parameter mu, the coupling rows
+    <n|dH0/dlam_mu|k> for the levels n selected by ``rows`` (an index
+    array or a slice) against every level k: shape (K, d) each."""
     spec = model.spectrum0_at(t)
-    parts = model.dh0_dlambda_at(t)
-    return spec, [spec.states.conj().T @ p @ spec.states for p in parts]
+    bras = spec.states[:, rows].conj().T
+    return spec, [(bras @ p) @ spec.states
+                  for p in model.dh0_dlambda_at(t)]
 
 
 def qgt_levels(model, levels, t: float) -> np.ndarray:
     """Geometric tensors for several levels at once, shape (L, P, P).
 
-    Shares the spectrum and coupling matrices across levels.
+    Needs only the coupling rows of the requested levels: by
+    Hermiticity the column <k|dH0/dlam_nu|n> is the conjugate of row n,
+    so Q_mu_nu(n) = sum_k M_mu[n, k] conj(M_nu[n, k]) / (eps_k - eps_n)^2.
+    Raises DegeneracyError for the first requested level that has
+    another level within DEGENERACY_TOL of the spectral scale.
     """
     levels = np.atleast_1d(np.asarray(levels, dtype=int))
-    spec, ms = _coupling_matrices(model, t)
+    spec, ms = _coupling_rows(model, t, levels)
     e = spec.energies
     scale = max(abs(e[0]), abs(e[-1]), 1e-300)
-    n_par = len(ms)
-    out = np.empty((len(levels), n_par, n_par), dtype=complex)
-    for i, n in enumerate(levels):
-        gaps = e - e[n]
-        gaps[n] = 1.0
-        if np.any((np.abs(gaps) < DEGENERACY_TOL * scale)
-                  & (np.arange(len(e)) != n)):
-            raise DegeneracyError(f"level {n} is near-degenerate at t={t:g}")
-        inv2 = 1.0 / gaps**2
-        inv2[n] = 0.0
-        for mu in range(n_par):
-            for nu in range(mu, n_par):
-                val = np.sum(ms[mu][n, :] * ms[nu][:, n] * inv2)
-                out[i, mu, nu] = val
-                out[i, nu, mu] = np.conj(val)
-    return out
+    own = (np.arange(len(levels)), levels)
+    gaps = e[None, :] - e[levels, None]
+    gaps[own] = 1.0
+    near = np.abs(gaps) < DEGENERACY_TOL * scale
+    near[own] = False
+    bad = np.flatnonzero(near.any(axis=1))
+    if bad.size:
+        raise DegeneracyError(
+            f"level {levels[bad[0]]} is near-degenerate at t={t:g}")
+    inv2 = 1.0 / gaps**2
+    inv2[own] = 0.0
+    m = np.stack(ms)
+    return np.einsum("alk,blk,lk->lab", m, m.conj(), inv2)
 
 
 def qgt(model, level: int, t: float) -> GeometricTensor:
@@ -118,19 +132,32 @@ def fidelity_decay_check(model, level: int, t: float, dt: float) -> FidelityDeca
 
 
 def _ensemble_speed_integrands(model, ensemble):
-    """Integrands sqrt(eta lamdot lamdot) and sqrt(sum p g lamdot lamdot)."""
+    """Integrands sqrt(eta lamdot lamdot) and sqrt(sum p g lamdot lamdot).
+
+    Both come from the coupling rows of the K populated levels.  With
+    a_nk = |<n|dH0/dt|k>|^2 / (eps_k - eps_n)^2 and the symmetric weights
+    w_nk = (p_n - p_k)^2/(p_n + p_k), which vanish when neither level is
+    populated, eta's sum over all pairs is
+    (1/2) sum_nk w a = sum_{n<K, all k} w a - (1/2) sum_{n<K, k<K} w a:
+    the rows count each pair with both levels populated twice.  A drive
+    that couples a degenerate pair with a populated level raises
+    DegeneracyError; the squared couplings and the gaps are symmetric in
+    (n, k), so the rows see every such pair, and a coupling counts as
+    nonzero above 1e-20 of the largest computed (populated-row) one.
+    """
     weights = ensemble.weights
+    n_rows = ensemble.n_levels
+    rows = slice(0, n_rows)
 
     def both(t):
         lamdot = model.protocol.derivative(t)
-        spec, ms = _coupling_matrices(model, t)
+        spec, ms = _coupling_rows(model, t, rows)
         e = spec.energies
-        dim = e.shape[0]
-        m_dot = np.zeros((dim, dim), dtype=complex)
+        m_dot = np.zeros((n_rows, e.shape[0]), dtype=complex)
         for mu, m in enumerate(ms):
             if lamdot[mu] != 0.0:
                 m_dot += lamdot[mu] * m
-        gaps = e[None, :] - e[:, None]
+        gaps = e[None, :] - e[:n_rows, None]
         np.fill_diagonal(gaps, 1.0)
         scale = max(abs(e[0]), abs(e[-1]), 1e-300)
         num = np.abs(m_dot) ** 2
@@ -139,19 +166,20 @@ def _ensemble_speed_integrands(model, ensemble):
         safe = np.abs(gaps) > 1e-12 * scale
         a = np.divide(num, gaps**2, out=np.zeros_like(num), where=safe)
         np.fill_diagonal(a, 0.0)
-        p = np.zeros(dim)
-        p[: weights.shape[0]] = weights
+        p = np.zeros(e.shape[0])
+        p[:n_rows] = weights
         populated = p > 0
         if np.any(~safe & (num > 1e-20 * max(num.max(), 1e-300))
-                  & (populated[:, None] | populated[None, :])):
+                  & (populated[:n_rows, None] | populated[None, :])):
             raise DegeneracyError(
                 f"drive couples a degenerate populated pair at t={t:g}")
-        g_speed = float(p @ a.sum(axis=1))
-        pn, pk = p[:, None], p[None, :]
+        g_speed = float(weights @ a.sum(axis=1))
+        pn, pk = weights[:, None], p[None, :]
         den = pn + pk
         wmat = np.divide((pn - pk) ** 2, den, out=np.zeros_like(den),
                          where=den > 0)
-        eta_speed = 0.5 * float((wmat * a).sum())
+        wa = wmat * a
+        eta_speed = float(wa.sum()) - 0.5 * float(wa[:, rows].sum())
         return np.array([np.sqrt(max(eta_speed, 0.0)),
                          np.sqrt(max(g_speed, 0.0))])
 
@@ -161,7 +189,12 @@ def _ensemble_speed_integrands(model, ensemble):
 def path_lengths(model, ensemble, *,
                  rel_tol: float = 1e-8) -> tuple[float, float]:
     """(eta, ell) of the model's protocol from one shared quadrature
-    pass."""
+    pass.
+
+    Each node builds only the K populated coupling rows (K =
+    ``ensemble.n_levels``), since unpopulated pairs carry zero weight in
+    both lengths; see ``_ensemble_speed_integrands``.
+    """
     both = _ensemble_speed_integrands(model, ensemble)
     out = adaptive_simpson_multi(both, 0.0, model.tau, rel_tol=rel_tol)
     return float(out[0]), float(out[1])
@@ -230,9 +263,16 @@ class SpeedLimitReport:
     when it is at most EQUALITY_TOL; the ordering flags check
     tau >= bures/<dDW> >= bures/<dE_cd>, and chain_ok checks
     bures <= eta <= ell up to CHAIN_TOL * max(length, 1).  The residual
-    does not resolve the identity below about 1e-9: at the figure-1
-    point it is about 2e-10, set by square roots of ~1e-16 rounding in
-    the excess near the ramp ends and by the quadrature error in ell.
+    does not resolve the identity below about 1e-9, and at the figure-1
+    point (about 2e-10) it is mostly discretization, not rounding: the
+    composite Simpson rule on the 401-point grid overestimates the time
+    average by 1.9e-10 relative (the error falls 16x per doubling of the
+    grid), the adaptive quadrature overestimates ell by 5.7e-11 against
+    its closed form, which leaves 1.3e-10 between the two, and the
+    transition-matrix excess adds the rest: against the closed form it
+    is off by 1e-13 to 3e-13 (absolute) at the last grid points before
+    t = tau, where the excess itself is small and the square root
+    magnifies that, and by about 3e-15 at t = tau.
     """
 
     tau: float

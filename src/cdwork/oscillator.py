@@ -30,10 +30,10 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import (BandStructureError, ConfigError, InvalidDetuning,
-                     SupercriticalDrive, ValidityWarning)
+                     NonHermitianInput, SupercriticalDrive, ValidityWarning)
 from .models import ParametrizedModel, SpectrumCache
 from .protocols import Protocol, log_ramp, quintic_ramp
-from .spectral import Spectrum, gauge_fix
+from .spectral import HERMITIAN_TOL, Spectrum, gauge_fix
 
 # LAPACK's real symmetric tridiagonal divide-and-conquer solver, resolved
 # once: scipy's eigh_tridiagonal picks the same routine but validates its
@@ -170,23 +170,36 @@ class HarmonicOscillator(ParametrizedModel):
         sector is Hermitian tridiagonal, and a diagonal phase rotation
         makes it real.  Eigenvalues are unsorted across sectors.  Raises
         BandStructureError for any other coupling, ValueError for NaN or
-        inf on the band and LinAlgError when LAPACK's stevd fails.
+        inf on the band (diagonals 0 and +-2), NonHermitianInput when
+        the band deviates from Hermiticity by more than HERMITIAN_TOL
+        (relative Frobenius norm, as ``assert_hermitian``; the band is
+        all of h, so this is the same test at O(d) cost) and LinAlgError
+        when LAPACK's stevd fails.
         """
         d = self.dim
         self._check_band(h)
+        diagonal, upper, lower = (np.diagonal(h, k) for k in (0, 2, -2))
+        band = np.concatenate((diagonal, upper, lower))
+        if not np.isfinite(band).all():
+            raise ValueError("fast_eigh input has non-finite entries on its "
+                             "band")
+        dev = math.hypot(2.0 * np.linalg.norm(diagonal.imag),
+                         math.sqrt(2.0) * np.linalg.norm(upper - lower.conj()))
+        scale = np.linalg.norm(band)
+        if dev > HERMITIAN_TOL * max(scale, 1e-300):
+            raise NonHermitianInput(
+                f"fast_eigh input deviates from Hermiticity by {dev:.3g} "
+                f"(scale {scale:.3g})")
         energies = np.empty(d)
         vectors = np.zeros((d, d), dtype=complex)
         col = 0
         for parity in (0, 1):
             # the sector's levels are parity, parity + 2, ...
-            diag = np.diagonal(h)[parity::2].real
-            off = np.diagonal(h, 2)[parity::2]
+            diag = diagonal[parity::2].real
+            off = upper[parity::2]
             mags = np.abs(off)
             args = np.where(mags > 0, np.angle(off), 0.0)
             phases = np.exp(-1j * np.concatenate(([0.0], np.cumsum(args))))
-            if not (np.isfinite(diag).all() and np.isfinite(mags).all()):
-                raise ValueError("fast_eigh input has non-finite entries "
-                                 "on its band")
             vals, vecs, info = _STEVD(diag, mags)
             if info:
                 raise LinAlgError(f"LAPACK stevd failed with info={info}")

@@ -31,7 +31,12 @@ from .errors import (DegenerateGaugeWarning, DegeneracyError,
                      NonHermitianInput, StepNotConverged)
 
 
-def assert_hermitian(h: np.ndarray, tol: float = 1e-12, what: str = "operator") -> None:
+# relative Frobenius deviation from Hermiticity that an input may carry
+HERMITIAN_TOL = 1e-12
+
+
+def assert_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL,
+                     what: str = "operator") -> None:
     """Raise NonHermitianInput unless h equals its conjugate transpose
     within ``tol`` in relative Frobenius norm."""
     h = np.asarray(h)

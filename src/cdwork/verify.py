@@ -199,6 +199,7 @@ def _check_bound_chain(model, ensemble, grid):
 
 def _check_length_chain(rng, samples):
     worst = -math.inf
+    levels = []
     for _ in range(samples):
         omega_f = float(rng.uniform(1.3, 2.5))
         tau = float(rng.uniform(0.4, 1.5))
@@ -207,12 +208,14 @@ def _check_length_chain(rng, samples):
         model = HarmonicOscillator(
             HOConfig(1.0, omega_f, tau, dim=100, ramp_kind=kind))
         ensemble = model_ensemble(model, beta)
+        levels.append(ensemble.n_levels)
         eta, ell = path_lengths(model, ensemble, rel_tol=1e-9)
         bures = bures_length(evolved_density(model, ensemble, 0.0),
                              evolved_density(model, ensemble, tau))
         worst = max(worst, bures - eta, eta - ell)
     return CheckResult("length-chain", worst <= 1e-8,
-                       f"max chain violation {worst:.2e}")
+                       f"max chain violation {worst:.2e} "
+                       f"(populated levels {min(levels)}-{max(levels)})")
 
 
 def _check_equality_identity(model, ensemble):

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from cdwork import ValidityWarning
+from cdwork import HOConfig, HarmonicOscillator, ValidityWarning, model_ensemble
 from cdwork import cli
 from cdwork.cli import main
 
@@ -37,6 +37,10 @@ class TestHoFigure1:
         assert 0.0 < summary["bures_length"] < summary["eta_length"] \
             < summary["ell"]
         assert summary["fit"]["exponent"] == pytest.approx(-1.0, abs=1e-6)
+        model = HarmonicOscillator(HOConfig(1.0, 3.0, 0.8, dim=80))
+        ensemble = model_ensemble(model, 2.0)
+        assert summary["ensemble_levels"] == ensemble.n_levels
+        assert summary["tail_bound"] == ensemble.tail_bound
 
     def test_flat_ramp_skips_fit(self, tmp_path):
         code = main(["ho-figure1", "--omega-i", "2", "--omega-f", "2",

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdwork import (HOConfig, HarmonicOscillator, NotAState,
+from cdwork import (DegeneracyError, HOConfig, HarmonicOscillator, NotAState,
                     ParametrizedModel, bures_fidelity, bures_length,
                     constant_protocol, evolved_density, fidelity_decay_check,
                     ho_metric, log_ramp, model_ensemble, path_lengths, qgt,
-                    quintic_ramp, speed_limit_report)
+                    quintic_ramp, speed_limit_report, two_level_model)
+from cdwork.geometry import (DEGENERACY_TOL, _ensemble_speed_integrands,
+                             qgt_levels)
 from cdwork.ising import IsingConfig, dense_model, ground_metric
 
 
@@ -17,6 +19,139 @@ def random_density(rng, dim):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def full_matrix_speeds(model, ensemble, t):
+    """Reference: the path-length integrand built from the full d x d
+    coupling matrix V^dagger dH0 V, summing eta over every pair."""
+    lamdot = model.protocol.derivative(t)
+    spec = model.spectrum0_at(t)
+    v = spec.states
+    ms = [v.conj().T @ part @ v for part in model.dh0_dlambda_at(t)]
+    e = spec.energies
+    dim = e.shape[0]
+    m_dot = np.zeros((dim, dim), dtype=complex)
+    for mu, m in enumerate(ms):
+        if lamdot[mu] != 0.0:
+            m_dot += lamdot[mu] * m
+    gaps = e[None, :] - e[:, None]
+    np.fill_diagonal(gaps, 1.0)
+    scale = max(abs(e[0]), abs(e[-1]), 1e-300)
+    num = np.abs(m_dot) ** 2
+    safe = np.abs(gaps) > 1e-12 * scale
+    a = np.divide(num, gaps**2, out=np.zeros_like(num), where=safe)
+    np.fill_diagonal(a, 0.0)
+    p = np.zeros(dim)
+    p[: ensemble.weights.shape[0]] = ensemble.weights
+    g_speed = float(p @ a.sum(axis=1))
+    pn, pk = p[:, None], p[None, :]
+    den = pn + pk
+    wmat = np.divide((pn - pk) ** 2, den, out=np.zeros_like(den),
+                     where=den > 0)
+    eta_speed = 0.5 * float((wmat * a).sum())
+    return np.array([np.sqrt(max(eta_speed, 0.0)),
+                     np.sqrt(max(g_speed, 0.0))])
+
+
+def loop_qgt_levels(model, levels, t):
+    """Reference: per-level, per-parameter loops over the full coupling
+    matrices, reading column n of M_nu directly."""
+    spec = model.spectrum0_at(t)
+    v = spec.states
+    ms = [v.conj().T @ part @ v for part in model.dh0_dlambda_at(t)]
+    e = spec.energies
+    scale = max(abs(e[0]), abs(e[-1]), 1e-300)
+    n_par = len(ms)
+    out = np.empty((len(levels), n_par, n_par), dtype=complex)
+    for i, n in enumerate(levels):
+        gaps = e - e[n]
+        gaps[n] = 1.0
+        if np.any((np.abs(gaps) < DEGENERACY_TOL * scale)
+                  & (np.arange(len(e)) != n)):
+            raise DegeneracyError(f"level {n} is near-degenerate")
+        inv2 = 1.0 / gaps**2
+        inv2[n] = 0.0
+        for mu in range(n_par):
+            for nu in range(mu, n_par):
+                val = np.sum(ms[mu][n, :] * ms[nu][:, n] * inv2)
+                out[i, mu, nu] = val
+                out[i, nu, mu] = np.conj(val)
+    return out
+
+
+def two_parameter_model():
+    sz = np.diag([1.0, -1.0]).astype(complex)
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    sy = np.array([[0, -1j], [1j, 0]])
+    proto = quintic_ramp([0.4, 0.2], [1.0, 1.3], 1.0)
+    return ParametrizedModel(
+        proto, lambda lam: lam[0] * sz + lam[1] * sx + 0.5 * sy,
+        dh0_of=lambda lam: [sz, sx])
+
+
+def degenerate_pair_model():
+    """Levels 0 and 1 stay degenerate while the drive couples them."""
+    x01 = np.zeros((3, 3), dtype=complex)
+    x01[0, 1] = x01[1, 0] = 1.0
+    return ParametrizedModel(
+        quintic_ramp([0.0], [1.0], 1.0),
+        lambda lam: np.diag([-1.0, -1.0, 1.0 + lam[0]]).astype(complex),
+        dh0_of=lambda lam: [x01])
+
+
+class TestPopulatedRows:
+    """The populated-row kernel against the full-matrix references."""
+
+    @pytest.fixture(scope="class", params=["beta1", "ground", "beta3",
+                                           "two-level"])
+    def case(self, request, fig1_model):
+        if request.param == "two-level":
+            model = two_level_model(quintic_ramp([-1.5], [2.0], 1.0))
+            return model, model_ensemble(model, 0.7)
+        beta = {"beta1": 1.0, "ground": math.inf, "beta3": 3.0}[request.param]
+        return fig1_model, model_ensemble(fig1_model, beta)
+
+    def test_cases_cover_one_some_and_all_rows(self, case, request):
+        model, ensemble = case
+        rows = ensemble.n_levels
+        kind = request.node.callspec.params["case"]
+        if kind == "ground":
+            assert rows == 1
+        elif kind == "two-level":
+            assert rows == model.dim
+        else:
+            assert 1 < rows < model.dim
+
+    def test_integrand_matches_full_matrix(self, case):
+        model, ensemble = case
+        both = _ensemble_speed_integrands(model, ensemble)
+        for t in np.linspace(0.05, 0.95, 9) * model.tau:
+            ref = full_matrix_speeds(model, ensemble, t)
+            assert ref.min() > 0.0
+            np.testing.assert_allclose(both(t), ref, rtol=1e-12, atol=0.0)
+
+    def test_qgt_levels_matches_loops(self, case):
+        model, ensemble = case
+        levels = np.arange(ensemble.n_levels)
+        for t in np.linspace(0.05, 0.95, 9) * model.tau:
+            ref = loop_qgt_levels(model, levels, t)
+            got = qgt_levels(model, levels, t)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_qgt_levels_matches_loops_over_parameters(self):
+        model = two_parameter_model()
+        for t in np.linspace(0.05, 0.95, 9):
+            ref = loop_qgt_levels(model, [1, 0], t)
+            got = qgt_levels(model, [1, 0], t)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_degenerate_populated_pair_raises(self):
+        model = degenerate_pair_model()
+        both = _ensemble_speed_integrands(model, model_ensemble(model, 1.0))
+        with pytest.raises(DegeneracyError, match="degenerate populated"):
+            both(0.4)
+        with pytest.raises(DegeneracyError, match="level 1 is near"):
+            qgt_levels(model, [2, 1, 0], 0.4)
 
 
 class TestQgt:
@@ -52,13 +187,7 @@ class TestQgt:
                                                rel=1e-10)
 
     def test_two_parameter_family_psd_and_hermitian(self):
-        sz = np.diag([1.0, -1.0]).astype(complex)
-        sx = np.array([[0, 1], [1, 0]], dtype=complex)
-        sy = np.array([[0, -1j], [1j, 0]])
-        proto = quintic_ramp([0.4, 0.2], [1.0, 1.3], 1.0)
-        model = ParametrizedModel(
-            proto, lambda lam: lam[0] * sz + lam[1] * sx + 0.5 * sy,
-            dh0_of=lambda lam: [sz, sx])
+        model = two_parameter_model()
         for t in (0.0, 0.33, 0.8):
             tensor = qgt(model, 0, t)
             assert np.abs(tensor.q - tensor.q.conj().T).max() < 1e-14
@@ -102,6 +231,33 @@ class TestMetricLength:
                 HOConfig(1.0, 3.0, tau, dim=120, ramp_kind=kind))
             values.append(path_lengths(model, model_ensemble(model, 1.0))[1])
         assert values[0] == pytest.approx(values[1], abs=1e-7)
+
+
+class TestClosedFormLengths:
+    # couplings join n and n+2 only, and g_n = (n^2+n+1)/(8 omega^2), so
+    # both lengths are ln(omega_f/omega_i) times a population sum,
+    # whatever the ramp shape and duration; the tolerance sits at the
+    # quadrature's rel_tol=1e-8
+    @settings(max_examples=8)
+    @given(omega_f=st.floats(1.3, 3.0),
+           beta=st.one_of(st.floats(1.0, 4.0), st.just(math.inf)),
+           kind=st.sampled_from(["quintic", "log"]))
+    def test_ell_and_eta_match_closed_form(self, omega_f, beta, kind):
+        model = HarmonicOscillator(
+            HOConfig(1.0, omega_f, 0.8, dim=100, ramp_kind=kind))
+        ensemble = model_ensemble(model, beta)
+        eta, ell = path_lengths(model, ensemble)
+        n_levels = ensemble.n_levels
+        n = np.arange(n_levels, dtype=float)
+        p = np.zeros(n_levels + 2)
+        p[:n_levels] = ensemble.weights
+        pn, pk = p[:n_levels], p[2:]
+        ell_exact = math.log(omega_f) * math.sqrt(
+            float(ensemble.weights @ (n * n + n + 1.0)) / 8.0)
+        eta_exact = math.log(omega_f) * math.sqrt(float(np.sum(
+            (pn - pk) ** 2 / (pn + pk) * (n + 1.0) * (n + 2.0) / 16.0)))
+        assert ell == pytest.approx(ell_exact, rel=1e-8)
+        assert eta == pytest.approx(eta_exact, rel=1e-8)
 
 
 class TestBures:

@@ -6,9 +6,10 @@ from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 
 from cdwork import (BandStructureError, ConfigError, HOConfig, HarmonicOscillator, InvalidDetuning,
-                    SupercriticalDrive, ValidityWarning, cd_exact_eigensystem,
-                    ho_metric, ion_waveforms, model_ensemble, path_lengths,
-                    qgt, ramp, variance_work, work_distribution)
+                    NonHermitianInput, SupercriticalDrive, ValidityWarning,
+                    cd_exact_eigensystem, ho_metric, ion_waveforms,
+                    model_ensemble, path_lengths, qgt, ramp, variance_work,
+                    work_distribution)
 from cdwork.oscillator import IonConfig
 
 
@@ -113,12 +114,25 @@ class TestFastEigh:
         with pytest.raises(BandStructureError, match="shape"):
             fig1_model.fast_eigh(np.eye(fig1_model.dim - 1))
 
-    @pytest.mark.parametrize("entry", [(4, 4), (4, 6)])
+    @pytest.mark.parametrize("entry", [(4, 4), (4, 6), (7, 5)])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_band(self, fig1_model, entry, bad):
         h = fig1_model.h_cd_at(0.37).copy()
         h[entry] = bad
         with pytest.raises(ValueError, match="non-finite"):
+            fig1_model.fast_eigh(h)
+
+    def test_rejects_asymmetric_band(self, fig1_model):
+        # the solver reads only the +2 diagonal; the -2 one must mirror it
+        h = fig1_model.h_cd_at(0.37).copy()
+        h[7, 5] *= 1.0 + 1e-6
+        with pytest.raises(NonHermitianInput, match="Hermiticity"):
+            fig1_model.fast_eigh(h)
+
+    def test_rejects_imaginary_diagonal(self, fig1_model):
+        h = fig1_model.h_cd_at(0.37).copy()
+        h[4, 4] += 1e-6j
+        with pytest.raises(NonHermitianInput, match="Hermiticity"):
             fig1_model.fast_eigh(h)
 
     def test_same_bits_as_scipy_tridiagonal_solver(self, fig1_model):

@@ -1,13 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from cdwork import (HOConfig, HarmonicOscillator, TruncationError,
                     model_ensemble, transition_matrix, work_moments)
-from cdwork.verify import (_check_cd_gauge_invariance, _check_lz_closed_form,
-                           _check_mean_identity, _check_spectrum_contract,
-                           _sized_oscillator)
+from cdwork.verify import (_check_cd_gauge_invariance, _check_length_chain,
+                           _check_lz_closed_form, _check_mean_identity,
+                           _check_spectrum_contract, _sized_oscillator)
 
 # the second mean-identity draw of `verify --seed 8`: a hot ensemble on
 # a wide ramp, whose retained levels leak 2e-6 of their mass into the
@@ -63,3 +64,11 @@ def test_default_seed_draws_keep_100_levels():
         model, _ = _sized_oscillator(omega_f, tau, beta,
                                      np.linspace(0.0, tau, 5))
         assert model.dim == 100
+
+
+def test_length_chain_reports_populated_levels():
+    result = _check_length_chain(np.random.default_rng(3), 2)
+    assert result.passed
+    low, high = map(int, re.search(r"populated levels (\d+)-(\d+)",
+                                   result.detail).groups())
+    assert 1 <= low <= high <= 100
