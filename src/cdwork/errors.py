@@ -23,7 +23,7 @@ class TruncationError(CdworkError):
 
 
 class QuadratureNotConverged(CdworkError):
-    """Adaptive quadrature exceeded its node or depth budget."""
+    """Adaptive quadrature missed its tolerance within its node budget."""
 
 
 class NotAState(CdworkError):

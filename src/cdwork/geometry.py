@@ -262,17 +262,13 @@ class SpeedLimitReport:
     equality_residual is |tau <dDW> - ell| / ell, and equality_ok holds
     when it is at most EQUALITY_TOL; the ordering flags check
     tau >= bures/<dDW> >= bures/<dE_cd>, and chain_ok checks
-    bures <= eta <= ell up to CHAIN_TOL * max(length, 1).  The residual
-    does not resolve the identity below about 1e-9, and at the figure-1
-    point (about 2e-10) it is mostly discretization, not rounding: the
-    composite Simpson rule on the 401-point grid overestimates the time
-    average by 1.9e-10 relative (the error falls 16x per doubling of the
-    grid), the adaptive quadrature overestimates ell by 5.7e-11 against
-    its closed form, which leaves 1.3e-10 between the two, and the
-    transition-matrix excess adds the rest: against the closed form it
-    is off by 1e-13 to 3e-13 (absolute) at the last grid points before
-    t = tau, where the excess itself is small and the square root
-    magnifies that, and by about 3e-15 at t = tau.
+    bures <= eta <= ell up to CHAIN_TOL * max(length, 1).  At the
+    figure-1 point the residual (about 1.9e-10) is all discretization of
+    the time average: the composite Simpson rule on the 401-point grid
+    overestimates it by 1.9e-10 relative, and that error falls 16x per
+    doubling of the grid.  ell matches its closed form to about 1e-16,
+    and the excess comes from the operator route, so no
+    transition-matrix rounding enters.
     """
 
     tau: float
@@ -328,9 +324,10 @@ def speed_limit_report(model, ensemble, *,
                        grid_points: int = 401) -> SpeedLimitReport:
     """Assemble the full bound chain for the model's protocol.
 
-    The time averages come from the two-point-measurement route on a
-    uniform grid (composite Simpson), so the equality check against the
-    geometric length is a genuine cross-validation of two independent
+    The time averages come from the work fluctuations (the operator
+    route of ``workstats.fluctuation_series``) on a uniform grid
+    (composite Simpson), so the equality check against the geometric
+    length is a genuine cross-validation of two independent
     computations.
     """
     from .workstats import fluctuation_series

@@ -125,11 +125,11 @@ def sweep_cost_integral(n_sites: int, delta: float) -> float:
     Protocol independent: any sweep shape with the same endpoints and
     zero endpoint velocity gives this value.  The integrand peaks
     sharply at the critical point (height ~ N, width ~ 1/N), which the
-    adaptive quadrature resolves.
+    adaptive quadrature resolves with the critical point as a breakpoint.
     """
     return adaptive_simpson(
         lambda lam: math.sqrt(ground_metric(lam, n_sites)),
-        1.0 - delta, 1.0 + delta, rel_tol=1e-9)
+        1.0 - delta, 1.0 + delta, rel_tol=1e-9, points=[1.0])
 
 
 @dataclass(frozen=True)

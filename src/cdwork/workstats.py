@@ -11,11 +11,12 @@ eigenvectors,
     p_{n->m}(t) = |<Psi_m(t)|n(t)>|^2,
 
 so the whole work distribution is computable from spectra alone, with
-no time propagation.  Its moments need no distribution at all:
-``work_moments`` takes them straight from the transition matrix as
-sum_nm p_n p_{n->m} (E_m(t) - eps_n(0))^k, and ``work_distribution``
-builds the sorted, merged atoms only where they are emitted or compared
-atom by atom.
+no time propagation.  Its moments need no spectrum of H_cd at all: by
+completeness sum_m p_{n->m} E_m(t)^k = <n(t)|H_cd^k|n(t)>, which
+``ensemble_energy_variance`` takes from H_cd |n(t)> (the operator
+route).  The transition matrix is the independent oracle:
+``work_moments`` sums p_n p_{n->m} (E_m(t) - eps_n(0))^k over it, and
+``work_distribution`` builds the merged atoms.
 
 For drives fast enough that omegadot^2/(4 omega^4) reaches one, the
 driving Hamiltonian of the oscillator loses its discrete spectrum in
@@ -135,6 +136,16 @@ def basis_leakage(model, ensemble, t: float) -> float:
     return float((np.abs(states[cap:, :]) ** 2).sum(axis=0).max())
 
 
+def _check_leakage(model, ensemble, t: float) -> float:
+    """basis_leakage, raising TruncationError above DEFICIT_TOL."""
+    leak = basis_leakage(model, ensemble, t)
+    if leak > DEFICIT_TOL:
+        raise TruncationError(
+            f"a retained eigenstate leaks {leak:.3g} of its mass into the "
+            f"top of the basis at t={t:g}; enlarge the Fock basis")
+    return leak
+
+
 def transition_matrix(model, ensemble, t: float) -> TransitionMatrix:
     """Overlap-squared matrix |<Psi_m(t)|n(t)>|^2.
 
@@ -143,11 +154,7 @@ def transition_matrix(model, ensemble, t: float) -> TransitionMatrix:
     into the top of the basis coordinates (the basis is then too small
     for the requested state).
     """
-    leak = basis_leakage(model, ensemble, t)
-    if leak > DEFICIT_TOL:
-        raise TruncationError(
-            f"a retained eigenstate leaks {leak:.3g} of its mass into the "
-            f"top of the basis at t={t:g}; enlarge the Fock basis")
+    leak = _check_leakage(model, ensemble, t)
     spec0 = model.spectrum0_at(t)
     spec_cd = model.spectrum_cd_at(t)
     n_keep = ensemble.n_levels
@@ -288,45 +295,71 @@ def identity_check_rowsum(model, ensemble, t: float) -> float:
 
 @dataclass(frozen=True)
 class EnergyFluctuations:
-    """Second moments of the driving Hamiltonian in the evolved state.
+    """Second moments of the driving Hamiltonian in the evolved state,
+    and the driven work moments they fix.
 
-    excess = <H_cd^2> - <H0^2> equals the direct excess of work
-    fluctuations; variance_cd - excess = Var(H0) >= 0 in the same state.
+    excess = sum_n p_n (<H_cd^2>_n - eps_n(t)^2) equals the direct excess
+    of work fluctuations; variance_cd - excess = Var(H0) >= 0 in the
+    same state.  work_mean_cd and work_var_cd are the mean and variance
+    of the driven work E_m(t) - eps_n(0).
     """
 
     variance_cd: float
     excess: float
     variance_h0: float
+    work_mean_cd: float
+    work_var_cd: float
+
+
+def _norms2(vectors):
+    return np.einsum("dn,dn->n", vectors.conj(), vectors).real
 
 
 def ensemble_energy_variance(model, ensemble, t: float) -> EnergyFluctuations:
     """Energy fluctuations of H_cd (and H0) in the evolved ensemble
-    rho(t) = sum_n p_n |n(t)><n(t)|."""
-    states = model.spectrum0_at(t).states[:, : ensemble.n_levels]
+    rho(t) = sum_n p_n |n(t)><n(t)|, and the driven work moments, all
+    from H_cd |n(t)>: the work has mean sum_n p_n (<H_cd>_n - eps_n(0))
+    and variance sum_n p_n ||(H_cd - eps_n(0) - mean)|n(t)>||^2.
+    Basis leakage raises TruncationError, as in transition_matrix."""
+    _check_leakage(model, ensemble, t)
+    n_keep = ensemble.n_levels
+    spec0 = model.spectrum0_at(t)
+    states = spec0.states[:, :n_keep]
     p = ensemble.weights
-    h_cd = model.h_cd_at(t)
-    e_now = model.spectrum0_at(t).energies[: ensemble.n_levels]
+    e_now = spec0.energies[:n_keep]
+    e_init = model.spectrum0_at(0.0).energies[:n_keep]
 
-    h_cd_states = h_cd @ states
-    first = float(p @ np.einsum("dn,dn->n", states.conj(), h_cd_states).real)
-    second_cd = float(p @ np.einsum("dn,dn->n", h_cd_states.conj(), h_cd_states).real)
+    h_cd_states = model.h_cd_at(t) @ states
+    first_n = np.einsum("dn,dn->n", states.conj(), h_cd_states).real
+    first = float(p @ first_n)
+    second_cd = float(p @ _norms2(h_cd_states))
     second_h0 = float(p @ e_now**2)
     mean_h0 = float(p @ e_now)
+    work_mean = float(p @ (first_n - e_init))
+    work_var = float(p @ _norms2(h_cd_states
+                                 - states * (e_init + work_mean)))
     return EnergyFluctuations(second_cd - first**2,
                               second_cd - second_h0,
-                              second_h0 - mean_h0**2)
+                              second_h0 - mean_h0**2,
+                              work_mean, work_var)
 
 
 def fluctuation_series(model, ensemble, grid) -> dict[str, np.ndarray]:
     """Work moments and the driving Hamiltonian's energy variance at
     every time of a grid, in one pass.  Columns: t, mean_cd, mean_ad,
-    var_cd, var_ad, excess_direct (var_cd - var_ad), energy_variance_cd."""
+    var_cd, var_ad, excess_direct, energy_variance_cd.  All but the
+    adiabatic moments come from ``ensemble_energy_variance``."""
     grid = np.asarray(grid, dtype=float)
+    n_keep = ensemble.n_levels
+    e_init = model.spectrum0_at(0.0).energies[:n_keep]
     values = []
     for t in grid:
-        m = work_moments(model, ensemble, t)
-        values.append((m.mean_cd, m.mean_ad, m.var_cd, m.var_ad, m.excess,
-                       ensemble_energy_variance(model, ensemble, t).variance_cd))
+        fl = ensemble_energy_variance(model, ensemble, t)
+        mean_ad, var_ad = _weighted_moments(
+            model.spectrum0_at(t).energies[:n_keep] - e_init,
+            ensemble.weights)
+        values.append((fl.work_mean_cd, mean_ad, fl.work_var_cd, var_ad,
+                       fl.excess, fl.variance_cd))
     names = ("mean_cd", "mean_ad", "var_cd", "var_ad", "excess_direct",
              "energy_variance_cd")
     return {"t": grid, **dict(zip(names, np.array(values).T))}

@@ -236,17 +236,13 @@ class TestMetricLength:
 class TestClosedFormLengths:
     # couplings join n and n+2 only, and g_n = (n^2+n+1)/(8 omega^2), so
     # both lengths are ln(omega_f/omega_i) times a population sum,
-    # whatever the ramp shape and duration; the tolerance sits at the
-    # quadrature's rel_tol=1e-8
-    @settings(max_examples=8)
-    @given(omega_f=st.floats(1.3, 3.0),
-           beta=st.one_of(st.floats(1.0, 4.0), st.just(math.inf)),
-           kind=st.sampled_from(["quintic", "log"]))
-    def test_ell_and_eta_match_closed_form(self, omega_f, beta, kind):
+    # whatever the ramp shape and duration
+    @staticmethod
+    def assert_closed_form(omega_f, tau, beta, kind, **kwargs):
         model = HarmonicOscillator(
-            HOConfig(1.0, omega_f, 0.8, dim=100, ramp_kind=kind))
+            HOConfig(1.0, omega_f, tau, dim=100, ramp_kind=kind))
         ensemble = model_ensemble(model, beta)
-        eta, ell = path_lengths(model, ensemble)
+        eta, ell = path_lengths(model, ensemble, **kwargs)
         n_levels = ensemble.n_levels
         n = np.arange(n_levels, dtype=float)
         p = np.zeros(n_levels + 2)
@@ -256,8 +252,21 @@ class TestClosedFormLengths:
             float(ensemble.weights @ (n * n + n + 1.0)) / 8.0)
         eta_exact = math.log(omega_f) * math.sqrt(float(np.sum(
             (pn - pk) ** 2 / (pn + pk) * (n + 1.0) * (n + 2.0) / 16.0)))
-        assert ell == pytest.approx(ell_exact, rel=1e-8)
-        assert eta == pytest.approx(eta_exact, rel=1e-8)
+        assert ell == pytest.approx(ell_exact, rel=1e-12)
+        assert eta == pytest.approx(eta_exact, rel=1e-12)
+
+    @settings(max_examples=8)
+    @given(omega_f=st.floats(1.3, 3.0),
+           beta=st.one_of(st.floats(1.0, 4.0), st.just(math.inf)),
+           kind=st.sampled_from(["quintic", "log"]))
+    def test_ell_and_eta_match_closed_form(self, omega_f, beta, kind):
+        self.assert_closed_form(omega_f, 0.8, beta, kind)
+
+    def test_criterion_8_draw_67(self):
+        # a draw on which bisection with a Richardson test once stopped
+        # 4.4e-8 off, 44 times its rel_tol
+        self.assert_closed_form(2.415032692268552, 0.8740019248457154,
+                                math.inf, "quintic", rel_tol=1e-9)
 
 
 class TestBures:

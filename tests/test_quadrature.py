@@ -18,7 +18,15 @@ def test_polynomials_integrate_exactly(c, b):
 
 
 def test_zero_function():
-    assert adaptive_simpson(lambda x: 0.0, 0.0, 2.0) == 0.0
+    calls = []
+
+    def zero(x):
+        calls.append(x)
+        return 0.0
+
+    assert adaptive_simpson(zero, 0.0, 2.0) == 0.0
+    # a zero tolerance would subdivide until the interval limit
+    assert len(calls) <= 100
 
 
 def test_reversed_interval_flips_sign():
@@ -41,11 +49,31 @@ def test_node_budget_raises():
         adaptive_simpson(f, 0.0, 2.0, rel_tol=1e-12, max_nodes=200)
 
 
-def test_depth_cap_raises():
+def test_noise_integrand_raises():
     rng = np.random.default_rng(0)
-    with pytest.raises(QuadratureNotConverged):
+    with pytest.raises(QuadratureNotConverged, match="status 1"):
         adaptive_simpson(lambda x: float(rng.standard_normal()), 0.0, 1.0,
-                         rel_tol=1e-12, max_depth=6)
+                         rel_tol=1e-12)
+
+
+def test_non_finite_integrand_raises():
+    with pytest.raises(QuadratureNotConverged, match="status 3"):
+        adaptive_simpson(lambda x: np.nan if x > 0.5 else 1.0, 0.0, 1.0)
+
+
+def test_breakpoint_splits_the_interval():
+    calls = []
+
+    def kink(x):
+        calls.append(x)
+        return abs(x - 1.0)
+
+    # each side of the kink is linear, which one rule per side integrates
+    # exactly
+    assert adaptive_simpson(kink, 0.0, 2.0, points=[1.0]) \
+        == pytest.approx(1.0, rel=1e-14)
+    assert all(x != 1.0 for x in calls)
+    assert len(calls) <= 4 * 21
 
 
 def test_multi_component_shares_nodes():

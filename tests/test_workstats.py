@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from cdwork import (HOConfig, HarmonicOscillator, TruncationError,
                     ensemble_energy_variance, excess_variance_direct,
-                    excess_variance_geometric, identity_check_rowsum,
-                    mean_work, model_ensemble, quintic_ramp, thermal_ensemble,
-                    transition_matrix, two_level_model, variance_work,
-                    work_distribution, work_moments)
+                    excess_variance_geometric, fluctuation_series,
+                    identity_check_rowsum, mean_work, model_ensemble,
+                    quintic_ramp, thermal_ensemble, transition_matrix,
+                    two_level_model, variance_work, work_distribution,
+                    work_moments)
 
 E_CONST = math.e
 
@@ -199,6 +200,35 @@ class TestWorkMoments:
         ensemble = model_ensemble(model, 1.0)
         with pytest.raises(TruncationError):
             work_moments(model, ensemble, 0.8)
+
+
+class TestOperatorRoute:
+    """fluctuation_series takes the driven moments from <n(t)|H_cd^k|n(t)>;
+    work_moments, from the transition matrix, is the oracle."""
+
+    def test_matches_transition_matrix_route(self, fig1_model, fig1_ensemble):
+        model = HarmonicOscillator(HOConfig(1.0, 3.0, 0.8, dim=120))
+
+        def no_driving_spectrum(t):
+            raise AssertionError("the operator route needs no H_cd spectrum")
+
+        model.spectrum_cd_at = no_driving_spectrum
+        grid = np.linspace(0.0, 0.8, 81)
+        series = fluctuation_series(model, model_ensemble(model, 1.0), grid)
+        oracle = [work_moments(fig1_model, fig1_ensemble, t) for t in grid]
+        for key, attr in (("mean_cd", "mean_cd"), ("var_cd", "var_cd"),
+                          ("mean_ad", "mean_ad"), ("var_ad", "var_ad"),
+                          ("excess_direct", "excess")):
+            expected = np.array([getattr(m, attr) for m in oracle])
+            # the golden gate's rule: 1e-10 of the series' largest magnitude
+            assert np.abs(series[key] - expected).max() \
+                <= 1e-10 * np.abs(expected).max(), key
+
+    def test_basis_leakage_raises(self):
+        model = HarmonicOscillator(HOConfig(1.0, 3.0, 0.8, dim=40))
+        ensemble = model_ensemble(model, 1.0)
+        with pytest.raises(TruncationError):
+            fluctuation_series(model, ensemble, [0.0, 0.8])
 
 
 class TestExcessVariance:
