@@ -63,18 +63,21 @@ _SUBCOMMAND_KEYS = {
 }
 
 
-def _parse_float_list(text):
-    try:
-        return [float(x) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad list {text!r}") from exc
+# value type of each numeric configuration key, in flag order; a list
+# holds a non-empty list of its element type
+_KINDS = {"omega_i": float, "omega_f": float, "beta": float, "tau": float,
+          "tau_list": [float], "fock_dim": int, "grid": int, "n_list": [int],
+          "delta": float, "nu": float, "trajectory_sites": int,
+          "chain_samples": int, "h1_scale": float, "seed": int}
 
 
-def _parse_int_list(text):
-    try:
-        return [int(x) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad list {text!r}") from exc
+def _parse_list(kind):
+    def parse(text):
+        try:
+            return [kind(x) for x in text.split(",") if x.strip()]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad list {text!r}") from exc
+    return parse
 
 
 def _parse_beta(text):
@@ -93,47 +96,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "geometric speed limits (hbar = m = 1 units).")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, keys):
+    helps = {"h1_scale": "test hook: rescale the auxiliary term in the "
+                         "transitionless certificate"}
+    for name, keys in _SUBCOMMAND_KEYS.items():
+        p = sub.add_parser(name)
         p.add_argument("--config", type=Path, default=None,
                        help="JSON file with configuration keys; explicit "
                             "flags override it")
-        if "omega_i" in keys:
-            p.add_argument("--omega-i", dest="omega_i", type=float)
-            p.add_argument("--omega-f", dest="omega_f", type=float)
-        if "beta" in keys:
-            p.add_argument("--beta", type=_parse_beta)
-        if "tau" in keys:
-            p.add_argument("--tau", type=float)
-        if "tau_list" in keys:
-            p.add_argument("--tau-list", dest="tau_list",
-                           type=_parse_float_list)
-        if "fock_dim" in keys:
-            p.add_argument("--fock-dim", dest="fock_dim", type=int)
-        if "grid" in keys:
-            p.add_argument("--grid", type=int)
-        if "n_list" in keys:
-            p.add_argument("--n-list", dest="n_list", type=_parse_int_list)
-        if "delta" in keys:
-            p.add_argument("--delta", type=float)
-        if "nu" in keys:
-            p.add_argument("--nu", type=float)
-        if "trajectory_sites" in keys:
-            p.add_argument("--trajectory-sites", dest="trajectory_sites",
-                           type=int)
-        if "chain_samples" in keys:
-            p.add_argument("--chain-samples", dest="chain_samples", type=int)
-        if "h1_scale" in keys:
-            p.add_argument("--h1-scale", dest="h1_scale", type=float,
-                           help="test hook: rescale the auxiliary term in "
-                                "the transitionless certificate")
-        if "seed" in keys:
-            p.add_argument("--seed", type=int)
+        for key, kind in _KINDS.items():
+            if key in keys:
+                parse = (_parse_beta if key == "beta" else _parse_list(kind[0])
+                         if isinstance(kind, list) else kind)
+                p.add_argument("--" + key.replace("_", "-"), dest=key,
+                               type=parse, help=helps.get(key))
         p.add_argument("--out", type=Path)
         p.add_argument("--format", choices=("csv", "json"))
-
-    for name, keys in _SUBCOMMAND_KEYS.items():
-        add_common(sub.add_parser(name), keys)
     return parser
 
 
@@ -156,7 +133,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
             if norm not in keys:
                 raise ConfigError(f"unknown config key {key!r}")
             if norm == "beta" and isinstance(value, str):
-                value = _parse_beta(value)
+                try:
+                    value = _parse_beta(value)
+                except argparse.ArgumentTypeError as exc:
+                    raise ConfigError(f"beta: {exc}") from exc
             resolved[norm] = value
     for key in keys:
         flag_value = getattr(args, key, None)
@@ -167,21 +147,29 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 
 def _validate_config(command: str, cfg: dict) -> None:
-    positive = {"omega_i", "omega_f", "beta", "tau", "delta", "nu",
-                "h1_scale"}
-    for key in positive & cfg.keys():
-        value = cfg[key]
-        if value is not None and not value > 0:
-            raise ConfigError(f"{key} must be positive, got {value!r}")
-    for key in {"fock_dim", "grid", "trajectory_sites", "chain_samples"} & cfg.keys():
-        value = cfg[key]
-        if value is not None and value <= 0:
-            raise ConfigError(f"{key} must be a positive integer")
-    for key in ("tau_list", "n_list"):
-        if key in cfg and cfg[key] is not None and len(cfg[key]) == 0:
-            raise ConfigError(f"{key} must not be empty")
+    """Reject, by key name, a value of the wrong type or range: numbers
+    must be positive (a seed may be any integer), integers must be
+    integers, and null stands only for a null default."""
+    for key, value in sorted(cfg.items()):
+        if key not in _KINDS or (value is None and _DEFAULTS[key] is None):
+            continue
+        listed = isinstance(_KINDS[key], list)
+        kind = _KINDS[key][0] if listed else _KINDS[key]
+        items = value if listed else [value]
+        if not (isinstance(items, list) and items and all(
+                isinstance(x, int if kind is int else (int, float))
+                and not isinstance(x, bool)
+                and (key == "seed" or x > 0) for x in items)):
+            what = ("" if key == "seed" else "positive ") \
+                + {int: "integer", float: "number"}[kind]
+            what = f"a non-empty list of {what}s" if listed \
+                else ("an " if what[0] in "aeiou" else "a ") + what
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
     if cfg.get("format") not in (None, "csv", "json"):
         raise ConfigError(f"unknown format {cfg.get('format')!r}")
+    if command == "ho-figure1" and cfg["grid"] < 3:
+        raise ConfigError(f"grid must be at least 3 for the Simpson time "
+                          f"averages of ho-figure1, got {cfg['grid']}")
 
 
 def _config_hash(cfg: dict) -> str:

@@ -153,10 +153,7 @@ def _ensemble_speed_integrands(model, ensemble):
         lamdot = model.protocol.derivative(t)
         spec, ms = _coupling_rows(model, t, rows)
         e = spec.energies
-        m_dot = np.zeros((n_rows, e.shape[0]), dtype=complex)
-        for mu, m in enumerate(ms):
-            if lamdot[mu] != 0.0:
-                m_dot += lamdot[mu] * m
+        m_dot = np.tensordot(lamdot, np.array(ms), 1)
         gaps = e[None, :] - e[:n_rows, None]
         np.fill_diagonal(gaps, 1.0)
         scale = max(abs(e[0]), abs(e[-1]), 1e-300)
@@ -263,12 +260,12 @@ class SpeedLimitReport:
     when it is at most EQUALITY_TOL; the ordering flags check
     tau >= bures/<dDW> >= bures/<dE_cd>, and chain_ok checks
     bures <= eta <= ell up to CHAIN_TOL * max(length, 1).  At the
-    figure-1 point the residual (about 1.9e-10) is all discretization of
-    the time average: the composite Simpson rule on the 401-point grid
-    overestimates it by 1.9e-10 relative, and that error falls 16x per
-    doubling of the grid.  ell matches its closed form to about 1e-16,
-    and the excess comes from the operator route, so no
-    transition-matrix rounding enters.
+    figure-1 point the residual (1.896e-10 at every duration, spread
+    below 1e-15) is all composite-Simpson error of the time average on
+    the 401-point grid, which falls 16x per doubling of the grid.  ell
+    matches its closed form to about 1e-16, and the excess is the norm
+    sum_n p_n ||(H_cd - eps_n)|n>||^2, which resolves it to about 1e-17
+    at the ramp ends, so no rounding shows in the residual.
     """
 
     tau: float

@@ -143,13 +143,8 @@ class ParametrizedModel:
         return out
 
     def dh0_dt_at(self, t: float) -> np.ndarray:
-        lamdot = self.protocol.derivative(t)
-        parts = self.dh0_dlambda_at(t)
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for mu, part in enumerate(parts):
-            if lamdot[mu] != 0.0:
-                out += lamdot[mu] * part
-        return out
+        return np.tensordot(self.protocol.derivative(t),
+                            np.array(self.dh0_dlambda_at(t), dtype=complex), 1)
 
     def h1_at(self, t: float) -> np.ndarray:
         if self._h1_of is not None:
@@ -159,18 +154,28 @@ class ParametrizedModel:
     def h_cd_at(self, t: float) -> np.ndarray:
         return self.h0_at(t) + self.h1_at(t)
 
+    def apply_h_cd(self, times, vectors, out) -> np.ndarray:
+        """out[b] = H_cd(times[b]) @ vectors[b], for vectors of shape
+        (B, d, K): the dense matrices stacked into one batched product."""
+        return np.matmul(np.stack([self.h_cd_at(t) for t in times]), vectors,
+                         out=out)
+
     # -- cached spectra --------------------------------------------------
     def _diagonalize(self, h: np.ndarray) -> Spectrum:
         """Diagonalization used for cached spectra; backends with known
         structure (banded, sector-split) override this."""
         return spectrum(h, check=False, degeneracy_tol=0.0)
 
+    def _h0_operator(self, lam):
+        """H0 at lam as ``_diagonalize`` takes it (structured: a band)."""
+        return self._h0_of(lam)
+
     def spectrum0_at(self, t: float) -> Spectrum:
         lam = self.protocol.value(t)
         key = lam.tobytes()
         spec = self._h0_store.get(key)
         if spec is None:
-            spec = self._diagonalize(self._h0_of(lam))
+            spec = self._diagonalize(self._h0_operator(lam))
             self._h0_store.put(key, spec)
         return spec
 

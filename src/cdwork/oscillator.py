@@ -127,6 +127,10 @@ class HarmonicOscillator(ParametrizedModel):
         self._p2 = (diag - cross) * (m * w_ref / 2.0)
         # q p + p q = i (raise^2 - ladder^2): purely imaginary entries
         self._qp_sym = 1j * (np.diag(skew, -2) - np.diag(skew, 2))
+        # as bands (2, d): diagonal, +2 diagonal padded with two zeros
+        self._bands = [np.stack((np.diagonal(a), np.pad(np.diagonal(a, 2),
+                                                        (0, 2))))
+                       for a in (self._q2, self._p2, self._qp_sym)]
         super().__init__(config.protocol(), h0_store=h0_store)
 
     @property
@@ -139,13 +143,31 @@ class HarmonicOscillator(ParametrizedModel):
         return self._p2 / (2.0 * self.config.mass) \
             + 0.5 * self.config.mass * w * w * self._q2
 
+    def _h0_operator(self, lam):
+        """H0 at parameter points ``lam`` (..., 1) as bands (..., 2, d),
+        entry for entry the bits of ``_h0_of``."""
+        w, (q2, p2, _) = np.asarray(lam)[..., None], self._bands
+        return p2 / (2.0 * self.config.mass) \
+            + 0.5 * self.config.mass * w * w * q2
+
+    def apply_h_cd(self, times, vectors, out):
+        """H_cd(t) @ vectors[b] for each t = times[b], as a band product
+        built from omega(t) and omegadot(t): the real diagonal of H0 and
+        the complex +-2 diagonals of H0 + H1, with no dense matrix."""
+        w, wd = np.array([(self.omega(t), self.omega_dot(t)) for t in times]).T
+        band = self._h0_operator(w[:, None])
+        upper = band[:, 1, :-2] + (-wd / (4.0 * w))[:, None] \
+            * self._bands[2][1, :-2]
+        np.multiply(band[:, 0, :, None], vectors, out=out)
+        out[:, :-2] += upper[:, :, None] * vectors[:, 2:]
+        out[:, 2:] += upper.conj()[:, :, None] * vectors[:, :-2]
+        return out
+
     def _dh0_of(self, lam):
         return [self.config.mass * lam[0] * self._q2]
 
     def _h1_of(self, t):
-        w = self.protocol.value(t)[0]
-        wd = self.protocol.derivative(t)[0]
-        return self.h1_matrix(w, wd)
+        return self.h1_matrix(self.omega(t), self.omega_dot(t))
 
     def omega(self, t: float) -> float:
         return float(self.protocol.value(t)[0])
@@ -174,10 +196,51 @@ class HarmonicOscillator(ParametrizedModel):
         the band deviates from Hermiticity by more than HERMITIAN_TOL
         (relative Frobenius norm, as ``assert_hermitian``; the band is
         all of h, so this is the same test at O(d) cost) and LinAlgError
-        when LAPACK's stevd fails.
+        when LAPACK's stevd fails.  A (2, d) band from ``_h0_operator``
+        (H0 spectra are solved so, with no dense build) is taken as is;
+        a real input gives real eigenvectors.
         """
         d = self.dim
-        self._check_band(h)
+        if np.shape(h) == (2, d):
+            diagonal, upper = h[0], h[1, :-2]
+        else:
+            diagonal, upper = self._checked_band(h)
+        energies = np.empty(d)
+        vectors = np.zeros((d, d), dtype=np.result_type(upper, 1.0))
+        col = 0
+        for parity in (0, 1):
+            # the sector's levels are parity, parity + 2, ...
+            diag = diagonal[parity::2].real
+            off = upper[parity::2]
+            mags = np.abs(off)
+            if np.iscomplexobj(off):
+                args = np.where(mags > 0, np.angle(off), 0.0)
+                phases = np.exp(-1j * np.concatenate(([0.0], np.cumsum(args))))
+            else:  # a real band takes signs and keeps its vectors real
+                phases = np.cumprod(np.concatenate(
+                    ([1.0], np.where(off < 0, -1.0, 1.0))))
+            vals, vecs, info = _STEVD(diag, mags)
+            if info:
+                raise LinAlgError(f"LAPACK stevd failed with info={info}")
+            block = vecs * phases[:, None]
+            size = len(vals)
+            energies[col:col + size] = vals
+            vectors[parity::2, col:col + size] = block
+            col += size
+        return energies, vectors
+
+    def _checked_band(self, h):
+        d = self.dim
+        if np.shape(h) != (d, d):
+            raise BandStructureError(
+                f"fast_eigh expects a {d}x{d} matrix, got shape {np.shape(h)}")
+        stray = np.count_nonzero(h) - sum(
+            np.count_nonzero(np.diagonal(h, k)) for k in (-2, 0, 2))
+        if stray:
+            raise BandStructureError(
+                f"fast_eigh handles matrices that couple only levels two "
+                f"apart; the input has {stray} nonzero entries outside that "
+                f"band")
         diagonal, upper, lower = (np.diagonal(h, k) for k in (0, 2, -2))
         band = np.concatenate((diagonal, upper, lower))
         if not np.isfinite(band).all():
@@ -190,38 +253,7 @@ class HarmonicOscillator(ParametrizedModel):
             raise NonHermitianInput(
                 f"fast_eigh input deviates from Hermiticity by {dev:.3g} "
                 f"(scale {scale:.3g})")
-        energies = np.empty(d)
-        vectors = np.zeros((d, d), dtype=complex)
-        col = 0
-        for parity in (0, 1):
-            # the sector's levels are parity, parity + 2, ...
-            diag = diagonal[parity::2].real
-            off = upper[parity::2]
-            mags = np.abs(off)
-            args = np.where(mags > 0, np.angle(off), 0.0)
-            phases = np.exp(-1j * np.concatenate(([0.0], np.cumsum(args))))
-            vals, vecs, info = _STEVD(diag, mags)
-            if info:
-                raise LinAlgError(f"LAPACK stevd failed with info={info}")
-            block = vecs * phases[:, None] if np.any(args) else vecs
-            size = len(vals)
-            energies[col:col + size] = vals
-            vectors[parity::2, col:col + size] = block
-            col += size
-        return energies, vectors
-
-    def _check_band(self, h) -> None:
-        d = self.dim
-        if np.shape(h) != (d, d):
-            raise BandStructureError(
-                f"fast_eigh expects a {d}x{d} matrix, got shape {np.shape(h)}")
-        stray = np.count_nonzero(h) - sum(
-            np.count_nonzero(np.diagonal(h, k)) for k in (-2, 0, 2))
-        if stray:
-            raise BandStructureError(
-                f"fast_eigh handles matrices that couple only levels two "
-                f"apart; the input has {stray} nonzero entries outside that "
-                f"band")
+        return diagonal, upper
 
     def _diagonalize(self, h: np.ndarray) -> Spectrum:
         energies, vectors = self.fast_eigh(h)

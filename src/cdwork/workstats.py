@@ -12,9 +12,10 @@ eigenvectors,
 
 so the whole work distribution is computable from spectra alone, with
 no time propagation.  Its moments need no spectrum of H_cd at all: by
-completeness sum_m p_{n->m} E_m(t)^k = <n(t)|H_cd^k|n(t)>, which
-``ensemble_energy_variance`` takes from H_cd |n(t)> (the operator
-route).  The transition matrix is the independent oracle:
+completeness sum_m p_{n->m} E_m(t)^k = <n(t)|H_cd^k|n(t)>: the operator
+route, ``fluctuation_series``, takes every moment as a norm of
+H_cd |n(t)> over blocks of grid points.  The transition matrix is the
+independent oracle:
 ``work_moments`` sums p_n p_{n->m} (E_m(t) - eps_n(0))^k over it, and
 ``work_distribution`` builds the merged atoms.
 
@@ -117,33 +118,32 @@ class TransitionMatrix:
     basis_leakage: float
 
 
+def _leakage(model, states: np.ndarray, times=None) -> np.ndarray:
+    """Worst mass the columns of each (d, K) block of ``states`` put on
+    the truncation-polluted top of the basis; given the blocks' times,
+    TruncationError names the first time above DEFICIT_TOL."""
+    cap = int(TRUSTED_FRACTION * model.dim)
+    if not getattr(model, "truncated", False) or cap >= model.dim:
+        return np.zeros(len(states))
+    top = states[:, cap:, :]
+    leaks = (top.real**2 + top.imag**2).sum(axis=1).max(axis=1)
+    bad = np.flatnonzero(leaks > DEFICIT_TOL) if times is not None else []
+    if len(bad):
+        raise TruncationError(
+            f"a retained eigenstate leaks {leaks[bad[0]]:.3g} of its mass "
+            f"into the top of the basis at t={times[bad[0]]:g}; enlarge the "
+            f"Fock basis")
+    return leaks
+
+
 def basis_leakage(model, ensemble, t: float) -> float:
     """Worst mass any retained instantaneous eigenstate puts on the
-    truncation-polluted top of the basis coordinates.
-
-    This is the error indicator for every spectra-derived quantity: the
-    rows of the transition matrix sum to one by completeness whatever
-    the truncation, but an eigenstate that reaches the top of the basis
-    is not the physical one.  Zero for models that carry their complete
-    Hilbert space.
-    """
-    if not getattr(model, "truncated", False):
-        return 0.0
-    states = model.spectrum0_at(t).states[:, : ensemble.n_levels]
-    cap = int(TRUSTED_FRACTION * model.dim)
-    if cap >= model.dim:
-        return 0.0
-    return float((np.abs(states[cap:, :]) ** 2).sum(axis=0).max())
-
-
-def _check_leakage(model, ensemble, t: float) -> float:
-    """basis_leakage, raising TruncationError above DEFICIT_TOL."""
-    leak = basis_leakage(model, ensemble, t)
-    if leak > DEFICIT_TOL:
-        raise TruncationError(
-            f"a retained eigenstate leaks {leak:.3g} of its mass into the "
-            f"top of the basis at t={t:g}; enlarge the Fock basis")
-    return leak
+    truncation-polluted top of the basis coordinates (zero for models
+    that carry their complete Hilbert space): the error indicator of
+    every spectra-derived quantity, since transition-matrix rows sum to
+    one whatever the truncation."""
+    states = model.spectrum0_at(t).states[None, :, : ensemble.n_levels]
+    return float(_leakage(model, states)[0])
 
 
 def transition_matrix(model, ensemble, t: float) -> TransitionMatrix:
@@ -154,10 +154,10 @@ def transition_matrix(model, ensemble, t: float) -> TransitionMatrix:
     into the top of the basis coordinates (the basis is then too small
     for the requested state).
     """
-    leak = _check_leakage(model, ensemble, t)
     spec0 = model.spectrum0_at(t)
-    spec_cd = model.spectrum_cd_at(t)
     n_keep = ensemble.n_levels
+    leak = float(_leakage(model, spec0.states[None, :, :n_keep], [t])[0])
+    spec_cd = model.spectrum_cd_at(t)
     probs = np.abs(spec_cd.states.conj().T @ spec0.states[:, :n_keep]) ** 2
     return TransitionMatrix(probs.T, float(t), leak)
 
@@ -237,9 +237,11 @@ class WorkMoments:
 
 
 def _weighted_moments(values, probs):
+    """Mean and variance along the last axis; weights at or below
+    PROB_FLOOR are dropped."""
     probs = np.where(probs > PROB_FLOOR, probs, 0.0)
-    mean = float(np.sum(probs * values))
-    return mean, float(np.sum(probs * (values - mean) ** 2))
+    mean = np.sum(probs * values, axis=-1)
+    return mean, np.sum(probs * (values - mean[..., None]) ** 2, axis=-1)
 
 
 def work_moments(model, ensemble, t: float) -> WorkMoments:
@@ -255,8 +257,8 @@ def work_moments(model, ensemble, t: float) -> WorkMoments:
     e_init = model.spectrum0_at(0.0).energies[:n_keep]
     e_cd = model.spectrum_cd_at(t).energies
     mean_cd, var_cd = _weighted_moments(
-        e_cd[None, :] - e_init[:, None],
-        ensemble.weights[:, None] * tm.probabilities)
+        (e_cd[None, :] - e_init[:, None]).ravel(),
+        (ensemble.weights[:, None] * tm.probabilities).ravel())
     mean_ad, var_ad = _weighted_moments(
         model.spectrum0_at(t).energies[:n_keep] - e_init,
         ensemble.weights)
@@ -298,10 +300,10 @@ class EnergyFluctuations:
     """Second moments of the driving Hamiltonian in the evolved state,
     and the driven work moments they fix.
 
-    excess = sum_n p_n (<H_cd^2>_n - eps_n(t)^2) equals the direct excess
-    of work fluctuations; variance_cd - excess = Var(H0) >= 0 in the
-    same state.  work_mean_cd and work_var_cd are the mean and variance
-    of the driven work E_m(t) - eps_n(0).
+    excess = sum_n p_n ||(H_cd - eps_n(t))|n(t)>||^2, a norm, equals the
+    direct excess of work fluctuations; variance_cd - excess = Var(H0)
+    >= 0 in the same state.  work_mean_cd and work_var_cd are the mean
+    and variance of the driven work E_m(t) - eps_n(0).
     """
 
     variance_cd: float
@@ -311,55 +313,69 @@ class EnergyFluctuations:
     work_var_cd: float
 
 
-def _norms2(vectors):
-    return np.einsum("dn,dn->n", vectors.conj(), vectors).real
+# grid points per fluctuation-kernel block; whole-grid arrays ran slower
+BLOCK_POINTS = 16
+
+
+def _real_dots(a, b):
+    """Re <a_k|b_k> for the columns of two (B, d, K) blocks, shape (B, K)."""
+    flat = np.einsum("bdk,bdk->bk", a.view(float), b.view(float))
+    return flat.reshape(a.shape[0], -1, 2).sum(axis=-1)
+
+
+def fluctuation_series(model, ensemble, grid) -> dict[str, np.ndarray]:
+    """Work moments and energy fluctuations at every time of a grid.
+    Columns: t, mean_cd, mean_ad, var_cd, var_ad, excess_direct,
+    energy_variance_cd and variance_h0 (see ``EnergyFluctuations``).
+
+    One kernel takes BLOCK_POINTS times at once: it gathers the K
+    retained eigenvectors |n(t)> from the H0 spectra, checks their basis
+    leakage, applies H_cd through ``model.apply_h_cd`` and forms the
+    residuals |r_n> = (H_cd - eps_n(t))|n(t)>.  Each fluctuation is a
+    norm with no cancelling difference, sum_n p_n ||(H_cd - c_n)|n(t)>||^2
+    = sum_n p_n (||r_n||^2 + 2 g_n Re<n|r_n> + g_n^2), g_n = eps_n(t) - c_n:
+    c_n = eps_n(t) for the excess, eps_n(0) + mean_cd for var_cd and
+    <H_cd> for energy_variance_cd.
+    """
+    grid = np.asarray(grid, dtype=float)
+    n_keep, p = ensemble.n_levels, ensemble.weights
+    e_init = model.spectrum0_at(0.0).energies[:n_keep]
+    size = max(min(BLOCK_POINTS, len(grid)), 1)
+    states = np.empty((size, model.dim, n_keep), dtype=complex)
+    h_states, scaled = np.empty_like(states), np.empty_like(states)
+    e_now, dots, norms = (np.empty((len(grid), n_keep)) for _ in range(3))
+    for start in range(0, len(grid), size):
+        times = grid[start:start + size]
+        rows, b = slice(start, start + len(times)), len(times)
+        for i, t in enumerate(times):
+            spec = model.spectrum0_at(t)
+            states[i] = spec.states[:, :n_keep]
+            e_now[start + i] = spec.energies[:n_keep]
+        _leakage(model, states[:b], times)
+        resid = model.apply_h_cd(times, states[:b], h_states[:b])
+        resid -= np.multiply(states[:b], e_now[rows, None, :], out=scaled[:b])
+        dots[rows] = _real_dots(states[:b], resid)
+        norms[rows] = _real_dots(resid, resid)
+
+    def spread(centre):
+        gap = e_now - centre
+        return np.sum(p * (norms + 2.0 * gap * dots + gap**2), axis=-1)
+
+    mean_cd = np.sum(p * (e_now + dots - e_init), axis=-1)
+    mean_ad, var_ad = _weighted_moments(e_now - e_init, p)
+    return {"t": grid, "mean_cd": mean_cd, "mean_ad": mean_ad,
+            "var_cd": spread(e_init + mean_cd[:, None]), "var_ad": var_ad,
+            "excess_direct": spread(e_now),
+            "energy_variance_cd": spread(
+                np.sum(p * (e_now + dots), axis=-1)[:, None]),
+            "variance_h0": _weighted_moments(e_now, p)[1]}
 
 
 def ensemble_energy_variance(model, ensemble, t: float) -> EnergyFluctuations:
     """Energy fluctuations of H_cd (and H0) in the evolved ensemble
-    rho(t) = sum_n p_n |n(t)><n(t)|, and the driven work moments, all
-    from H_cd |n(t)>: the work has mean sum_n p_n (<H_cd>_n - eps_n(0))
-    and variance sum_n p_n ||(H_cd - eps_n(0) - mean)|n(t)>||^2.
-    Basis leakage raises TruncationError, as in transition_matrix."""
-    _check_leakage(model, ensemble, t)
-    n_keep = ensemble.n_levels
-    spec0 = model.spectrum0_at(t)
-    states = spec0.states[:, :n_keep]
-    p = ensemble.weights
-    e_now = spec0.energies[:n_keep]
-    e_init = model.spectrum0_at(0.0).energies[:n_keep]
-
-    h_cd_states = model.h_cd_at(t) @ states
-    first_n = np.einsum("dn,dn->n", states.conj(), h_cd_states).real
-    first = float(p @ first_n)
-    second_cd = float(p @ _norms2(h_cd_states))
-    second_h0 = float(p @ e_now**2)
-    mean_h0 = float(p @ e_now)
-    work_mean = float(p @ (first_n - e_init))
-    work_var = float(p @ _norms2(h_cd_states
-                                 - states * (e_init + work_mean)))
-    return EnergyFluctuations(second_cd - first**2,
-                              second_cd - second_h0,
-                              second_h0 - mean_h0**2,
-                              work_mean, work_var)
-
-
-def fluctuation_series(model, ensemble, grid) -> dict[str, np.ndarray]:
-    """Work moments and the driving Hamiltonian's energy variance at
-    every time of a grid, in one pass.  Columns: t, mean_cd, mean_ad,
-    var_cd, var_ad, excess_direct, energy_variance_cd.  All but the
-    adiabatic moments come from ``ensemble_energy_variance``."""
-    grid = np.asarray(grid, dtype=float)
-    n_keep = ensemble.n_levels
-    e_init = model.spectrum0_at(0.0).energies[:n_keep]
-    values = []
-    for t in grid:
-        fl = ensemble_energy_variance(model, ensemble, t)
-        mean_ad, var_ad = _weighted_moments(
-            model.spectrum0_at(t).energies[:n_keep] - e_init,
-            ensemble.weights)
-        values.append((fl.work_mean_cd, mean_ad, fl.work_var_cd, var_ad,
-                       fl.excess, fl.variance_cd))
-    names = ("mean_cd", "mean_ad", "var_cd", "var_ad", "excess_direct",
-             "energy_variance_cd")
-    return {"t": grid, **dict(zip(names, np.array(values).T))}
+    rho(t) = sum_n p_n |n(t)><n(t)|, and the driven work moments: the
+    one-point call of ``fluctuation_series``."""
+    row = fluctuation_series(model, ensemble, [t])
+    return EnergyFluctuations(*(float(row[k][0]) for k in (
+        "energy_variance_cd", "excess_direct", "variance_h0", "mean_cd",
+        "var_cd")))

@@ -83,6 +83,13 @@ def test_criterion_2_variance_identity(panel_run):
            f"endpoint excess {endpoint:.2e}")
 
 
+def test_figure1_equality_residuals_agree(figure1):
+    # the residual is the Simpson time-average error, the same at every
+    # duration; rounding in the excess would scatter it
+    residuals = [row.equality_residual for row in figure1[0].tau_table]
+    assert np.ptp(residuals) <= 1e-14
+
+
 def test_criterion_3_figure1_reproduction(figure1):
     data, elapsed = figure1
     fit_ok = 0.64 <= data.fit.coefficient <= 0.67

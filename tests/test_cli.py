@@ -174,6 +174,29 @@ class TestConfigHandling:
         cfg_err = capsys.readouterr().err
         assert "beta" in cfg_err and "tau" in cfg_err
 
+    @pytest.mark.parametrize("command, config, key", [
+        ("ho-figure1", {"grid": 3.5}, "grid"),
+        ("ho-figure1", {"fock_dim": "abc"}, "fock_dim"),
+        ("ho-figure1", {"tau_list": 0.8}, "tau_list"),
+        ("ho-figure1", {"tau_list": [0.8, "x"]}, "tau_list"),
+        ("ho-figure1", {"grid": None}, "grid"),
+        ("ho-figure1", {"beta": "warm"}, "beta"),
+        ("ho-figure1", {"omega_i": True}, "omega_i"),
+        ("verify", {"seed": "x"}, "seed"),
+    ])
+    def test_wrong_type_in_config_file_named(self, tmp_path, capsys,
+                                             command, config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["1", "2"])
+    def test_grid_below_three_exits_two(self, tmp_path, capsys, grid):
+        assert main(["ho-figure1", "--grid", grid,
+                     "--out", str(tmp_path)]) == 2
+        assert "grid" in capsys.readouterr().err
+
     def test_truncation_error_exit_one(self, tmp_path, capsys):
         code = main(["ho-figure1", "--fock-dim", "40", "--grid", "21",
                      "--tau-list", "0.8", "--out", str(tmp_path)])

@@ -152,6 +152,42 @@ class TestFastEigh:
             col += size
 
 
+    @pytest.mark.parametrize("omega", [1.0, 1.5, 3.0])
+    def test_band_input_same_bits_as_dense(self, fig1_model, omega):
+        # H0 spectra are solved from the band with no dense build
+        dense = fig1_model.fast_eigh(fig1_model.h0_matrix(omega))
+        band = fig1_model.fast_eigh(fig1_model._h0_operator([omega]))
+        for a, b in zip(dense, band):
+            assert np.array_equal(a, b)
+        # a real band needs only signs: its eigenvectors stay real
+        assert band[1].dtype == np.float64
+
+
+class TestBandProduct:
+    @pytest.mark.parametrize("times", [[0.0, 0.8], [0.13, 0.4, 0.71],
+                                       [0.0, 0.37, 0.8]])
+    def test_matches_dense_h_cd(self, fig1_model, rng, times):
+        # both endpoints have omegadot = 0, where H1 vanishes
+        vectors = (rng.standard_normal((len(times), fig1_model.dim, 7))
+                   + 1j * rng.standard_normal((len(times), fig1_model.dim, 7)))
+        out = fig1_model.apply_h_cd(times, vectors, np.empty_like(vectors))
+        for b, t in enumerate(times):
+            expected = fig1_model.h_cd_at(t) @ vectors[b]
+            assert np.abs(out[b] - expected).max() \
+                <= 1e-13 * np.abs(expected).max()
+
+    def test_eigenvector_block(self, fig1_model, fig1_ensemble):
+        times = np.linspace(0.0, 0.8, 5)
+        k = fig1_ensemble.n_levels
+        vectors = np.stack([fig1_model.spectrum0_at(t).states[:, :k]
+                            for t in times]).astype(complex)
+        out = fig1_model.apply_h_cd(times, vectors, np.empty_like(vectors))
+        for b, t in enumerate(times):
+            expected = fig1_model.h_cd_at(t) @ vectors[b]
+            assert np.abs(out[b] - expected).max() \
+                <= 1e-13 * np.abs(expected).max()
+
+
 class TestClosedFormEigensystem:
     def test_static_limit(self):
         energy, _ = cd_exact_eigensystem(2.0, 0.0, 3)

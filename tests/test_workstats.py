@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdwork import (HOConfig, HarmonicOscillator, TruncationError,
-                    ensemble_energy_variance, excess_variance_direct,
-                    excess_variance_geometric, fluctuation_series,
-                    identity_check_rowsum, mean_work, model_ensemble,
-                    quintic_ramp, thermal_ensemble, transition_matrix,
-                    two_level_model, variance_work, work_distribution,
-                    work_moments)
+from cdwork import (HOConfig, HarmonicOscillator, ParametrizedModel,
+                    TruncationError, bound_chain, bures_length,
+                    ensemble_energy_variance, evolved_density,
+                    excess_variance_direct, excess_variance_geometric,
+                    fluctuation_series, identity_check_rowsum, mean_work,
+                    model_ensemble, path_lengths, quintic_ramp,
+                    thermal_ensemble, transition_matrix, two_level_model,
+                    variance_work, work_distribution, work_moments)
+from cdwork.workstats import DEFICIT_TOL, basis_leakage
 
 E_CONST = math.e
 
@@ -229,6 +231,81 @@ class TestOperatorRoute:
         ensemble = model_ensemble(model, 1.0)
         with pytest.raises(TruncationError):
             fluctuation_series(model, ensemble, [0.0, 0.8])
+
+    def test_leakage_error_names_first_bad_time(self):
+        # at dim 60 the basis holds the middle of the ramp only
+        model = HarmonicOscillator(HOConfig(1.0, 3.0, 0.8, dim=60))
+        ensemble = model_ensemble(model, 1.0)
+        grid = np.linspace(0.32, 0.8, 97)
+        leaks = np.array([basis_leakage(model, ensemble, t) for t in grid])
+        bad = np.flatnonzero(leaks > DEFICIT_TOL)
+        # the first bad time lies past the first block
+        assert 16 < bad[0] and np.all(leaks[:bad[0]] <= DEFICIT_TOL)
+        first_bad = grid[bad[0]]
+        with pytest.raises(TruncationError, match=f"t={first_bad:g};"):
+            fluctuation_series(model, ensemble, grid)
+
+    def test_independent_of_blocking(self, fig1_model, fig1_ensemble):
+        grid = np.linspace(0.0, 0.8, 401)
+        series = fluctuation_series(fig1_model, fig1_ensemble, grid)
+        for i in range(len(grid)):
+            one = fluctuation_series(fig1_model, fig1_ensemble, [grid[i]])
+            for key, column in series.items():
+                assert column[i] == one[key][0], (key, i)
+        empty = fluctuation_series(fig1_model, fig1_ensemble, [])
+        assert all(column.shape == (0,) for column in empty.values())
+        fluct = ensemble_energy_variance(fig1_model, fig1_ensemble, grid[77])
+        assert fluct.excess == series["excess_direct"][77]
+        assert fluct.work_var_cd == series["var_cd"][77]
+
+    @pytest.mark.parametrize("h1_of", [None, lambda t: np.array(
+        [[0.3, 0.2j], [-0.2j, -0.1]])])
+    def test_dense_default_on_two_level_model(self, h1_of):
+        # the second term is no counterdiabatic one: it has a diagonal in
+        # the instantaneous basis, so Re<n|r_n> != 0; the driven moments'
+        # completeness algebra still matches the transition matrix, while
+        # the excess identity needs the zero diagonal of a true H1
+        model = two_level_model(quintic_ramp([0.3], [1.7], 1.0))
+        if h1_of is not None:
+            model = ParametrizedModel(model.protocol, model._h0_of,
+                                      model._dh0_of, h1_of)
+        ensemble = model_ensemble(model, 2.0)
+        grid = np.linspace(0.0, 1.0, 23)
+        series = fluctuation_series(model, ensemble, grid)
+        for i, t in enumerate(grid):
+            oracle = work_moments(model, ensemble, t)
+            checks = [("mean_cd", oracle.mean_cd), ("var_cd", oracle.var_cd)]
+            if h1_of is None:
+                checks.append(("excess_direct", oracle.excess))
+            for key, value in checks:
+                assert series[key][i] == pytest.approx(value, abs=1e-13)
+
+    def test_pure_state_energy_variance_is_the_excess(self, fig1_model,
+                                                     fig1_ground):
+        # Var(H0) = 0 in a pure state, so Var(H_cd) equals the excess; as
+        # norms the two agree to rounding, and the bound chain's ordering
+        # check (bound from the excess >= bound from the energy) holds
+        grid = np.linspace(0.0, 0.8, 401)
+        series = fluctuation_series(fig1_model, fig1_ground, grid)
+        excess, energy = series["excess_direct"], series["energy_variance_cd"]
+        assert energy.min() >= 0.0
+        assert np.abs(excess - energy).max() <= 1e-15 * excess.max()
+        eta, ell = path_lengths(fig1_model, fig1_ground)
+        bures = bures_length(evolved_density(fig1_model, fig1_ground, 0.0),
+                             evolved_density(fig1_model, fig1_ground, 0.8))
+        assert bound_chain(series, ell, eta, bures).passed
+
+    def test_excess_norm_near_ramp_ends(self, fig1_model, fig1_ensemble):
+        # a norm, not a cancelling difference of second moments: it stays
+        # non-negative and resolves excesses of 1e-8 and below
+        grid = np.linspace(0.0, 0.8, 401)
+        series = fluctuation_series(fig1_model, fig1_ensemble, grid)
+        for i in np.r_[0:12, 389:401]:
+            direct = series["excess_direct"][i]
+            geometric = excess_variance_geometric(fig1_model, fig1_ensemble,
+                                                  grid[i])
+            assert direct >= 0.0
+            assert abs(direct - geometric) <= 1e-16
 
 
 class TestExcessVariance:
