@@ -30,7 +30,7 @@ from .workstats import (EnergyFluctuations, ThermalEnsemble, TransitionMatrix,
                         WorkDistribution, WorkMoments,
                         ensemble_energy_variance, excess_variance_direct,
                         excess_variance_geometric, fluctuation_series,
-                        identity_check_rowsum, mean_work, model_ensemble,
+                        fluctuation_sweep, identity_check_rowsum, mean_work, model_ensemble,
                         thermal_ensemble, transition_matrix, variance_work,
                         work_distribution, work_moments)
 

@@ -1,29 +1,28 @@
 """Reproduction pipelines for the two study figures.
 
 These functions compute plain arrays; the CLI handles serialization.
-The oscillator study sweeps protocol durations; per duration it takes
-the fluctuation series from ``workstats.fluctuation_series`` and hands
-them, with the path lengths computed once for the sweep, to
-``geometry.bound_chain``.  Every duration walks the same frequency
-path, so the sweep's oscillators share one store of H0 spectra keyed by
-frequency.  The Ising study produces the excess-fluctuation
-trajectories across the critical point and the finite-size scaling fit.
+The oscillator study sweeps durations of one ramp shape: at a fixed
+ramp progress every duration has the same H0 and a CD term that scales
+as 1/tau, so one oscillator and one kernel pass
+(``workstats.fluctuation_sweep``) give every duration's series, which
+go with the duration-free path lengths to ``geometry.bound_chain``.
+The Ising study produces the excess-fluctuation trajectories across
+the critical point and the finite-size scaling fit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ising
+from .errors import ConfigError
 from .fitting import FitResult, fit_power_law
 from .geometry import (SpeedLimitReport, bound_chain, bures_length,
                        evolved_density, path_lengths)
-from .models import SpectrumCache
 from .oscillator import HOConfig, HarmonicOscillator
-from .workstats import (excess_variance_geometric, fluctuation_series,
+from .workstats import (excess_variance_geometric, fluctuation_sweep,
                         model_ensemble)
 
 
@@ -77,53 +76,49 @@ def ho_figure1_data(*, omega_i: float = 1.0, omega_f: float = 3.0,
     """Oscillator study: work moments, excess fluctuations and the
     duration bound chain across a list of protocol durations.
 
-    The durations' oscillators share one H0 store of two grids' worth
-    of spectra: grids of different durations meet the same frequencies
-    only up to rounding, so the distinct points outnumber one grid, and
-    a store of one grid evicts spectra the next duration needs.  The
+    One oscillator at the figure duration ``tau`` serves the sweep: its
+    ``grid_points``-point grid fixes the ramp progress s_j = t_j / tau,
+    and ``fluctuation_sweep`` evaluates every duration's row j there from
+    one eigensolve per point.  Each duration's t column is
+    np.linspace(0, tau_k, grid_points), whose row j lies within one ulp
+    of s_j tau_k.  The model's store holds the grid, so the geometric
+    column and the endpoint densities reuse the series' spectra.  The
     path lengths do not depend on the duration and are computed once.
     """
     if tau_list is None:
         tau_list = [round(0.2 * k, 10) for k in range(1, 16)]
-    tau_list = sorted(set(float(x) for x in tau_list) | {float(tau)})
-    h0_store = SpectrumCache(2 * grid_points)
+    tau = float(tau)
+    tau_list = sorted(set(float(x) for x in tau_list) | {tau})
+    if tau_list[0] <= 0:
+        raise ConfigError("durations must be positive")
+    model = HarmonicOscillator(HOConfig(omega_i, omega_f, tau, dim=dim),
+                               cache_size=grid_points)
+    ensemble = model_ensemble(model, beta)
+    grid = np.linspace(0.0, tau, grid_points)
+    sweep = fluctuation_sweep(model, ensemble, grid, tau_list)
+    rows = {"t": grid, **sweep[tau_list.index(tau)]}
+    rows["excess_geometric"] = np.array(
+        [excess_variance_geometric(model, ensemble, t) for t in grid])
+    mean_series = {k: rows[k] for k in ("t", "mean_cd", "mean_ad")}
+    excess_series = {k: rows[k] for k in ("t", "var_cd", "var_ad",
+                                          "excess_direct", "excess_geometric")}
+    bures = bures_length(evolved_density(model, ensemble, 0.0),
+                         evolved_density(model, ensemble, tau))
+    eta, ell = path_lengths(model, ensemble)
 
-    mean_series = excess_series = None
-    var_blocks = {"tau": [], "t": [], "var_cd": [], "var_ad": []}
-    tau_table = []
-    ell = eta = bures = first_ensemble = None
-
-    for tau_k in tau_list:
-        config = HOConfig(omega_i, omega_f, tau_k, dim=dim)
-        model = HarmonicOscillator(config, h0_store=h0_store)
-        ensemble = model_ensemble(model, beta)
-        grid = np.linspace(0.0, tau_k, grid_points)
-        rows = fluctuation_series(model, ensemble, grid)
-        var_blocks["tau"].append(np.full_like(grid, tau_k))
-        for key in ("t", "var_cd", "var_ad"):
-            var_blocks[key].append(rows[key])
-        if math.isclose(tau_k, tau):
-            rows["excess_geometric"] = np.array(
-                [excess_variance_geometric(model, ensemble, t) for t in grid])
-            mean_series = {k: rows[k] for k in ("t", "mean_cd", "mean_ad")}
-            excess_series = {k: rows[k] for k in
-                             ("t", "var_cd", "var_ad", "excess_direct",
-                              "excess_geometric")}
-        if ell is None:
-            first_ensemble = ensemble
-            eta, ell = path_lengths(model, ensemble)
-            bures = bures_length(evolved_density(model, ensemble, 0.0),
-                                 evolved_density(model, ensemble, tau_k))
-        tau_table.append(bound_chain(rows, ell, eta, bures))
-
-    variance_rows = {k: np.concatenate(v) for k, v in var_blocks.items()}
+    for tau_k, columns in zip(tau_list, sweep):
+        columns["t"] = np.linspace(0.0, tau_k, grid_points)
+        columns["tau"] = np.full(grid_points, tau_k)
+    tau_table = [bound_chain(columns, ell, eta, bures) for columns in sweep]
+    variance_rows = {k: np.concatenate([columns[k] for columns in sweep])
+                     for k in ("tau", "t", "var_cd", "var_ad")}
     fit = None
     if ell > 0 and len(tau_table) >= 3:
         fit = fit_power_law(np.array([r.tau for r in tau_table]),
                             np.array([r.avg_excess_dev for r in tau_table]))
     return HoFigure1Data(mean_series, variance_rows, excess_series,
                          tau_table, fit, ell, eta, bures,
-                         first_ensemble.n_levels, first_ensemble.tail_bound,
+                         ensemble.n_levels, ensemble.tail_bound,
                          all(row.passed for row in tau_table))
 
 

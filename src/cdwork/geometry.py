@@ -331,7 +331,8 @@ def speed_limit_report(model, ensemble, *,
 
     series = fluctuation_series(
         model, ensemble, np.linspace(0.0, model.tau, grid_points))
-    eta, ell = path_lengths(model, ensemble)
+    # the endpoint spectra are the grid's, held until the quadrature runs
     bures = bures_length(evolved_density(model, ensemble, 0.0),
                          evolved_density(model, ensemble, model.tau))
+    eta, ell = path_lengths(model, ensemble)
     return bound_chain(series, ell, eta, bures)

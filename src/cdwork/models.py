@@ -12,11 +12,8 @@ A model bundles a protocol with matrix builders:
 Spectra are memoized by parameter point, since every downstream
 quantity (transition probabilities, metric tensors, work moments)
 reuses them: H0 spectra are keyed by the exact float bytes of lam, and
-driving-Hamiltonian spectra by those of (lam, lamdot).  H0 depends on
-lam alone, so models of one Hamiltonian family that differ only in the
-protocol (a sweep over durations, say) may share one H0 store, handed
-to each model explicitly.  Driving-Hamiltonian spectra stay per model:
-the centered-difference dH0 fallback depends on the duration.
+driving-Hamiltonian spectra by those of (lam, lamdot), in one private
+least-recently-used store per model.
 """
 
 from __future__ import annotations
@@ -29,19 +26,18 @@ from .protocols import Protocol
 from .spectral import Spectrum, cd_coupling, spectrum
 
 
+# default spectra per model: the 201-point grid of verify's bound chain
+STORE_SIZE = 201
+
+
 class SpectrumCache:
     """Least-recently-used map from a key to a Spectrum, holding at most
-    ``maxsize`` entries.
-
-    ``family`` names the Hamiltonian family whose spectra a shared H0
-    store holds; it is fixed by the first model that binds the store.
-    """
+    ``maxsize`` entries."""
 
     def __init__(self, maxsize: int):
         if maxsize < 1:
             raise ValueError("a spectrum cache holds at least one entry")
         self.maxsize = int(maxsize)
-        self.family = None
         self._entries: OrderedDict = OrderedDict()
 
     def __len__(self) -> int:
@@ -58,17 +54,6 @@ class SpectrumCache:
         if len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
 
-    def bind(self, family) -> None:
-        """Admit a model of ``family``; a store holds one family only."""
-        if family is None:
-            raise ValueError("this model names no Hamiltonian family, so it "
-                             "cannot share an H0 store")
-        if self.family is None:
-            self.family = family
-        elif self.family != family:
-            raise ValueError(f"H0 store holds spectra of {self.family!r}, "
-                             f"not of {family!r}")
-
 
 class ParametrizedModel:
     """Hermitian family H0(lambda(t)) driven along a protocol.
@@ -80,38 +65,25 @@ class ParametrizedModel:
     The matrix builders are passed as callables or, in subclasses,
     defined as the methods ``_h0_of``, ``_dh0_of`` and ``_h1_of`` (a
     stored bound method would tie the model into a reference cycle and
-    keep its spectra alive until the cyclic collector runs).
-    ``h0_store`` shares H0 spectra with other models of the same family
-    (subclasses name it in ``h0_family``).  The spectra a model holds
-    itself number at most ``cache_size``: by default H0 and
-    driving-Hamiltonian spectra share one private store, and with a
-    shared H0 store the private one holds driving spectra only.
+    keep its spectra alive until the cyclic collector runs).  H0 and
+    driving-Hamiltonian spectra share one store of at most ``cache_size``
+    entries (H0 keys are bytes and driving keys pairs of bytes, so the
+    two kinds never collide).
     """
 
     truncated = False
-    # hashable name of the map lam -> H0; models may share an H0 store
-    # only when theirs agree, and a model naming none cannot share one
-    h0_family = None
     _dh0_of = None
     _h1_of = None
 
     def __init__(self, protocol: Protocol, h0_of=None, dh0_of=None, h1_of=None,
-                 fd_step_scale: float = 1e-5, cache_size: int = 192,
-                 h0_store: SpectrumCache | None = None):
+                 fd_step_scale: float = 1e-5, cache_size: int = STORE_SIZE):
         self.protocol = protocol
         for name, fn in (("_h0_of", h0_of), ("_dh0_of", dh0_of),
                          ("_h1_of", h1_of)):
             if fn is not None:
                 setattr(self, name, fn)
         self._fd_step = fd_step_scale * protocol.duration
-        self._own_store = SpectrumCache(cache_size)
-        if h0_store is None:
-            # H0 keys are bytes and driving keys pairs of bytes, so the
-            # two kinds never collide in one store
-            h0_store = self._own_store
-        else:
-            h0_store.bind(self.h0_family)
-        self._h0_store = h0_store
+        self._store = SpectrumCache(cache_size)
         self._dim = int(self._h0_of(protocol.initial).shape[0])
 
     def _h0_of(self, lam) -> np.ndarray:
@@ -154,11 +126,20 @@ class ParametrizedModel:
     def h_cd_at(self, t: float) -> np.ndarray:
         return self.h0_at(t) + self.h1_at(t)
 
-    def apply_h_cd(self, times, vectors, out) -> np.ndarray:
-        """out[b] = H_cd(times[b]) @ vectors[b], for vectors of shape
-        (B, d, K): the dense matrices stacked into one batched product."""
-        return np.matmul(np.stack([self.h_cd_at(t) for t in times]), vectors,
-                         out=out)
+    def h_drive_at(self, t: float, h1_scale: float = 1.0):
+        """H0 + h1_scale * H1 at t as the model's eigensolvers take it
+        (dense here); h1_scale = 0 gives the bare H0."""
+        if h1_scale == 0.0:
+            return self.h0_at(t)
+        return self.h0_at(t) + h1_scale * self.h1_at(t)
+
+    def apply_h0_h1(self, times, vectors, out0, out1):
+        """out0[b] = H0(t) @ vectors[b] and out1[b] = H1(t) @ vectors[b]
+        for t = times[b], vectors of shape (B, d, K): each term's dense
+        matrices stacked into one batched product."""
+        np.matmul(np.stack([self.h0_at(t) for t in times]), vectors, out=out0)
+        np.matmul(np.stack([self.h1_at(t) for t in times]), vectors, out=out1)
+        return out0, out1
 
     # -- cached spectra --------------------------------------------------
     def _diagonalize(self, h: np.ndarray) -> Spectrum:
@@ -170,23 +151,21 @@ class ParametrizedModel:
         """H0 at lam as ``_diagonalize`` takes it (structured: a band)."""
         return self._h0_of(lam)
 
+    def _cached(self, key, operator) -> Spectrum:
+        spec = self._store.get(key)
+        if spec is None:
+            spec = self._diagonalize(operator())
+            self._store.put(key, spec)
+        return spec
+
     def spectrum0_at(self, t: float) -> Spectrum:
         lam = self.protocol.value(t)
-        key = lam.tobytes()
-        spec = self._h0_store.get(key)
-        if spec is None:
-            spec = self._diagonalize(self._h0_operator(lam))
-            self._h0_store.put(key, spec)
-        return spec
+        return self._cached(lam.tobytes(), lambda: self._h0_operator(lam))
 
     def spectrum_cd_at(self, t: float) -> Spectrum:
         key = (self.protocol.value(t).tobytes(),
                self.protocol.derivative(t).tobytes())
-        spec = self._own_store.get(key)
-        if spec is None:
-            spec = self._diagonalize(self.h_cd_at(t))
-            self._own_store.put(key, spec)
-        return spec
+        return self._cached(key, lambda: self.h_drive_at(t))
 
 
 def two_level_model(protocol: Protocol, field=None) -> ParametrizedModel:

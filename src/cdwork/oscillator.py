@@ -31,7 +31,7 @@ from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import (BandStructureError, ConfigError, InvalidDetuning,
                      NonHermitianInput, SupercriticalDrive, ValidityWarning)
-from .models import ParametrizedModel, SpectrumCache
+from .models import STORE_SIZE, ParametrizedModel
 from .protocols import Protocol, log_ramp, quintic_ramp
 from .spectral import HERMITIAN_TOL, Spectrum, gauge_fix
 
@@ -102,15 +102,12 @@ class HOConfig:
 
 
 class HarmonicOscillator(ParametrizedModel):
-    """Truncated-Fock engine for the ramped oscillator.
-
-    Oscillators that differ only in the ramp duration or shape have the
-    same H0 family and may share ``h0_store``.
-    """
+    """Truncated-Fock engine for the ramped oscillator; ``cache_size``
+    bounds its store of spectra (see ``ParametrizedModel``)."""
 
     truncated = True
 
-    def __init__(self, config: HOConfig, h0_store: SpectrumCache | None = None):
+    def __init__(self, config: HOConfig, cache_size: int = STORE_SIZE):
         # fast ramps are legitimate models (only the closed-form
         # eigensystem needs the subcritical drive), so no drive check here
         config.validate(check_drive=False)
@@ -131,12 +128,7 @@ class HarmonicOscillator(ParametrizedModel):
         self._bands = [np.stack((np.diagonal(a), np.pad(np.diagonal(a, 2),
                                                         (0, 2))))
                        for a in (self._q2, self._p2, self._qp_sym)]
-        super().__init__(config.protocol(), h0_store=h0_store)
-
-    @property
-    def h0_family(self):
-        c = self.config
-        return ("harmonic-oscillator", c.dim, c.mass, c.omega_ref)
+        super().__init__(config.protocol(), cache_size=cache_size)
 
     def _h0_of(self, lam):
         w = lam[0]
@@ -150,18 +142,27 @@ class HarmonicOscillator(ParametrizedModel):
         return p2 / (2.0 * self.config.mass) \
             + 0.5 * self.config.mass * w * w * q2
 
-    def apply_h_cd(self, times, vectors, out):
-        """H_cd(t) @ vectors[b] for each t = times[b], as a band product
-        built from omega(t) and omegadot(t): the real diagonal of H0 and
-        the complex +-2 diagonals of H0 + H1, with no dense matrix."""
+    def h_drive_at(self, t, h1_scale=1.0):
+        """H0 + h1_scale * H1 at t as a band (2, d) for ``fast_eigh``, entry
+        for entry the bits of the dense sum; real for h1_scale = 0."""
+        band = self._h0_operator(self.protocol.value(t))
+        if h1_scale == 0.0:
+            return band
+        scale = -self.omega_dot(t) / (4.0 * self.omega(t))
+        return band + h1_scale * (scale * self._bands[2])
+
+    def apply_h0_h1(self, times, vectors, out0, out1):
+        """H0(t) @ vectors[b] and H1(t) @ vectors[b] for each t = times[b],
+        as band products built from omega(t) and omegadot(t), with no
+        dense matrix."""
         w, wd = np.array([(self.omega(t), self.omega_dot(t)) for t in times]).T
-        band = self._h0_operator(w[:, None])
-        upper = band[:, 1, :-2] + (-wd / (4.0 * w))[:, None] \
-            * self._bands[2][1, :-2]
-        np.multiply(band[:, 0, :, None], vectors, out=out)
-        out[:, :-2] += upper[:, :, None] * vectors[:, 2:]
-        out[:, 2:] += upper.conj()[:, :, None] * vectors[:, :-2]
-        return out
+        h1 = (-wd / (4.0 * w))[:, None, None] * self._bands[2]
+        for band, out in ((self._h0_operator(w[:, None]), out0), (h1, out1)):
+            upper = band[:, 1, :-2, None]
+            np.multiply(band[:, 0, :, None], vectors, out=out)
+            out[:, :-2] += upper * vectors[:, 2:]
+            out[:, 2:] += upper.conj() * vectors[:, :-2]
+        return out0, out1
 
     def _dh0_of(self, lam):
         return [self.config.mass * lam[0] * self._q2]
@@ -197,11 +198,14 @@ class HarmonicOscillator(ParametrizedModel):
         (relative Frobenius norm, as ``assert_hermitian``; the band is
         all of h, so this is the same test at O(d) cost) and LinAlgError
         when LAPACK's stevd fails.  A (2, d) band from ``_h0_operator``
-        (H0 spectra are solved so, with no dense build) is taken as is;
-        a real input gives real eigenvectors.
+        or ``h_drive_at`` (every solve of the package, with no dense
+        build) is taken as is after the non-finite check; a real input
+        gives real eigenvectors.
         """
         d = self.dim
         if np.shape(h) == (2, d):
+            if not np.isfinite(h).all():
+                raise ValueError("fast_eigh input has non-finite band entries")
             diagonal, upper = h[0], h[1, :-2]
         else:
             diagonal, upper = self._checked_band(h)

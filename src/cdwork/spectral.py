@@ -251,21 +251,16 @@ def transitionless_certificate(model, levels, grid, *, include_cd: bool = True,
     ``include_cd=False`` the bare H0 generates the dynamics (the
     discriminating control).  ``h1_scale`` rescales the auxiliary term,
     which exists solely so that verification can demonstrate that a
-    wrong prefactor is caught.
+    wrong prefactor is caught.  The Hamiltonians come from
+    ``model.h_drive_at``, in the form the model's eigensolver takes (a
+    band for the oscillator).
     """
     levels = np.atleast_1d(np.asarray(levels, dtype=int))
     grid = np.asarray(grid, dtype=float)
-    spec0 = model.spectrum0_at(0.0)
-    psi0 = spec0.states[:, levels]
-
-    if include_cd:
-        def h_at(t):
-            return model.h0_at(t) + h1_scale * model.h1_at(t)
-    else:
-        h_at = model.h0_at
-
-    traj = propagate(h_at, psi0, grid, tol=tol,
-                     eigh=getattr(model, "fast_eigh", None))
+    psi0 = model.spectrum0_at(0.0).states[:, levels]
+    scale = h1_scale if include_cd else 0.0
+    traj = propagate(lambda t: model.h_drive_at(t, scale), psi0, grid,
+                     tol=tol, eigh=getattr(model, "fast_eigh", None))
     min_overlap = np.ones(len(levels))
     for i, t in enumerate(grid):
         basis = model.spectrum0_at(t).states[:, levels]

@@ -14,7 +14,9 @@ so the whole work distribution is computable from spectra alone, with
 no time propagation.  Its moments need no spectrum of H_cd at all: by
 completeness sum_m p_{n->m} E_m(t)^k = <n(t)|H_cd^k|n(t)>: the operator
 route, ``fluctuation_series``, takes every moment as a norm of
-H_cd |n(t)> over blocks of grid points.  The transition matrix is the
+H_cd |n(t)> over blocks of grid points, and ``fluctuation_sweep`` takes
+a whole sweep over ramp durations from the same pass, since H1 scales
+as 1/tau at fixed ramp progress.  The transition matrix is the
 independent oracle:
 ``work_moments`` sums p_n p_{n->m} (E_m(t) - eps_n(0))^k over it, and
 ``work_distribution`` builds the merged atoms.
@@ -323,27 +325,32 @@ def _real_dots(a, b):
     return flat.reshape(a.shape[0], -1, 2).sum(axis=-1)
 
 
-def fluctuation_series(model, ensemble, grid) -> dict[str, np.ndarray]:
-    """Work moments and energy fluctuations at every time of a grid.
-    Columns: t, mean_cd, mean_ad, var_cd, var_ad, excess_direct,
-    energy_variance_cd and variance_h0 (see ``EnergyFluctuations``).
+def fluctuation_sweep(model, ensemble, grid, durations) -> list[dict]:
+    """Per duration, the columns of ``fluctuation_series`` but t, from
+    one kernel pass over ``grid``, the model's own time grid.
 
-    One kernel takes BLOCK_POINTS times at once: it gathers the K
-    retained eigenvectors |n(t)> from the H0 spectra, checks their basis
-    leakage, applies H_cd through ``model.apply_h_cd`` and forms the
-    residuals |r_n> = (H_cd - eps_n(t))|n(t)>.  Each fluctuation is a
-    norm with no cancelling difference, sum_n p_n ||(H_cd - c_n)|n(t)>||^2
-    = sum_n p_n (||r_n||^2 + 2 g_n Re<n|r_n> + g_n^2), g_n = eps_n(t) - c_n:
-    c_n = eps_n(t) for the excess, eps_n(0) + mean_cd for var_cd and
-    <H_cd> for energy_variance_cd.
+    Contract: the durations share one ramp shape, lambda_tau(t) =
+    Lambda(t / tau), as every ramp in ``protocols`` does.  Row j of
+    duration tau is then at the progress s_j = grid[j] / model.tau, with
+    the model's H0 and v = model.tau / tau times its H1 = lamdot A(lambda).
+    Per BLOCK_POINTS points the kernel gathers the K retained |n>, checks
+    their basis leakage, applies ``model.apply_h0_h1`` and reduces, with
+    R0 = (H0 - eps_n)|n> and U = H1|n>, Re<n|R0>, Re<n|U>, ||R0||^2,
+    Re<R0|U> and ||U||^2.  For r_n = (H_cd - eps_n)|n> = R0 + v U, every
+    fluctuation is then a norm sum_n p_n ||(H_cd - c_n)|n>||^2 = sum_n p_n
+    (||r_n||^2 + 2 g_n Re<n|r_n> + g_n^2), g_n = eps_n - c_n: c_n = eps_n
+    for the excess, eps_n(0) + mean_cd for var_cd and <H_cd> for
+    energy_variance_cd.
     """
     grid = np.asarray(grid, dtype=float)
     n_keep, p = ensemble.n_levels, ensemble.weights
     e_init = model.spectrum0_at(0.0).energies[:n_keep]
     size = max(min(BLOCK_POINTS, len(grid)), 1)
     states = np.empty((size, model.dim, n_keep), dtype=complex)
-    h_states, scaled = np.empty_like(states), np.empty_like(states)
-    e_now, dots, norms = (np.empty((len(grid), n_keep)) for _ in range(3))
+    h0_states, h1_states, scaled = (np.empty_like(states) for _ in range(3))
+    e_now = np.empty((len(grid), n_keep))
+    # Re<n|R0>, Re<n|U>, ||R0||^2, Re<R0|U>, ||U||^2 per point and level
+    products = np.empty((5, len(grid), n_keep))
     for start in range(0, len(grid), size):
         times = grid[start:start + size]
         rows, b = slice(start, start + len(times)), len(times)
@@ -351,24 +358,43 @@ def fluctuation_series(model, ensemble, grid) -> dict[str, np.ndarray]:
             spec = model.spectrum0_at(t)
             states[i] = spec.states[:, :n_keep]
             e_now[start + i] = spec.energies[:n_keep]
-        _leakage(model, states[:b], times)
-        resid = model.apply_h_cd(times, states[:b], h_states[:b])
-        resid -= np.multiply(states[:b], e_now[rows, None, :], out=scaled[:b])
-        dots[rows] = _real_dots(states[:b], resid)
-        norms[rows] = _real_dots(resid, resid)
+        psi = states[:b]
+        _leakage(model, psi, times)
+        r0, u = model.apply_h0_h1(times, psi, h0_states[:b], h1_states[:b])
+        r0 -= np.multiply(psi, e_now[rows, None, :], out=scaled[:b])
+        products[:, rows] = [_real_dots(x, y) for x, y in (
+            (psi, r0), (psi, u), (r0, r0), (r0, u), (u, u))]
 
-    def spread(centre):
-        gap = e_now - centre
-        return np.sum(p * (norms + 2.0 * gap * dots + gap**2), axis=-1)
-
-    mean_cd = np.sum(p * (e_now + dots - e_init), axis=-1)
     mean_ad, var_ad = _weighted_moments(e_now - e_init, p)
-    return {"t": grid, "mean_cd": mean_cd, "mean_ad": mean_ad,
-            "var_cd": spread(e_init + mean_cd[:, None]), "var_ad": var_ad,
-            "excess_direct": spread(e_now),
-            "energy_variance_cd": spread(
-                np.sum(p * (e_now + dots), axis=-1)[:, None]),
-            "variance_h0": _weighted_moments(e_now, p)[1]}
+    variance_h0 = _weighted_moments(e_now, p)[1]
+    d0, d1, n00, n01, n11 = products
+    out = []
+    for tau in durations:
+        v = model.tau / tau
+        dots, norms = d0 + v * d1, n00 + 2.0 * v * n01 + v * v * n11
+
+        def spread(centre):
+            gap = e_now - centre
+            return np.sum(p * (norms + 2.0 * gap * dots + gap**2), axis=-1)
+
+        mean_cd = np.sum(p * (e_now + dots - e_init), axis=-1)
+        out.append({"mean_cd": mean_cd, "mean_ad": mean_ad,
+                    "var_cd": spread(e_init + mean_cd[:, None]),
+                    "var_ad": var_ad, "excess_direct": spread(e_now),
+                    "energy_variance_cd": spread(
+                        np.sum(p * (e_now + dots), axis=-1)[:, None]),
+                    "variance_h0": variance_h0})
+    return out
+
+
+def fluctuation_series(model, ensemble, grid) -> dict[str, np.ndarray]:
+    """Work moments and energy fluctuations at every time of a grid, the
+    one-duration call (v = 1) of ``fluctuation_sweep``.  Columns: t,
+    mean_cd, mean_ad, var_cd, var_ad, excess_direct, energy_variance_cd
+    and variance_h0 (see ``EnergyFluctuations``)."""
+    grid = np.asarray(grid, dtype=float)
+    return {"t": grid,
+            **fluctuation_sweep(model, ensemble, grid, [model.tau])[0]}
 
 
 def ensemble_energy_variance(model, ensemble, t: float) -> EnergyFluctuations:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from cdwork import HOConfig, HarmonicOscillator, model_ensemble
+from cdwork import HOConfig, HarmonicOscillator, geometry, model_ensemble
 
 settings.register_profile(
     "default", max_examples=20, deadline=None,
@@ -31,3 +31,30 @@ def fig1_ground(fig1_model):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def solve_counter(monkeypatch):
+    """Records the operator (shape, complex or not, bytes) of every
+    oscillator eigensolve and the time of every path-length quadrature
+    node."""
+    solves, nodes = [], []
+    diagonalize = HarmonicOscillator._diagonalize
+    quadrature = geometry.adaptive_simpson_multi
+
+    def counting_diagonalize(self, h):
+        solves.append((np.shape(h), np.iscomplexobj(h),
+                       np.asarray(h).tobytes()))
+        return diagonalize(self, h)
+
+    def counting_quadrature(f, *args, **kwargs):
+        def node(t):
+            nodes.append(t)
+            return f(t)
+        return quadrature(node, *args, **kwargs)
+
+    monkeypatch.setattr(HarmonicOscillator, "_diagonalize",
+                        counting_diagonalize)
+    monkeypatch.setattr(geometry, "adaptive_simpson_multi",
+                        counting_quadrature)
+    return solves, nodes

@@ -351,6 +351,14 @@ class TestSpeedLimit:
         assert report.tau >= report.bound_from_excess
         assert report.bound_from_excess >= report.bound_from_energy
 
+    def test_report_solves_each_point_once(self, solve_counter):
+        # the endpoint densities reuse the grid's spectra
+        solves, nodes = solve_counter
+        model = HarmonicOscillator(HOConfig(1.0, 3.0, 0.8, dim=120))
+        speed_limit_report(model, model_ensemble(model, 1.0),
+                           grid_points=201)
+        assert len(set(solves)) == len(solves) <= 201 + len(nodes)
+
     def test_constant_protocol_passes_with_zero_bounds(self):
         # ell = 0 exactly, while the endpoint Bures length is arccos
         # rounding near F = 1 (~1e-8), above the chain tolerance

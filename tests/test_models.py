@@ -31,17 +31,6 @@ class TestSpectrumCache:
         with pytest.raises(ValueError):
             SpectrumCache(0)
 
-    def test_keeps_one_family(self):
-        store = SpectrumCache(8)
-        HarmonicOscillator(HOConfig(1.0, 3.0, 0.8, dim=40), h0_store=store)
-        HarmonicOscillator(HOConfig(1.0, 3.0, 1.6, dim=40), h0_store=store)
-        with pytest.raises(ValueError, match="harmonic-oscillator"):
-            HarmonicOscillator(HOConfig(1.0, 3.0, 0.8, dim=60), h0_store=store)
-        with pytest.raises(ValueError):
-            ParametrizedModel(quintic_ramp([0.0], [1.0], 1.0),
-                              h0_of=lambda lam: lam[0] * np.eye(2),
-                              h0_store=store)
-
 
 def test_private_store_bounds_both_kinds():
     sz = np.diag([1.0, -1.0]).astype(complex)
@@ -54,56 +43,29 @@ def test_private_store_bounds_both_kinds():
         model.spectrum0_at(t)
         model.spectrum_cd_at(t)
     # the last two points of each kind, and nothing else
-    assert len(model._h0_store) == 4
+    assert len(model._store) == 4
     h0_last = model.spectrum0_at(0.6)
     assert model.spectrum_cd_at(0.6) is not h0_last
     assert_same_spectrum(model.spectrum_cd_at(0.6),
                          model._diagonalize(model.h_cd_at(0.6)))
 
 
-class TestSharedH0Store:
-    def test_spectra_bit_identical_to_fresh_model(self):
-        store = SpectrumCache(200)
-        grid_points = 41
-        for tau in (0.4, 0.8, 1.2):
-            shared = HarmonicOscillator(HOConfig(1.0, 3.0, tau, dim=60),
-                                        h0_store=store)
-            fresh = HarmonicOscillator(HOConfig(1.0, 3.0, tau, dim=60))
-            for t in np.linspace(0.0, tau, grid_points):
-                assert_same_spectrum(shared.spectrum0_at(t),
-                                     fresh.spectrum0_at(t))
-                assert_same_spectrum(shared.spectrum_cd_at(t),
-                                     fresh.spectrum_cd_at(t))
+def test_default_store_is_private():
+    a = HarmonicOscillator(HOConfig(1.0, 3.0, 0.8, dim=40))
+    b = HarmonicOscillator(HOConfig(1.0, 3.0, 0.8, dim=40))
+    a.spectrum0_at(0.3)
+    assert a.spectrum0_at(0.3) is not b.spectrum0_at(0.3)
 
-    def test_durations_reuse_frequency_points(self):
-        store = SpectrumCache(100)
-        solves = []
-        for tau in (0.5, 1.0):
-            model = HarmonicOscillator(HOConfig(1.0, 3.0, tau, dim=40),
-                                       h0_store=store)
-            before = len(store)
-            for t in np.linspace(0.0, tau, 21):
-                model.spectrum0_at(t)
-            solves.append(len(store) - before)
-        # the endpoints and the midpoint are exact in both grids
-        assert solves[0] == 21
-        assert solves[1] < 21
 
-    def test_store_stays_within_bound(self):
-        store = SpectrumCache(25)
-        for tau in (0.5, 0.7, 0.9):
-            model = HarmonicOscillator(HOConfig(1.0, 3.0, tau, dim=40),
-                                       h0_store=store)
-            for t in np.linspace(0.0, tau, 31):
-                model.spectrum0_at(t)
-                assert len(store) <= 25
-        assert len(store) == 25
-
-    def test_default_store_is_private(self):
-        a = HarmonicOscillator(HOConfig(1.0, 3.0, 0.8, dim=40))
-        b = HarmonicOscillator(HOConfig(1.0, 3.0, 0.8, dim=40))
-        a.spectrum0_at(0.3)
-        assert a.spectrum0_at(0.3) is not b.spectrum0_at(0.3)
+def test_store_holds_cache_size_spectra():
+    model = HarmonicOscillator(HOConfig(1.0, 3.0, 0.8, dim=40), cache_size=25)
+    for t in np.linspace(0.0, 0.8, 31):
+        model.spectrum0_at(t)
+        assert len(model._store) <= 25
+    assert len(model._store) == 25
+    # the 25 latest points are held, the earlier ones were evicted
+    assert model._store.get(model.protocol.value(0.8).tobytes()) is not None
+    assert model._store.get(model.protocol.value(0.0).tobytes()) is None
 
 
 def test_finished_model_freed_without_cyclic_gc():

@@ -122,6 +122,17 @@ class TestFastEigh:
         with pytest.raises(ValueError, match="non-finite"):
             fig1_model.fast_eigh(h)
 
+    @pytest.mark.parametrize("h1_scale", [0.0, 1.0])
+    @pytest.mark.parametrize("entry", [(0, 4), (1, 5)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_band_input(self, fig1_model, h1_scale, entry,
+                                           bad):
+        # (2, d) bands skip the dense checks, not the finiteness one
+        band = fig1_model.h_drive_at(0.37, h1_scale)
+        band[entry] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            fig1_model.fast_eigh(band)
+
     def test_rejects_asymmetric_band(self, fig1_model):
         # the solver reads only the +2 diagonal; the -2 one must mirror it
         h = fig1_model.h_cd_at(0.37).copy()
@@ -163,6 +174,20 @@ class TestFastEigh:
         assert band[1].dtype == np.float64
 
 
+def _assert_band_products(model, times, vectors):
+    out0, out1 = model.apply_h0_h1(times, vectors, np.empty_like(vectors),
+                                   np.empty_like(vectors))
+    for b, t in enumerate(times):
+        expected = model.h_cd_at(t) @ vectors[b]
+        assert np.abs(out0[b] + out1[b] - expected).max() \
+            <= 1e-13 * np.abs(expected).max()
+        # each term on its own; H1 vanishes exactly where omegadot does
+        for got, matrix in ((out0[b], model.h0_at(t)),
+                            (out1[b], model.h1_at(t))):
+            want = matrix @ vectors[b]
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 class TestBandProduct:
     @pytest.mark.parametrize("times", [[0.0, 0.8], [0.13, 0.4, 0.71],
                                        [0.0, 0.37, 0.8]])
@@ -170,22 +195,14 @@ class TestBandProduct:
         # both endpoints have omegadot = 0, where H1 vanishes
         vectors = (rng.standard_normal((len(times), fig1_model.dim, 7))
                    + 1j * rng.standard_normal((len(times), fig1_model.dim, 7)))
-        out = fig1_model.apply_h_cd(times, vectors, np.empty_like(vectors))
-        for b, t in enumerate(times):
-            expected = fig1_model.h_cd_at(t) @ vectors[b]
-            assert np.abs(out[b] - expected).max() \
-                <= 1e-13 * np.abs(expected).max()
+        _assert_band_products(fig1_model, times, vectors)
 
     def test_eigenvector_block(self, fig1_model, fig1_ensemble):
         times = np.linspace(0.0, 0.8, 5)
         k = fig1_ensemble.n_levels
         vectors = np.stack([fig1_model.spectrum0_at(t).states[:, :k]
                             for t in times]).astype(complex)
-        out = fig1_model.apply_h_cd(times, vectors, np.empty_like(vectors))
-        for b, t in enumerate(times):
-            expected = fig1_model.h_cd_at(t) @ vectors[b]
-            assert np.abs(out[b] - expected).max() \
-                <= 1e-13 * np.abs(expected).max()
+        _assert_band_products(fig1_model, times, vectors)
 
 
 class TestClosedFormEigensystem:

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from cdwork import (DegenerateGaugeWarning, DegeneracyError, HOConfig,
-                    HarmonicOscillator, NonHermitianInput, StepNotConverged,
+                    HarmonicOscillator, NonHermitianInput, ParametrizedModel,
+                    StepNotConverged,
                     assert_hermitian, cd_auxiliary, cd_coupling, propagate,
                     quintic_ramp, spectrum, transitionless_certificate,
                     two_level_model)
@@ -274,3 +275,28 @@ class TestCertificate:
         cert = transitionless_certificate(fig1_model, np.arange(9), grid,
                                           h1_scale=h1_scale, tol=3e-7)
         assert not cert.passed
+
+
+class TestBandCertificate:
+    """The certificate propagates the oscillator's band Hamiltonians; the
+    dense H0 + h1_scale H1 of the generic model is the reference."""
+
+    @pytest.mark.parametrize("h1_scale, levels", [(1.0, np.arange(9)),
+                                                  (0.0, [0])])
+    def test_states_bit_equal_to_dense_at_verify_point(self, fig1_model,
+                                                       h1_scale, levels):
+        grid = np.linspace(0.0, fig1_model.tau, 81)
+        psi0 = fig1_model.spectrum0_at(0.0).states[:, levels]
+
+        def dense(t):
+            return ParametrizedModel.h_drive_at(fig1_model, t, h1_scale)
+
+        def band(t):
+            return fig1_model.h_drive_at(t, h1_scale)
+
+        assert np.shape(band(0.3)) == (2, fig1_model.dim)
+        assert np.iscomplexobj(band(0.3)) == bool(h1_scale)
+        runs = [propagate(h_at, psi0, grid, tol=3e-7,
+                          eigh=fig1_model.fast_eigh) for h_at in (dense, band)]
+        assert runs[0].substeps == runs[1].substeps
+        assert np.array_equal(runs[0].states, runs[1].states)

@@ -9,7 +9,8 @@ from cdwork import (HOConfig, HarmonicOscillator, ParametrizedModel,
                     TruncationError, bound_chain, bures_length,
                     ensemble_energy_variance, evolved_density,
                     excess_variance_direct, excess_variance_geometric,
-                    fluctuation_series, identity_check_rowsum, mean_work,
+                    fluctuation_series, fluctuation_sweep,
+                    identity_check_rowsum, mean_work,
                     model_ensemble, path_lengths, quintic_ramp,
                     thermal_ensemble, transition_matrix, two_level_model,
                     variance_work, work_distribution, work_moments)
@@ -306,6 +307,56 @@ class TestOperatorRoute:
                                                   grid[i])
             assert direct >= 0.0
             assert abs(direct - geometric) <= 1e-16
+
+
+class TestDurationSweep:
+    """fluctuation_sweep takes every duration of one ramp shape from the
+    model's grid; each duration's own model is the oracle."""
+
+    @pytest.mark.parametrize("kind", ["quintic", "log"])
+    @pytest.mark.parametrize("beta", [1.0, math.inf])
+    def test_matches_own_duration_models(self, kind, beta):
+        model = HarmonicOscillator(HOConfig(1.0, 3.0, 0.8, ramp_kind=kind))
+        ensemble = model_ensemble(model, beta)
+        durations = [0.4, 0.8, 1.2, 2.0, 3.0]
+        points = 81
+        sweep = fluctuation_sweep(model, ensemble,
+                                  np.linspace(0.0, 0.8, points), durations)
+        assert len(sweep) == len(durations)
+        for tau, columns in zip(durations, sweep):
+            own = HarmonicOscillator(HOConfig(1.0, 3.0, tau, ramp_kind=kind))
+            oracle = fluctuation_series(own, model_ensemble(own, beta),
+                                        np.linspace(0.0, tau, points))
+            assert set(columns) == set(oracle) - {"t"}
+            for key, column in columns.items():
+                if tau == 0.8:
+                    assert np.array_equal(column, oracle[key]), key
+                scale = np.abs(oracle[key]).max()
+                assert np.abs(column - oracle[key]).max() <= 1e-12 * scale, \
+                    (tau, key)
+
+    @pytest.mark.parametrize("h1", [None, np.array([[0.3, 0.2j],
+                                                    [-0.2j, -0.1]])])
+    def test_generic_model_follows_the_speed(self, h1):
+        # the spectrum-built H1 of the dense default is linear in lamdot;
+        # a term with a diagonal (Re<n|H1|n> != 0) is scaled by hand
+        def model_at(tau):
+            model = two_level_model(quintic_ramp([0.3], [1.7], tau))
+            if h1 is None:
+                return model
+            return ParametrizedModel(model.protocol, model._h0_of,
+                                     model._dh0_of, lambda t: h1 / tau)
+
+        model = model_at(1.0)
+        ensemble = model_ensemble(model, 2.0)
+        sweep = fluctuation_sweep(model, ensemble, np.linspace(0.0, 1.0, 23),
+                                  [0.5, 2.0])
+        for tau, columns in zip((0.5, 2.0), sweep):
+            own = model_at(tau)
+            oracle = fluctuation_series(own, model_ensemble(own, 2.0),
+                                        np.linspace(0.0, tau, 23))
+            for key, column in columns.items():
+                assert column == pytest.approx(oracle[key], abs=1e-13), key
 
 
 class TestExcessVariance:
