@@ -199,8 +199,10 @@ def path_lengths(model, ensemble, *,
 
 # -- mixed-state fidelity ------------------------------------------------
 
-def _check_state(rho: np.ndarray, atol: float = 1e-10) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
+def _state_sqrt(rho: np.ndarray, atol: float = 1e-10) -> np.ndarray:
+    """sqrt(rho), checked to be a state; a real rho stays real."""
+    rho = np.asarray(rho)
+    rho = rho.astype(np.result_type(rho, 1.0), copy=False)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise NotAState("density matrix must be square")
     if np.linalg.norm(rho - rho.conj().T) > atol * max(1.0, np.linalg.norm(rho)):
@@ -208,14 +210,9 @@ def _check_state(rho: np.ndarray, atol: float = 1e-10) -> np.ndarray:
     tr = np.trace(rho).real
     if abs(tr - 1.0) > atol:
         raise NotAState(f"trace {tr!r} deviates from one")
-    evals = np.linalg.eigvalsh(rho)
-    if evals.min() < -atol:
-        raise NotAState(f"negative eigenvalue {evals.min():.3g}")
-    return rho
-
-
-def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
     e, v = np.linalg.eigh(rho)
+    if e.min() < -atol:
+        raise NotAState(f"negative eigenvalue {e.min():.3g}")
     return (v * np.sqrt(np.clip(e, 0.0, None))) @ v.conj().T
 
 
@@ -226,9 +223,7 @@ def bures_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     is the same quantity but symmetric in the arguments by construction
     and well conditioned when either state is near singular.
     """
-    rho = _check_state(rho)
-    sigma = _check_state(sigma)
-    singulars = np.linalg.svd(_psd_sqrt(rho) @ _psd_sqrt(sigma),
+    singulars = np.linalg.svd(_state_sqrt(rho) @ _state_sqrt(sigma),
                               compute_uv=False)
     return min(float(singulars.sum() ** 2), 1.0)
 

@@ -57,12 +57,14 @@ def ground_energy(lam: float, n_sites: int) -> float:
     return float(-mode_energy(lam, momenta(n_sites)).sum())
 
 
-def ground_metric(lam: float, n_sites: int) -> float:
+def ground_metric(lam, n_sites: int) -> np.ndarray | float:
     """Fidelity-susceptibility metric of the ground state,
-    sum_{k>0} sin^2 k / (4 (lam^2 - 2 lam cos k + 1)^2)."""
+    sum_{k>0} sin^2 k / (4 (lam^2 - 2 lam cos k + 1)^2), at each point
+    of ``lam`` (a float for a scalar)."""
     k = momenta(n_sites)
-    d = _gap_form(lam, k)
-    return float((np.sin(k) ** 2 / (4.0 * d * d)).sum())
+    d = _gap_form(np.asarray(lam, dtype=float)[..., None], k)
+    out = (np.sin(k) ** 2 / (4.0 * d * d)).sum(axis=-1)
+    return out if out.ndim else float(out)
 
 
 def bogoliubov_angle(lam: float, k) -> np.ndarray:
@@ -114,7 +116,7 @@ def cd_excess_trajectory(config: IsingConfig, grid) -> ExcessTrajectory:
     grid = np.asarray(grid, dtype=float)
     lam = np.array([proto.value(t)[0] for t in grid])
     lam_dot = np.array([proto.derivative(t)[0] for t in grid])
-    g = np.array([ground_metric(x, config.n_sites) for x in lam])
+    g = ground_metric(lam, config.n_sites)
     excess = g * lam_dot**2
     return ExcessTrajectory(grid, lam, lam_dot, excess, np.sqrt(excess))
 

@@ -23,7 +23,7 @@ from collections import OrderedDict
 import numpy as np
 
 from .protocols import Protocol
-from .spectral import Spectrum, cd_coupling, spectrum
+from .spectral import Spectrum, cd_coupling, dense_evolve, spectrum
 
 
 # default spectra per model: the 201-point grid of verify's bound chain
@@ -132,6 +132,10 @@ class ParametrizedModel:
         if h1_scale == 0.0:
             return self.h0_at(t)
         return self.h0_at(t) + h1_scale * self.h1_at(t)
+
+    def evolve(self, h, dt: float, psi):
+        """exp(-i dt h) psi for an ``h_drive_at`` form h (dense here)."""
+        return dense_evolve(h, dt, psi)
 
     def apply_h0_h1(self, times, vectors, out0, out1):
         """out0[b] = H0(t) @ vectors[b] and out1[b] = H1(t) @ vectors[b]

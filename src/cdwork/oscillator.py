@@ -202,17 +202,44 @@ class HarmonicOscillator(ParametrizedModel):
         build) is taken as is after the non-finite check; a real input
         gives real eigenvectors.
         """
-        d = self.dim
-        if np.shape(h) == (2, d):
+        (vals0, vecs0, ph0), (vals1, vecs1, ph1) = \
+            self._sector_spectra(h, (0, 1))
+        vectors = np.zeros((self.dim, self.dim), dtype=ph0.dtype)
+        vectors[0::2, :len(vals0)] = vecs0 * ph0[:, None]
+        vectors[1::2, len(vals0):] = vecs1 * ph1[:, None]
+        return np.concatenate((vals0, vals1)), vectors
+
+    def evolve(self, h, dt, psi):
+        """exp(-i dt h) psi (psi of shape (d,) or (d, K)) for h as
+        ``fast_eigh`` takes it, by real GEMMs on each parity sector's
+        rows; a sector where psi is exactly zero stays zero, unsolved."""
+        psi = np.ascontiguousarray(psi, dtype=complex)
+        out = np.zeros_like(psi)
+        live = [parity for parity in (0, 1) if psi[parity::2].any()]
+        for parity, (vals, vecs, phases) in zip(
+                live, self._sector_spectra(h, live)):
+            # the sector of h is P V diag(vals) V^T P^*, P = diag(phases);
+            # a complex block viewed as floats interleaves re and im
+            rows = psi[parity::2].reshape(len(vals), -1) \
+                * phases.conj()[:, None]
+            rows = (vecs.T @ rows.view(float)).view(complex)
+            rows *= np.exp(-1j * dt * vals)[:, None]
+            rows = (vecs @ rows.view(float)).view(complex) * phases[:, None]
+            out[parity::2] = rows.reshape(out[parity::2].shape)
+        return out
+
+    def _sector_spectra(self, h, parities):
+        """(vals, vecs, phases) per requested parity sector of h (checked
+        as ``fast_eigh`` documents): its block is P vecs diag(vals)
+        vecs^T P^*, P = diag(phases), with vecs real from stevd."""
+        if np.shape(h) == (2, self.dim):
             if not np.isfinite(h).all():
-                raise ValueError("fast_eigh input has non-finite band entries")
+                raise ValueError("band input has non-finite entries")
             diagonal, upper = h[0], h[1, :-2]
         else:
             diagonal, upper = self._checked_band(h)
-        energies = np.empty(d)
-        vectors = np.zeros((d, d), dtype=np.result_type(upper, 1.0))
-        col = 0
-        for parity in (0, 1):
+        sectors = []
+        for parity in parities:
             # the sector's levels are parity, parity + 2, ...
             diag = diagonal[parity::2].real
             off = upper[parity::2]
@@ -226,36 +253,31 @@ class HarmonicOscillator(ParametrizedModel):
             vals, vecs, info = _STEVD(diag, mags)
             if info:
                 raise LinAlgError(f"LAPACK stevd failed with info={info}")
-            block = vecs * phases[:, None]
-            size = len(vals)
-            energies[col:col + size] = vals
-            vectors[parity::2, col:col + size] = block
-            col += size
-        return energies, vectors
+            sectors.append((vals, vecs, phases))
+        return sectors
 
     def _checked_band(self, h):
         d = self.dim
         if np.shape(h) != (d, d):
             raise BandStructureError(
-                f"fast_eigh expects a {d}x{d} matrix, got shape {np.shape(h)}")
+                f"expected a {d}x{d} matrix, got shape {np.shape(h)}")
         stray = np.count_nonzero(h) - sum(
             np.count_nonzero(np.diagonal(h, k)) for k in (-2, 0, 2))
         if stray:
             raise BandStructureError(
-                f"fast_eigh handles matrices that couple only levels two "
+                f"the solver handles matrices that couple only levels two "
                 f"apart; the input has {stray} nonzero entries outside that "
                 f"band")
         diagonal, upper, lower = (np.diagonal(h, k) for k in (0, 2, -2))
         band = np.concatenate((diagonal, upper, lower))
         if not np.isfinite(band).all():
-            raise ValueError("fast_eigh input has non-finite entries on its "
-                             "band")
+            raise ValueError("input has non-finite entries on its band")
         dev = math.hypot(2.0 * np.linalg.norm(diagonal.imag),
                          math.sqrt(2.0) * np.linalg.norm(upper - lower.conj()))
         scale = np.linalg.norm(band)
         if dev > HERMITIAN_TOL * max(scale, 1e-300):
             raise NonHermitianInput(
-                f"fast_eigh input deviates from Hermiticity by {dev:.3g} "
+                f"input deviates from Hermiticity by {dev:.3g} "
                 f"(scale {scale:.3g})")
         return diagonal, upper
 

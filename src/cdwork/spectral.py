@@ -6,9 +6,10 @@ Internal units: hbar = 1.
 Propagation uses the fourth-order commutator-free exponential integrator
 with two exponentials at the Gauss points (CF4:2; Blanes, Casas, Oteo &
 Ros, Phys. Rep. 470, 151 (2009); Alvermann & Fehske, J. Comput. Phys.
-230, 5930 (2011)).  Each exponential is applied through the spectrum of
-a real linear combination of the two Gauss-point Hamiltonians, so every
-step is exactly unitary and keeps any band structure of the family.
+230, 5930 (2011)).  Each exponential, of a real linear combination h of
+the two Gauss-point Hamiltonians, is applied by an ``evolve(h, dt, psi)``
+hook through the spectrum of h, so every step is exactly unitary and the
+hook can use any band structure of the family.
 
 The auxiliary term is assembled from the gauge-invariant matrix-element
 form
@@ -144,43 +145,50 @@ _CF4_A2 = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
 _HALVING_FACTOR = 15.0 / 16.0
 
 
-def _step_block(h_at, psi, t0, t1, substeps, eigh):
+def dense_evolve(h, dt: float, psi):
+    """exp(-i dt h) psi for a dense Hermitian h, through the spectrum
+    of h (one ``numpy.linalg.eigh``); psi has shape (d,) or (d, K)."""
+    e, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * e * dt)) @ (v.conj().T @ psi)
+
+
+def _step_block(h_at, psi, t0, t1, substeps, evolve):
     h = (t1 - t0) / substeps
     for j in range(substeps):
         t = t0 + j * h
         ha = h_at(t + _CF4_NODES[0] * h)
         hb = h_at(t + _CF4_NODES[1] * h)
         for wa, wb in ((_CF4_A2, _CF4_A1), (_CF4_A1, _CF4_A2)):
-            e, v = eigh(wa * ha + wb * hb)
-            psi = (v * np.exp(-1j * e * h)) @ (v.conj().T @ psi)
+            psi = evolve(wa * ha + wb * hb, h, psi)
     return psi
 
 
-def _run_grid(h_at, psi0, grid, substeps, eigh):
+def _run_grid(h_at, psi0, grid, substeps, evolve):
     states = np.empty((len(grid),) + psi0.shape, dtype=complex)
     states[0] = psi0
     psi = psi0
     for k in range(len(grid) - 1):
-        psi = _step_block(h_at, psi, grid[k], grid[k + 1], substeps, eigh)
+        psi = _step_block(h_at, psi, grid[k], grid[k + 1], substeps, evolve)
         states[k + 1] = psi
     return states
 
 
 def propagate(h_at, psi0, grid, *, tol: float = 1e-8,
-              max_refinements: int = 8, eigh=None) -> StateTrajectory:
+              max_refinements: int = 8, evolve=None) -> StateTrajectory:
     """Propagate a state (or a block of column states) through the grid.
 
     One substep is one CF4:2 step (see the module docstring): it
     evaluates the Hamiltonian at the two Gauss points of the step and
-    applies two exact exponentials, each through one eigensolve, so
-    every step is exactly unitary.  The substep count per grid interval
-    is refined until halving it changes the final state by less than
-    ``tol``.  A probe pair (1 and 2 substeps) fixes the constant of the
-    fourth-order error model ``c / r^4``, from which the required count
-    is predicted directly instead of doubling all the way up.
+    applies two exact exponentials, so every step is exactly unitary.
+    The substep count per grid interval is refined until halving it
+    changes the final state by less than ``tol``.  A probe pair (1 and
+    2 substeps) fixes the constant of the fourth-order error model
+    ``c / r^4``, from which the required count is predicted directly
+    instead of doubling all the way up.
 
-    ``eigh`` may supply a structure-aware eigensolver (same contract as
-    numpy.linalg.eigh; eigenvalue order is irrelevant here).
+    ``evolve(h, dt, psi)`` returns exp(-i dt h) psi for h a real linear
+    combination of ``h_at`` values and psi of shape (d,) or (d, K); the
+    default is ``dense_evolve``, a model's is ``model.evolve``.
     """
     grid = np.asarray(grid, dtype=float)
     if grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
@@ -189,15 +197,15 @@ def propagate(h_at, psi0, grid, *, tol: float = 1e-8,
     norms = np.linalg.norm(psi0, axis=0)
     if np.abs(norms - 1.0).max() > 1e-10:
         raise ValueError("initial state must be normalized")
-    if eigh is None:
-        eigh = np.linalg.eigh
+    if evolve is None:
+        evolve = dense_evolve
 
     def state_diff(a, b):
         # halving contract applies to each propagated state separately
         return float(np.linalg.norm(a - b, axis=0).max())
 
-    final_coarse = _run_grid(h_at, psi0, grid, 1, eigh)[-1]
-    states = _run_grid(h_at, psi0, grid, 2, eigh)
+    final_coarse = _run_grid(h_at, psi0, grid, 1, evolve)[-1]
+    states = _run_grid(h_at, psi0, grid, 2, evolve)
     diff = state_diff(states[-1], final_coarse)
     substeps = 2
     if diff < tol:
@@ -211,8 +219,8 @@ def propagate(h_at, psi0, grid, *, tol: float = 1e-8,
         # cap the jump so max_refinements bounds the total work even
         # when the tolerance is unreachable
         target = int(np.clip(predicted, substeps + 1, 64 * substeps))
-        final_ref = _run_grid(h_at, psi0, grid, target, eigh)[-1]
-        states = _run_grid(h_at, psi0, grid, 2 * target, eigh)
+        final_ref = _run_grid(h_at, psi0, grid, target, evolve)[-1]
+        states = _run_grid(h_at, psi0, grid, 2 * target, evolve)
         diff = state_diff(states[-1], final_ref)
         substeps = 2 * target
         if diff < tol:
@@ -252,15 +260,15 @@ def transitionless_certificate(model, levels, grid, *, include_cd: bool = True,
     discriminating control).  ``h1_scale`` rescales the auxiliary term,
     which exists solely so that verification can demonstrate that a
     wrong prefactor is caught.  The Hamiltonians come from
-    ``model.h_drive_at``, in the form the model's eigensolver takes (a
-    band for the oscillator).
+    ``model.h_drive_at`` and are exponentiated by ``model.evolve`` (for
+    the oscillator: bands, one parity sector at a time).
     """
     levels = np.atleast_1d(np.asarray(levels, dtype=int))
     grid = np.asarray(grid, dtype=float)
     psi0 = model.spectrum0_at(0.0).states[:, levels]
     scale = h1_scale if include_cd else 0.0
     traj = propagate(lambda t: model.h_drive_at(t, scale), psi0, grid,
-                     tol=tol, eigh=getattr(model, "fast_eigh", None))
+                     tol=tol, evolve=model.evolve)
     min_overlap = np.ones(len(levels))
     for i, t in enumerate(grid):
         basis = model.spectrum0_at(t).states[:, levels]

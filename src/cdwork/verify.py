@@ -351,7 +351,7 @@ def _check_ising_protocol_independence():
         grid = np.linspace(0.0, tau, 2001)
         lam = np.array([proto.value(t)[0] for t in grid])
         lamdot = np.array([proto.derivative(t)[0] for t in grid])
-        g = np.array([ising.ground_metric(x, n) for x in lam])
+        g = ising.ground_metric(lam, n)
         val = float(simpson(np.sqrt(g) * np.abs(lamdot), x=grid))
         worst = max(worst, abs(val - ref) / ref)
     return CheckResult("ising-protocol-independence", worst <= 1e-6,

@@ -1,4 +1,6 @@
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,16 @@ settings.register_profile(
     "default", max_examples=20, deadline=None,
     suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile("default")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def child_pythonpath():
+    """Child interpreters (the ``python -m cdwork.cli`` test) import
+    cdwork from src, as pytest's ``pythonpath`` setting lets this one."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", src, prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -305,6 +305,15 @@ class TestBures:
         f = bures_fidelity(np.outer(psi, psi.conj()), np.outer(phi, phi.conj()))
         assert f == pytest.approx(abs(np.vdot(psi, phi)) ** 2, abs=1e-12)
 
+    @pytest.mark.parametrize("dim, rank", [(7, 7), (100, 100), (100, 3)])
+    def test_real_input_matches_complex(self, rng, dim, rank):
+        # real densities are decomposed in real arithmetic
+        rho, sig = (a @ a.T for a in rng.standard_normal((2, dim, rank)))
+        rho, sig = rho / np.trace(rho), sig / np.trace(sig)
+        f = bures_fidelity(rho, sig)
+        assert abs(f - bures_fidelity(rho.astype(complex),
+                                      sig.astype(complex))) < 1e-14
+
     def test_rejects_non_states(self, rng):
         with pytest.raises(NotAState):
             bures_fidelity(2.0 * np.eye(3), np.eye(3) / 3.0)

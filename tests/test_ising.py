@@ -10,6 +10,7 @@ from cdwork.ising import (CriticalScaling, IsingConfig, cd_excess_trajectory,
                           exact_ground_state, ground_energy, ground_metric,
                           ground_state_overlap, mode_energy, momenta,
                           scaling_fit, sweep_cost_integral)
+from cdwork.ising import _gap_form
 
 
 def dense_metric(lam, n_sites):
@@ -83,6 +84,25 @@ class TestExactDiagonalizationOracle:
         _, va = exact_ground_state(1.4, n)
         _, vb = exact_ground_state(2.2, n)
         assert abs(abs(va @ vb) - ground_state_overlap(1.4, 2.2, n)) < 1e-10
+
+
+class TestMetricSweep:
+    @pytest.mark.parametrize("n", [64, 1024, 4096])
+    def test_equals_scalar_calls(self, n):
+        proto = quintic_ramp([2.0], [0.0], 1.3)
+        lam = np.concatenate((np.linspace(0.0, 2.0, 2001), [
+            proto.value(t)[0] for t in np.linspace(0.0, 1.3, 2001)]))
+        g = ground_metric(lam, n)
+        assert np.array_equal(g, [ground_metric(x, n) for x in lam])
+        assert isinstance(ground_metric(lam[7], n), float)
+        # the per-point formula with lam a Python float, whose square
+        # (lam - 1)^2 goes through pow and may round one ulp apart
+        k = momenta(n)
+        loop = []
+        for x in lam:
+            d = _gap_form(float(x), k)
+            loop.append(float((np.sin(k) ** 2 / (4.0 * d * d)).sum()))
+        np.testing.assert_allclose(g, loop, rtol=1e-15, atol=0.0)
 
 
 class TestCriticalIdentity:

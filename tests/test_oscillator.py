@@ -6,11 +6,13 @@ from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 
 from cdwork import (BandStructureError, ConfigError, HOConfig, HarmonicOscillator, InvalidDetuning,
-                    NonHermitianInput, SupercriticalDrive, ValidityWarning,
-                    cd_exact_eigensystem, ho_metric, ion_waveforms,
-                    model_ensemble, path_lengths, qgt, ramp, variance_work,
-                    work_distribution)
+                    NonHermitianInput, ParametrizedModel, SupercriticalDrive,
+                    ValidityWarning, cd_exact_eigensystem, ho_metric,
+                    ion_waveforms, model_ensemble, path_lengths, qgt, ramp,
+                    variance_work, work_distribution)
+from cdwork import oscillator
 from cdwork.oscillator import IonConfig
+from cdwork.spectral import dense_evolve
 
 
 class TestRamp:
@@ -172,6 +174,76 @@ class TestFastEigh:
             assert np.array_equal(a, b)
         # a real band needs only signs: its eigenvectors stay real
         assert band[1].dtype == np.float64
+
+
+def _random_state(rng, dim, columns=None, odd=True):
+    shape = (dim,) if columns is None else (dim, columns)
+    psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if not odd:
+        psi[1::2] = 0.0
+    return psi / np.linalg.norm(psi, axis=0)
+
+
+class TestSectorEvolve:
+    """``evolve`` exponentiates one parity sector at a time; the dense
+    default of the generic model is the reference."""
+
+    @staticmethod
+    def _operators(model, h1_scale):
+        return (model.h_drive_at(0.37, h1_scale),
+                ParametrizedModel.h_drive_at(model, 0.37, h1_scale))
+
+    @pytest.mark.parametrize("dt", [0.005, 0.3])
+    @pytest.mark.parametrize("columns", [None, 9])
+    @pytest.mark.parametrize("h1_scale", [0.0, 1.0])
+    def test_matches_dense_default(self, fig1_model, rng, h1_scale, columns,
+                                   dt):
+        band, dense = self._operators(fig1_model, h1_scale)
+        assert np.iscomplexobj(band) == bool(h1_scale)
+        psi = _random_state(rng, fig1_model.dim, columns)
+        out = fig1_model.evolve(band, dt, psi)
+        assert out.shape == psi.shape
+        assert np.abs(out - dense_evolve(dense, dt, psi)).max() < 1e-13
+        # a column slice of a spectrum is Fortran-ordered
+        assert np.array_equal(
+            fig1_model.evolve(band, dt, np.asfortranarray(psi)), out)
+
+    @pytest.mark.parametrize("columns", [None, 3])
+    def test_empty_sector_stays_zero_and_is_not_solved(self, fig1_model, rng,
+                                                       monkeypatch, columns):
+        solves = []
+        stevd = oscillator._STEVD
+
+        def counting_stevd(*args):
+            solves.append(1)
+            return stevd(*args)
+
+        monkeypatch.setattr(oscillator, "_STEVD", counting_stevd)
+        band, dense = self._operators(fig1_model, 1.0)
+        psi = _random_state(rng, fig1_model.dim, columns, odd=False)
+        out = fig1_model.evolve(band, 0.3, psi)
+        assert len(solves) == 1
+        assert not out[1::2].any()
+        assert np.abs(out - dense_evolve(dense, 0.3, psi)).max() < 1e-13
+
+    @pytest.mark.parametrize("h1_scale", [0.0, 1.0])
+    @pytest.mark.parametrize("entry", [(0, 5), (1, 6)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_band(self, fig1_model, rng, h1_scale, entry,
+                                     bad):
+        # (0, 5) sits in the odd sector, which an even state leaves unsolved
+        band, _ = self._operators(fig1_model, h1_scale)
+        band[entry] = bad
+        psi = _random_state(rng, fig1_model.dim, odd=False)
+        with pytest.raises(ValueError, match="non-finite"):
+            fig1_model.evolve(band, 0.3, psi)
+
+    @pytest.mark.parametrize("h1_scale", [0.0, 1.0])
+    def test_dense_input_same_bits_as_band(self, fig1_model, rng, h1_scale):
+        band, dense = self._operators(fig1_model, h1_scale)
+        psi = _random_state(rng, fig1_model.dim, 9)
+        assert np.array_equal(fig1_model.evolve(dense, 0.3, psi),
+                              fig1_model.evolve(band, 0.3, psi))
 
 
 def _assert_band_products(model, times, vectors):

@@ -12,7 +12,7 @@ from cdwork import (DegenerateGaugeWarning, DegeneracyError, HOConfig,
                     assert_hermitian, cd_auxiliary, cd_coupling, propagate,
                     quintic_ramp, spectrum, transitionless_certificate,
                     two_level_model)
-from cdwork.spectral import _run_grid
+from cdwork.spectral import _run_grid, dense_evolve
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1j], [1j, 0.0]])
@@ -205,9 +205,9 @@ class TestPropagate:
         psi0[0] = 1.0
         h_at = lambda t: h_slow + np.sin(3.0 * t) * h_fast
         grid = np.linspace(0.0, 1.0, 11)
-        reference = _run_grid(h_at, psi0, grid, 256, np.linalg.eigh)[-1]
+        reference = _run_grid(h_at, psi0, grid, 256, dense_evolve)[-1]
         errors = [np.linalg.norm(
-            _run_grid(h_at, psi0, grid, r, np.linalg.eigh)[-1] - reference)
+            _run_grid(h_at, psi0, grid, r, dense_evolve)[-1] - reference)
             for r in (1, 2, 4, 8)]
         for coarse, fine in zip(errors, errors[1:]):
             assert coarse / fine >= 12.0
@@ -256,17 +256,17 @@ class TestCertificate:
         def h_at(t):
             return fig1_model.h0_at(t) + fig1_model.h1_at(t)
 
-        solves = []
+        exponentials = []
 
-        def counting_eigh(h):
-            solves.append(1)
-            return fig1_model.fast_eigh(h)
+        def counting_evolve(h, dt, psi):
+            exponentials.append(1)
+            return fig1_model.evolve(h, dt, psi)
 
-        traj = propagate(h_at, psi0, grid, tol=3e-7, eigh=counting_eigh)
-        assert len(solves) <= 1500
+        traj = propagate(h_at, psi0, grid, tol=3e-7, evolve=counting_evolve)
+        assert len(exponentials) <= 1500
         # 16 fixed steps land within 2e-12 of a 200-step run, with 2,560
-        # solves instead of 32,000
-        reference = _run_grid(h_at, psi0, grid, 16, fig1_model.fast_eigh)[-1]
+        # exponentials instead of 32,000
+        reference = _run_grid(h_at, psi0, grid, 16, fig1_model.evolve)[-1]
         assert np.linalg.norm(traj.states[-1] - reference, axis=0).max() < 3e-7
 
     @pytest.mark.parametrize("h1_scale", [0.99, 1.01])
@@ -297,6 +297,6 @@ class TestBandCertificate:
         assert np.shape(band(0.3)) == (2, fig1_model.dim)
         assert np.iscomplexobj(band(0.3)) == bool(h1_scale)
         runs = [propagate(h_at, psi0, grid, tol=3e-7,
-                          eigh=fig1_model.fast_eigh) for h_at in (dense, band)]
+                          evolve=fig1_model.evolve) for h_at in (dense, band)]
         assert runs[0].substeps == runs[1].substeps
         assert np.array_equal(runs[0].states, runs[1].states)
