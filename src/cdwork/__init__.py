@@ -26,12 +26,11 @@ from .quadrature import adaptive_simpson, adaptive_simpson_multi
 from .spectral import (CertificateReport, Spectrum, StateTrajectory,
                        assert_hermitian, cd_auxiliary, cd_coupling,
                        propagate, spectrum, transitionless_certificate)
-from .workstats import (EnergyFluctuations, ThermalEnsemble, TransitionMatrix,
-                        WorkDistribution, WorkMoments,
-                        ensemble_energy_variance, excess_variance_direct,
+from .workstats import (ThermalEnsemble, TransitionMatrix, WorkDistribution,
+                        WorkMoments, excess_variance_direct,
                         excess_variance_geometric, fluctuation_series,
-                        fluctuation_sweep, identity_check_rowsum, mean_work, model_ensemble,
-                        thermal_ensemble, transition_matrix, variance_work,
-                        work_distribution, work_moments)
+                        fluctuation_sweep, identity_check_rowsum, mean_work,
+                        model_ensemble, thermal_ensemble, transition_matrix,
+                        variance_work, work_distribution, work_moments)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -213,7 +213,9 @@ def _state_sqrt(rho: np.ndarray, atol: float = 1e-10) -> np.ndarray:
     e, v = np.linalg.eigh(rho)
     if e.min() < -atol:
         raise NotAState(f"negative eigenvalue {e.min():.3g}")
-    return (v * np.sqrt(np.clip(e, 0.0, None))) @ v.conj().T
+    # below eigh's rounding floor: zeros of a low-rank state
+    floor = rho.shape[0] * np.finfo(float).eps * e.max()
+    return (v * np.sqrt(np.where(e < floor, 0.0, e))) @ v.conj().T
 
 
 def bures_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -313,7 +315,7 @@ def bound_chain(series: dict, ell: float, eta: float,
 
 
 def speed_limit_report(model, ensemble, *,
-                       grid_points: int = 401) -> SpeedLimitReport:
+                       grid_points: int) -> SpeedLimitReport:
     """Assemble the full bound chain for the model's protocol.
 
     The time averages come from the work fluctuations (the operator

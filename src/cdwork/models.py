@@ -137,23 +137,17 @@ class ParametrizedModel:
         """exp(-i dt h) psi for an ``h_drive_at`` form h (dense here)."""
         return dense_evolve(h, dt, psi)
 
-    def apply_h0_h1(self, times, vectors, out0, out1):
-        """out0[b] = H0(t) @ vectors[b] and out1[b] = H1(t) @ vectors[b]
-        for t = times[b], vectors of shape (B, d, K): each term's dense
-        matrices stacked into one batched product."""
-        np.matmul(np.stack([self.h0_at(t) for t in times]), vectors, out=out0)
-        np.matmul(np.stack([self.h1_at(t) for t in times]), vectors, out=out1)
-        return out0, out1
+    def apply_h1(self, times, vectors, out):
+        """out[b] = H1(t) @ vectors[b] for t = times[b], vectors of shape
+        (B, d, K): the dense H1 matrices stacked into one batched product."""
+        return np.matmul(np.stack([self.h1_at(t) for t in times]), vectors,
+                         out=out)
 
     # -- cached spectra --------------------------------------------------
     def _diagonalize(self, h: np.ndarray) -> Spectrum:
         """Diagonalization used for cached spectra; backends with known
         structure (banded, sector-split) override this."""
         return spectrum(h, check=False, degeneracy_tol=0.0)
-
-    def _h0_operator(self, lam):
-        """H0 at lam as ``_diagonalize`` takes it (structured: a band)."""
-        return self._h0_of(lam)
 
     def _cached(self, key, operator) -> Spectrum:
         spec = self._store.get(key)
@@ -163,8 +157,8 @@ class ParametrizedModel:
         return spec
 
     def spectrum0_at(self, t: float) -> Spectrum:
-        lam = self.protocol.value(t)
-        return self._cached(lam.tobytes(), lambda: self._h0_operator(lam))
+        return self._cached(self.protocol.value(t).tobytes(),
+                            lambda: self.h_drive_at(t, 0.0))
 
     def spectrum_cd_at(self, t: float) -> Spectrum:
         key = (self.protocol.value(t).tobytes(),

@@ -136,9 +136,9 @@ class HarmonicOscillator(ParametrizedModel):
             + 0.5 * self.config.mass * w * w * self._q2
 
     def _h0_operator(self, lam):
-        """H0 at parameter points ``lam`` (..., 1) as bands (..., 2, d),
-        entry for entry the bits of ``_h0_of``."""
-        w, (q2, p2, _) = np.asarray(lam)[..., None], self._bands
+        """H0 at the parameter point ``lam`` as a band (2, d), entry for
+        entry the bits of ``_h0_of``."""
+        w, (q2, p2, _) = lam[0], self._bands
         return p2 / (2.0 * self.config.mass) \
             + 0.5 * self.config.mass * w * w * q2
 
@@ -151,18 +151,17 @@ class HarmonicOscillator(ParametrizedModel):
         scale = -self.omega_dot(t) / (4.0 * self.omega(t))
         return band + h1_scale * (scale * self._bands[2])
 
-    def apply_h0_h1(self, times, vectors, out0, out1):
-        """H0(t) @ vectors[b] and H1(t) @ vectors[b] for each t = times[b],
-        as band products built from omega(t) and omegadot(t), with no
-        dense matrix."""
-        w, wd = np.array([(self.omega(t), self.omega_dot(t)) for t in times]).T
-        h1 = (-wd / (4.0 * w))[:, None, None] * self._bands[2]
-        for band, out in ((self._h0_operator(w[:, None]), out0), (h1, out1)):
-            upper = band[:, 1, :-2, None]
-            np.multiply(band[:, 0, :, None], vectors, out=out)
-            out[:, :-2] += upper * vectors[:, 2:]
-            out[:, 2:] += upper.conj() * vectors[:, :-2]
-        return out0, out1
+    def apply_h1(self, times, vectors, out):
+        """out[b] = H1(t) @ vectors[b] for each t = times[b], one band
+        product built from omega(t) and omegadot(t) with no dense matrix:
+        H1 couples only levels two apart and has a zero diagonal."""
+        scale = np.array([-self.omega_dot(t) / (4.0 * self.omega(t))
+                          for t in times])
+        upper = scale[:, None, None] * self._bands[2][1, :-2, None]
+        np.multiply(upper, vectors[:, 2:], out=out[:, :-2])
+        out[:, -2:] = 0.0
+        out[:, 2:] += upper.conj() * vectors[:, :-2]
+        return out
 
     def _dh0_of(self, lam):
         return [self.config.mass * lam[0] * self._q2]
@@ -197,10 +196,10 @@ class HarmonicOscillator(ParametrizedModel):
         the band deviates from Hermiticity by more than HERMITIAN_TOL
         (relative Frobenius norm, as ``assert_hermitian``; the band is
         all of h, so this is the same test at O(d) cost) and LinAlgError
-        when LAPACK's stevd fails.  A (2, d) band from ``_h0_operator``
-        or ``h_drive_at`` (every solve of the package, with no dense
-        build) is taken as is after the non-finite check; a real input
-        gives real eigenvectors.
+        when LAPACK's stevd fails.  A (2, d) band from ``h_drive_at``
+        (every solve of the package, H0 and driven, with no dense build)
+        is taken as is after the non-finite check; a real input gives
+        real eigenvectors.
         """
         (vals0, vecs0, ph0), (vals1, vecs1, ph1) = \
             self._sector_spectra(h, (0, 1))

@@ -12,12 +12,13 @@ eigenvectors,
 
 so the whole work distribution is computable from spectra alone, with
 no time propagation.  Its moments need no spectrum of H_cd at all: by
-completeness sum_m p_{n->m} E_m(t)^k = <n(t)|H_cd^k|n(t)>: the operator
-route, ``fluctuation_series``, takes every moment as a norm of
-H_cd |n(t)> over blocks of grid points, and ``fluctuation_sweep`` takes
-a whole sweep over ramp durations from the same pass, since H1 scales
-as 1/tau at fixed ramp progress.  The transition matrix is the
-independent oracle:
+completeness sum_m p_{n->m} E_m(t)^k = <n(t)|H_cd^k|n(t)>, and as
+H0|n(t)> = eps_n(t)|n(t)>, every moment follows from U = H1|n(t)>: H1
+does no mean work (Re<n|U> = 0, its zero diagonal) and adds
+sum_n p_n ||U||^2 to the work variance.  ``fluctuation_series`` reduces
+both over blocks of grid points, and ``fluctuation_sweep`` covers a
+sweep over ramp durations in the same pass, since H1 scales as 1/tau at
+fixed ramp progress.  The transition matrix is the independent oracle:
 ``work_moments`` sums p_n p_{n->m} (E_m(t) - eps_n(0))^k over it, and
 ``work_distribution`` builds the merged atoms.
 
@@ -297,24 +298,6 @@ def identity_check_rowsum(model, ensemble, t: float) -> float:
     return float(np.abs(sums).max())
 
 
-@dataclass(frozen=True)
-class EnergyFluctuations:
-    """Second moments of the driving Hamiltonian in the evolved state,
-    and the driven work moments they fix.
-
-    excess = sum_n p_n ||(H_cd - eps_n(t))|n(t)>||^2, a norm, equals the
-    direct excess of work fluctuations; variance_cd - excess = Var(H0)
-    >= 0 in the same state.  work_mean_cd and work_var_cd are the mean
-    and variance of the driven work E_m(t) - eps_n(0).
-    """
-
-    variance_cd: float
-    excess: float
-    variance_h0: float
-    work_mean_cd: float
-    work_var_cd: float
-
-
 # grid points per fluctuation-kernel block; whole-grid arrays ran slower
 BLOCK_POINTS = 16
 
@@ -334,23 +317,22 @@ def fluctuation_sweep(model, ensemble, grid, durations) -> list[dict]:
     duration tau is then at the progress s_j = grid[j] / model.tau, with
     the model's H0 and v = model.tau / tau times its H1 = lamdot A(lambda).
     Per BLOCK_POINTS points the kernel gathers the K retained |n>, checks
-    their basis leakage, applies ``model.apply_h0_h1`` and reduces, with
-    R0 = (H0 - eps_n)|n> and U = H1|n>, Re<n|R0>, Re<n|U>, ||R0||^2,
-    Re<R0|U> and ||U||^2.  For r_n = (H_cd - eps_n)|n> = R0 + v U, every
-    fluctuation is then a norm sum_n p_n ||(H_cd - c_n)|n>||^2 = sum_n p_n
-    (||r_n||^2 + 2 g_n Re<n|r_n> + g_n^2), g_n = eps_n - c_n: c_n = eps_n
-    for the excess, eps_n(0) + mean_cd for var_cd and <H_cd> for
-    energy_variance_cd.
+    their basis leakage and reduces Re<n|U> and ||U||^2 of U = H1|n>
+    (``model.apply_h1``).  As H0|n> = eps_n|n>, (H_cd - eps_n)|n> = v U,
+    and every fluctuation is a norm sum_n p_n ||(H_cd - c_n)|n>||^2 =
+    sum_n p_n (v^2 ||U||^2 + 2 g_n v Re<n|U> + g_n^2), g_n = eps_n - c_n:
+    c_n = eps_n for the excess, eps_n(0) + mean_cd for var_cd and <H_cd>
+    for energy_variance_cd.
     """
     grid = np.asarray(grid, dtype=float)
     n_keep, p = ensemble.n_levels, ensemble.weights
     e_init = model.spectrum0_at(0.0).energies[:n_keep]
     size = max(min(BLOCK_POINTS, len(grid)), 1)
     states = np.empty((size, model.dim, n_keep), dtype=complex)
-    h0_states, h1_states, scaled = (np.empty_like(states) for _ in range(3))
+    h1_states = np.empty_like(states)
     e_now = np.empty((len(grid), n_keep))
-    # Re<n|R0>, Re<n|U>, ||R0||^2, Re<R0|U>, ||U||^2 per point and level
-    products = np.empty((5, len(grid), n_keep))
+    # Re<n|U> and ||U||^2 per point and level
+    dots1, norms1 = np.empty((2, len(grid), n_keep))
     for start in range(0, len(grid), size):
         times = grid[start:start + size]
         rows, b = slice(start, start + len(times)), len(times)
@@ -360,18 +342,15 @@ def fluctuation_sweep(model, ensemble, grid, durations) -> list[dict]:
             e_now[start + i] = spec.energies[:n_keep]
         psi = states[:b]
         _leakage(model, psi, times)
-        r0, u = model.apply_h0_h1(times, psi, h0_states[:b], h1_states[:b])
-        r0 -= np.multiply(psi, e_now[rows, None, :], out=scaled[:b])
-        products[:, rows] = [_real_dots(x, y) for x, y in (
-            (psi, r0), (psi, u), (r0, r0), (r0, u), (u, u))]
+        u = model.apply_h1(times, psi, h1_states[:b])
+        dots1[rows], norms1[rows] = _real_dots(psi, u), _real_dots(u, u)
 
     mean_ad, var_ad = _weighted_moments(e_now - e_init, p)
     variance_h0 = _weighted_moments(e_now, p)[1]
-    d0, d1, n00, n01, n11 = products
     out = []
     for tau in durations:
         v = model.tau / tau
-        dots, norms = d0 + v * d1, n00 + 2.0 * v * n01 + v * v * n11
+        dots, norms = v * dots1, v * v * norms1
 
         def spread(centre):
             gap = e_now - centre
@@ -389,19 +368,12 @@ def fluctuation_sweep(model, ensemble, grid, durations) -> list[dict]:
 
 def fluctuation_series(model, ensemble, grid) -> dict[str, np.ndarray]:
     """Work moments and energy fluctuations at every time of a grid, the
-    one-duration call (v = 1) of ``fluctuation_sweep``.  Columns: t,
-    mean_cd, mean_ad, var_cd, var_ad, excess_direct, energy_variance_cd
-    and variance_h0 (see ``EnergyFluctuations``)."""
+    one-duration call (v = 1) of ``fluctuation_sweep``.  Columns: t;
+    mean_cd, mean_ad, var_cd and var_ad of the driven work E_m(t) -
+    eps_n(0) and its adiabatic reference; excess_direct = sum_n p_n
+    ||H1|n(t)>||^2; energy_variance_cd and variance_h0, the variances of
+    H_cd and H0 in rho(t) = sum_n p_n |n(t)><n(t)|, where
+    energy_variance_cd - excess_direct = variance_h0 >= 0."""
     grid = np.asarray(grid, dtype=float)
     return {"t": grid,
             **fluctuation_sweep(model, ensemble, grid, [model.tau])[0]}
-
-
-def ensemble_energy_variance(model, ensemble, t: float) -> EnergyFluctuations:
-    """Energy fluctuations of H_cd (and H0) in the evolved ensemble
-    rho(t) = sum_n p_n |n(t)><n(t)|, and the driven work moments: the
-    one-point call of ``fluctuation_series``."""
-    row = fluctuation_series(model, ensemble, [t])
-    return EnergyFluctuations(*(float(row[k][0]) for k in (
-        "energy_variance_cd", "excess_direct", "variance_h0", "mean_cd",
-        "var_cd")))

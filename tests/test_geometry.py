@@ -330,6 +330,19 @@ class TestBures:
         value = bures_length(rho0, rho1)
         assert value == pytest.approx(0.476, abs=0.005)
 
+    def test_figure_endpoints_match_low_rank_form(self, fig1_model):
+        # rho = V0 P V0^H and sigma = V1 P V1^H have the ensemble's rank K,
+        # so F = (tr |sqrt(P) V0^H V1 sqrt(P)|)^2; the densities' rounding
+        # eigenvalues must not enter their square roots
+        ensemble = model_ensemble(fig1_model, 0.5)
+        k, root = ensemble.n_levels, np.sqrt(ensemble.weights)
+        v0, v1 = (fig1_model.spectrum0_at(t).states[:, :k] for t in (0.0, 0.8))
+        reference = np.linalg.svd(root[:, None] * (v0.conj().T @ v1) * root,
+                                  compute_uv=False).sum() ** 2
+        fidelity = bures_fidelity(evolved_density(fig1_model, ensemble, 0.0),
+                                  evolved_density(fig1_model, ensemble, 0.8))
+        assert abs(fidelity - reference) <= 1e-13
+
 
 class TestEtaLength:
     def test_constant_path_zero(self):

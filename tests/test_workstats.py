@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from cdwork import (HOConfig, HarmonicOscillator, ParametrizedModel,
                     TruncationError, bound_chain, bures_length,
-                    ensemble_energy_variance, evolved_density,
-                    excess_variance_direct, excess_variance_geometric,
+                    evolved_density, excess_variance_direct,
+                    excess_variance_geometric,
                     fluctuation_series, fluctuation_sweep,
                     identity_check_rowsum, mean_work,
                     model_ensemble, path_lengths, quintic_ramp,
@@ -255,9 +255,20 @@ class TestOperatorRoute:
                 assert column[i] == one[key][0], (key, i)
         empty = fluctuation_series(fig1_model, fig1_ensemble, [])
         assert all(column.shape == (0,) for column in empty.values())
-        fluct = ensemble_energy_variance(fig1_model, fig1_ensemble, grid[77])
-        assert fluct.excess == series["excess_direct"][77]
-        assert fluct.work_var_cd == series["var_cd"][77]
+
+    @pytest.mark.parametrize("beta", [1.0, math.inf])
+    def test_auxiliary_control_does_no_mean_work(self, fig1_model, beta):
+        # H1 has a zero diagonal, and on the oscillator's real eigenvectors
+        # Re<n|H1|n> is exactly zero: the driven mean work is the
+        # adiabatic one bit for bit, at every duration of the sweep
+        ensemble = model_ensemble(fig1_model, beta)
+        grid = np.linspace(0.0, 0.8, 401)
+        series = fluctuation_series(fig1_model, ensemble, grid)
+        assert np.array_equal(series["mean_cd"], series["mean_ad"])
+        durations = [round(0.2 * k, 10) for k in range(1, 16)]
+        for columns in fluctuation_sweep(fig1_model, ensemble, grid,
+                                         durations):
+            assert np.array_equal(columns["mean_cd"], columns["mean_ad"])
 
     @pytest.mark.parametrize("h1_of", [None, lambda t: np.array(
         [[0.3, 0.2j], [-0.2j, -0.1]])])
@@ -412,15 +423,19 @@ class TestRowsumIdentity:
 
 
 class TestEnergyFluctuations:
+    """The energy-variance columns of one-point ``fluctuation_series``
+    calls."""
+
     def test_initial_value_is_thermal_variance(self, fig1_model,
                                                fig1_ensemble):
-        fluct = ensemble_energy_variance(fig1_model, fig1_ensemble, 0.0)
+        row = fluctuation_series(fig1_model, fig1_ensemble, [0.0])
         energies = fig1_model.spectrum0_at(0.0).energies
         e = energies[: fig1_ensemble.n_levels]
         p = fig1_ensemble.weights
         thermal_var = float(p @ e**2 - (p @ e) ** 2)
-        assert fluct.variance_cd == pytest.approx(thermal_var, rel=1e-10)
-        assert abs(fluct.excess) < 1e-10
+        assert row["energy_variance_cd"][0] == pytest.approx(thermal_var,
+                                                             rel=1e-10)
+        assert abs(row["excess_direct"][0]) < 1e-10
 
     def test_bounds_excess_along_grid(self, fig1_model, fig1_ensemble):
         for tau_factor in (0.5, 1.0, 2.0):
@@ -428,16 +443,18 @@ class TestEnergyFluctuations:
                 HOConfig(1.0, 3.0, 0.8 * tau_factor, dim=120))
             ensemble = model_ensemble(model, 1.0)
             for t in np.linspace(0.0, model.tau, 9):
-                fluct = ensemble_energy_variance(model, ensemble, t)
+                row = fluctuation_series(model, ensemble, [t])
                 direct = excess_variance_direct(model, ensemble, t)
-                assert direct == pytest.approx(fluct.excess, abs=1e-8)
-                assert direct <= fluct.variance_cd + 1e-8
+                assert direct == pytest.approx(row["excess_direct"][0],
+                                               abs=1e-8)
+                assert direct <= row["energy_variance_cd"][0] + 1e-8
                 assert -1e-10 <= direct
 
     def test_ground_state_decomposition(self, fig1_model, fig1_ground):
-        # variance_cd - excess = Var(H0) in the evolved state, >= 0
+        # energy_variance_cd - excess = Var(H0) in the evolved state, >= 0
         for t in (0.2, 0.4, 0.6):
-            fluct = ensemble_energy_variance(fig1_model, fig1_ground, t)
-            assert fluct.variance_h0 >= -1e-12
-            assert fluct.variance_cd - fluct.excess == pytest.approx(
-                fluct.variance_h0, rel=1e-8)
+            row = fluctuation_series(fig1_model, fig1_ground, [t])
+            variance_h0 = row["variance_h0"][0]
+            assert variance_h0 >= -1e-12
+            assert row["energy_variance_cd"][0] - row["excess_direct"][0] \
+                == pytest.approx(variance_h0, rel=1e-8)
