@@ -1,7 +1,7 @@
 """Counterdiabatic-driving work statistics, geometric tensors and
 speed-limit verification for parametrized quantum systems.
 
-Internal units: hbar = 1, mass defaults to 1.
+Internal units: hbar = m = 1.
 """
 
 __version__ = "0.1.0"
@@ -24,7 +24,7 @@ from .protocols import (Protocol, constant_protocol, cubic_ramp, log_ramp,
                         quintic_ramp)
 from .quadrature import adaptive_simpson, adaptive_simpson_multi
 from .spectral import (CertificateReport, Spectrum, StateTrajectory,
-                       assert_hermitian, cd_auxiliary, cd_coupling,
+                       assert_hermitian, cd_coupling,
                        propagate, spectrum, transitionless_certificate)
 from .workstats import (ThermalEnsemble, TransitionMatrix, WorkDistribution,
                         WorkMoments, excess_variance_direct,

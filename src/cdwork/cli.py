@@ -148,8 +148,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 def _validate_config(command: str, cfg: dict) -> None:
     """Reject, by key name, a value of the wrong type or range: numbers
-    must be positive (a seed may be any integer), integers must be
-    integers, and null stands only for a null default."""
+    must be positive (a seed may be zero), integers must be integers,
+    and null stands only for a null default."""
     for key, value in sorted(cfg.items()):
         if key not in _KINDS or (value is None and _DEFAULTS[key] is None):
             continue
@@ -159,8 +159,8 @@ def _validate_config(command: str, cfg: dict) -> None:
         if not (isinstance(items, list) and items and all(
                 isinstance(x, int if kind is int else (int, float))
                 and not isinstance(x, bool)
-                and (key == "seed" or x > 0) for x in items)):
-            what = ("" if key == "seed" else "positive ") \
+                and (x >= 0 if key == "seed" else x > 0) for x in items)):
+            what = ("non-negative " if key == "seed" else "positive ") \
                 + {int: "integer", float: "number"}[kind]
             what = f"a non-empty list of {what}s" if listed \
                 else ("an " if what[0] in "aeiou" else "a ") + what

@@ -1,13 +1,14 @@
 """Parametrized Hermitian families: the model interface consumed by the
 work-statistics and geometry machinery.
 
-A model bundles a protocol with matrix builders:
-
-    h0_of(lam)  -> H0 at parameter point lam            (required)
-    dh0_of(lam) -> [dH0/dlam_mu for each parameter]     (analytic, or a
-                   centered-difference fallback is used)
-    h1_of(t)    -> closed-form auxiliary term, if the backend has one;
-                   otherwise H1 is assembled from the spectrum.
+A model bundles a protocol with its operators at time t: h0_at(t),
+h1_at(t) (the auxiliary term) and h_drive_at(t, s) = H0 + s H1 in the
+model's own format, which its eigensolver and ``evolve`` take, and the
+dense dh0_dlambda_at(t).  The generic ``ParametrizedModel`` builds dense
+matrices from callables: h0_of(lam) (required), dh0_of(lam) (analytic,
+or a centered difference of h0_of) and h1_of(t) (closed form, or H1
+assembled from the spectrum).  A structured backend overrides the
+operators with its own format (the oscillator's bands, for one).
 
 Spectra are memoized by parameter point, since every downstream
 quantity (transition probabilities, metric tensors, work moments)
@@ -28,6 +29,8 @@ from .spectral import Spectrum, cd_coupling, dense_evolve, spectrum
 
 # default spectra per model: the 201-point grid of verify's bound chain
 STORE_SIZE = 201
+# centered-difference step of the dH0/dlam fallback, per unit duration
+FD_STEP_SCALE = 1e-5
 
 
 class SpectrumCache:
@@ -56,48 +59,32 @@ class SpectrumCache:
 
 
 class ParametrizedModel:
-    """Hermitian family H0(lambda(t)) driven along a protocol.
+    """Hermitian family H0(lambda(t)) driven along a protocol, as dense
+    matrices from the callables ``h0_of``, ``dh0_of`` and ``h1_of`` (see
+    the module docstring).
 
     ``truncated`` marks backends whose matrices are finite sections of
     an infinite operator; work statistics then track how much weight
-    strays into the polluted top of the basis.
-
-    The matrix builders are passed as callables or, in subclasses,
-    defined as the methods ``_h0_of``, ``_dh0_of`` and ``_h1_of`` (a
-    stored bound method would tie the model into a reference cycle and
-    keep its spectra alive until the cyclic collector runs).  H0 and
+    strays into the polluted top of the basis.  H0 and
     driving-Hamiltonian spectra share one store of at most ``cache_size``
     entries (H0 keys are bytes and driving keys pairs of bytes, so the
     two kinds never collide).
     """
 
     truncated = False
-    _dh0_of = None
-    _h1_of = None
 
     def __init__(self, protocol: Protocol, h0_of=None, dh0_of=None, h1_of=None,
-                 fd_step_scale: float = 1e-5, cache_size: int = STORE_SIZE):
+                 cache_size: int = STORE_SIZE):
         self.protocol = protocol
-        for name, fn in (("_h0_of", h0_of), ("_dh0_of", dh0_of),
-                         ("_h1_of", h1_of)):
-            if fn is not None:
-                setattr(self, name, fn)
-        self._fd_step = fd_step_scale * protocol.duration
+        self._h0_of, self._dh0_of, self._h1_of = h0_of, dh0_of, h1_of
         self._store = SpectrumCache(cache_size)
-        self._dim = int(self._h0_of(protocol.initial).shape[0])
-
-    def _h0_of(self, lam) -> np.ndarray:
-        raise NotImplementedError("pass h0_of or override _h0_of")
-
-    @property
-    def dim(self) -> int:
-        return self._dim
+        self.dim = int(np.shape(self.h0_at(0.0))[-1])
 
     @property
     def tau(self) -> float:
         return self.protocol.duration
 
-    # -- matrix builders ------------------------------------------------
+    # -- operators -------------------------------------------------------
     def h0_at(self, t: float) -> np.ndarray:
         return self._h0_of(self.protocol.value(t))
 
@@ -107,7 +94,7 @@ class ParametrizedModel:
             return self._dh0_of(lam)
         out = []
         for mu in range(lam.shape[0]):
-            h = max(self._fd_step, 1e-8 * max(abs(lam[mu]), 1.0))
+            h = max(FD_STEP_SCALE * self.tau, 1e-8 * max(abs(lam[mu]), 1.0))
             dlam = np.zeros_like(lam)
             dlam[mu] = h
             out.append((self._h0_of(lam + dlam) - self._h0_of(lam - dlam))
@@ -123,18 +110,16 @@ class ParametrizedModel:
             return self._h1_of(t)
         return cd_coupling(self.spectrum0_at(t), self.dh0_dt_at(t))
 
-    def h_cd_at(self, t: float) -> np.ndarray:
-        return self.h0_at(t) + self.h1_at(t)
-
     def h_drive_at(self, t: float, h1_scale: float = 1.0):
-        """H0 + h1_scale * H1 at t as the model's eigensolvers take it
-        (dense here); h1_scale = 0 gives the bare H0."""
+        """H0 + h1_scale * H1 at t in the model's operator format;
+        h1_scale = 0 gives the bare H0."""
         if h1_scale == 0.0:
             return self.h0_at(t)
         return self.h0_at(t) + h1_scale * self.h1_at(t)
 
     def evolve(self, h, dt: float, psi):
-        """exp(-i dt h) psi for an ``h_drive_at`` form h (dense here)."""
+        """exp(-i dt h) psi for an ``h_drive_at`` form h: a dense matrix
+        here, through its spectrum."""
         return dense_evolve(h, dt, psi)
 
     def apply_h1(self, times, vectors, out):
@@ -145,8 +130,8 @@ class ParametrizedModel:
 
     # -- cached spectra --------------------------------------------------
     def _diagonalize(self, h: np.ndarray) -> Spectrum:
-        """Diagonalization used for cached spectra; backends with known
-        structure (banded, sector-split) override this."""
+        """Diagonalization of an ``h_drive_at`` form, used for cached
+        spectra; structured backends override it with their solver."""
         return spectrum(h, check=False, degeneracy_tol=0.0)
 
     def _cached(self, key, operator) -> Spectrum:

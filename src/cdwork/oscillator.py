@@ -1,14 +1,18 @@
-"""Frequency-ramped harmonic oscillator backend.
+"""Frequency-ramped harmonic oscillator backend (hbar = m = 1).
 
 The oscillator is represented on a truncated Fock basis built at a fixed
 reference frequency, so the basis is time independent and all time
 dependence lives in the matrix entries:
 
-    H0(t) = p^2 / 2m + m omega(t)^2 q^2 / 2,
+    H0(t) = p^2 / 2 + omega(t)^2 q^2 / 2,
     H1(t) = -(omegadot / 4 omega) (q p + p q).
 
-The reference frequency defaults to sqrt(omega_i * omega_f).  That
-choice splits the squeezing between the two ends of the ramp (factor
+Both couple only levels two apart, so the model keeps every operator as
+a band of its diagonal and +2 diagonal, and solves and exponentiates it
+one parity sector at a time with LAPACK's tridiagonal solver.
+
+The reference frequency is sqrt(omega_i * omega_f).  That choice splits
+the squeezing between the two ends of the ramp (factor
 sqrt(omega_f/omega_i) each way instead of omega_f/omega_i at one end),
 which roughly doubles the number of trustworthy levels for a given
 truncation.
@@ -54,14 +58,10 @@ class HOConfig:
     omega_f: float
     tau: float
     dim: int = 120
-    mass: float = 1.0
     ramp_kind: str = "quintic"
-    reference_frequency: float | None = None
 
     @property
     def omega_ref(self) -> float:
-        if self.reference_frequency is not None:
-            return self.reference_frequency
         return math.sqrt(self.omega_i * self.omega_f)
 
     def protocol(self) -> Protocol:
@@ -90,10 +90,19 @@ class HOConfig:
     def validate(self, n_nodes: int = 201, *, check_drive: bool = True) -> None:
         if self.dim < 40:
             raise ConfigError("Fock dimension must be at least 40")
-        if self.omega_i <= 0 or self.omega_f <= 0 or self.tau <= 0:
-            raise ConfigError("frequencies and duration must be positive")
-        if self.mass <= 0:
-            raise ConfigError("mass must be positive")
+        for key in ("omega_i", "omega_f", "tau"):
+            value = getattr(self, key)
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"{key} must be positive and finite, got "
+                                  f"{value!r}")
+        # entries of q^2 and H0 grow as max(omega^2, 1) dim / omega_ref
+        w_ref = self.omega_ref
+        for key, w in (("omega_i", self.omega_i), ("omega_f", self.omega_f)):
+            top = max(w * w, 1.0) * self.dim / w_ref if w_ref > 0 else math.inf
+            if not math.isfinite(top):
+                raise ConfigError(
+                    f"{key} = {w:g} puts the Fock-space Hamiltonian of "
+                    f"dimension {self.dim} out of float range")
         ratio = self.max_drive_ratio(n_nodes)
         if check_drive and ratio >= 1.0:
             raise SupercriticalDrive(
@@ -103,7 +112,10 @@ class HOConfig:
 
 class HarmonicOscillator(ParametrizedModel):
     """Truncated-Fock engine for the ramped oscillator; ``cache_size``
-    bounds its store of spectra (see ``ParametrizedModel``)."""
+    bounds its store of spectra (see ``ParametrizedModel``).  Its
+    operators are bands (2, d): row 0 the diagonal, row 1 the +2 diagonal
+    padded with two zeros; the -2 diagonal is the conjugate of the +2 one.
+    """
 
     truncated = True
 
@@ -112,62 +124,19 @@ class HarmonicOscillator(ParametrizedModel):
         # eigensystem needs the subcritical drive), so no drive check here
         config.validate(check_drive=False)
         self.config = config
-        d, m, w_ref = config.dim, config.mass, config.omega_ref
+        w_ref = config.omega_ref
         # exact projections of q^2, p^2 and qp+pq onto the truncated
         # space (not products of truncated ladders, whose corner entries
-        # are corrupted): diagonal 2n+1, skew coupling sqrt((n+1)(n+2))
-        n = np.arange(d, dtype=float)
+        # are corrupted): diagonal 2n+1, +2 diagonal sqrt((n+1)(n+2))
+        n = np.arange(config.dim, dtype=float)
+        diag = 2.0 * n + 1.0
         skew = np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))
-        diag = np.diag(2.0 * n + 1.0)
-        cross = np.diag(skew, 2) + np.diag(skew, -2)
-        self._q2 = (diag + cross) / (2.0 * m * w_ref)
-        self._p2 = (diag - cross) * (m * w_ref / 2.0)
-        # q p + p q = i (raise^2 - ladder^2): purely imaginary entries
-        self._qp_sym = 1j * (np.diag(skew, -2) - np.diag(skew, 2))
-        # as bands (2, d): diagonal, +2 diagonal padded with two zeros
-        self._bands = [np.stack((np.diagonal(a), np.pad(np.diagonal(a, 2),
-                                                        (0, 2))))
-                       for a in (self._q2, self._p2, self._qp_sym)]
+        self._q2 = np.stack((diag, np.pad(skew, (0, 2)))) / (2.0 * w_ref)
+        self._p2 = np.stack((diag, np.pad(-skew, (0, 2)))) * (w_ref / 2.0)
+        # q p + p q = i (raise^2 - ladder^2): a zero diagonal and a purely
+        # imaginary +2 diagonal
+        self._qp_sym = 1j * np.stack((np.zeros_like(n), np.pad(-skew, (0, 2))))
         super().__init__(config.protocol(), cache_size=cache_size)
-
-    def _h0_of(self, lam):
-        w = lam[0]
-        return self._p2 / (2.0 * self.config.mass) \
-            + 0.5 * self.config.mass * w * w * self._q2
-
-    def _h0_operator(self, lam):
-        """H0 at the parameter point ``lam`` as a band (2, d), entry for
-        entry the bits of ``_h0_of``."""
-        w, (q2, p2, _) = lam[0], self._bands
-        return p2 / (2.0 * self.config.mass) \
-            + 0.5 * self.config.mass * w * w * q2
-
-    def h_drive_at(self, t, h1_scale=1.0):
-        """H0 + h1_scale * H1 at t as a band (2, d) for ``fast_eigh``, entry
-        for entry the bits of the dense sum; real for h1_scale = 0."""
-        band = self._h0_operator(self.protocol.value(t))
-        if h1_scale == 0.0:
-            return band
-        scale = -self.omega_dot(t) / (4.0 * self.omega(t))
-        return band + h1_scale * (scale * self._bands[2])
-
-    def apply_h1(self, times, vectors, out):
-        """out[b] = H1(t) @ vectors[b] for each t = times[b], one band
-        product built from omega(t) and omegadot(t) with no dense matrix:
-        H1 couples only levels two apart and has a zero diagonal."""
-        scale = np.array([-self.omega_dot(t) / (4.0 * self.omega(t))
-                          for t in times])
-        upper = scale[:, None, None] * self._bands[2][1, :-2, None]
-        np.multiply(upper, vectors[:, 2:], out=out[:, :-2])
-        out[:, -2:] = 0.0
-        out[:, 2:] += upper.conj() * vectors[:, :-2]
-        return out
-
-    def _dh0_of(self, lam):
-        return [self.config.mass * lam[0] * self._q2]
-
-    def _h1_of(self, t):
-        return self.h1_matrix(self.omega(t), self.omega_dot(t))
 
     def omega(self, t: float) -> float:
         return float(self.protocol.value(t)[0])
@@ -175,32 +144,52 @@ class HarmonicOscillator(ParametrizedModel):
     def omega_dot(self, t: float) -> float:
         return float(self.protocol.derivative(t)[0])
 
-    def h0_matrix(self, omega: float) -> np.ndarray:
-        """H0 at an arbitrary frequency, in the fixed reference basis."""
-        return self._h0_of(np.array([omega]))
+    def _cd_scale(self, t):
+        """The coefficient -omegadot / (4 omega) of qp + pq in H1 at t."""
+        return -self.omega_dot(t) / (4.0 * self.omega(t))
 
-    def h1_matrix(self, omega: float, omega_dot: float) -> np.ndarray:
-        """Auxiliary term -(omegadot/4 omega)(q p + p q); couples only
-        levels two apart in the reference basis."""
-        if omega_dot == 0.0:
-            return np.zeros((self.dim, self.dim), dtype=complex)
-        return (-omega_dot / (4.0 * omega)) * self._qp_sym
+    def h0_at(self, t):
+        """H0 = p^2 / 2 + omega^2 q^2 / 2 at t as a real band."""
+        w = self.omega(t)
+        return self._p2 / 2.0 + 0.5 * w * w * self._q2
+
+    def h1_at(self, t):
+        """H1 = -(omegadot / 4 omega)(qp + pq) at t as a band; it couples
+        only levels two apart and vanishes where omegadot does."""
+        return self._cd_scale(t) * self._qp_sym
+
+    def dh0_dlambda_at(self, t):
+        """[dH0/domega] = [omega q^2] at t, expanded from its band into
+        the dense matrix that the coupling rows of the geometric tensor
+        multiply."""
+        band, d = self.omega(t) * self._q2, self.dim
+        dense = np.zeros((d, d))
+        # the diagonal and the +-2 diagonals as strided views of the rows
+        flat = dense.reshape(-1)
+        flat[::d + 1] = band[0]
+        flat[2:(d - 2) * d:d + 1] = flat[2 * d::d + 1] = band[1, :-2]
+        return [dense]
+
+    def apply_h1(self, times, vectors, out):
+        """out[b] = H1(t) @ vectors[b] for each t = times[b], one band
+        product with no dense matrix: H1 couples only levels two apart
+        and has a zero diagonal."""
+        scale = np.array([self._cd_scale(t) for t in times])
+        upper = scale[:, None, None] * self._qp_sym[1, :-2, None]
+        np.multiply(upper, vectors[:, 2:], out=out[:, :-2])
+        out[:, -2:] = 0.0
+        out[:, 2:] += upper.conj() * vectors[:, :-2]
+        return out
 
     def fast_eigh(self, h: np.ndarray):
-        """Eigendecomposition exploiting the quadratic-Hamiltonian
-        structure: h couples only levels two apart, so each parity
-        sector is Hermitian tridiagonal, and a diagonal phase rotation
-        makes it real.  Eigenvalues are unsorted across sectors.  Raises
-        BandStructureError for any other coupling, ValueError for NaN or
-        inf on the band (diagonals 0 and +-2), NonHermitianInput when
-        the band deviates from Hermiticity by more than HERMITIAN_TOL
-        (relative Frobenius norm, as ``assert_hermitian``; the band is
-        all of h, so this is the same test at O(d) cost) and LinAlgError
-        when LAPACK's stevd fails.  A (2, d) band from ``h_drive_at``
-        (every solve of the package, H0 and driven, with no dense build)
-        is taken as is after the non-finite check; a real input gives
-        real eigenvectors.
-        """
+        """Eigendecomposition of a band h: each parity sector is Hermitian
+        tridiagonal, and a diagonal phase rotation makes it real.
+        Eigenvalues are unsorted across sectors; a real band gives real
+        eigenvectors.  Raises BandStructureError for any input that is not
+        a (2, d) band, ValueError for NaN or inf in it, NonHermitianInput
+        for an imaginary diagonal above HERMITIAN_TOL (as
+        ``assert_hermitian`` on the matrix the band stands for) and
+        LinAlgError when LAPACK's stevd fails."""
         (vals0, vecs0, ph0), (vals1, vecs1, ph1) = \
             self._sector_spectra(h, (0, 1))
         vectors = np.zeros((self.dim, self.dim), dtype=ph0.dtype)
@@ -209,9 +198,9 @@ class HarmonicOscillator(ParametrizedModel):
         return np.concatenate((vals0, vals1)), vectors
 
     def evolve(self, h, dt, psi):
-        """exp(-i dt h) psi (psi of shape (d,) or (d, K)) for h as
-        ``fast_eigh`` takes it, by real GEMMs on each parity sector's
-        rows; a sector where psi is exactly zero stays zero, unsolved."""
+        """exp(-i dt h) psi (psi of shape (d,) or (d, K)) for a band h,
+        by real GEMMs on each parity sector's rows; a sector where psi
+        is exactly zero stays zero, unsolved."""
         psi = np.ascontiguousarray(psi, dtype=complex)
         out = np.zeros_like(psi)
         live = [parity for parity in (0, 1) if psi[parity::2].any()]
@@ -228,15 +217,26 @@ class HarmonicOscillator(ParametrizedModel):
         return out
 
     def _sector_spectra(self, h, parities):
-        """(vals, vecs, phases) per requested parity sector of h (checked
-        as ``fast_eigh`` documents): its block is P vecs diag(vals)
-        vecs^T P^*, P = diag(phases), with vecs real from stevd."""
-        if np.shape(h) == (2, self.dim):
-            if not np.isfinite(h).all():
-                raise ValueError("band input has non-finite entries")
-            diagonal, upper = h[0], h[1, :-2]
-        else:
-            diagonal, upper = self._checked_band(h)
+        """(vals, vecs, phases) per requested parity sector of the band h
+        (checked as ``fast_eigh`` documents): its block is
+        P vecs diag(vals) vecs^T P^*, P = diag(phases), with vecs real
+        from stevd."""
+        if np.shape(h) != (2, self.dim):
+            raise BandStructureError(
+                f"the solver takes the band (2, {self.dim}) of a matrix "
+                f"that couples only levels two apart, got shape "
+                f"{np.shape(h)}")
+        if not np.isfinite(h).all():
+            raise ValueError("band input has non-finite entries")
+        diagonal, upper = h[0], h[1, :-2]
+        if np.iscomplexobj(h) and diagonal.imag.any():
+            dev = 2.0 * np.linalg.norm(diagonal.imag)
+            scale = math.hypot(np.linalg.norm(diagonal),
+                               math.sqrt(2.0) * np.linalg.norm(upper))
+            if dev > HERMITIAN_TOL * max(scale, 1e-300):
+                raise NonHermitianInput(
+                    f"band deviates from Hermiticity by {dev:.3g} "
+                    f"(scale {scale:.3g})")
         sectors = []
         for parity in parities:
             # the sector's levels are parity, parity + 2, ...
@@ -254,31 +254,6 @@ class HarmonicOscillator(ParametrizedModel):
                 raise LinAlgError(f"LAPACK stevd failed with info={info}")
             sectors.append((vals, vecs, phases))
         return sectors
-
-    def _checked_band(self, h):
-        d = self.dim
-        if np.shape(h) != (d, d):
-            raise BandStructureError(
-                f"expected a {d}x{d} matrix, got shape {np.shape(h)}")
-        stray = np.count_nonzero(h) - sum(
-            np.count_nonzero(np.diagonal(h, k)) for k in (-2, 0, 2))
-        if stray:
-            raise BandStructureError(
-                f"the solver handles matrices that couple only levels two "
-                f"apart; the input has {stray} nonzero entries outside that "
-                f"band")
-        diagonal, upper, lower = (np.diagonal(h, k) for k in (0, 2, -2))
-        band = np.concatenate((diagonal, upper, lower))
-        if not np.isfinite(band).all():
-            raise ValueError("input has non-finite entries on its band")
-        dev = math.hypot(2.0 * np.linalg.norm(diagonal.imag),
-                         math.sqrt(2.0) * np.linalg.norm(upper - lower.conj()))
-        scale = np.linalg.norm(band)
-        if dev > HERMITIAN_TOL * max(scale, 1e-300):
-            raise NonHermitianInput(
-                f"input deviates from Hermiticity by {dev:.3g} "
-                f"(scale {scale:.3g})")
-        return diagonal, upper
 
     def _diagonalize(self, h: np.ndarray) -> Spectrum:
         energies, vectors = self.fast_eigh(h)

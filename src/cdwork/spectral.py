@@ -1,5 +1,5 @@
 """Gauge-fixed spectra, the counterdiabatic auxiliary term, and exact
-unitary propagation for dense Hermitian families.
+unitary propagation for Hermitian families.
 
 Internal units: hbar = 1.
 
@@ -121,11 +121,6 @@ def cd_coupling(spec: Spectrum, dh0_dt: np.ndarray, *,
     return v @ h1_eig @ v.conj().T
 
 
-def cd_auxiliary(h0_at, dh0_dt_at, t: float, **kwargs) -> np.ndarray:
-    """H1(t) for the family ``h0_at`` with velocity ``dh0_dt_at``."""
-    return cd_coupling(spectrum(h0_at(t)), dh0_dt_at(t), **kwargs)
-
-
 @dataclass(frozen=True)
 class StateTrajectory:
     """States on a time grid; shape (len(times), dim) or
@@ -143,6 +138,10 @@ _CF4_A1 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0
 _CF4_A2 = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
 # diff(r, 2r) / err(r) for an error c / r^4
 _HALVING_FACTOR = 15.0 / 16.0
+# CF4 steps (substeps x grid intervals, over all runs) of one propagate
+# call: 10x the costliest test propagation (960) and 40x verify's
+# certificate (240), whose steps take about 1.4 ms each on a Xeon core
+MAX_CF4_STEPS = 10_000
 
 
 def dense_evolve(h, dt: float, psi):
@@ -174,7 +173,7 @@ def _run_grid(h_at, psi0, grid, substeps, evolve):
 
 
 def propagate(h_at, psi0, grid, *, tol: float = 1e-8,
-              max_refinements: int = 8, evolve=None) -> StateTrajectory:
+              evolve=None) -> StateTrajectory:
     """Propagate a state (or a block of column states) through the grid.
 
     One substep is one CF4:2 step (see the module docstring): it
@@ -184,7 +183,8 @@ def propagate(h_at, psi0, grid, *, tol: float = 1e-8,
     changes the final state by less than ``tol``.  A probe pair (1 and
     2 substeps) fixes the constant of the fourth-order error model
     ``c / r^4``, from which the required count is predicted directly
-    instead of doubling all the way up.
+    instead of doubling all the way up.  Raises StepNotConverged before
+    a pair of runs would take the call past MAX_CF4_STEPS steps in all.
 
     ``evolve(h, dt, psi)`` returns exp(-i dt h) psi for h a real linear
     combination of ``h_at`` values and psi of shape (d,) or (d, K); the
@@ -199,37 +199,37 @@ def propagate(h_at, psi0, grid, *, tol: float = 1e-8,
         raise ValueError("initial state must be normalized")
     if evolve is None:
         evolve = dense_evolve
+    spent, diff = 0, math.inf
 
-    def state_diff(a, b):
+    def run_pair(coarse):
+        # the final state at ``coarse`` substeps per interval and every
+        # state at twice that, charged to the budget before either runs
+        nonlocal spent
+        spent += 3 * coarse * (len(grid) - 1)
+        if spent > MAX_CF4_STEPS:
+            raise StepNotConverged(
+                f"{2 * coarse} substeps per interval would take the call "
+                f"past MAX_CF4_STEPS = {MAX_CF4_STEPS} CF4 steps (final "
+                f"state still moves by {diff:.3g}, tol {tol:g})")
+        final = _run_grid(h_at, psi0, grid, coarse, evolve)[-1]
+        states = _run_grid(h_at, psi0, grid, 2 * coarse, evolve)
         # halving contract applies to each propagated state separately
-        return float(np.linalg.norm(a - b, axis=0).max())
+        return states, float(np.linalg.norm(states[-1] - final, axis=0).max())
 
-    final_coarse = _run_grid(h_at, psi0, grid, 1, evolve)[-1]
-    states = _run_grid(h_at, psi0, grid, 2, evolve)
-    diff = state_diff(states[-1], final_coarse)
+    states, diff = run_pair(1)
     substeps = 2
-    if diff < tol:
-        drift = float(np.abs(np.linalg.norm(states, axis=1) - 1.0).max())
-        return StateTrajectory(grid, states, drift, substeps)
     # err(r) ~ c / r^4, so diff(r, 2r) = (15/16) c / r^4; sizing r from
     # the probe keeps the halving contract while skipping the doubling ladder
     error_const = diff / _HALVING_FACTOR
-    for _ in range(max_refinements):
+    while not diff < tol:  # a NaN difference is no convergence
         predicted = int(np.ceil((_HALVING_FACTOR * error_const / tol) ** 0.25))
-        # cap the jump so max_refinements bounds the total work even
-        # when the tolerance is unreachable
+        # cap the jump: the error model may not hold yet at coarse steps
         target = int(np.clip(predicted, substeps + 1, 64 * substeps))
-        final_ref = _run_grid(h_at, psi0, grid, target, evolve)[-1]
-        states = _run_grid(h_at, psi0, grid, 2 * target, evolve)
-        diff = state_diff(states[-1], final_ref)
+        states, diff = run_pair(target)
         substeps = 2 * target
-        if diff < tol:
-            drift = float(np.abs(np.linalg.norm(states, axis=1) - 1.0).max())
-            return StateTrajectory(grid, states, drift, substeps)
         error_const = diff * target**4 / _HALVING_FACTOR
-    raise StepNotConverged(
-        f"final state still moves by {diff:.3g} after {substeps} substeps "
-        f"per interval (tol {tol:g})")
+    drift = float(np.abs(np.linalg.norm(states, axis=1) - 1.0).max())
+    return StateTrajectory(grid, states, drift, substeps)
 
 
 @dataclass(frozen=True)

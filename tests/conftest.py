@@ -24,6 +24,14 @@ def child_pythonpath():
         yield
 
 
+def band_to_dense(band):
+    """The Hermitian matrix an oscillator band (2, d) stands for: row 0
+    on the diagonal, row 1 (less its two padding entries) on the +2
+    diagonal and its conjugate on the -2 diagonal."""
+    upper = band[1, :-2]
+    return np.diag(band[0]) + np.diag(upper, 2) + np.diag(upper.conj(), -2)
+
+
 @pytest.fixture(scope="session")
 def fig1_model():
     """The oscillator study's operating point: omega 1 -> 3, tau = 0.8."""

@@ -191,6 +191,13 @@ class TestConfigHandling:
         assert main([command, "--config", str(cfg)]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("omega_f", ["1e200", "1e300"])
+    def test_overflowing_frequency_exits_two(self, tmp_path, capsys, omega_f):
+        # omega^2 overflows the Fock-space Hamiltonian
+        assert main(["ho-figure1", "--omega-f", omega_f,
+                     "--out", str(tmp_path)]) == 2
+        assert "omega_f" in capsys.readouterr().err
+
     @pytest.mark.parametrize("grid", ["1", "2"])
     def test_grid_below_three_exits_two(self, tmp_path, capsys, grid):
         assert main(["ho-figure1", "--grid", grid,
@@ -225,6 +232,11 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli, "run_verification", fake_run)
         assert main(["verify", "--seed", "8"]) == 0
         assert seen["seed"] == 8
+
+    @pytest.mark.parametrize("seed", ["-5", "-1"])
+    def test_negative_seed_exits_two(self, capsys, seed):
+        assert main(["verify", "--seed", seed]) == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_corrupted_auxiliary_term_fails(self, capsys):
         code = main(["verify", "--h1-scale", "2.0", "--chain-samples", "1"])

@@ -13,6 +13,7 @@ from cdwork import (DegeneracyError, HOConfig, HarmonicOscillator, NotAState,
 from cdwork.geometry import (DEGENERACY_TOL, _ensemble_speed_integrands,
                              qgt_levels)
 from cdwork.ising import IsingConfig, dense_model, ground_metric
+from conftest import band_to_dense
 
 
 def random_density(rng, dim):
@@ -166,13 +167,15 @@ class TestQgt:
     def test_overlap_decay_oracle(self, fig1_model):
         # independent route: symmetric overlaps kill the odd term, so
         # 1 - |<n(w-h)|n(w+h)>| = g (2h)^2 / 2 + O(h^4); one Richardson
-        # stage removes the quartic term
+        # stage removes the quartic term.  A ramp from w - h to w + h holds
+        # both Hamiltonians in one basis, at its two ends.
         from cdwork import spectrum
         omega = 2.0
 
         def estimate(h):
-            va = spectrum(fig1_model.h0_matrix(omega - h)).states[:, 0]
-            vb = spectrum(fig1_model.h0_matrix(omega + h)).states[:, 0]
+            model = HarmonicOscillator(HOConfig(omega - h, omega + h, 0.8))
+            va, vb = (spectrum(band_to_dense(model.h0_at(t))).states[:, 0]
+                      for t in (0.0, model.tau))
             return 2.0 * (1.0 - abs(np.vdot(va, vb))) / (2.0 * h) ** 2
 
         g1, g2 = estimate(2e-3), estimate(1e-3)

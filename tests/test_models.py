@@ -47,7 +47,7 @@ def test_private_store_bounds_both_kinds():
     h0_last = model.spectrum0_at(0.6)
     assert model.spectrum_cd_at(0.6) is not h0_last
     assert_same_spectrum(model.spectrum_cd_at(0.6),
-                         model._diagonalize(model.h_cd_at(0.6)))
+                         model._diagonalize(model.h_drive_at(0.6)))
 
 
 def test_default_store_is_private():

@@ -6,13 +6,14 @@ from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 
 from cdwork import (BandStructureError, ConfigError, HOConfig, HarmonicOscillator, InvalidDetuning,
-                    NonHermitianInput, ParametrizedModel, SupercriticalDrive,
+                    NonHermitianInput, SupercriticalDrive,
                     ValidityWarning, cd_exact_eigensystem, ho_metric,
                     ion_waveforms, model_ensemble, path_lengths, qgt, ramp,
                     variance_work, work_distribution)
 from cdwork import oscillator
 from cdwork.oscillator import IonConfig
 from cdwork.spectral import dense_evolve
+from conftest import band_to_dense
 
 
 class TestRamp:
@@ -41,8 +42,6 @@ class TestConfig:
     def test_rejects_nonpositive_parameters(self):
         with pytest.raises(ConfigError):
             HOConfig(-1.0, 3.0, 0.8).validate()
-        with pytest.raises(ConfigError):
-            HOConfig(1.0, 3.0, 0.8, mass=0.0).validate()
 
     def test_supercritical_ramp_flagged(self):
         cfg = HOConfig(1.0, 3.0, 0.4)
@@ -55,59 +54,80 @@ class TestConfig:
 
     def test_default_reference_frequency(self):
         assert HOConfig(1.0, 3.0, 0.8).omega_ref == pytest.approx(math.sqrt(3))
-        assert HOConfig(1.0, 3.0, 0.8,
-                        reference_frequency=2.0).omega_ref == 2.0
+
+    @pytest.mark.parametrize("omega_f", [1e200, 1e300])
+    def test_rejects_frequency_that_overflows_the_band(self, omega_f):
+        # omega^2 is not a finite float: H0 would hold inf
+        with pytest.raises(ConfigError, match="omega_f"):
+            HOConfig(1.0, omega_f, 0.8).validate()
 
 
 class TestMatrices:
-    def test_ground_state_energy_at_reference(self, fig1_model):
-        w_ref = fig1_model.config.omega_ref
-        h0 = fig1_model.h0_matrix(w_ref)
-        assert h0[0, 0] == pytest.approx(w_ref / 2.0, rel=1e-12)
+    def test_ground_state_energy_at_reference(self):
+        # a flat ramp sits at its reference frequency, where H0 is diagonal
+        model = HarmonicOscillator(HOConfig(2.0, 2.0, 0.8))
+        h0 = model.h0_at(0.3)
+        assert h0[0, 0] == pytest.approx(1.0, rel=1e-12)
+        assert np.abs(h0[1]).max() < 1e-12
 
     def test_h1_vanishes_without_drive(self, fig1_model):
-        assert np.abs(fig1_model.h1_matrix(2.0, 0.0)).max() == 0.0
+        # omegadot = 0 at both ends of the quintic ramp
+        assert np.abs(fig1_model.h1_at(0.0)).max() == 0.0
 
     def test_h1_couples_only_two_apart(self, fig1_model):
-        h1 = fig1_model.h1_matrix(2.0, 1.3)
-        mask = np.ones_like(h1, dtype=bool)
-        d = fig1_model.dim
-        idx = np.arange(d - 2)
-        mask[idx, idx + 2] = mask[idx + 2, idx] = False
-        assert np.abs(h1[mask]).max() == 0.0
+        # the band holds no diagonal and no entry past the +2 diagonal
+        h1 = fig1_model.h1_at(0.37)
+        assert h1.shape == (2, fig1_model.dim)
+        assert np.abs(h1[0]).max() == 0.0
+        assert np.abs(h1[1, -2:]).max() == 0.0
+        assert np.abs(h1[1, :-2]).min() > 0.0
 
     def test_h1_element_magnitude(self, fig1_model):
-        # |<2|H1|0>| = omegadot sqrt(2) / (4 omega) at the reference
-        # frequency (ladder algebra: qp+pq = i(raise^2 - lower^2))
-        w_ref = fig1_model.config.omega_ref
-        wd = 1.7
-        h1 = fig1_model.h1_matrix(w_ref, wd)
-        assert abs(h1[2, 0]) == pytest.approx(wd * math.sqrt(2) / (4 * w_ref),
+        # |<0|H1|2>| = omegadot sqrt(2) / (4 omega) in any reference basis
+        # (ladder algebra: qp+pq = i(raise^2 - lower^2))
+        t = 0.37
+        w, wd = fig1_model.omega(t), fig1_model.omega_dot(t)
+        h1 = fig1_model.h1_at(t)
+        assert abs(h1[1, 0]) == pytest.approx(wd * math.sqrt(2) / (4 * w),
                                               rel=1e-12)
-        assert h1[2, 0].real == 0.0  # purely imaginary coupling
+        assert h1[1, 0].real == 0.0  # purely imaginary coupling
 
     def test_hermitian(self, fig1_model):
+        # a band is Hermitian when its diagonal is real
         for t in (0.1, 0.37, 0.62):
-            h = fig1_model.h_cd_at(t)
-            assert np.abs(h - h.conj().T).max() < 1e-14
+            assert not fig1_model.h_drive_at(t)[0].imag.any()
 
 
 class TestFastEigh:
     def test_matches_dense_solver_in_band(self, fig1_model):
-        h = fig1_model.h_cd_at(0.37)
+        h = fig1_model.h_drive_at(0.37)
+        dense = band_to_dense(h)
         energies, vectors = fig1_model.fast_eigh(h)
-        assert np.abs(np.sort(energies) - np.linalg.eigvalsh(h)).max() < 1e-10
-        assert np.abs(h @ vectors - vectors * energies).max() < 1e-9
+        assert np.abs(np.sort(energies)
+                      - np.linalg.eigvalsh(dense)).max() < 1e-10
+        assert np.abs(dense @ vectors - vectors * energies).max() < 1e-9
+
+    def test_real_band_keeps_vectors_real(self, fig1_model):
+        # a real band needs only signs for its phase rotation
+        h0 = fig1_model.h0_at(0.37)
+        energies, vectors = fig1_model.fast_eigh(h0)
+        assert vectors.dtype == np.float64
+        assert np.abs(band_to_dense(h0) @ vectors
+                      - vectors * energies).max() < 1e-9
 
     def test_accepts_negative_zero_entries(self, fig1_model):
-        # a negative scale turns the zeros of qp+pq into -0.0
-        h1 = fig1_model.h1_matrix(2.0, 1.3)
-        assert np.any(np.signbit(h1.real[0, 1:2]))
-        fig1_model.fast_eigh(h1)
+        # a negative scale turns the zero diagonal of qp+pq into -0.0
+        h1 = fig1_model.h1_at(0.37)
+        assert np.all(np.signbit(h1.real[0]))
+        energies, vectors = fig1_model.fast_eigh(h1)
+        assert np.abs(band_to_dense(h1) @ vectors
+                      - vectors * energies).max() < 1e-12
 
     @pytest.mark.parametrize("distance", [1, 3, 4])
     def test_rejects_coupling_outside_band(self, fig1_model, distance):
-        h = fig1_model.h0_matrix(2.0).astype(complex)
+        # the solver takes bands only: a dense matrix, here with a coupling
+        # the band cannot hold, is refused
+        h = band_to_dense(fig1_model.h0_at(0.4)).astype(complex)
         h[5, 5 + distance] = h[5 + distance, 5] = 1e-3
         with pytest.raises(BandStructureError, match="two apart"):
             fig1_model.fast_eigh(h)
@@ -116,10 +136,11 @@ class TestFastEigh:
         with pytest.raises(BandStructureError, match="shape"):
             fig1_model.fast_eigh(np.eye(fig1_model.dim - 1))
 
-    @pytest.mark.parametrize("entry", [(4, 4), (4, 6), (7, 5)])
+    # the diagonal, the +2 diagonal and a padding entry
+    @pytest.mark.parametrize("entry", [(0, 4), (1, 4), (1, -1)])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_band(self, fig1_model, entry, bad):
-        h = fig1_model.h_cd_at(0.37).copy()
+        h = fig1_model.h_drive_at(0.37)
         h[entry] = bad
         with pytest.raises(ValueError, match="non-finite"):
             fig1_model.fast_eigh(h)
@@ -129,51 +150,38 @@ class TestFastEigh:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_band_input(self, fig1_model, h1_scale, entry,
                                            bad):
-        # (2, d) bands skip the dense checks, not the finiteness one
         band = fig1_model.h_drive_at(0.37, h1_scale)
         band[entry] = bad
         with pytest.raises(ValueError, match="non-finite"):
             fig1_model.fast_eigh(band)
 
-    def test_rejects_asymmetric_band(self, fig1_model):
-        # the solver reads only the +2 diagonal; the -2 one must mirror it
-        h = fig1_model.h_cd_at(0.37).copy()
-        h[7, 5] *= 1.0 + 1e-6
+    def test_rejects_imaginary_diagonal(self, fig1_model, rng):
+        h = fig1_model.h_drive_at(0.37)
+        h[0, 4] += 1e-6j
         with pytest.raises(NonHermitianInput, match="Hermiticity"):
             fig1_model.fast_eigh(h)
-
-    def test_rejects_imaginary_diagonal(self, fig1_model):
-        h = fig1_model.h_cd_at(0.37).copy()
-        h[4, 4] += 1e-6j
         with pytest.raises(NonHermitianInput, match="Hermiticity"):
-            fig1_model.fast_eigh(h)
+            fig1_model.evolve(h, 0.3, _random_state(rng, fig1_model.dim))
+        # below HERMITIAN_TOL of the band's scale, as in assert_hermitian,
+        # the imaginary part is dropped
+        h[0, 4] = h[0, 4].real + 1e-20j
+        assert np.array_equal(fig1_model.fast_eigh(h)[0], fig1_model.fast_eigh(
+            fig1_model.h_drive_at(0.37))[0])
 
     def test_same_bits_as_scipy_tridiagonal_solver(self, fig1_model):
         # reference: scipy's validated front end to the same LAPACK routine
-        h = fig1_model.h_cd_at(0.37)
+        h = fig1_model.h_drive_at(0.37)
         energies, vectors = fig1_model.fast_eigh(h)
         col = 0
         for parity in (0, 1):
-            off = np.diagonal(h, 2)[parity::2]
+            off = h[1, :-2][parity::2]
             phases = np.exp(-1j * np.concatenate(([0.0], np.cumsum(np.angle(off)))))
-            vals, vecs = eigh_tridiagonal(np.diagonal(h)[parity::2].real,
-                                          np.abs(off))
+            vals, vecs = eigh_tridiagonal(h[0, parity::2].real, np.abs(off))
             size = len(vals)
             assert np.array_equal(energies[col:col + size], vals)
             assert np.array_equal(vectors[parity::2, col:col + size],
                                   vecs * phases[:, None])
             col += size
-
-
-    @pytest.mark.parametrize("omega", [1.0, 1.5, 3.0])
-    def test_band_input_same_bits_as_dense(self, fig1_model, omega):
-        # H0 spectra are solved from the band with no dense build
-        dense = fig1_model.fast_eigh(fig1_model.h0_matrix(omega))
-        band = fig1_model.fast_eigh(fig1_model._h0_operator([omega]))
-        for a, b in zip(dense, band):
-            assert np.array_equal(a, b)
-        # a real band needs only signs: its eigenvectors stay real
-        assert band[1].dtype == np.float64
 
 
 def _random_state(rng, dim, columns=None, odd=True):
@@ -190,8 +198,8 @@ class TestSectorEvolve:
 
     @staticmethod
     def _operators(model, h1_scale):
-        return (model.h_drive_at(0.37, h1_scale),
-                ParametrizedModel.h_drive_at(model, 0.37, h1_scale))
+        band = model.h_drive_at(0.37, h1_scale)
+        return band, band_to_dense(band)
 
     @pytest.mark.parametrize("dt", [0.005, 0.3])
     @pytest.mark.parametrize("columns", [None, 9])
@@ -238,19 +246,12 @@ class TestSectorEvolve:
         with pytest.raises(ValueError, match="non-finite"):
             fig1_model.evolve(band, 0.3, psi)
 
-    @pytest.mark.parametrize("h1_scale", [0.0, 1.0])
-    def test_dense_input_same_bits_as_band(self, fig1_model, rng, h1_scale):
-        band, dense = self._operators(fig1_model, h1_scale)
-        psi = _random_state(rng, fig1_model.dim, 9)
-        assert np.array_equal(fig1_model.evolve(dense, 0.3, psi),
-                              fig1_model.evolve(band, 0.3, psi))
-
 
 def _assert_band_products(model, times, vectors):
     out = model.apply_h1(times, vectors, np.empty_like(vectors))
     for b, t in enumerate(times):
         # H1 vanishes exactly where omegadot does
-        want = model.h1_at(t) @ vectors[b]
+        want = band_to_dense(model.h1_at(t)) @ vectors[b]
         assert np.abs(out[b] - want).max() <= 1e-13 * np.abs(want).max()
 
 

@@ -1,4 +1,6 @@
 import math
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -9,14 +11,30 @@ from scipy.integrate import simpson
 from cdwork import (DegenerateGaugeWarning, DegeneracyError, HOConfig,
                     HarmonicOscillator, NonHermitianInput, ParametrizedModel,
                     StepNotConverged,
-                    assert_hermitian, cd_auxiliary, cd_coupling, propagate,
-                    quintic_ramp, spectrum, transitionless_certificate,
-                    two_level_model)
+                    assert_hermitian, cd_coupling, propagate, quintic_ramp,
+                    spectrum, transitionless_certificate, two_level_model)
+from cdwork import spectral
 from cdwork.spectral import _run_grid, dense_evolve
+from conftest import band_to_dense
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1j], [1j, 0.0]])
 SZ = np.diag([1.0, -1.0]).astype(complex)
+
+
+@contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block once ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds:g} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def random_hermitian(rng, dim):
@@ -39,7 +57,8 @@ class TestSpectrum:
     def test_oscillator_ladder(self):
         # omega = 2 oscillator resolved in the default reference basis
         model = HarmonicOscillator(HOConfig(1.0, 3.0, 0.8, dim=120))
-        energies = spectrum(model.h0_matrix(2.0)).energies
+        assert model.omega(0.4) == pytest.approx(2.0, abs=1e-14)
+        energies = spectrum(band_to_dense(model.h0_at(0.4))).energies
         ladder = 2.0 * (np.arange(41) + 0.5)
         assert np.abs(energies[:41] - ladder).max() < 1e-8
 
@@ -94,8 +113,9 @@ class TestCdAuxiliary:
         # clear of the truncation edge
         model = HarmonicOscillator(HOConfig(1.0, 3.0, 0.8, dim=280))
         t = 0.4
-        h1 = cd_auxiliary(model.h0_at, model.dh0_dt_at, t)
-        ref = model.h1_at(t)
+        h1 = cd_coupling(spectrum(band_to_dense(model.h0_at(t))),
+                         model.dh0_dt_at(t))
+        ref = band_to_dense(model.h1_at(t))
         block = slice(0, 2 * 280 // 3)
         assert np.abs((h1 - ref)[block, block]).max() < 1e-8
 
@@ -212,12 +232,25 @@ class TestPropagate:
         for coarse, fine in zip(errors, errors[1:]):
             assert coarse / fine >= 12.0
 
-    def test_not_converged_raises(self, rng):
+    def test_not_converged_raises(self, rng, monkeypatch):
+        # a small step budget stands in for an unreachable tolerance
+        monkeypatch.setattr(spectral, "MAX_CF4_STEPS", 400)
         h_at = lambda t: np.sin(400.0 * t) * 50.0 * SX + 30.0 * t * SZ
         psi0 = np.array([1.0, 0.0], dtype=complex)
-        with pytest.raises(StepNotConverged):
-            propagate(h_at, psi0, np.linspace(0, 1.0, 5), tol=1e-14,
-                      max_refinements=1)
+        with pytest.raises(StepNotConverged, match="MAX_CF4_STEPS = 400"):
+            propagate(h_at, psi0, np.linspace(0, 1.0, 5), tol=1e-14)
+
+    def test_step_budget_counts_every_run(self, rng, monkeypatch):
+        # the probe pair takes (1 + 2) x 4 steps on a 5-point grid: a
+        # budget of 11 stops the second probe, 12 lets the pair run
+        h = random_hermitian(rng, 3)
+        psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
+        grid = np.linspace(0.0, 0.01, 5)
+        monkeypatch.setattr(spectral, "MAX_CF4_STEPS", 11)
+        with pytest.raises(StepNotConverged, match="2 substeps"):
+            propagate(lambda t: h, psi0, grid)
+        monkeypatch.setattr(spectral, "MAX_CF4_STEPS", 12)
+        assert propagate(lambda t: h, psi0, grid).substeps == 2
 
     def test_grid_validation(self):
         psi0 = np.array([1.0, 0.0], dtype=complex)
@@ -276,27 +309,12 @@ class TestCertificate:
                                           h1_scale=h1_scale, tol=3e-7)
         assert not cert.passed
 
-
-class TestBandCertificate:
-    """The certificate propagates the oscillator's band Hamiltonians; the
-    dense H0 + h1_scale H1 of the generic model is the reference."""
-
-    @pytest.mark.parametrize("h1_scale, levels", [(1.0, np.arange(9)),
-                                                  (0.0, [0])])
-    def test_states_bit_equal_to_dense_at_verify_point(self, fig1_model,
-                                                       h1_scale, levels):
+    def test_unreachable_tolerance_stops_within_budget(self, fig1_model):
+        # a huge auxiliary term leaves the step-halving contract out of
+        # reach: the step budget ends the call instead of an endless
+        # refinement
         grid = np.linspace(0.0, fig1_model.tau, 81)
-        psi0 = fig1_model.spectrum0_at(0.0).states[:, levels]
-
-        def dense(t):
-            return ParametrizedModel.h_drive_at(fig1_model, t, h1_scale)
-
-        def band(t):
-            return fig1_model.h_drive_at(t, h1_scale)
-
-        assert np.shape(band(0.3)) == (2, fig1_model.dim)
-        assert np.iscomplexobj(band(0.3)) == bool(h1_scale)
-        runs = [propagate(h_at, psi0, grid, tol=3e-7,
-                          evolve=fig1_model.evolve) for h_at in (dense, band)]
-        assert runs[0].substeps == runs[1].substeps
-        assert np.array_equal(runs[0].states, runs[1].states)
+        with _deadline(30.0), pytest.raises(StepNotConverged,
+                                            match="MAX_CF4_STEPS"):
+            transitionless_certificate(fig1_model, np.arange(9), grid,
+                                       h1_scale=1e300, tol=3e-7)
