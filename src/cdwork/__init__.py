@@ -13,9 +13,9 @@ from .errors import (BandStructureError, CdworkError, ConfigError,
                      SupercriticalDrive, TruncationError, ValidityWarning)
 from .fitting import FitResult, fit_power_law
 from .geometry import (GeometricTensor, SpeedLimitReport, bound_chain,
-                       bures_fidelity, bures_length, evolved_density,
-                       fidelity_decay_check, path_lengths, qgt,
-                       speed_limit_report)
+                       bures_fidelity, bures_length, chain_lengths,
+                       ensemble_rates, evolved_density, fidelity_decay_check,
+                       path_lengths, qgt, speed_limit_report)
 from .models import ParametrizedModel, SpectrumCache, two_level_model
 from .oscillator import (HOConfig, HarmonicOscillator, IonConfig,
                          WaveformTable, cd_exact_eigensystem, ho_metric,
@@ -27,9 +27,8 @@ from .spectral import (CertificateReport, Spectrum, StateTrajectory,
                        assert_hermitian, cd_coupling,
                        propagate, spectrum, transitionless_certificate)
 from .workstats import (ThermalEnsemble, TransitionMatrix, WorkDistribution,
-                        WorkMoments, excess_variance_direct,
-                        excess_variance_geometric, fluctuation_series,
-                        fluctuation_sweep, identity_check_rowsum, mean_work,
+                        WorkMoments, fluctuation_series, fluctuation_sweep,
+                        identity_check_rowsum, mean_work,
                         model_ensemble, thermal_ensemble, transition_matrix,
                         variance_work, work_distribution, work_moments)
 

@@ -19,11 +19,10 @@ import numpy as np
 from . import ising
 from .errors import ConfigError
 from .fitting import FitResult, fit_power_law
-from .geometry import (SpeedLimitReport, bound_chain, bures_length,
-                       evolved_density, path_lengths)
+from .geometry import (SpeedLimitReport, bound_chain, chain_lengths,
+                       ensemble_rates)
 from .oscillator import HOConfig, HarmonicOscillator
-from .workstats import (excess_variance_geometric, fluctuation_sweep,
-                        model_ensemble)
+from .workstats import fluctuation_sweep, model_ensemble
 
 
 @dataclass(frozen=True)
@@ -98,18 +97,17 @@ def ho_figure1_data(*, omega_i: float = 1.0, omega_f: float = 3.0,
     sweep = fluctuation_sweep(model, ensemble, grid, tau_list)
     rows = {"t": grid, **sweep[tau_list.index(tau)]}
     rows["excess_geometric"] = np.array(
-        [excess_variance_geometric(model, ensemble, t) for t in grid])
+        [ensemble_rates(model, ensemble, t)[1] for t in grid])
     mean_series = {k: rows[k] for k in ("t", "mean_cd", "mean_ad")}
     excess_series = {k: rows[k] for k in ("t", "var_cd", "var_ad",
                                           "excess_direct", "excess_geometric")}
-    bures = bures_length(evolved_density(model, ensemble, 0.0),
-                         evolved_density(model, ensemble, tau))
-    eta, ell = path_lengths(model, ensemble)
+    lengths = chain_lengths(model, ensemble)
+    bures, eta, ell = lengths
 
     for tau_k, columns in zip(tau_list, sweep):
         columns["t"] = np.linspace(0.0, tau_k, grid_points)
         columns["tau"] = np.full(grid_points, tau_k)
-    tau_table = [bound_chain(columns, ell, eta, bures) for columns in sweep]
+    tau_table = [bound_chain(columns, *lengths) for columns in sweep]
     variance_rows = {k: np.concatenate([columns[k] for columns in sweep])
                      for k in ("tau", "t", "var_cd", "var_ad")}
     fit = None

@@ -33,12 +33,10 @@ class FitResult:
         }
 
 
-def fit_power_law(x, y, *, fixed_exponent: float | None = None) -> FitResult:
+def fit_power_law(x, y) -> FitResult:
     """Fit y = c x^b by OLS on (log x, log y).
 
-    With ``fixed_exponent`` only the prefactor is fitted.  Requires
-    positive data and at least three points (two when the exponent is
-    fixed).
+    Requires positive data and at least three points.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -46,19 +44,6 @@ def fit_power_law(x, y, *, fixed_exponent: float | None = None) -> FitResult:
         raise ValueError("power-law fit needs positive data")
     lx, ly = np.log(x), np.log(y)
     n = len(x)
-    if fixed_exponent is not None:
-        if n < 2:
-            raise ValueError("need at least two points")
-        resid = ly - fixed_exponent * lx
-        intercept = float(resid.mean())
-        residuals = resid - intercept
-        dof = max(n - 1, 1)
-        var = float(residuals @ residuals) / dof
-        se_int = np.sqrt(var / n)
-        return FitResult(float(np.exp(intercept)), float(fixed_exponent),
-                         float(np.exp(intercept) * se_int), 0.0,
-                         float(np.sqrt(np.mean(residuals**2))),
-                         (float(x.min()), float(x.max())))
     if n < 3:
         raise ValueError("need at least three points for a two-parameter fit")
     design = np.column_stack([np.ones(n), lx])

@@ -1,35 +1,32 @@
-"""Quantum geometric tensor, path lengths, Uhlmann fidelity and the
-speed-limit inequality chain.
+"""Quantum geometric tensor, the ensemble's geometric rates, path
+lengths, Uhlmann fidelity and the speed-limit inequality chain.
 
-The per-level geometric tensor is computed from the gauge-invariant
-second-order perturbative sum
+Every geometric quantity is built from one helper, ``_coupling_rows``: the
+coupling rows <n|dH0/dlam_mu|k> of the requested levels n against every
+level k, with the gaps eps_k - eps_n.  It refuses (DegeneracyError) any
+requested level with a partner within DEGENERACY_TOL of the spectral
+scale, so every gap it hands out is safe to divide by.  From the rows:
 
-    Q_mu_nu(n) = sum_{k != n} <n|dH0/dlam_mu|k><k|dH0/dlam_nu|n>
-                               / (eps_k - eps_n)^2,
+  * ``qgt``: the per-level tensor
+        Q_mu_nu(n) = sum_{k != n} <n|dH0/dlam_mu|k><k|dH0/dlam_nu|n>
+                                  / (eps_k - eps_n)^2,
+    whose real part g is the metric that controls the quadratic decay of
+    eigenstate fidelity;
+  * ``ensemble_rates``: with lamdot contracted, the rates of the two
+    path lengths at one time: sum_n p_n g^(n) lamdot lamdot, the
+    counterdiabatic excess of the work variance, and eta's rate, whose
+    mixed-state metric carries the (p_n - p_k)^2/(p_n + p_k) weights
+    (populations are constant under counterdiabatic driving, so the
+    classical term drops).
 
-whose real part g is the metric that controls both the quadratic decay
-of eigenstate fidelity and the excess of work fluctuations under
-counterdiabatic driving.  Three path functionals enter the chain:
-
-  * ell = integral sqrt(sum_n p_n g^(n) lamdot lamdot) dt and
-  * eta, the mixed-state Riemannian length whose metric carries the
-    (p_n - p_k)^2/(p_n + p_k) weights (populations are constant under
-    counterdiabatic driving, so the classical term drops), both from
-    one quadrature pass in ``path_lengths``,
-  * bures_length: arccos sqrt(F) between the endpoint density matrices.
-
-They obey bures <= eta <= ell, and tau times the time-averaged excess
-work-fluctuation amplitude equals ell exactly (hbar = 1 units);
-``bound_chain`` assembles that chain.
-
-Both lengths are weighted by the level populations: a pair of levels
-(n, k) enters ell only through p_n and eta only through
-(p_n - p_k)^2/(p_n + p_k), so a pair counts only if one of its levels
-is populated.  The geometry is therefore built from coupling rows
-<n|dH0/dlam_mu|k> for the populated levels n (the ensemble's retained
-prefix of K levels) against every k, a K x d array instead of the
-d x d matrix V^dagger dH0 V; the unpopulated rows would only ever be
-multiplied by zero weights.
+Both rates are weighted by the populations, so a pair (n, k) counts only
+if one of its levels is populated: the rows are those of the ensemble's
+retained prefix of K levels, a K x d array instead of V^dagger dH0 V.
+``path_lengths`` integrates the square roots of the rates to eta and
+ell in one quadrature pass, and ``chain_lengths`` adds the endpoint
+Bures length arccos sqrt(F).  They obey bures <= eta <= ell, and tau
+times the time-averaged excess work-fluctuation amplitude equals ell
+exactly (hbar = 1 units); ``bound_chain`` assembles that chain.
 """
 
 from __future__ import annotations
@@ -41,10 +38,8 @@ from scipy.integrate import simpson
 
 from .errors import DegeneracyError, NotAState
 from .quadrature import adaptive_simpson_multi
-
-# relative gap (against the spectral scale) below which a level counts as
-# degenerate, where its geometric tensor diverges
-DEGENERACY_TOL = 1e-9
+from .spectral import DEGENERACY_TOL
+from .workstats import fluctuation_series
 
 
 @dataclass(frozen=True)
@@ -54,51 +49,39 @@ class GeometricTensor:
 
     q: np.ndarray
     g: np.ndarray
-    level: int
 
 
-def _coupling_rows(model, t, rows):
-    """Spectrum at t and, per parameter mu, the coupling rows
-    <n|dH0/dlam_mu|k> for the levels n selected by ``rows`` (an index
-    array or a slice) against every level k: shape (K, d) each."""
-    spec = model.spectrum0_at(t)
-    bras = spec.states[:, rows].conj().T
-    return spec, [(bras @ p) @ spec.states
-                  for p in model.dh0_dlambda_at(t)]
+def _coupling_rows(model, t, levels):
+    """Per parameter mu, the coupling rows <n|dH0/dlam_mu|k> of the
+    ``levels`` n against every level k, shape (L, d) each, and the gaps
+    eps_k - eps_n, shape (L, d), infinite at k = n.
 
-
-def qgt_levels(model, levels, t: float) -> np.ndarray:
-    """Geometric tensors for several levels at once, shape (L, P, P).
-
-    Needs only the coupling rows of the requested levels: by
-    Hermiticity the column <k|dH0/dlam_nu|n> is the conjugate of row n,
-    so Q_mu_nu(n) = sum_k M_mu[n, k] conj(M_nu[n, k]) / (eps_k - eps_n)^2.
-    Raises DegeneracyError for the first requested level that has
+    Raises DegeneracyError naming the first requested level that has
     another level within DEGENERACY_TOL of the spectral scale.
     """
-    levels = np.atleast_1d(np.asarray(levels, dtype=int))
-    spec, ms = _coupling_rows(model, t, levels)
+    levels = np.asarray(levels, dtype=int)
+    spec = model.spectrum0_at(t)
     e = spec.energies
-    scale = max(abs(e[0]), abs(e[-1]), 1e-300)
-    own = (np.arange(len(levels)), levels)
     gaps = e[None, :] - e[levels, None]
-    gaps[own] = 1.0
-    near = np.abs(gaps) < DEGENERACY_TOL * scale
-    near[own] = False
-    bad = np.flatnonzero(near.any(axis=1))
+    gaps[np.arange(len(levels)), levels] = np.inf
+    scale = max(abs(e[0]), abs(e[-1]), 1e-300)
+    bad = np.flatnonzero((np.abs(gaps) < DEGENERACY_TOL * scale).any(axis=1))
     if bad.size:
         raise DegeneracyError(
             f"level {levels[bad[0]]} is near-degenerate at t={t:g}")
-    inv2 = 1.0 / gaps**2
-    inv2[own] = 0.0
-    m = np.stack(ms)
-    return np.einsum("alk,blk,lk->lab", m, m.conj(), inv2)
+    bras = spec.states[:, levels].conj().T
+    return [(bras @ p) @ spec.states for p in model.dh0_dlambda_at(t)], gaps
 
 
 def qgt(model, level: int, t: float) -> GeometricTensor:
-    q = qgt_levels(model, [level], t)[0]
+    """Geometric tensor of one level.  By Hermiticity the column
+    <k|dH0/dlam_nu|n> is the conjugate of row n, so
+    Q_mu_nu(n) = sum_k M_mu[n, k] conj(M_nu[n, k]) / (eps_k - eps_n)^2."""
+    rows, gaps = _coupling_rows(model, t, [level])
+    m = np.stack(rows)[:, 0]
+    q = np.einsum("ak,bk,k->ab", m, m.conj(), 1.0 / gaps[0] ** 2)
     g = 0.5 * (q.real + q.real.T)
-    return GeometricTensor(q, g, int(level))
+    return GeometricTensor(q, g)
 
 
 @dataclass(frozen=True)
@@ -106,15 +89,14 @@ class FidelityDecay:
     """Richardson check of the quadratic eigenstate-fidelity decay."""
 
     residual: float
-    residual_half: float
     order: float
 
 
 def fidelity_decay_check(model, level: int, t: float, dt: float) -> FidelityDecay:
     """Verify 1 - |<n(t)|n(t+dt)>| = g lamdot lamdot dt^2 / 2 + O(dt^3).
 
-    Returns the residual at dt and dt/2 and the observed convergence
-    order log2(residual / residual_half), which should approach 3.
+    Returns the residual at dt and the observed convergence order
+    log2(residual(dt) / residual(dt/2)), which should approach 3.
     """
     g = qgt(model, level, t).g
     lamdot = model.protocol.derivative(t)
@@ -128,72 +110,46 @@ def fidelity_decay_check(model, level: int, t: float, dt: float) -> FidelityDeca
 
     r1, r2 = residual(dt), residual(dt / 2.0)
     order = np.log2(r1 / r2) if r2 > 0 else np.inf
-    return FidelityDecay(r1, r2, float(order))
+    return FidelityDecay(r1, float(order))
 
 
-def _ensemble_speed_integrands(model, ensemble):
-    """Integrands sqrt(eta lamdot lamdot) and sqrt(sum p g lamdot lamdot).
+def ensemble_rates(model, ensemble, t: float) -> tuple[float, float]:
+    """(eta_rate, metric_rate) at t: the squared speeds of eta and ell.
 
-    Both come from the coupling rows of the K populated levels.  With
-    a_nk = |<n|dH0/dt|k>|^2 / (eps_k - eps_n)^2 and the symmetric weights
-    w_nk = (p_n - p_k)^2/(p_n + p_k), which vanish when neither level is
-    populated, eta's sum over all pairs is
+    metric_rate = sum_n p_n g^(n) lamdot lamdot is the counterdiabatic
+    excess of the work variance.  Both come from the coupling rows of the
+    K populated levels.  With a_nk = |<n|dH0/dt|k>|^2 / (eps_k - eps_n)^2
+    and the symmetric weights w_nk = (p_n - p_k)^2/(p_n + p_k), which
+    vanish when neither level is populated, eta's sum over all pairs is
     (1/2) sum_nk w a = sum_{n<K, all k} w a - (1/2) sum_{n<K, k<K} w a:
-    the rows count each pair with both levels populated twice.  A drive
-    that couples a degenerate pair with a populated level raises
-    DegeneracyError; the squared couplings and the gaps are symmetric in
-    (n, k), so the rows see every such pair, and a coupling counts as
-    nonzero above 1e-20 of the largest computed (populated-row) one.
+    the rows count each pair with both levels populated twice.  A
+    populated level with a near-degenerate partner raises
+    DegeneracyError (see ``_coupling_rows``).
     """
     weights = ensemble.weights
     n_rows = ensemble.n_levels
-    rows = slice(0, n_rows)
-
-    def both(t):
-        lamdot = model.protocol.derivative(t)
-        spec, ms = _coupling_rows(model, t, rows)
-        e = spec.energies
-        m_dot = np.tensordot(lamdot, np.array(ms), 1)
-        gaps = e[None, :] - e[:n_rows, None]
-        np.fill_diagonal(gaps, 1.0)
-        scale = max(abs(e[0]), abs(e[-1]), 1e-300)
-        num = np.abs(m_dot) ** 2
-        # degenerate pairs contribute nothing unless the drive couples a
-        # populated one, which the models here exclude
-        safe = np.abs(gaps) > 1e-12 * scale
-        a = np.divide(num, gaps**2, out=np.zeros_like(num), where=safe)
-        np.fill_diagonal(a, 0.0)
-        p = np.zeros(e.shape[0])
-        p[:n_rows] = weights
-        populated = p > 0
-        if np.any(~safe & (num > 1e-20 * max(num.max(), 1e-300))
-                  & (populated[:n_rows, None] | populated[None, :])):
-            raise DegeneracyError(
-                f"drive couples a degenerate populated pair at t={t:g}")
-        g_speed = float(weights @ a.sum(axis=1))
-        pn, pk = weights[:, None], p[None, :]
-        den = pn + pk
-        wmat = np.divide((pn - pk) ** 2, den, out=np.zeros_like(den),
-                         where=den > 0)
-        wa = wmat * a
-        eta_speed = float(wa.sum()) - 0.5 * float(wa[:, rows].sum())
-        return np.array([np.sqrt(max(eta_speed, 0.0)),
-                         np.sqrt(max(g_speed, 0.0))])
-
-    return both
+    rows, gaps = _coupling_rows(model, t, np.arange(n_rows))
+    m_dot = np.tensordot(model.protocol.derivative(t), np.array(rows), 1)
+    a = np.abs(m_dot) ** 2 / gaps**2
+    metric_rate = float(weights @ a.sum(axis=1))
+    p = np.zeros(gaps.shape[1])
+    p[:n_rows] = weights
+    pn, pk = weights[:, None], p[None, :]
+    den = pn + pk
+    wmat = np.divide((pn - pk) ** 2, den, out=np.zeros_like(den),
+                     where=den > 0)
+    wa = wmat * a
+    eta_rate = float(wa.sum()) - 0.5 * float(wa[:, :n_rows].sum())
+    return eta_rate, metric_rate
 
 
 def path_lengths(model, ensemble, *,
                  rel_tol: float = 1e-8) -> tuple[float, float]:
-    """(eta, ell) of the model's protocol from one shared quadrature
-    pass.
-
-    Each node builds only the K populated coupling rows (K =
-    ``ensemble.n_levels``), since unpopulated pairs carry zero weight in
-    both lengths; see ``_ensemble_speed_integrands``.
-    """
-    both = _ensemble_speed_integrands(model, ensemble)
-    out = adaptive_simpson_multi(both, 0.0, model.tau, rel_tol=rel_tol)
+    """(eta, ell) of the model's protocol: the square roots of
+    ``ensemble_rates`` integrated in one shared quadrature pass."""
+    out = adaptive_simpson_multi(
+        lambda t: np.sqrt(np.maximum(ensemble_rates(model, ensemble, t), 0.0)),
+        0.0, model.tau, rel_tol=rel_tol)
     return float(out[0]), float(out[1])
 
 
@@ -283,11 +239,11 @@ class SpeedLimitReport:
         return self.chain_ok and self.ordering_ok and self.equality_ok
 
 
-def bound_chain(series: dict, ell: float, eta: float,
-                bures: float) -> SpeedLimitReport:
-    """The bound chain from the three path lengths and the excess and
-    energy-variance columns of ``workstats.fluctuation_series`` on a
-    uniform grid from 0 to tau.
+def bound_chain(series: dict, bures: float, eta: float,
+                ell: float) -> SpeedLimitReport:
+    """The bound chain from the three path lengths of ``chain_lengths``
+    and the excess and energy-variance columns of
+    ``workstats.fluctuation_series`` on a uniform grid from 0 to tau.
 
     A constant path (ell = 0) has coinciding endpoints and nothing to
     bound: its report carries zero bounds and residual and sets every
@@ -314,6 +270,17 @@ def bound_chain(series: dict, ell: float, eta: float,
                             chain_ok, ordering_ok, equality_ok)
 
 
+def chain_lengths(model, ensemble, *,
+                  rel_tol: float = 1e-8) -> tuple[float, float, float]:
+    """(bures, eta, ell): the endpoint Bures length of the evolved
+    densities and ``path_lengths``.  The endpoint spectra are solved
+    first, so a model whose store holds a grid from 0 to tau reuses them
+    before the quadrature nodes can evict them."""
+    bures = bures_length(evolved_density(model, ensemble, 0.0),
+                         evolved_density(model, ensemble, model.tau))
+    return (bures, *path_lengths(model, ensemble, rel_tol=rel_tol))
+
+
 def speed_limit_report(model, ensemble, *,
                        grid_points: int) -> SpeedLimitReport:
     """Assemble the full bound chain for the model's protocol.
@@ -324,12 +291,6 @@ def speed_limit_report(model, ensemble, *,
     length is a genuine cross-validation of two independent
     computations.
     """
-    from .workstats import fluctuation_series
-
     series = fluctuation_series(
         model, ensemble, np.linspace(0.0, model.tau, grid_points))
-    # the endpoint spectra are the grid's, held until the quadrature runs
-    bures = bures_length(evolved_density(model, ensemble, 0.0),
-                         evolved_density(model, ensemble, model.tau))
-    eta, ell = path_lengths(model, ensemble)
-    return bound_chain(series, ell, eta, bures)
+    return bound_chain(series, *chain_lengths(model, ensemble))

@@ -103,9 +103,7 @@ class ExcessTrajectory:
     """delta(DW)^2(t) = g(lam(t)) lamdot(t)^2 along a sweep (the
     adiabatic work variance is identically zero for a single level)."""
 
-    times: np.ndarray
     lam: np.ndarray
-    lam_dot: np.ndarray
     excess_variance: np.ndarray
     excess_dev: np.ndarray
 
@@ -118,7 +116,7 @@ def cd_excess_trajectory(config: IsingConfig, grid) -> ExcessTrajectory:
     lam_dot = np.array([proto.derivative(t)[0] for t in grid])
     g = ground_metric(lam, config.n_sites)
     excess = g * lam_dot**2
-    return ExcessTrajectory(grid, lam, lam_dot, excess, np.sqrt(excess))
+    return ExcessTrajectory(lam, excess, np.sqrt(excess))
 
 
 def sweep_cost_integral(n_sites: int, delta: float) -> float:

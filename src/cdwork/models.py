@@ -151,7 +151,7 @@ class ParametrizedModel:
         return self._cached(key, lambda: self.h_drive_at(t))
 
 
-def two_level_model(protocol: Protocol, field=None) -> ParametrizedModel:
+def two_level_model(protocol: Protocol) -> ParametrizedModel:
     """Avoided-crossing two-level family H0 = lam * sigma_z + sigma_x.
 
     A closed-form testbed: eigenvalues -+sqrt(1 + lam^2) and auxiliary
@@ -159,10 +159,8 @@ def two_level_model(protocol: Protocol, field=None) -> ParametrizedModel:
     """
     sz = np.diag([1.0, -1.0]).astype(complex)
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    if field is None:
-        field = sx
 
     def h0_of(lam):
-        return lam[0] * sz + field
+        return lam[0] * sz + sx
 
     return ParametrizedModel(protocol, h0_of, dh0_of=lambda lam: [sz])

@@ -34,6 +34,12 @@ from .errors import (DegenerateGaugeWarning, DegeneracyError,
 
 # relative Frobenius deviation from Hermiticity that an input may carry
 HERMITIAN_TOL = 1e-12
+# relative gap (against the spectral scale) below which two levels count
+# as degenerate, where the auxiliary term and the geometric tensor diverge
+DEGENERACY_TOL = 1e-9
+# coupling (against the largest one) below which cd_coupling treats a
+# degenerate pair as uncoupled
+COUPLING_TOL = 1e-12
 
 
 def assert_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL,
@@ -66,7 +72,6 @@ class Spectrum:
 
     energies: np.ndarray
     states: np.ndarray
-    gauge: str = "largest-entry-real-positive"
 
     @property
     def dim(self) -> int:
@@ -74,7 +79,7 @@ class Spectrum:
 
 
 def spectrum(h: np.ndarray, *, check: bool = True,
-             degeneracy_tol: float = 1e-9) -> Spectrum:
+             degeneracy_tol: float = DEGENERACY_TOL) -> Spectrum:
     """Diagonalize a Hermitian matrix with the fixed phase gauge.
 
     Emits DegenerateGaugeWarning when two eigenvalues are closer than
@@ -92,14 +97,12 @@ def spectrum(h: np.ndarray, *, check: bool = True,
     return Spectrum(energies, gauge_fix(vectors))
 
 
-def cd_coupling(spec: Spectrum, dh0_dt: np.ndarray, *,
-                degeneracy_tol: float = 1e-9,
-                coupling_tol: float = 1e-12) -> np.ndarray:
+def cd_coupling(spec: Spectrum, dh0_dt: np.ndarray) -> np.ndarray:
     """Counterdiabatic term from a spectrum and the Hamiltonian velocity.
 
     Returns H1 in the original basis.  Raises DegeneracyError when a
-    near-degenerate pair (gap below degeneracy_tol * spectral scale) is
-    coupled by dh0_dt above coupling_tol * ||dh0_dt||; uncoupled
+    near-degenerate pair (gap below DEGENERACY_TOL * spectral scale) is
+    coupled by dh0_dt above COUPLING_TOL * ||dh0_dt||; uncoupled
     degenerate pairs contribute zero.
     """
     e, v = spec.energies, spec.states
@@ -107,14 +110,15 @@ def cd_coupling(spec: Spectrum, dh0_dt: np.ndarray, *,
     gaps = e[None, :] - e[:, None]
     scale = max(abs(e[0]), abs(e[-1]), 1e-300)
     drive_scale = max(np.abs(m).max(), 1e-300)
-    tiny = np.abs(gaps) < degeneracy_tol * scale
+    tiny = np.abs(gaps) < DEGENERACY_TOL * scale
     np.fill_diagonal(tiny, False)
-    if np.any(tiny & (np.abs(m) > coupling_tol * drive_scale)):
-        i, j = np.argwhere(tiny & (np.abs(m) > coupling_tol * drive_scale))[0]
+    coupled = tiny & (np.abs(m) > COUPLING_TOL * drive_scale)
+    if np.any(coupled):
+        i, j = np.argwhere(coupled)[0]
         raise DegeneracyError(
             f"drive couples near-degenerate levels {i} and {j} "
             f"(gap {gaps[i, j]:.3g})")
-    safe = np.where(np.abs(gaps) < degeneracy_tol * scale, 1.0, gaps)
+    safe = np.where(np.abs(gaps) < DEGENERACY_TOL * scale, 1.0, gaps)
     h1_eig = 1j * m / safe
     h1_eig[tiny] = 0.0
     np.fill_diagonal(h1_eig, 0.0)
@@ -236,11 +240,8 @@ def propagate(h_at, psi0, grid, *, tol: float = 1e-8,
 class CertificateReport:
     """Adiabaticity certificate for a set of eigenlevels."""
 
-    levels: np.ndarray
     min_overlap: np.ndarray
     final_fidelity: np.ndarray
-    threshold: float
-    with_cd: bool
     passed: bool
     substeps: int   # CF4 steps per grid interval that propagation settled on
 
@@ -248,16 +249,20 @@ class CertificateReport:
         return float(min(self.min_overlap.min(), self.final_fidelity.min()))
 
 
+# infidelity a certified level may reach along the grid and at its end
+CERTIFICATE_THRESHOLD = 1e-6
+
+
 def transitionless_certificate(model, levels, grid, *, include_cd: bool = True,
-                               threshold: float = 1e-6, h1_scale: float = 1.0,
+                               h1_scale: float = 1.0,
                                tol: float = 1e-8) -> CertificateReport:
     """Propagate eigenlevels of H0(0) and track overlap with the
     instantaneous eigenstates of H0(t).
 
     PASS requires both the minimum overlap along the grid and the final
-    fidelity to reach 1 - threshold for every requested level.  With
-    ``include_cd=False`` the bare H0 generates the dynamics (the
-    discriminating control).  ``h1_scale`` rescales the auxiliary term,
+    fidelity to reach 1 - CERTIFICATE_THRESHOLD for every requested
+    level.  With ``include_cd=False`` the bare H0 generates the dynamics
+    (the discriminating control).  ``h1_scale`` rescales the auxiliary term,
     which exists solely so that verification can demonstrate that a
     wrong prefactor is caught.  The Hamiltonians come from
     ``model.h_drive_at`` and are exponentiated by ``model.evolve`` (for
@@ -276,7 +281,6 @@ def transitionless_certificate(model, levels, grid, *, include_cd: bool = True,
         min_overlap = np.minimum(min_overlap, overlap)
     final = model.spectrum0_at(grid[-1]).states[:, levels]
     fidelity = np.abs(np.einsum("dn,dn->n", final.conj(), traj.states[-1]))
-    passed = bool(min_overlap.min() >= 1.0 - threshold
-                  and fidelity.min() >= 1.0 - threshold)
-    return CertificateReport(levels, min_overlap, fidelity, threshold,
-                             include_cd, passed, traj.substeps)
+    passed = bool(min_overlap.min() >= 1.0 - CERTIFICATE_THRESHOLD
+                  and fidelity.min() >= 1.0 - CERTIFICATE_THRESHOLD)
+    return CertificateReport(min_overlap, fidelity, passed, traj.substeps)

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from . import ising
-from .geometry import (bures_fidelity, bures_length, evolved_density,
+from .geometry import (bures_fidelity, chain_lengths, ensemble_rates,
                        fidelity_decay_check, path_lengths, qgt,
                        speed_limit_report)
 from .oscillator import (HOConfig, HarmonicOscillator, cd_exact_eigensystem,
@@ -23,8 +23,7 @@ from .oscillator import (HOConfig, HarmonicOscillator, cd_exact_eigensystem,
 from .protocols import cubic_ramp, quintic_ramp
 from .spectral import (Spectrum, cd_coupling, spectrum,
                        transitionless_certificate)
-from .workstats import (DEFICIT_TOL, basis_leakage, excess_variance_direct,
-                        excess_variance_geometric, fluctuation_series,
+from .workstats import (DEFICIT_TOL, basis_leakage, fluctuation_series,
                         identity_check_rowsum, model_ensemble,
                         transition_matrix, work_distribution, work_moments)
 
@@ -171,8 +170,8 @@ def _check_variance_identity(model, ensemble, grid):
     # moments cannot resolve excesses near the rounding floor
     worst = -math.inf
     for t in grid:
-        direct = excess_variance_direct(model, ensemble, t)
-        geometric = excess_variance_geometric(model, ensemble, t)
+        direct = work_moments(model, ensemble, t).excess
+        geometric = ensemble_rates(model, ensemble, t)[1]
         if abs(geometric) > 1e-10:
             worst = max(worst, abs(direct - geometric)
                         - (1e-6 * abs(geometric) + 1e-10))
@@ -209,9 +208,7 @@ def _check_length_chain(rng, samples):
             HOConfig(1.0, omega_f, tau, dim=100, ramp_kind=kind))
         ensemble = model_ensemble(model, beta)
         levels.append(ensemble.n_levels)
-        eta, ell = path_lengths(model, ensemble, rel_tol=1e-9)
-        bures = bures_length(evolved_density(model, ensemble, 0.0),
-                             evolved_density(model, ensemble, tau))
+        bures, eta, ell = chain_lengths(model, ensemble, rel_tol=1e-9)
         worst = max(worst, bures - eta, eta - ell)
     return CheckResult("length-chain", worst <= 1e-8,
                        f"max chain violation {worst:.2e} "
@@ -382,8 +379,8 @@ def _check_fidelity_decay(model):
 
 
 def run_verification(seed: int = 20260809, *, fock_dim: int = 120,
-                     chain_samples: int = 12, h1_scale: float = 1.0,
-                     beta: float = 1.0) -> list[CheckResult]:
+                     chain_samples: int = 12,
+                     h1_scale: float = 1.0) -> list[CheckResult]:
     """Run every invariant suite; returns one result per named check.
 
     TruncationError and friends propagate to the caller: an undersized
@@ -391,7 +388,7 @@ def run_verification(seed: int = 20260809, *, fock_dim: int = 120,
     """
     rng = np.random.default_rng(seed)
     model = HarmonicOscillator(HOConfig(1.0, 3.0, 0.8, dim=fock_dim))
-    ensemble = model_ensemble(model, beta)
+    ensemble = model_ensemble(model, 1.0)
     grid = np.linspace(0.0, model.tau, 81)
 
     results = [

@@ -11,16 +11,23 @@ eigenvectors,
     p_{n->m}(t) = |<Psi_m(t)|n(t)>|^2,
 
 so the whole work distribution is computable from spectra alone, with
-no time propagation.  Its moments need no spectrum of H_cd at all: by
-completeness sum_m p_{n->m} E_m(t)^k = <n(t)|H_cd^k|n(t)>, and as
-H0|n(t)> = eps_n(t)|n(t)>, every moment follows from U = H1|n(t)>: H1
-does no mean work (Re<n|U> = 0, its zero diagonal) and adds
-sum_n p_n ||U||^2 to the work variance.  ``fluctuation_series`` reduces
-both over blocks of grid points, and ``fluctuation_sweep`` covers a
-sweep over ramp durations in the same pass, since H1 scales as 1/tau at
-fixed ramp progress.  The transition matrix is the independent oracle:
-``work_moments`` sums p_n p_{n->m} (E_m(t) - eps_n(0))^k over it, and
-``work_distribution`` builds the merged atoms.
+no time propagation.  Two independent routes give its moments:
+
+  * the transition matrix: ``work_moments`` sums
+    p_n p_{n->m} (E_m(t) - eps_n(0))^k over it, and ``work_distribution``
+    builds the merged atoms;
+  * the operator route, which needs no spectrum of H_cd at all: by
+    completeness sum_m p_{n->m} E_m(t)^k = <n(t)|H_cd^k|n(t)>, and as
+    H0|n(t)> = eps_n(t)|n(t)>, every moment follows from U = H1|n(t)>.
+    H1 does no mean work (Re<n|U> = 0, its zero diagonal) and adds
+    sum_n p_n ||U||^2 to the work variance.  ``fluctuation_series``
+    reduces both over blocks of grid points, and ``fluctuation_sweep``
+    covers a sweep over ramp durations in the same pass, since H1 scales
+    as 1/tau at fixed ramp progress.
+
+The geometric form of the same excess, sum_n p_n g^(n) lamdot lamdot, is
+``geometry.ensemble_rates``' metric rate, an independent third route
+through the coupling rows of dH0 over squared gaps.
 
 For drives fast enough that omegadot^2/(4 omega^4) reaches one, the
 driving Hamiltonian of the oscillator loses its discrete spectrum in
@@ -38,7 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationError
-from .geometry import qgt_levels
 
 # largest mass a retained eigenstate may put on the polluted top of a
 # truncated basis before spectra-derived quantities are refused
@@ -57,13 +63,10 @@ class ThermalEnsemble:
     """Boltzmann occupations of the initial eigenlevels.
 
     ``weights`` covers the retained prefix of levels (renormalized so it
-    sums to one); ``tail_bound`` bounds the discarded mass.  beta may be
-    math.inf for a pure ground state.
+    sums to one); ``tail_bound`` bounds the discarded mass.
     """
 
-    beta: float
     weights: np.ndarray
-    log_partition: float
     tail_bound: float
 
     @property
@@ -73,7 +76,8 @@ class ThermalEnsemble:
 
 def thermal_ensemble(energies: np.ndarray, beta: float, *,
                      complete_spectrum: bool = False) -> ThermalEnsemble:
-    """Canonical weights exp(-beta eps_n)/Z over an ascending spectrum.
+    """Canonical weights exp(-beta eps_n)/Z over an ascending spectrum;
+    beta may be math.inf for a pure ground state.
 
     For a truncated spectrum (the default reading), levels are kept
     until the cumulative weight reaches 1 - TAIL_TOL, and a
@@ -84,22 +88,20 @@ def thermal_ensemble(energies: np.ndarray, beta: float, *,
     """
     energies = np.asarray(energies, dtype=float)
     if beta == math.inf:
-        return ThermalEnsemble(beta, np.array([1.0]), -math.inf, 0.0)
+        return ThermalEnsemble(np.array([1.0]), 0.0)
     if not beta > 0:
         raise ValueError("beta must be positive or math.inf")
     shifted = np.exp(-beta * (energies - energies[0]))
-    z = shifted.sum()
-    p = shifted / z
-    log_z = float(np.log(z) - beta * energies[0])
+    p = shifted / shifted.sum()
     if complete_spectrum:
-        return ThermalEnsemble(beta, p, log_z, 0.0)
+        return ThermalEnsemble(p, 0.0)
     if p[-1] > TAIL_TOL:
         raise TruncationError(
             f"top retained level still carries weight {p[-1]:.3g} "
             f"(> {TAIL_TOL:g}); enlarge the basis")
     cum = np.cumsum(p)
     keep = int(np.searchsorted(cum, 1.0 - TAIL_TOL) + 1)
-    return ThermalEnsemble(beta, p[:keep] / cum[keep - 1], log_z,
+    return ThermalEnsemble(p[:keep] / cum[keep - 1],
                            float(1.0 - cum[keep - 1]))
 
 
@@ -117,8 +119,6 @@ class TransitionMatrix:
     final eigenlevels m (columns)."""
 
     probabilities: np.ndarray
-    time: float
-    basis_leakage: float
 
 
 def _leakage(model, states: np.ndarray, times=None) -> np.ndarray:
@@ -159,10 +159,10 @@ def transition_matrix(model, ensemble, t: float) -> TransitionMatrix:
     """
     spec0 = model.spectrum0_at(t)
     n_keep = ensemble.n_levels
-    leak = float(_leakage(model, spec0.states[None, :, :n_keep], [t])[0])
+    _leakage(model, spec0.states[None, :, :n_keep], [t])
     spec_cd = model.spectrum_cd_at(t)
     probs = np.abs(spec_cd.states.conj().T @ spec0.states[:, :n_keep]) ** 2
-    return TransitionMatrix(probs.T, float(t), leak)
+    return TransitionMatrix(probs.T)
 
 
 @dataclass(frozen=True)
@@ -171,8 +171,6 @@ class WorkDistribution:
 
     support: np.ndarray
     probabilities: np.ndarray
-    kind: str
-    time: float
 
 
 def _merge_atoms(values, probs, merge_tol):
@@ -213,7 +211,7 @@ def work_distribution(model, ensemble, t: float, kind: str = "cd", *,
         raise ValueError(f"unknown kind {kind!r}")
     live = probs > PROB_FLOOR
     values, probs = _merge_atoms(values[live], probs[live], merge_tol)
-    return WorkDistribution(values, probs, kind, float(t))
+    return WorkDistribution(values, probs)
 
 
 def mean_work(dist: WorkDistribution) -> float:
@@ -266,23 +264,6 @@ def work_moments(model, ensemble, t: float) -> WorkMoments:
         model.spectrum0_at(t).energies[:n_keep] - e_init,
         ensemble.weights)
     return WorkMoments(mean_cd, var_cd, mean_ad, var_ad)
-
-
-def excess_variance_direct(model, ensemble, t: float) -> float:
-    """Var[W(t)] - Var[W(t)]_adiabatic from the transition matrix."""
-    return work_moments(model, ensemble, t).excess
-
-
-def excess_variance_geometric(model, ensemble, t: float) -> float:
-    """The same excess from the geometric route:
-    sum_n p_n g^(n)_mu_nu lamdot^mu lamdot^nu (hbar = 1)."""
-    lamdot = model.protocol.derivative(t)
-    if not np.any(lamdot):
-        return 0.0
-    levels = np.arange(ensemble.n_levels)
-    tensors = qgt_levels(model, levels, t)
-    rates = np.einsum("m,lmn,n->l", lamdot, tensors.real, lamdot)
-    return float(ensemble.weights @ rates)
 
 
 def identity_check_rowsum(model, ensemble, t: float) -> float:

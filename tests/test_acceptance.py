@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from cdwork import (HOConfig, HarmonicOscillator, bures_length,
-                    evolved_density, excess_variance_direct,
-                    excess_variance_geometric, mean_work, model_ensemble,
-                    path_lengths, speed_limit_report,
-                    transitionless_certificate, work_distribution)
+                    ensemble_rates, evolved_density, mean_work,
+                    model_ensemble, path_lengths, speed_limit_report,
+                    transitionless_certificate, work_distribution,
+                    work_moments)
 from cdwork.figures import ho_figure1_data
 from cdwork.ising import ground_energy, ground_metric, scaling_fit
 from cdwork.oscillator import cd_exact_eigensystem
@@ -39,8 +39,8 @@ def panel_run():
         cd = work_distribution(model, ensemble, t, "cd")
         ad = work_distribution(model, ensemble, t, "adiabatic")
         means[i] = mean_work(cd), mean_work(ad)
-        direct[i] = excess_variance_direct(model, ensemble, t)
-        geometric[i] = excess_variance_geometric(model, ensemble, t)
+        direct[i] = work_moments(model, ensemble, t).excess
+        geometric[i] = ensemble_rates(model, ensemble, t)[1]
     elapsed = time.perf_counter() - start
     return {"grid": grid, "means": means, "direct": direct,
             "geometric": geometric, "elapsed": elapsed,

@@ -1,5 +1,6 @@
 import numpy as np
 
+from cdwork import HOConfig, HarmonicOscillator, ensemble_rates, model_ensemble
 from cdwork.figures import ho_figure1_data
 
 
@@ -18,3 +19,14 @@ def test_default_figure_solves_each_point_once(solve_counter):
     times = data.variance_series["t"].reshape(15, 401)
     for row, tau in zip(times, (r.tau for r in data.tau_table)):
         assert np.array_equal(row, np.linspace(0.0, tau, 401))
+
+
+def test_geometric_column_is_the_metric_rate():
+    """The excess_geometric column is ensemble_rates' metric rate, the
+    one function behind ell, bit for bit at every grid point."""
+    data = ho_figure1_data(tau_list=[0.4], grid_points=41)
+    model = HarmonicOscillator(HOConfig(1.0, 3.0, 0.8, dim=120))
+    ensemble = model_ensemble(model, 1.0)
+    grid = data.excess_series["t"]
+    rates = [ensemble_rates(model, ensemble, t)[1] for t in grid]
+    assert np.array_equal(data.excess_series["excess_geometric"], rates)

@@ -16,15 +16,6 @@ def test_exact_power_law_recovered(coeff, exponent):
     assert fit.window == (1.0, 40.0)
 
 
-def test_fixed_exponent_fit():
-    x = np.array([0.5, 1.0, 2.0, 4.0])
-    y = 0.65 / x
-    fit = fit_power_law(x, y, fixed_exponent=-1.0)
-    assert fit.coefficient == pytest.approx(0.65, rel=1e-12)
-    assert fit.exponent == -1.0
-    assert fit.exponent_stderr == 0.0
-
-
 def test_noise_produces_residual_and_stderr(rng):
     x = np.geomspace(1, 100, 12)
     y = 2.0 * x**0.5 * np.exp(rng.normal(0.0, 0.01, size=12))

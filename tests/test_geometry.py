@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from cdwork import (DegeneracyError, HOConfig, HarmonicOscillator, NotAState,
                     ParametrizedModel, bures_fidelity, bures_length,
-                    constant_protocol, evolved_density, fidelity_decay_check,
-                    ho_metric, log_ramp, model_ensemble, path_lengths, qgt,
-                    quintic_ramp, speed_limit_report, two_level_model)
-from cdwork.geometry import (DEGENERACY_TOL, _ensemble_speed_integrands,
-                             qgt_levels)
+                    chain_lengths, ensemble_rates, evolved_density,
+                    fidelity_decay_check, ho_metric, model_ensemble,
+                    path_lengths, qgt, quintic_ramp, speed_limit_report,
+                    two_level_model)
+from cdwork.geometry import DEGENERACY_TOL
 from cdwork.ising import IsingConfig, dense_model, ground_metric
 from conftest import band_to_dense
 
@@ -90,14 +90,20 @@ def two_parameter_model():
         dh0_of=lambda lam: [sz, sx])
 
 
-def degenerate_pair_model():
-    """Levels 0 and 1 stay degenerate while the drive couples them."""
-    x01 = np.zeros((3, 3), dtype=complex)
-    x01[0, 1] = x01[1, 0] = 1.0
+def degenerate_pair_model(*pairs):
+    """Levels 0 and 1 stay degenerate; the drive couples the level
+    ``pairs``."""
+    drive = np.zeros((3, 3), dtype=complex)
+    for n, k in pairs:
+        drive[n, k] = drive[k, n] = 1.0
     return ParametrizedModel(
         quintic_ramp([0.0], [1.0], 1.0),
         lambda lam: np.diag([-1.0, -1.0, 1.0 + lam[0]]).astype(complex),
-        dh0_of=lambda lam: [x01])
+        dh0_of=lambda lam: [drive])
+
+
+def stacked_qgt(model, levels, t):
+    return np.stack([qgt(model, n, t).q for n in levels])
 
 
 class TestPopulatedRows:
@@ -125,34 +131,43 @@ class TestPopulatedRows:
 
     def test_integrand_matches_full_matrix(self, case):
         model, ensemble = case
-        both = _ensemble_speed_integrands(model, ensemble)
         for t in np.linspace(0.05, 0.95, 9) * model.tau:
             ref = full_matrix_speeds(model, ensemble, t)
             assert ref.min() > 0.0
-            np.testing.assert_allclose(both(t), ref, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(
+                np.sqrt(ensemble_rates(model, ensemble, t)), ref,
+                rtol=1e-12, atol=0.0)
 
     def test_qgt_levels_matches_loops(self, case):
         model, ensemble = case
         levels = np.arange(ensemble.n_levels)
         for t in np.linspace(0.05, 0.95, 9) * model.tau:
             ref = loop_qgt_levels(model, levels, t)
-            got = qgt_levels(model, levels, t)
+            got = stacked_qgt(model, levels, t)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_qgt_levels_matches_loops_over_parameters(self):
         model = two_parameter_model()
         for t in np.linspace(0.05, 0.95, 9):
             ref = loop_qgt_levels(model, [1, 0], t)
-            got = qgt_levels(model, [1, 0], t)
+            got = stacked_qgt(model, [1, 0], t)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_degenerate_populated_pair_raises(self):
-        model = degenerate_pair_model()
-        both = _ensemble_speed_integrands(model, model_ensemble(model, 1.0))
-        with pytest.raises(DegeneracyError, match="degenerate populated"):
-            both(0.4)
+        model = degenerate_pair_model((0, 1))
+        with pytest.raises(DegeneracyError, match="level 0 is near"):
+            ensemble_rates(model, model_ensemble(model, 1.0), 0.4)
+        assert np.isfinite(qgt(model, 2, 0.4).g).all()
         with pytest.raises(DegeneracyError, match="level 1 is near"):
-            qgt_levels(model, [2, 1, 0], 0.4)
+            qgt(model, 1, 0.4)
+
+    def test_uncoupled_degenerate_pair_raises(self):
+        # one rule for every geometric quantity: a populated level with a
+        # degenerate partner is refused even where the drive does not
+        # couple the pair, as qgt refuses it
+        model = degenerate_pair_model((0, 2), (1, 2))
+        with pytest.raises(DegeneracyError, match="level 0 is near"):
+            ensemble_rates(model, model_ensemble(model, 1.0), 0.4)
 
 
 class TestQgt:
@@ -353,10 +368,11 @@ class TestEtaLength:
         assert path_lengths(model, model_ensemble(model, 1.0))[0] == 0.0
 
     def test_bracketed_by_bures_and_metric(self, fig1_model, fig1_ensemble):
-        eta, ell = path_lengths(fig1_model, fig1_ensemble)
+        bures, eta, ell = chain_lengths(fig1_model, fig1_ensemble)
         rho0 = evolved_density(fig1_model, fig1_ensemble, 0.0)
         rho1 = evolved_density(fig1_model, fig1_ensemble, 0.8)
-        bures = bures_length(rho0, rho1)
+        assert bures == bures_length(rho0, rho1)
+        assert (eta, ell) == path_lengths(fig1_model, fig1_ensemble)
         assert bures <= eta + 1e-8
         assert eta <= ell + 1e-8
 

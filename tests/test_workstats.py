@@ -6,12 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdwork import (HOConfig, HarmonicOscillator, ParametrizedModel,
-                    TruncationError, bound_chain, bures_length,
-                    evolved_density, excess_variance_direct,
-                    excess_variance_geometric,
-                    fluctuation_series, fluctuation_sweep,
+                    TruncationError, bound_chain, chain_lengths,
+                    ensemble_rates, fluctuation_series, fluctuation_sweep,
                     identity_check_rowsum, mean_work,
-                    model_ensemble, path_lengths, quintic_ramp,
+                    model_ensemble, quintic_ramp,
                     thermal_ensemble, transition_matrix, two_level_model,
                     variance_work, work_distribution, work_moments)
 from cdwork.workstats import DEFICIT_TOL, basis_leakage
@@ -193,11 +191,6 @@ class TestWorkMoments:
         for t in (0.0, 0.25, 0.5, 0.9, 1.0):
             self.assert_matches_distributions(model, ensemble, t)
 
-    def test_excess_direct_is_moment_excess(self, fig1_model, fig1_ensemble):
-        moments = work_moments(fig1_model, fig1_ensemble, 0.4)
-        assert excess_variance_direct(fig1_model, fig1_ensemble, 0.4) \
-            == moments.excess
-
     def test_basis_leakage_raises(self):
         model = HarmonicOscillator(HOConfig(1.0, 3.0, 0.8, dim=40))
         ensemble = model_ensemble(model, 1.0)
@@ -302,10 +295,8 @@ class TestOperatorRoute:
         excess, energy = series["excess_direct"], series["energy_variance_cd"]
         assert energy.min() >= 0.0
         assert np.abs(excess - energy).max() <= 1e-15 * excess.max()
-        eta, ell = path_lengths(fig1_model, fig1_ground)
-        bures = bures_length(evolved_density(fig1_model, fig1_ground, 0.0),
-                             evolved_density(fig1_model, fig1_ground, 0.8))
-        assert bound_chain(series, ell, eta, bures).passed
+        assert bound_chain(series,
+                           *chain_lengths(fig1_model, fig1_ground)).passed
 
     def test_excess_norm_near_ramp_ends(self, fig1_model, fig1_ensemble):
         # a norm, not a cancelling difference of second moments: it stays
@@ -314,8 +305,7 @@ class TestOperatorRoute:
         series = fluctuation_series(fig1_model, fig1_ensemble, grid)
         for i in np.r_[0:12, 389:401]:
             direct = series["excess_direct"][i]
-            geometric = excess_variance_geometric(fig1_model, fig1_ensemble,
-                                                  grid[i])
+            geometric = ensemble_rates(fig1_model, fig1_ensemble, grid[i])[1]
             assert direct >= 0.0
             assert abs(direct - geometric) <= 1e-16
 
@@ -373,9 +363,9 @@ class TestDurationSweep:
 class TestExcessVariance:
     def test_vanishes_at_endpoints(self, fig1_model, fig1_ensemble):
         for t in (0.0, 0.8):
-            assert abs(excess_variance_direct(fig1_model, fig1_ensemble, t)) \
+            assert abs(work_moments(fig1_model, fig1_ensemble, t).excess) \
                 < 1e-10
-            assert excess_variance_geometric(fig1_model, fig1_ensemble, t) \
+            assert ensemble_rates(fig1_model, fig1_ensemble, t)[1] \
                 == 0.0
 
     def test_midpoint_value_from_ladder_oracle(self, fig1_model,
@@ -387,20 +377,20 @@ class TestExcessVariance:
         oracle = float(
             fig1_ensemble.weights @ (n * n + n + 1.0)
             * omega_dot**2 / (8.0 * omega * omega))
-        direct = excess_variance_direct(fig1_model, fig1_ensemble, 0.4)
+        direct = work_moments(fig1_model, fig1_ensemble, 0.4).excess
         assert direct == pytest.approx(oracle, rel=1e-10)
         assert direct == pytest.approx(1.951, abs=5e-4)
 
     def test_direct_equals_geometric(self, fig1_model, fig1_ensemble):
         for t in np.linspace(0.0, 0.8, 9):
-            direct = excess_variance_direct(fig1_model, fig1_ensemble, t)
-            geo = excess_variance_geometric(fig1_model, fig1_ensemble, t)
+            direct = work_moments(fig1_model, fig1_ensemble, t).excess
+            geo = ensemble_rates(fig1_model, fig1_ensemble, t)[1]
             if max(abs(direct), abs(geo)) > 1e-10:
                 assert direct == pytest.approx(geo, rel=1e-6)
 
     def test_nonnegative(self, fig1_model, fig1_ensemble):
         for t in np.linspace(0.0, 0.8, 9):
-            assert excess_variance_direct(fig1_model, fig1_ensemble, t) \
+            assert work_moments(fig1_model, fig1_ensemble, t).excess \
                 > -1e-10
 
 
@@ -444,7 +434,7 @@ class TestEnergyFluctuations:
             ensemble = model_ensemble(model, 1.0)
             for t in np.linspace(0.0, model.tau, 9):
                 row = fluctuation_series(model, ensemble, [t])
-                direct = excess_variance_direct(model, ensemble, t)
+                direct = work_moments(model, ensemble, t).excess
                 assert direct == pytest.approx(row["excess_direct"][0],
                                                abs=1e-8)
                 assert direct <= row["energy_variance_cd"][0] + 1e-8
