@@ -22,11 +22,11 @@ from .oscillator import (HOConfig, HarmonicOscillator, IonConfig,
                          ion_waveforms, ramp)
 from .protocols import (Protocol, constant_protocol, cubic_ramp, log_ramp,
                         quintic_ramp)
-from .quadrature import adaptive_simpson, adaptive_simpson_multi
+from .quadrature import adaptive_simpson, adaptive_simpson_multi, simpson
 from .spectral import (CertificateReport, Spectrum, StateTrajectory,
                        assert_hermitian, cd_coupling,
                        propagate, spectrum, transitionless_certificate)
-from .workstats import (ThermalEnsemble, TransitionMatrix, WorkDistribution,
+from .workstats import (ThermalEnsemble, WorkDistribution,
                         WorkMoments, fluctuation_series, fluctuation_sweep,
                         identity_check_rowsum, mean_work,
                         model_ensemble, thermal_ensemble, transition_matrix,

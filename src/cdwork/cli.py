@@ -148,8 +148,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 def _validate_config(command: str, cfg: dict) -> None:
     """Reject, by key name, a value of the wrong type or range: numbers
-    must be positive (a seed may be zero), integers must be integers,
-    and null stands only for a null default."""
+    must be positive (a seed may be zero) and finite (beta may be inf),
+    integers must be integers, and null stands only for a null
+    default."""
     for key, value in sorted(cfg.items()):
         if key not in _KINDS or (value is None and _DEFAULTS[key] is None):
             continue
@@ -158,10 +159,11 @@ def _validate_config(command: str, cfg: dict) -> None:
         items = value if listed else [value]
         if not (isinstance(items, list) and items and all(
                 isinstance(x, int if kind is int else (int, float))
-                and not isinstance(x, bool)
+                and not isinstance(x, bool) and (key == "beta" or x < math.inf)
                 and (x >= 0 if key == "seed" else x > 0) for x in items)):
             what = ("non-negative " if key == "seed" else "positive ") \
-                + {int: "integer", float: "number"}[kind]
+                + {int: "integer", float: "number" if key == "beta"
+                   else "finite number"}[kind]
             what = f"a non-empty list of {what}s" if listed \
                 else ("an " if what[0] in "aeiou" else "a ") + what
             raise ConfigError(f"{key} must be {what}, got {value!r}")
@@ -264,8 +266,28 @@ def cmd_ho_figure1(cfg: dict) -> int:
     print(f"{_status(data.passed)} ho-figure1: ell={data.ell:.6f} "
           f"bures={data.bures_len:.6f} "
           + (f"fit coefficient={data.fit.coefficient:.4f}"
-             if data.fit else "fit skipped"))
+             if data.fit else "fit skipped") + _failed_flags(data.tau_table))
     return 0 if data.passed else 1
+
+
+def _failed_flags(table) -> str:
+    """'; <flag> failed at tau=<durations> (worst <value>)' per failed
+    flag of the bound-chain rows: the largest violation of bures <= eta
+    <= ell or of tau >= bures/<dDW> >= bures/<dE_cd>, or the residual."""
+    out = ""
+    for flag, value in (
+            ("chain_ok", lambda r: max(r.bures_len - r.eta_len,
+                                       r.eta_len - r.ell)),
+            ("ordering_ok", lambda r: max(
+                r.bound_from_excess - r.tau,
+                r.bound_from_energy - r.bound_from_excess)),
+            ("equality_ok", lambda r: r.equality_residual)):
+        bad = [row for row in table if not getattr(row, flag)]
+        if bad:
+            out += (f"; {flag} failed at tau="
+                    + ",".join(f"{row.tau:g}" for row in bad)
+                    + f" (worst {max(map(value, bad)):.3g})")
+    return out
 
 
 def cmd_ising_figure2(cfg: dict) -> int:

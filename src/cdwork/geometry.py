@@ -34,10 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import DegeneracyError, NotAState
-from .quadrature import adaptive_simpson_multi
+from .quadrature import adaptive_simpson_multi, simpson
 from .spectral import DEGENERACY_TOL
 from .workstats import fluctuation_series
 
@@ -214,11 +213,12 @@ class SpeedLimitReport:
     tau >= bures/<dDW> >= bures/<dE_cd>, and chain_ok checks
     bures <= eta <= ell up to CHAIN_TOL * max(length, 1).  At the
     figure-1 point the residual (1.896e-10 at every duration, spread
-    below 1e-15) is all composite-Simpson error of the time average on
-    the 401-point grid, which falls 16x per doubling of the grid.  ell
-    matches its closed form to about 1e-16, and the excess is the norm
-    sum_n p_n ||(H_cd - eps_n)|n>||^2, which resolves it to about 1e-17
-    at the ramp ends, so no rounding shows in the residual.
+    below 1e-15) is all error of the composite-Simpson time average
+    (``quadrature.simpson``) on the 401-point grid, which falls 16x per
+    doubling of the grid.  ell matches its closed form to about 1e-16,
+    and the excess is the norm sum_n p_n ||(H_cd - eps_n)|n>||^2, which
+    resolves it to about 1e-17 at the ramp ends, so no rounding shows in
+    the residual.
     """
 
     tau: float
@@ -243,7 +243,8 @@ def bound_chain(series: dict, bures: float, eta: float,
                 ell: float) -> SpeedLimitReport:
     """The bound chain from the three path lengths of ``chain_lengths``
     and the excess and energy-variance columns of
-    ``workstats.fluctuation_series`` on a uniform grid from 0 to tau.
+    ``workstats.fluctuation_series`` on a uniform grid from 0 to tau,
+    time-averaged by ``quadrature.simpson``.
 
     A constant path (ell = 0) has coinciding endpoints and nothing to
     bound: its report carries zero bounds and residual and sets every
@@ -252,7 +253,7 @@ def bound_chain(series: dict, bures: float, eta: float,
     grid = series["t"]
     tau = float(grid[-1])
     avg_excess, avg_energy = (
-        float(simpson(np.sqrt(np.clip(series[k], 0.0, None)), x=grid)) / tau
+        simpson(np.sqrt(np.clip(series[k], 0.0, None)), grid) / tau
         for k in ("excess_direct", "energy_variance_cd"))
     if ell == 0.0:
         return SpeedLimitReport(tau, ell, eta, bures, avg_excess, avg_energy,
@@ -287,8 +288,8 @@ def speed_limit_report(model, ensemble, *,
 
     The time averages come from the work fluctuations (the operator
     route of ``workstats.fluctuation_series``) on a uniform grid
-    (composite Simpson), so the equality check against the geometric
-    length is a genuine cross-validation of two independent
+    (``quadrature.simpson``), so the equality check against the
+    geometric length is a genuine cross-validation of two independent
     computations.
     """
     series = fluctuation_series(

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import ising
 from .geometry import (bures_fidelity, chain_lengths, ensemble_rates,
@@ -21,6 +20,7 @@ from .geometry import (bures_fidelity, chain_lengths, ensemble_rates,
 from .oscillator import (HOConfig, HarmonicOscillator, cd_exact_eigensystem,
                          ho_metric, ion_waveforms)
 from .protocols import cubic_ramp, quintic_ramp
+from .quadrature import simpson
 from .spectral import (Spectrum, cd_coupling, spectrum,
                        transitionless_certificate)
 from .workstats import (DEFICIT_TOL, basis_leakage, fluctuation_series,
@@ -290,10 +290,10 @@ def _check_parity(model, ensemble):
     worst = 0.0
     for t in np.linspace(0.0, model.tau, 5):
         tm = transition_matrix(model, ensemble, t)
-        n_idx = np.arange(tm.probabilities.shape[0])[:, None]
-        m_idx = np.arange(tm.probabilities.shape[1])[None, :]
+        n_idx = np.arange(tm.shape[0])[:, None]
+        m_idx = np.arange(tm.shape[1])[None, :]
         odd = (n_idx + m_idx) % 2 == 1
-        worst = max(worst, float(tm.probabilities[odd].max()))
+        worst = max(worst, float(tm[odd].max()))
     return CheckResult("parity-superselection", worst <= 1e-10,
                        f"max parity-violating probability {worst:.2e}")
 
@@ -349,7 +349,7 @@ def _check_ising_protocol_independence():
         lam = np.array([proto.value(t)[0] for t in grid])
         lamdot = np.array([proto.derivative(t)[0] for t in grid])
         g = ising.ground_metric(lam, n)
-        val = float(simpson(np.sqrt(g) * np.abs(lamdot), x=grid))
+        val = simpson(np.sqrt(g) * np.abs(lamdot), grid)
         worst = max(worst, abs(val - ref) / ref)
     return CheckResult("ising-protocol-independence", worst <= 1e-6,
                        f"max relative deviation {worst:.2e}")

@@ -113,14 +113,6 @@ def model_ensemble(model, beta: float) -> ThermalEnsemble:
                             complete_spectrum=complete)
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """p_{n->m}(t) for the retained initial levels n (rows) against all
-    final eigenlevels m (columns)."""
-
-    probabilities: np.ndarray
-
-
 def _leakage(model, states: np.ndarray, times=None) -> np.ndarray:
     """Worst mass the columns of each (d, K) block of ``states`` put on
     the truncation-polluted top of the basis; given the blocks' times,
@@ -149,10 +141,10 @@ def basis_leakage(model, ensemble, t: float) -> float:
     return float(_leakage(model, states)[0])
 
 
-def transition_matrix(model, ensemble, t: float) -> TransitionMatrix:
-    """Overlap-squared matrix |<Psi_m(t)|n(t)>|^2.
-
-    Rows cover the ensemble's retained levels.  Raises TruncationError
+def transition_matrix(model, ensemble, t: float) -> np.ndarray:
+    """p_{n->m}(t) = |<Psi_m(t)|n(t)>|^2, shape (K, d): the ensemble's
+    K retained initial levels n (rows) against every final eigenlevel m
+    (columns) of H_cd.  Raises TruncationError
     when a retained eigenstate leaks more than DEFICIT_TOL of its mass
     into the top of the basis coordinates (the basis is then too small
     for the requested state).
@@ -162,7 +154,7 @@ def transition_matrix(model, ensemble, t: float) -> TransitionMatrix:
     _leakage(model, spec0.states[None, :, :n_keep], [t])
     spec_cd = model.spectrum_cd_at(t)
     probs = np.abs(spec_cd.states.conj().T @ spec0.states[:, :n_keep]) ** 2
-    return TransitionMatrix(probs.T)
+    return probs.T
 
 
 @dataclass(frozen=True)
@@ -206,7 +198,7 @@ def work_distribution(model, ensemble, t: float, kind: str = "cd", *,
         tm = transition_matrix(model, ensemble, t)
         e_cd = model.spectrum_cd_at(t).energies
         values = (e_cd[None, :] - e_init[:n_keep, None]).ravel()
-        probs = (ensemble.weights[:, None] * tm.probabilities).ravel()
+        probs = (ensemble.weights[:, None] * tm).ravel()
     else:
         raise ValueError(f"unknown kind {kind!r}")
     live = probs > PROB_FLOOR
@@ -259,7 +251,7 @@ def work_moments(model, ensemble, t: float) -> WorkMoments:
     e_cd = model.spectrum_cd_at(t).energies
     mean_cd, var_cd = _weighted_moments(
         (e_cd[None, :] - e_init[:, None]).ravel(),
-        (ensemble.weights[:, None] * tm.probabilities).ravel())
+        (ensemble.weights[:, None] * tm).ravel())
     mean_ad, var_ad = _weighted_moments(
         model.spectrum0_at(t).energies[:n_keep] - e_init,
         ensemble.weights)
@@ -275,7 +267,7 @@ def identity_check_rowsum(model, ensemble, t: float) -> float:
     tm = transition_matrix(model, ensemble, t)
     e_cd = model.spectrum_cd_at(t).energies
     e_now = model.spectrum0_at(t).energies[: ensemble.n_levels]
-    sums = tm.probabilities @ e_cd - e_now
+    sums = tm @ e_cd - e_now
     return float(np.abs(sums).max())
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -66,6 +67,37 @@ class TestHoFigure1:
         assert code == 0
         data = json.loads((tmp_path / "ho_figure1_mean_work.json").read_text())
         assert set(data["columns"]) == {"t", "mean_cd", "mean_ad"}
+
+
+    def test_failed_equality_named(self, tmp_path, capsys):
+        # Simpson on 4 points misses every time average by 14%
+        code = main(["ho-figure1", "--grid", "4", "--out", str(tmp_path)])
+        assert code == 1
+        line = capsys.readouterr().out.strip()
+        assert line.startswith("FAIL ho-figure1: ell=")
+        assert line.endswith(
+            "; equality_ok failed at tau=0.2,0.4,0.6,0.8,1,1.2,1.4,1.6,1.8,"
+            "2,2.2,2.4,2.6,2.8,3 (worst 0.14)")
+        assert "chain_ok" not in line and "ordering_ok" not in line
+
+    def test_failed_ordering_named(self, tmp_path, capsys):
+        # at tau = 1e300 the excess underflows to zero: bures/<dDW> = 0
+        # falls below bures/<dE_cd>, and tau <dDW> misses ell entirely
+        code = main(["ho-figure1", "--grid", "101", "--tau-list", "1e300",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        line = capsys.readouterr().out.strip()
+        assert re.search(r"; ordering_ok failed at tau=1e\+300 \(worst "
+                         r"0\.\d+\); equality_ok failed at tau=1e\+300 "
+                         r"\(worst 1\)$", line), line
+        assert "chain_ok" not in line and "tau=0.8" not in line
+
+    def test_pass_line_names_no_flag(self, tmp_path, capsys):
+        assert main(["ho-figure1", *SMALL_HO, "--out", str(tmp_path)]) == 0
+        line = capsys.readouterr().out.strip()
+        assert re.fullmatch(r"PASS ho-figure1: ell=\d\.\d{6} "
+                            r"bures=\d\.\d{6} fit coefficient=\d\.\d{4}",
+                            line), line
 
 
 class TestIsingFigure2:
@@ -198,6 +230,23 @@ class TestConfigHandling:
                      "--out", str(tmp_path)]) == 2
         assert "omega_f" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("ising-figure2", "--delta", "inf"),
+        ("ho-figure1", "--tau-list", "0.4,inf"),
+        ("ion-waveforms", "--nu", "inf"),
+        ("verify", "--h1-scale", "inf"),
+    ])
+    def test_non_finite_value_exits_two(self, tmp_path, capsys, command,
+                                        flag, value):
+        assert main([command, flag, value, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag[2:].replace('-', '_')} must be" in err
+        assert "finite" in err
+
+    def test_infinite_beta_accepted(self, tmp_path):
+        assert main(["ho-figure1", *SMALL_HO, "--beta", "inf",
+                     "--out", str(tmp_path)]) == 0
+
     @pytest.mark.parametrize("grid", ["1", "2"])
     def test_grid_below_three_exits_two(self, tmp_path, capsys, grid):
         assert main(["ho-figure1", "--grid", grid,
@@ -256,3 +305,20 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+def test_cli_run_never_loads_scipy_integrate(tmp_path):
+    # scipy.integrate and the scipy.special and scipy.optimize it pulls
+    # in cost more import time than the whole package
+    script = (
+        "import sys\n"
+        "from cdwork.cli import main\n"
+        f"code = main(['ho-figure1', '--grid', '101', '--tau-list', "
+        f"'0.4,0.8', '--out', {str(tmp_path)!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[:2] in "
+        "(['scipy', 'integrate'], ['scipy', 'special'], "
+        "['scipy', 'optimize'])))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
+from scipy.integrate import simpson as scipy_simpson
 
 from cdwork import QuadratureNotConverged, adaptive_simpson, adaptive_simpson_multi
+from cdwork.quadrature import (ABS_FLOOR, MAX_NODES_DEFAULT, RULE_NODES,
+                               simpson)
 
 coeffs = st.lists(st.floats(min_value=-3, max_value=3), min_size=1, max_size=5)
 
@@ -89,3 +92,106 @@ def test_multi_component_shares_nodes():
     single = len(calls)
     # the two components together cost no more than separate passes
     assert single < 2 * 4096
+
+
+# -- the numpy port against scipy.integrate, its reference ---------------
+
+def quad_vec_reference(f, a, b, *, rel_tol=1e-8, abs_tol=0.0,
+                       max_nodes=MAX_NODES_DEFAULT, points=None):
+    """scipy's quad_vec with the settings adaptive_simpson_multi ports."""
+    out, _, info = quad_vec(
+        lambda x: np.atleast_1d(np.asarray(f(x), dtype=float)), a, b,
+        epsabs=max(abs_tol, ABS_FLOOR), epsrel=rel_tol, norm="max",
+        limit=(max_nodes + RULE_NODES) // (2 * RULE_NODES), points=points,
+        full_output=True)
+    assert info.status == 0
+    return out, info.neval
+
+
+def lorentzian(x):
+    return 1.0 / ((x - 1.0) ** 2 + 1e-6)
+
+
+@pytest.mark.parametrize("f, a, b, kwargs", [
+    (lambda x: [np.sin(x), np.cos(3 * x), np.exp(-x)], 0.0, 1.5,
+     {"rel_tol": 1e-10}),
+    (lorentzian, 0.0, 2.0, {"rel_tol": 1e-9}),
+    (lorentzian, 0.0, 2.0, {"rel_tol": 1e-9, "points": [1.0]}),
+    (lorentzian, 0.0, 2.0, {"rel_tol": 1e-9, "points": [0.0, 2.0]}),
+    (lorentzian, 0.0, 2.0, {"rel_tol": 1e-9, "points": [1.0, 1.0, 0.5]}),
+    (lorentzian, 0.0, 2.0, {"rel_tol": 1e-9, "points": [-1.0, 3.0]}),
+    (lorentzian, 2.0, 0.0, {"rel_tol": 1e-9}),
+    (lorentzian, 2.0, 0.0, {"rel_tol": 1e-9, "points": [1.0]}),
+    (lambda x: 0.0, 0.0, 2.0, {}),
+    (lambda x: [0.0, 0.0], 2.0, 0.0, {}),
+    # three kinks: the pass sizes depend on the batch rule's tol/8
+    (lambda x: abs(x - 0.77) + abs(x - 0.87) ** 1.5
+     + np.sqrt(abs(x - 0.98)), 0.0, 2.0, {"rel_tol": 1e-6}),
+], ids=["smooth-vector", "lorentzian", "interior-point", "endpoint-points",
+        "duplicated-points", "out-of-range-points", "reversed",
+        "reversed-with-point", "zero", "zero-reversed", "kinks"])
+def test_multi_equals_quad_vec_bit_for_bit(f, a, b, kwargs):
+    nodes = []
+
+    def counted(x):
+        nodes.append(x)
+        return f(x)
+
+    ref, neval = quad_vec_reference(f, a, b, **kwargs)
+    got = adaptive_simpson_multi(counted, a, b, **kwargs)
+    assert got.tobytes() == np.asarray(ref).tobytes()
+    assert len(nodes) == neval
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 11, 100, 401])
+@pytest.mark.parametrize("spacing", ["uniform", "non-uniform"])
+def test_simpson_equals_scipy_bit_for_bit(n, spacing):
+    rng = np.random.default_rng(n)
+    x = (np.linspace(0.0, 0.8, n) if spacing == "uniform"
+         else np.cumsum(rng.uniform(0.01, 1.0, n)) - 0.3)
+    y = np.sin(3.0 * x) + rng.standard_normal(n)
+    assert simpson(y, x) == float(scipy_simpson(y, x=x))
+
+
+def test_simpson_equals_scipy_on_random_grids():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        n = int(rng.integers(2, 12))
+        x = np.cumsum(rng.uniform(1e-3, 1.0, n)) * 10.0 ** rng.uniform(-3, 3)
+        y = rng.standard_normal(n)
+        assert simpson(y, x) == float(scipy_simpson(y, x=x))
+
+
+def test_simpson_is_exact_for_cubics_at_huge_spacing():
+    # h0 h1 overflows at these spacings; the middle weight must not vanish
+    x = np.linspace(0.0, 1.0, 101)
+    y = 1.0 + x - 2.0 * x**3
+    assert simpson(y, 1e300 * x) == pytest.approx(
+        1e300 * simpson(y, x), rel=1e-14)
+    assert simpson(y, x) == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("f, max_nodes, match", [
+    (lambda x: 1.0 / ((x - 1.0) ** 2 + 1e-12), 200,
+     r"status 1: precision not reached after \d+ of 200 nodes "
+     r"\(error estimate [0-9.e+]+\)"),
+    (lambda x: np.nan if x > 0.5 else 1.0, MAX_NODES_DEFAULT,
+     r"status 3: non-finite integrand after 63 of 32768 nodes "
+     r"\(error estimate nan\)"),
+])
+def test_not_converged_message_names_the_cause(f, max_nodes, match):
+    with pytest.raises(QuadratureNotConverged, match=match):
+        adaptive_simpson(f, 0.0, 2.0, rel_tol=1e-12, max_nodes=max_nodes)
+
+
+def test_rounding_limited_status_named():
+    # a relative tolerance of 1e-18 lies below the rule's rounding error
+    with pytest.raises(QuadratureNotConverged,
+                       match="status 2: rounding-limited"):
+        adaptive_simpson(lambda x: 1e-8 * np.cos(1e3 * x) + 1e-8, 0.0,
+                         1.0, rel_tol=1e-18, abs_tol=0.0)
+
+
+def test_non_finite_bounds_refused():
+    with pytest.raises(ValueError, match="finite"):
+        adaptive_simpson(np.exp, 0.0, np.inf)

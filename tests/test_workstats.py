@@ -55,21 +55,21 @@ class TestTransitionMatrix:
         for t in (0.0, fig1_model.tau):
             tm = transition_matrix(fig1_model, fig1_ensemble, t)
             eye = np.eye(fig1_model.dim)[: fig1_ensemble.n_levels]
-            assert np.abs(tm.probabilities - eye).max() < 1e-8
+            assert np.abs(tm - eye).max() < 1e-8
 
     def test_rows_sum_to_one(self, fig1_model, fig1_ensemble):
         tm = transition_matrix(fig1_model, fig1_ensemble, 0.37)
-        sums = tm.probabilities.sum(axis=1)
+        sums = tm.sum(axis=1)
         assert np.abs(sums - 1.0).max() < 1e-10
-        assert tm.probabilities.min() >= 0.0
+        assert tm.min() >= 0.0
 
     def test_parity_selection_rule(self, fig1_model, fig1_ensemble):
         # the drive couples levels two apart: odd-distance transitions
         # are forbidden
         tm = transition_matrix(fig1_model, fig1_ensemble, 0.4)
-        n = np.arange(tm.probabilities.shape[0])[:, None]
-        m = np.arange(tm.probabilities.shape[1])[None, :]
-        assert tm.probabilities[(n + m) % 2 == 1].max() == 0.0
+        n = np.arange(tm.shape[0])[:, None]
+        m = np.arange(tm.shape[1])[None, :]
+        assert tm[(n + m) % 2 == 1].max() == 0.0
 
     def test_small_basis_raises(self):
         model = HarmonicOscillator(HOConfig(1.0, 3.0, 0.8, dim=40))
