@@ -245,10 +245,12 @@ def _status(passed: bool) -> str:
 
 
 def cmd_ho_figure1(cfg: dict) -> int:
-    data = ho_figure1_data(
-        omega_i=cfg["omega_i"], omega_f=cfg["omega_f"], beta=cfg["beta"],
-        tau=cfg["tau"], tau_list=cfg["tau_list"], dim=cfg["fock_dim"],
-        grid_points=cfg["grid"])
+    # a value leaving float range is a numerical failure (exit 1)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        data = ho_figure1_data(
+            omega_i=cfg["omega_i"], omega_f=cfg["omega_f"], beta=cfg["beta"],
+            tau=cfg["tau"], tau_list=cfg["tau_list"], dim=cfg["fock_dim"],
+            grid_points=cfg["grid"])
     outdir = _outdir(cfg)
     meta = {"config-hash": _config_hash(cfg), "command": "ho-figure1"}
     fmt = cfg["format"] or "csv"
@@ -387,7 +389,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except CdworkError as exc:
+    except (CdworkError, FloatingPointError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -19,10 +19,10 @@ import numpy as np
 from . import ising
 from .errors import ConfigError
 from .fitting import FitResult, fit_power_law
-from .geometry import (SpeedLimitReport, bound_chain, chain_lengths,
-                       ensemble_rates)
+from .geometry import (SpeedLimitReport, bound_chain, bures_length,
+                       ensemble_rates, evolved_density, path_lengths)
 from .oscillator import HOConfig, HarmonicOscillator
-from .workstats import fluctuation_sweep, model_ensemble
+from .workstats import BLOCK_POINTS, fluctuation_sweep, model_ensemble
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,11 @@ def ho_figure1_data(*, omega_i: float = 1.0, omega_f: float = 3.0,
     and ``fluctuation_sweep`` evaluates every duration's row j there from
     one eigensolve per point.  Each duration's t column is
     np.linspace(0, tau_k, grid_points), whose row j lies within one ulp
-    of s_j tau_k.  The model's store holds the grid, so the geometric
-    column and the endpoint densities reuse the series' spectra.  The
-    path lengths do not depend on the duration and are computed once.
+    of s_j tau_k.  The model's store holds one block (BLOCK_POINTS + 1
+    spectra, whatever ``grid_points``): the geometric column is taken in
+    the kernel pass, and the endpoint densities before it (t = 0) and
+    after it (t = tau, the last block).  The path lengths do not depend
+    on the duration and are computed once.
     """
     if tau_list is None:
         tau_list = [round(0.2 * k, 10) for k in range(1, 16)]
@@ -91,29 +93,30 @@ def ho_figure1_data(*, omega_i: float = 1.0, omega_f: float = 3.0,
     if tau_list[0] <= 0:
         raise ConfigError("durations must be positive")
     model = HarmonicOscillator(HOConfig(omega_i, omega_f, tau, dim=dim),
-                               cache_size=grid_points)
+                               cache_size=BLOCK_POINTS + 1)
     ensemble = model_ensemble(model, beta)
+    rho0 = evolved_density(model, ensemble, 0.0)
     grid = np.linspace(0.0, tau, grid_points)
-    sweep = fluctuation_sweep(model, ensemble, grid, tau_list)
+    sweep = fluctuation_sweep(model, ensemble, grid, tau_list,
+                              lambda t: ensemble_rates(model, ensemble, t)[1])
+    bures = bures_length(rho0, evolved_density(model, ensemble, tau))
+    eta, ell = path_lengths(model, ensemble)
     rows = {"t": grid, **sweep[tau_list.index(tau)]}
-    rows["excess_geometric"] = np.array(
-        [ensemble_rates(model, ensemble, t)[1] for t in grid])
     mean_series = {k: rows[k] for k in ("t", "mean_cd", "mean_ad")}
     excess_series = {k: rows[k] for k in ("t", "var_cd", "var_ad",
                                           "excess_direct", "excess_geometric")}
-    lengths = chain_lengths(model, ensemble)
-    bures, eta, ell = lengths
 
     for tau_k, columns in zip(tau_list, sweep):
         columns["t"] = np.linspace(0.0, tau_k, grid_points)
         columns["tau"] = np.full(grid_points, tau_k)
-    tau_table = [bound_chain(columns, *lengths) for columns in sweep]
+    tau_table = [bound_chain(columns, bures, eta, ell) for columns in sweep]
     variance_rows = {k: np.concatenate([columns[k] for columns in sweep])
                      for k in ("tau", "t", "var_cd", "var_ad")}
+    averages = np.array([r.avg_excess_dev for r in tau_table])
     fit = None
-    if ell > 0 and len(tau_table) >= 3:
-        fit = fit_power_law(np.array([r.tau for r in tau_table]),
-                            np.array([r.avg_excess_dev for r in tau_table]))
+    # an average that underflowed to 0 fails equality_ok; no fit through it
+    if ell > 0 and len(tau_table) >= 3 and averages.min() > 0:
+        fit = fit_power_law(np.array([r.tau for r in tau_table]), averages)
     return HoFigure1Data(mean_series, variance_rows, excess_series,
                          tau_table, fit, ell, eta, bures,
                          ensemble.n_levels, ensemble.tail_bound,

@@ -23,11 +23,12 @@ no time propagation.  Two independent routes give its moments:
     sum_n p_n ||U||^2 to the work variance.  ``fluctuation_series``
     reduces both over blocks of grid points, and ``fluctuation_sweep``
     covers a sweep over ramp durations in the same pass, since H1 scales
-    as 1/tau at fixed ramp progress.
+    as 1/tau at fixed ramp progress; the store holds one block.
 
 The geometric form of the same excess, sum_n p_n g^(n) lamdot lamdot, is
 ``geometry.ensemble_rates``' metric rate, an independent third route
-through the coupling rows of dH0 over squared gaps.
+through the coupling rows of dH0 over squared gaps, which
+``fluctuation_sweep`` takes per point in its block pass when passed in.
 
 For drives fast enough that omegadot^2/(4 omega^4) reaches one, the
 driving Hamiltonian of the oscillator loses its discrete spectrum in
@@ -91,7 +92,8 @@ def thermal_ensemble(energies: np.ndarray, beta: float, *,
         return ThermalEnsemble(np.array([1.0]), 0.0)
     if not beta > 0:
         raise ValueError("beta must be positive or math.inf")
-    shifted = np.exp(-beta * (energies - energies[0]))
+    with np.errstate(over="ignore"):  # beta * gap past range: weight 0
+        shifted = np.exp(-beta * (energies - energies[0]))
     p = shifted / shifted.sum()
     if complete_spectrum:
         return ThermalEnsemble(p, 0.0)
@@ -281,7 +283,8 @@ def _real_dots(a, b):
     return flat.reshape(a.shape[0], -1, 2).sum(axis=-1)
 
 
-def fluctuation_sweep(model, ensemble, grid, durations) -> list[dict]:
+def fluctuation_sweep(model, ensemble, grid, durations,
+                      metric_rate=None) -> list[dict]:
     """Per duration, the columns of ``fluctuation_series`` but t, from
     one kernel pass over ``grid``, the model's own time grid.
 
@@ -296,6 +299,11 @@ def fluctuation_sweep(model, ensemble, grid, durations) -> list[dict]:
     sum_n p_n (v^2 ||U||^2 + 2 g_n v Re<n|U> + g_n^2), g_n = eps_n - c_n:
     c_n = eps_n for the excess, eps_n(0) + mean_cd for var_cd and <H_cd>
     for energy_variance_cd.
+
+    The pass needs one block's spectra at a time: a store of
+    BLOCK_POINTS + 1 holds them and t = 0.  ``metric_rate``, a callable
+    of t giving sum_n p_n g^(n) lamdot lamdot, adds the column
+    excess_geometric (times v^2), taken after each block's leakage check.
     """
     grid = np.asarray(grid, dtype=float)
     n_keep, p = ensemble.n_levels, ensemble.weights
@@ -306,6 +314,7 @@ def fluctuation_sweep(model, ensemble, grid, durations) -> list[dict]:
     e_now = np.empty((len(grid), n_keep))
     # Re<n|U> and ||U||^2 per point and level
     dots1, norms1 = np.empty((2, len(grid), n_keep))
+    rates = np.empty(len(grid))
     for start in range(0, len(grid), size):
         times = grid[start:start + size]
         rows, b = slice(start, start + len(times)), len(times)
@@ -315,6 +324,8 @@ def fluctuation_sweep(model, ensemble, grid, durations) -> list[dict]:
             e_now[start + i] = spec.energies[:n_keep]
         psi = states[:b]
         _leakage(model, psi, times)
+        if metric_rate is not None:
+            rates[rows] = [metric_rate(t) for t in times]
         u = model.apply_h1(times, psi, h1_states[:b])
         dots1[rows], norms1[rows] = _real_dots(psi, u), _real_dots(u, u)
 
@@ -336,6 +347,8 @@ def fluctuation_sweep(model, ensemble, grid, durations) -> list[dict]:
                     "energy_variance_cd": spread(
                         np.sum(p * (e_now + dots), axis=-1)[:, None]),
                     "variance_h0": variance_h0})
+        if metric_rate is not None:
+            out[-1]["excess_geometric"] = v * v * rates
     return out
 
 

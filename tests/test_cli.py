@@ -1,9 +1,15 @@
+import io
 import json
+import math
 import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cdwork import HOConfig, HarmonicOscillator, ValidityWarning, model_ensemble
 from cdwork import cli
@@ -258,6 +264,48 @@ class TestConfigHandling:
                      "--tau-list", "0.8", "--out", str(tmp_path)])
         assert code == 1
         assert "TruncationError" in capsys.readouterr().err
+
+
+# positive numbers from the bottom to the top of the float range
+EXTREME = st.one_of(st.sampled_from([1e-300, 1e-5, 1.0, 3.0, 1e5, 1e300]),
+                    st.floats(1e-300, 1e300))
+
+
+class TestHoFigure1ConfigSpace:
+    KEYS = sorted(cli._SUBCOMMAND_KEYS["ho-figure1"] & set(cli._KINDS))
+
+    @settings(max_examples=100, deadline=None)
+    @given(omega_i=EXTREME, omega_f=EXTREME,
+           beta=st.one_of(EXTREME, st.just(math.inf)), tau=EXTREME,
+           tau_list=st.lists(EXTREME, min_size=1, max_size=3),
+           fock_dim=st.integers(40, 80), grid=st.integers(3, 41))
+    # each once raised instead of exiting: an infinite v^2 times a zero
+    # ramp-end norm, grid steps whose product underflows, beta * gap past
+    # float range, a power-law fit through underflowed averages, and a
+    # squared coupling past float range
+    @example(1e-5, 1e-5, 1e5, 1e-5, [1e-300], 40, 3)
+    @example(1e-5, 1e-5, 1e5, 1e-300, [1e-300], 40, 3)
+    @example(3.7173932435387287e+52, 5.9172095549149565e+57,
+             2.009683117866449e+278, 1e5, [1e-5], 51, 5)
+    @example(1.0, 1.8296112156007298, 2.863959888394249e+49,
+             46.35868266809509, [1e5, 1e300], 70, 27)
+    @example(1.0, 3.0, math.inf, 2.589258758753062e-196,
+             [0.00022621737363199605, 3.4304911597934754e-109], 57, 23)
+    def test_every_config_exits_with_a_documented_code(
+            self, omega_i, omega_f, beta, tau, tau_list, fock_dim, grid):
+        argv = ["ho-figure1", "--omega-i", repr(omega_i),
+                "--omega-f", repr(omega_f), "--beta", repr(beta),
+                "--tau", repr(tau),
+                "--tau-list", ",".join(map(repr, tau_list)),
+                "--fock-dim", str(fock_dim), "--grid", str(grid)]
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as out, \
+                redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main([*argv, "--out", out])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert any(re.search(rf"\b{key}\b", err.getvalue())
+                       for key in self.KEYS), err.getvalue()
 
 
 class TestVerifyCommand:

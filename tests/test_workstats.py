@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdwork import (HOConfig, HarmonicOscillator, ParametrizedModel,
-                    TruncationError, bound_chain, chain_lengths,
+from cdwork import (DegeneracyError, HOConfig, HarmonicOscillator,
+                    ParametrizedModel, TruncationError, bound_chain, chain_lengths,
                     ensemble_rates, fluctuation_series, fluctuation_sweep,
                     identity_check_rowsum, mean_work,
                     model_ensemble, quintic_ramp,
@@ -358,6 +358,47 @@ class TestDurationSweep:
                                         np.linspace(0.0, tau, 23))
             for key, column in columns.items():
                 assert column == pytest.approx(oracle[key], abs=1e-13), key
+
+
+class TestGeometricColumn:
+    """fluctuation_sweep's optional metric-rate column: ensemble_rates'
+    metric rate, taken per point inside the block pass."""
+
+    KEYS = {"mean_cd", "mean_ad", "var_cd", "var_ad", "excess_direct",
+            "energy_variance_cd", "variance_h0"}
+
+    @pytest.mark.parametrize("points", [0, 1, 16, 17, 41])
+    def test_column_is_the_metric_rate(self, fig1_model, fig1_ensemble,
+                                       points):
+        # 16 and 17 points end on and just past a block edge
+        grid = np.linspace(0.0, 0.8, points)
+        rates = np.array([ensemble_rates(fig1_model, fig1_ensemble, t)[1]
+                          for t in grid])
+        plain = fluctuation_sweep(fig1_model, fig1_ensemble, grid, [0.4, 0.8])
+        sweep = fluctuation_sweep(
+            fig1_model, fig1_ensemble, grid, [0.4, 0.8],
+            lambda t: ensemble_rates(fig1_model, fig1_ensemble, t)[1])
+        short, own = sweep
+        assert own["excess_geometric"].shape == (points,)
+        assert np.array_equal(own["excess_geometric"], rates)
+        # half the duration, twice the speed: v^2 = 4 exactly
+        assert np.array_equal(short["excess_geometric"], 4.0 * rates)
+        for with_rate, without in zip(sweep, plain):
+            assert set(without) == self.KEYS
+            assert set(with_rate) == self.KEYS | {"excess_geometric"}
+            for key in self.KEYS:
+                assert np.array_equal(with_rate[key], without[key]), key
+
+    def test_leakage_is_checked_before_the_rate(self):
+        # a too-small basis fails on its leakage, never in the rate
+        model = HarmonicOscillator(HOConfig(1.0, 3.0, 0.8, dim=40))
+        ensemble = model_ensemble(model, 1.0)
+
+        def rate(t):
+            raise DegeneracyError(f"rate taken at t={t:g}")
+
+        with pytest.raises(TruncationError):
+            fluctuation_sweep(model, ensemble, [0.0, 0.8], [0.8], rate)
 
 
 class TestExcessVariance:
