@@ -12,6 +12,12 @@ verify         run every module's invariant suite
 Outputs are CSV (with '#'-prefixed metadata lines) or JSON; identical
 configurations produce byte-identical files.  Exit codes: 0 success,
 1 numerical or physics failure, 2 configuration error.
+
+One floating-point policy holds for every subcommand: a float overflow,
+a division by zero or an invalid operation raises FloatingPointError
+(exit 1, naming the event) instead of writing inf or nan into an
+output.  Code that expects such a value (a Boltzmann weight past float
+range, a division guarded by np.where) sets its own np.errstate.
 """
 
 from __future__ import annotations
@@ -32,43 +38,21 @@ from .figures import ho_figure1_data, ising_figure2_data
 from .oscillator import HOConfig, ion_waveforms
 from .verify import run_verification
 
-_DEFAULTS = {
-    "omega_i": 1.0,
-    "omega_f": 3.0,
-    "beta": 1.0,
-    "tau": 0.8,
-    "tau_list": None,
-    "fock_dim": 120,
-    "grid": 401,
-    "n_list": None,
-    "delta": 1.0,
-    "nu": 3.0,
-    "trajectory_sites": 64,
-    "chain_samples": 12,
-    "h1_scale": 1.0,
-    "seed": 20260809,
-    "out": None,
-    "format": "csv",
+# each subcommand's configuration keys in flag order, with their
+# defaults; a key's value type is its default's type, and a null
+# default stands for the figure's own choice
+_COMMANDS = {
+    "ho-figure1": {"omega_i": 1.0, "omega_f": 3.0, "beta": 1.0, "tau": 0.8,
+                   "tau_list": None, "fock_dim": 120, "grid": 401},
+    "ising-figure2": {"tau_list": None, "grid": 401, "n_list": None,
+                      "delta": 1.0, "trajectory_sites": 64},
+    "ion-waveforms": {"omega_i": 1.0, "omega_f": 3.0, "tau": 0.8,
+                      "grid": 401, "nu": 3.0},
+    "verify": {"fock_dim": 120, "chain_samples": 12, "h1_scale": 1.0,
+               "seed": 20260809},
 }
-
-_SUBCOMMAND_KEYS = {
-    "ho-figure1": {"omega_i", "omega_f", "beta", "tau", "tau_list",
-                   "fock_dim", "grid", "out", "format"},
-    "ising-figure2": {"n_list", "delta", "tau_list", "grid",
-                      "trajectory_sites", "out", "format"},
-    "ion-waveforms": {"omega_i", "omega_f", "tau", "nu", "grid", "out",
-                      "format"},
-    "verify": {"seed", "fock_dim", "chain_samples", "h1_scale", "out",
-               "format"},
-}
-
-
-# value type of each numeric configuration key, in flag order; a list
-# holds a non-empty list of its element type
-_KINDS = {"omega_i": float, "omega_f": float, "beta": float, "tau": float,
-          "tau_list": [float], "fock_dim": int, "grid": int, "n_list": [int],
-          "delta": float, "nu": float, "trajectory_sites": int,
-          "chain_samples": int, "h1_scale": float, "seed": int}
+# element type of the list keys, which hold a non-empty list
+_LIST_ITEMS = {"tau_list": float, "n_list": int}
 
 
 def _parse_list(kind):
@@ -80,15 +64,6 @@ def _parse_list(kind):
     return parse
 
 
-def _parse_beta(text):
-    if text.lower() in {"inf", "infinity"}:
-        return math.inf
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad beta {text!r}") from exc
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cdwork",
@@ -96,19 +71,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "geometric speed limits (hbar = m = 1 units).")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {"h1_scale": "test hook: rescale the auxiliary term in the "
-                         "transitionless certificate"}
-    for name, keys in _SUBCOMMAND_KEYS.items():
+    for name, table in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path, default=None,
                        help="JSON file with configuration keys; explicit "
                             "flags override it")
-        for key, kind in _KINDS.items():
-            if key in keys:
-                parse = (_parse_beta if key == "beta" else _parse_list(kind[0])
-                         if isinstance(kind, list) else kind)
-                p.add_argument("--" + key.replace("_", "-"), dest=key,
-                               type=parse, help=helps.get(key))
+        for key, default in table.items():
+            parse = (_parse_list(_LIST_ITEMS[key]) if key in _LIST_ITEMS
+                     else type(default))
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           type=parse, help=(
+                               "test hook: rescale the auxiliary term in the "
+                               "transitionless certificate"
+                               if key == "h1_scale" else None))
         p.add_argument("--out", type=Path)
         p.add_argument("--format", choices=("csv", "json"))
     return parser
@@ -119,8 +94,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
     Unknown config-file keys are rejected by name.
     """
-    keys = _SUBCOMMAND_KEYS[args.command]
-    resolved = {k: _DEFAULTS[k] for k in keys}
+    resolved = {**_COMMANDS[args.command], "out": None, "format": "csv"}
     if args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text())
@@ -130,15 +104,16 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise ConfigError("config file must hold a JSON object")
         for key, value in loaded.items():
             norm = key.replace("-", "_")
-            if norm not in keys:
+            if norm not in resolved:
                 raise ConfigError(f"unknown config key {key!r}")
             if norm == "beta" and isinstance(value, str):
+                # JSON has no inf; the string goes through float as a flag does
                 try:
-                    value = _parse_beta(value)
-                except argparse.ArgumentTypeError as exc:
-                    raise ConfigError(f"beta: {exc}") from exc
+                    value = float(value)
+                except ValueError as exc:
+                    raise ConfigError(f"beta: bad beta {value!r}") from exc
             resolved[norm] = value
-    for key in keys:
+    for key in resolved:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             resolved[key] = flag_value
@@ -151,11 +126,13 @@ def _validate_config(command: str, cfg: dict) -> None:
     must be positive (a seed may be zero) and finite (beta may be inf),
     integers must be integers, and null stands only for a null
     default."""
-    for key, value in sorted(cfg.items()):
-        if key not in _KINDS or (value is None and _DEFAULTS[key] is None):
+    table = _COMMANDS[command]
+    for key in sorted(table):
+        value = cfg[key]
+        if value is None and table[key] is None:
             continue
-        listed = isinstance(_KINDS[key], list)
-        kind = _KINDS[key][0] if listed else _KINDS[key]
+        listed = key in _LIST_ITEMS
+        kind = _LIST_ITEMS[key] if listed else type(table[key])
         items = value if listed else [value]
         if not (isinstance(items, list) and items and all(
                 isinstance(x, int if kind is int else (int, float))
@@ -167,18 +144,17 @@ def _validate_config(command: str, cfg: dict) -> None:
             what = f"a non-empty list of {what}s" if listed \
                 else ("an " if what[0] in "aeiou" else "a ") + what
             raise ConfigError(f"{key} must be {what}, got {value!r}")
-    if cfg.get("format") not in (None, "csv", "json"):
-        raise ConfigError(f"unknown format {cfg.get('format')!r}")
+    if cfg["format"] not in (None, "csv", "json"):
+        raise ConfigError(f"unknown format {cfg['format']!r}")
     if command == "ho-figure1" and cfg["grid"] < 3:
         raise ConfigError(f"grid must be at least 3 for the Simpson time "
                           f"averages of ho-figure1, got {cfg['grid']}")
 
 
-def _config_hash(cfg: dict) -> str:
-    # the hash names the computation: where the files land is irrelevant
-    content = {k: v for k, v in cfg.items() if k != "out"}
-    canon = json.dumps(content, sort_keys=True, default=str)
-    return hashlib.sha256(canon.encode()).hexdigest()
+def _plain(cfg: dict) -> dict:
+    # the configuration names the computation: where the files land is
+    # not part of it (and would break byte-determinism)
+    return {k: v for k, v in cfg.items() if k != "out"}
 
 
 def _format_value(x) -> str:
@@ -209,27 +185,29 @@ def _json_default(obj):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, Path):
-        return str(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _emit_series(outdir: Path, stem: str, columns: dict, metadata: dict,
-                 fmt: str) -> None:
-    if fmt == "csv":
-        write_csv(outdir / f"{stem}.csv", columns, metadata)
-    else:
-        payload = {"metadata": metadata,
-                   "columns": {k: np.asarray(v).tolist()
-                               for k, v in columns.items()}}
-        write_json(outdir / f"{stem}.json", payload)
-
-
-def _outdir(cfg: dict) -> Path:
-    out = cfg.get("out") or Path("results")
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _write(cfg: dict, command: str, series: dict, summary_stem: str,
+           summary: dict, **metadata) -> None:
+    """Write each named column set as <stem>.csv or <stem>.json, tagged
+    with the config hash, and the summary JSON with the configuration
+    echoed, into the output directory (default ./results)."""
+    outdir = Path(cfg["out"] or "results")
+    outdir.mkdir(parents=True, exist_ok=True)
+    canon = json.dumps(_plain(cfg), sort_keys=True)
+    metadata.update({"config-hash": hashlib.sha256(canon.encode()).hexdigest(),
+                     "command": command})
+    for stem, columns in series.items():
+        if (cfg["format"] or "csv") == "csv":
+            write_csv(outdir / f"{stem}.csv", columns, metadata)
+        else:
+            write_json(outdir / f"{stem}.json", {
+                "metadata": metadata,
+                "columns": {k: np.asarray(v).tolist()
+                            for k, v in columns.items()}})
+    write_json(outdir / f"{summary_stem}.json",
+               dict(summary, config=_plain(cfg)))
 
 
 def _use_color() -> bool:
@@ -245,30 +223,24 @@ def _status(passed: bool) -> str:
 
 
 def cmd_ho_figure1(cfg: dict) -> int:
-    # a value leaving float range is a numerical failure (exit 1)
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
-        data = ho_figure1_data(
-            omega_i=cfg["omega_i"], omega_f=cfg["omega_f"], beta=cfg["beta"],
-            tau=cfg["tau"], tau_list=cfg["tau_list"], dim=cfg["fock_dim"],
-            grid_points=cfg["grid"])
-    outdir = _outdir(cfg)
-    meta = {"config-hash": _config_hash(cfg), "command": "ho-figure1"}
-    fmt = cfg["format"] or "csv"
-    _emit_series(outdir, "ho_figure1_mean_work", data.mean_series, meta, fmt)
-    _emit_series(outdir, "ho_figure1_variance", data.variance_series, meta, fmt)
-    _emit_series(outdir, "ho_figure1_excess", data.excess_series, meta, fmt)
-    fluct = {
-        "tau": np.array([r.tau for r in data.tau_table]),
-        "avg_excess_dev": np.array([r.avg_excess_dev for r in data.tau_table]),
-        "avg_energy_dev": np.array([r.avg_energy_dev for r in data.tau_table]),
-    }
-    _emit_series(outdir, "ho_figure1_fluctuation_average", fluct, meta, fmt)
-    summary = dict(data.summary(), config=_plain(cfg))
-    write_json(outdir / "ho_figure1_summary.json", summary)
+    data = ho_figure1_data(
+        omega_i=cfg["omega_i"], omega_f=cfg["omega_f"], beta=cfg["beta"],
+        tau=cfg["tau"], tau_list=cfg["tau_list"], dim=cfg["fock_dim"],
+        grid_points=cfg["grid"])
+    table = data.tau_table
+    _write(cfg, "ho-figure1", {
+        "ho_figure1_mean_work": data.mean_series,
+        "ho_figure1_variance": data.variance_series,
+        "ho_figure1_excess": data.excess_series,
+        "ho_figure1_fluctuation_average": {
+            "tau": np.array([r.tau for r in table]),
+            "avg_excess_dev": np.array([r.avg_excess_dev for r in table]),
+            "avg_energy_dev": np.array([r.avg_energy_dev for r in table])},
+    }, "ho_figure1_summary", data.summary())
     print(f"{_status(data.passed)} ho-figure1: ell={data.ell:.6f} "
           f"bures={data.bures_len:.6f} "
           + (f"fit coefficient={data.fit.coefficient:.4f}"
-             if data.fit else "fit skipped") + _failed_flags(data.tau_table))
+             if data.fit else "fit skipped") + _failed_flags(table))
     return 0 if data.passed else 1
 
 
@@ -293,29 +265,21 @@ def _failed_flags(table) -> str:
 
 
 def cmd_ising_figure2(cfg: dict) -> int:
-    n_list = cfg["n_list"] if cfg["n_list"] is not None \
-        else [32, 64, 128, 256, 512, 1024]
     data = ising_figure2_data(
-        n_list=n_list, delta=cfg["delta"], tau_list=cfg["tau_list"],
+        n_list=cfg["n_list"], delta=cfg["delta"], tau_list=cfg["tau_list"],
         grid_points=cfg["grid"], trajectory_sites=cfg["trajectory_sites"])
-    outdir = _outdir(cfg)
-    meta = {"config-hash": _config_hash(cfg), "command": "ising-figure2"}
-    fmt = cfg["format"] or "csv"
-    _emit_series(outdir, "ising_figure2_trajectories", data.trajectories,
-                 meta, fmt)
-    passed = True
-    if data.scaling is not None:
-        _emit_series(outdir, "ising_figure2_scaling",
-                     {"n": data.scaling.n_values,
-                      "cost_integral": data.scaling.integrals}, meta, fmt)
-        passed = data.scaling.passed
-        note = (f"alpha={data.scaling.alpha:.4f}, fit residual "
-                f"{data.scaling.residual_rms:.3g} (gate "
-                f"{data.scaling.MAX_RESIDUAL})")
+    series = {"ising_figure2_trajectories": data.trajectories}
+    scaling = data.scaling
+    if scaling is not None:
+        series["ising_figure2_scaling"] = {"n": scaling.n_values,
+                                           "cost_integral": scaling.integrals}
+        note = (f"alpha={scaling.alpha:.4f}, fit residual "
+                f"{scaling.residual_rms:.3g} (gate {scaling.MAX_RESIDUAL})")
     else:
         note = "single size: trajectory only, no fit"
-    write_json(outdir / "ising_figure2_summary.json",
-               dict(data.summary(), config=_plain(cfg)))
+    _write(cfg, "ising-figure2", series, "ising_figure2_summary",
+           data.summary())
+    passed = scaling is None or scaling.passed
     print(f"{_status(passed)} ising-figure2: {note}")
     return 0 if passed else 1
 
@@ -323,22 +287,16 @@ def cmd_ising_figure2(cfg: dict) -> int:
 def cmd_ion_waveforms(cfg: dict) -> int:
     config = HOConfig(cfg["omega_i"], cfg["omega_f"], cfg["tau"])
     table = ion_waveforms(config, cfg["nu"], grid_points=cfg["grid"])
-    outdir = _outdir(cfg)
-    meta = {"config-hash": _config_hash(cfg), "command": "ion-waveforms",
-            "nu": cfg["nu"], "m_eff": table.ion.effective_mass}
-    _emit_series(outdir, "ion_waveforms", table.columns(), meta,
-                 cfg["format"] or "csv")
-    validity = {
-        "nu": cfg["nu"],
-        "effective_mass": table.ion.effective_mass,
-        "min_validity_ratio": table.min_validity(),
-        "validity_min_required": table.ion.validity_min,
-        "within_validity": bool(table.min_validity() >= table.ion.validity_min),
-        "config": _plain(cfg),
-    }
-    write_json(outdir / "ion_waveforms_validity.json", validity)
-    print(f"{_status(True)} ion-waveforms: min validity ratio "
-          f"{table.min_validity():.3g}")
+    ion, worst = table.ion, table.min_validity()
+    _write(cfg, "ion-waveforms", {"ion_waveforms": table.columns()},
+           "ion_waveforms_validity", {
+               "nu": cfg["nu"],
+               "effective_mass": ion.effective_mass,
+               "min_validity_ratio": worst,
+               "validity_min_required": ion.validity_min,
+               "within_validity": bool(worst >= ion.validity_min)},
+           nu=cfg["nu"], m_eff=ion.effective_mass)
+    print(f"{_status(True)} ion-waveforms: min validity ratio {worst:.3g}")
     return 0
 
 
@@ -348,14 +306,11 @@ def cmd_verify(cfg: dict) -> int:
                                h1_scale=cfg["h1_scale"])
     for res in results:
         print(f"{_status(res.passed)} {res.name}: {res.detail}")
-    if cfg.get("out") is not None:
-        outdir = _outdir(cfg)
-        write_json(outdir / "verify_report.json", {
-            "config": _plain(cfg),
+    if cfg["out"] is not None:
+        _write(cfg, "verify", {}, "verify_report", {
             "checks": [{"name": r.name, "passed": r.passed,
                         "detail": r.detail} for r in results],
-            "passed": all(r.passed for r in results),
-        })
+            "passed": all(r.passed for r in results)})
     failed = [r for r in results if not r.passed]
     if failed:
         print(f"{len(failed)} of {len(results)} checks failed",
@@ -363,13 +318,6 @@ def cmd_verify(cfg: dict) -> int:
         return 1
     print(f"all {len(results)} checks passed")
     return 0
-
-
-def _plain(cfg: dict) -> dict:
-    # echoed configuration identifies the computation; the destination
-    # directory is not part of it (and would break byte-determinism)
-    return {k: (str(v) if isinstance(v, Path) else v)
-            for k, v in cfg.items() if k != "out"}
 
 
 _HANDLERS = {
@@ -385,7 +333,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-        return _HANDLERS[args.command](cfg)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _HANDLERS[args.command](cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

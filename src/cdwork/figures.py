@@ -149,11 +149,21 @@ def ising_figure2_data(*, n_list=None, delta: float = 1.0, tau_list=None,
                        grid_points: int = 401,
                        trajectory_sites: int = 64) -> IsingFigure2Data:
     """Ising study: excess-fluctuation trajectories across the critical
-    point and the finite-size scaling of the time-integrated cost."""
+    point and the finite-size scaling of the time-integrated cost.
+
+    A configuration error names the argument it comes from: the
+    trajectory chain and the fit's chain lengths go through the same
+    length check in ``ising``, which cannot tell them apart.
+    """
     if n_list is None:
         n_list = [32, 64, 128, 256, 512, 1024]
     if tau_list is None:
         tau_list = [0.5, 1.0, 2.0]
+    # a sweep whose endpoints round to the critical point has no length
+    if not 1.0 - delta < 1.0 < 1.0 + delta:
+        raise ConfigError(f"delta must move lam off the critical point "
+                          f"1 in floating point, got {delta!r}")
+    _named("trajectory_sites", ising.momenta, trajectory_sites)
     blocks = {"tau": [], "t": [], "lam": [], "excess_variance": [],
               "excess_dev": []}
     for tau_k in sorted(set(float(x) for x in tau_list)):
@@ -168,5 +178,13 @@ def ising_figure2_data(*, n_list=None, delta: float = 1.0, tau_list=None,
     trajectories = {k: np.concatenate(v) for k, v in blocks.items()}
     scaling = None
     if len(set(int(n) for n in n_list)) >= 5:
-        scaling = ising.scaling_fit(n_list, delta)
+        scaling = _named("n_list", ising.scaling_fit, n_list, delta)
     return IsingFigure2Data(trajectories, scaling, trajectory_sites)
+
+
+def _named(key: str, func, *args):
+    """func(*args), with a ConfigError prefixed by the argument's name."""
+    try:
+        return func(*args)
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}") from None

@@ -26,7 +26,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import eigsh
 
 from .errors import ConfigError
-from .fitting import FitResult, fit_power_law
+from .fitting import fit_power_law
 from .models import ParametrizedModel
 from .protocols import Protocol, cubic_ramp
 from .quadrature import adaptive_simpson
@@ -141,7 +141,6 @@ class CriticalScaling:
     residual_rms: float
     n_values: np.ndarray
     integrals: np.ndarray
-    fit: FitResult
 
     MAX_RESIDUAL = 0.02
 
@@ -165,7 +164,7 @@ def scaling_fit(n_list, delta: float) -> CriticalScaling:
     integrals = np.array([sweep_cost_integral(n, delta) for n in n_values])
     fit = fit_power_law(n_values.astype(float), integrals)
     return CriticalScaling(fit.exponent, fit.exponent_stderr,
-                           fit.residual_rms, n_values, integrals, fit)
+                           fit.residual_rms, n_values, integrals)
 
 
 # -- dense oracle (small chains) -------------------------------------------

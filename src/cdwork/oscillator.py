@@ -332,11 +332,9 @@ class WaveformTable:
     omega_dot: np.ndarray
     potential: np.ndarray       # Omega(t) >= 0, the squeezing drive
     omega_eff1: np.ndarray      # complex: -Omega + i omegadot / 2 omega
-    omega_eff2: np.ndarray
     phi3: np.ndarray            # phase of the third Raman beam
-    rabi_1: np.ndarray
+    rabi_1: np.ndarray          # beams 1 and 3 (Omega1 = Omega3)
     rabi_2: np.ndarray
-    rabi_3: np.ndarray
     validity_ratio: np.ndarray
     ion: IonConfig = field(compare=False)
 
@@ -351,7 +349,7 @@ class WaveformTable:
             "Omega": self.potential,
             "re_Omega_eff1": self.omega_eff1.real,
             "im_Omega_eff1": self.omega_eff1.imag,
-            "Omega_eff2": self.omega_eff2,
+            "Omega_eff2": self.potential,   # Omega_eff2 = Omega
             "validity_ratio": self.validity_ratio,
         }
 
@@ -386,7 +384,6 @@ def ion_waveforms(config: HOConfig, nu: float, *, ion: IonConfig | None = None,
     # remaining gauge freedom of the two Raman processes.
     eta, delta_r, delta_s = ion.lamb_dicke, ion.delta_raman, ion.delta_spin
     rabi_1 = np.sqrt(np.abs(eff1) * delta_r) / eta
-    rabi_3 = rabi_1.copy()
     with np.errstate(divide="ignore", invalid="ignore"):
         rabi_2 = np.where(
             rabi_1 > 0,
@@ -408,6 +405,5 @@ def ion_waveforms(config: HOConfig, nu: float, *, ion: IonConfig | None = None,
         raise InvalidDetuning(
             f"waveform round trip misses omega by {error:.3g}: at nu = "
             f"{nu:g} the potential cannot encode omega to precision")
-    return WaveformTable(times, omega, omega_dot, potential, eff1,
-                         potential.copy(), phi3, rabi_1, rabi_2, rabi_3,
-                         ratio, ion)
+    return WaveformTable(times, omega, omega_dot, potential, eff1, phi3,
+                         rabi_1, rabi_2, ratio, ion)

@@ -253,26 +253,24 @@ class CertificateReport:
 CERTIFICATE_THRESHOLD = 1e-6
 
 
-def transitionless_certificate(model, levels, grid, *, include_cd: bool = True,
-                               h1_scale: float = 1.0,
+def transitionless_certificate(model, levels, grid, *, h1_scale: float = 1.0,
                                tol: float = 1e-8) -> CertificateReport:
     """Propagate eigenlevels of H0(0) and track overlap with the
     instantaneous eigenstates of H0(t).
 
     PASS requires both the minimum overlap along the grid and the final
     fidelity to reach 1 - CERTIFICATE_THRESHOLD for every requested
-    level.  With ``include_cd=False`` the bare H0 generates the dynamics
-    (the discriminating control).  ``h1_scale`` rescales the auxiliary term,
-    which exists solely so that verification can demonstrate that a
-    wrong prefactor is caught.  The Hamiltonians come from
+    level.  ``h1_scale`` rescales the auxiliary term: at 0 the bare H0
+    generates the dynamics (the discriminating control), and any other
+    value than 1 lets verification demonstrate that a wrong prefactor
+    is caught.  The Hamiltonians come from
     ``model.h_drive_at`` and are exponentiated by ``model.evolve`` (for
     the oscillator: bands, one parity sector at a time).
     """
     levels = np.atleast_1d(np.asarray(levels, dtype=int))
     grid = np.asarray(grid, dtype=float)
     psi0 = model.spectrum0_at(0.0).states[:, levels]
-    scale = h1_scale if include_cd else 0.0
-    traj = propagate(lambda t: model.h_drive_at(t, scale), psi0, grid,
+    traj = propagate(lambda t: model.h_drive_at(t, h1_scale), psi0, grid,
                      tol=tol, evolve=model.evolve)
     min_overlap = np.ones(len(levels))
     for i, t in enumerate(grid):

@@ -112,7 +112,7 @@ def _check_certificate(model, h1_scale, levels, grid_points=81):
 
 def _check_bare_control(model, grid_points=81):
     grid = np.linspace(0.0, model.tau, grid_points)
-    cert = transitionless_certificate(model, [0], grid, include_cd=False,
+    cert = transitionless_certificate(model, [0], grid, h1_scale=0.0,
                                       tol=3e-7)
     fid = float(cert.final_fidelity[0])
     return CheckResult("bare-drive-control-fails", fid < 0.999,

@@ -118,7 +118,7 @@ def test_criterion_4_transitionless_certificate(panel_run):
     model = panel_run["model"]
     grid = np.linspace(0.0, 0.8, 161)
     cert = transitionless_certificate(model, np.arange(31), grid, tol=1e-7)
-    bare = transitionless_certificate(model, [0], grid, include_cd=False,
+    bare = transitionless_certificate(model, [0], grid, h1_scale=0.0,
                                       tol=1e-7)
     bare_fid = float(bare.final_fidelity[0])
     ok = cert.passed and bare_fid < 0.999

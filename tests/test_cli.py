@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -272,7 +273,7 @@ EXTREME = st.one_of(st.sampled_from([1e-300, 1e-5, 1.0, 3.0, 1e5, 1e300]),
 
 
 class TestHoFigure1ConfigSpace:
-    KEYS = sorted(cli._SUBCOMMAND_KEYS["ho-figure1"] & set(cli._KINDS))
+    KEYS = sorted(cli._COMMANDS["ho-figure1"])
 
     @settings(max_examples=100, deadline=None)
     @given(omega_i=EXTREME, omega_f=EXTREME,
@@ -306,6 +307,59 @@ class TestHoFigure1ConfigSpace:
         if code == 2:
             assert any(re.search(rf"\b{key}\b", err.getvalue())
                        for key in self.KEYS), err.getvalue()
+
+
+def exit_code_in_process(command, argv):
+    """main's exit code for one run into a scratch directory, after
+    checking that an exit-2 message names one of the command's keys.
+    ValidityWarning is documented ion-waveforms output; any other
+    warning is an error."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings(), \
+            redirect_stdout(io.StringIO()), redirect_stderr(err):
+        warnings.simplefilter("ignore", ValidityWarning)
+        code = main([command, *argv, "--out", out])
+    if code == 2:
+        assert any(re.search(rf"\b{key}\b", err.getvalue())
+                   for key in cli._COMMANDS[command]), err.getvalue()
+    return code
+
+
+class TestIsingFigure2ConfigSpace:
+    @settings(max_examples=60, deadline=None)
+    @given(delta=EXTREME, tau_list=st.lists(EXTREME, min_size=1, max_size=3),
+           grid=st.integers(3, 41),
+           n_list=st.lists(st.integers(1, 256), min_size=1, max_size=6),
+           trajectory_sites=st.integers(1, 64))
+    # an excess past float range once warned and wrote inf cells; an odd
+    # trajectory chain and a too-narrow fit ladder exited 2 naming no
+    # key; a delta that rounds away raised a ValueError from the fit
+    @example(3.0, [1e-300], 34, [32], 64)
+    @example(1.0, [1.0], 21, [32], 5)
+    @example(1.0, [1.0], 21, [32, 64, 128, 256, 512], 64)
+    @example(1e-20, [1.0], 21, [32, 64, 128, 256, 512, 1024], 64)
+    def test_every_config_exits_with_a_documented_code(
+            self, delta, tau_list, grid, n_list, trajectory_sites):
+        assert exit_code_in_process("ising-figure2", [
+            "--delta", repr(delta), "--tau-list", ",".join(map(repr, tau_list)),
+            "--grid", str(grid), "--n-list", ",".join(map(str, n_list)),
+            "--trajectory-sites", str(trajectory_sites)]) in (0, 1, 2)
+
+
+class TestIonWaveformsConfigSpace:
+    @settings(max_examples=100, deadline=None)
+    @given(omega_i=EXTREME, omega_f=EXTREME, tau=EXTREME, nu=EXTREME,
+           grid=st.integers(3, 41))
+    # each once raised a RuntimeWarning: omega^2 past float range, and
+    # the round trip's square root of a potential that overflowed to inf
+    @example(1e300, 1e300, 1.0, 1e300, 5)
+    @example(1.0, 3.0, 1e-300, 1e300, 5)
+    def test_every_config_exits_with_a_documented_code(
+            self, omega_i, omega_f, tau, nu, grid):
+        assert exit_code_in_process("ion-waveforms", [
+            "--omega-i", repr(omega_i), "--omega-f", repr(omega_f),
+            "--tau", repr(tau), "--nu", repr(nu),
+            "--grid", str(grid)]) in (0, 1, 2)
 
 
 class TestVerifyCommand:

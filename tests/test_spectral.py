@@ -267,7 +267,7 @@ class TestCertificate:
         proto = quintic_ramp([-0.1], [0.1], 100.0)
         model = two_level_model(proto)
         grid = np.linspace(0.0, proto.duration, 51)
-        cert = transitionless_certificate(model, [0], grid, include_cd=False,
+        cert = transitionless_certificate(model, [0], grid, h1_scale=0.0,
                                           tol=1e-7)
         assert cert.passed
 
@@ -277,7 +277,7 @@ class TestCertificate:
                                              tol=3e-7)
         assert with_cd.passed
         without = transitionless_certificate(fig1_model, [0], grid,
-                                             include_cd=False, tol=3e-7)
+                                             h1_scale=0.0, tol=3e-7)
         assert not without.passed
         assert without.final_fidelity[0] < 0.999
 
