@@ -97,10 +97,12 @@ def ho_figure1_data(*, omega_i: float = 1.0, omega_f: float = 3.0,
     ensemble = model_ensemble(model, beta)
     rho0 = evolved_density(model, ensemble, 0.0)
     grid = np.linspace(0.0, tau, grid_points)
-    sweep = fluctuation_sweep(model, ensemble, grid, tau_list,
-                              lambda t: ensemble_rates(model, ensemble, t)[1])
+    # the CD term, and with it each stage's rates, scales as 1/tau and
+    # 1/tau_k: the keys a float-range error names
+    sweep = _named("tau, tau_list", fluctuation_sweep, model, ensemble, grid,
+                   tau_list, lambda t: ensemble_rates(model, ensemble, t)[1])
     bures = bures_length(rho0, evolved_density(model, ensemble, tau))
-    eta, ell = path_lengths(model, ensemble)
+    eta, ell = _named("tau", path_lengths, model, ensemble)
     rows = {"t": grid, **sweep[tau_list.index(tau)]}
     mean_series = {k: rows[k] for k in ("t", "mean_cd", "mean_ad")}
     excess_series = {k: rows[k] for k in ("t", "var_cd", "var_ad",
@@ -109,7 +111,8 @@ def ho_figure1_data(*, omega_i: float = 1.0, omega_f: float = 3.0,
     for tau_k, columns in zip(tau_list, sweep):
         columns["t"] = np.linspace(0.0, tau_k, grid_points)
         columns["tau"] = np.full(grid_points, tau_k)
-    tau_table = [bound_chain(columns, bures, eta, ell) for columns in sweep]
+    tau_table = [_named("tau_list", bound_chain, columns, bures, eta, ell)
+                 for columns in sweep]
     variance_rows = {k: np.concatenate([columns[k] for columns in sweep])
                      for k in ("tau", "t", "var_cd", "var_ad")}
     averages = np.array([r.avg_excess_dev for r in tau_table])
@@ -152,8 +155,10 @@ def ising_figure2_data(*, n_list=None, delta: float = 1.0, tau_list=None,
     point and the finite-size scaling of the time-integrated cost.
 
     A configuration error names the argument it comes from: the
-    trajectory chain and the fit's chain lengths go through the same
-    length check in ``ising``, which cannot tell them apart.
+    trajectory chain and every one of the fit's chain lengths go through
+    the same length check in ``ising``, which cannot tell them apart,
+    whether or not a fit runs.  A value past float range names the
+    stage and the keys it reads.
     """
     if n_list is None:
         n_list = [32, 64, 128, 256, 512, 1024]
@@ -164,12 +169,15 @@ def ising_figure2_data(*, n_list=None, delta: float = 1.0, tau_list=None,
         raise ConfigError(f"delta must move lam off the critical point "
                           f"1 in floating point, got {delta!r}")
     _named("trajectory_sites", ising.momenta, trajectory_sites)
+    for n in n_list:
+        _named("n_list", ising.momenta, n)
     blocks = {"tau": [], "t": [], "lam": [], "excess_variance": [],
               "excess_dev": []}
     for tau_k in sorted(set(float(x) for x in tau_list)):
         config = ising.IsingConfig(trajectory_sites, delta, tau_k)
         grid = np.linspace(0.0, tau_k, grid_points)
-        traj = ising.cd_excess_trajectory(config, grid)
+        traj = _named("tau_list, delta", ising.cd_excess_trajectory,
+                      config, grid)
         blocks["tau"].append(np.full_like(grid, tau_k))
         blocks["t"].append(grid)
         blocks["lam"].append(traj.lam)
@@ -178,13 +186,20 @@ def ising_figure2_data(*, n_list=None, delta: float = 1.0, tau_list=None,
     trajectories = {k: np.concatenate(v) for k, v in blocks.items()}
     scaling = None
     if len(set(int(n) for n in n_list)) >= 5:
-        scaling = _named("n_list", ising.scaling_fit, n_list, delta)
+        scaling = _named("n_list", ising.scaling_fit, n_list, delta,
+                         reads="n_list, delta")
     return IsingFigure2Data(trajectories, scaling, trajectory_sites)
 
 
-def _named(key: str, func, *args):
-    """func(*args), with a ConfigError prefixed by the argument's name."""
+def _named(key: str, func, *args, reads: str | None = None):
+    """func(*args), with a ConfigError prefixed by the name of the
+    argument it comes from, and a FloatingPointError (a value past float
+    range) by the stage, func, and the configuration keys it reads
+    (default: key)."""
     try:
         return func(*args)
     except ConfigError as exc:
         raise ConfigError(f"{key}: {exc}") from None
+    except FloatingPointError as exc:
+        raise FloatingPointError(
+            f"{func.__name__}, reading {reads or key}: {exc}") from None

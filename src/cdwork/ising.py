@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import eigsh
 
 from .errors import ConfigError
 from .fitting import fit_power_law
@@ -31,13 +30,17 @@ from .models import ParametrizedModel
 from .protocols import Protocol, cubic_ramp
 from .quadrature import adaptive_simpson
 
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
+
 DENSE_SITE_CAP = 14
 
 
 def momenta(n_sites: int) -> np.ndarray:
     """Even-parity-sector momenta (2m - 1) pi / N for m = 1 .. N/2."""
     if n_sites % 2 or n_sites < 4:
-        raise ConfigError("the chain length must be even and at least 4")
+        raise ConfigError(f"the chain length must be even and at least 4, "
+                          f"got {n_sites!r}")
     return (2.0 * np.arange(1, n_sites // 2 + 1) - 1.0) * math.pi / n_sites
 
 
@@ -203,6 +206,9 @@ def dense_field_term(n_sites: int) -> np.ndarray:
 
 
 def sparse_hamiltonian(lam: float, n_sites: int) -> csr_matrix:
+    """The chain as a scipy.sparse matrix (oracle; loads scipy.sparse)."""
+    from scipy.sparse import csr_matrix
+
     dim, states, z_total, pairs = _dense_terms(n_sites)
     rows = [states]
     cols = [states]
@@ -220,12 +226,16 @@ def exact_ground_state(lam: float, n_sites: int) -> tuple[float, np.ndarray]:
     """Ground eigenpair of the full spin Hamiltonian.
 
     Dense diagonalization up to 8 sites, Lanczos (machine tolerance)
-    beyond; oracle use only.
+    beyond; oracle use only.  scipy (``scipy.sparse`` and ``eigsh``) is
+    imported only beyond 8 sites, so the package and its CLI, whose
+    oracle chains stop at 8 sites, never load it.
     """
     if n_sites <= 8:
         h = dense_hamiltonian(lam, n_sites)
         energies, vectors = np.linalg.eigh(h)
         return float(energies[0]), vectors[:, 0]
+    from scipy.sparse.linalg import eigsh
+
     vals, vecs = eigsh(sparse_hamiltonian(lam, n_sites), k=1, which="SA", tol=0)
     return float(vals[0]), vecs[:, 0]
 

@@ -9,7 +9,11 @@ dependence lives in the matrix entries:
 
 Both couple only levels two apart, so the model keeps every operator as
 a band of its diagonal and +2 diagonal, and solves and exponentiates it
-one parity sector at a time with LAPACK's tridiagonal solver.
+one parity sector at a time with LAPACK's tridiagonal solver ``dstevd``.
+That routine is called through ``ctypes`` in the OpenBLAS that numpy's
+wheel already loads, so importing the package loads no scipy; where
+numpy ships no such library (another wheel, MKL, Accelerate), the same
+routine comes from ``scipy.linalg.lapack``.
 
 The reference frequency is sqrt(omega_i * omega_f).  That choice splits
 the squeezing between the two ends of the ramp (factor
@@ -24,14 +28,16 @@ effective two-photon Raman drive waveforms for a trapped ion.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import os
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.linalg import LinAlgError
 from numpy.polynomial.hermite import hermval
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import (BandStructureError, ConfigError, InvalidDetuning,
                      NonHermitianInput, SupercriticalDrive, ValidityWarning)
@@ -39,10 +45,65 @@ from .models import STORE_SIZE, ParametrizedModel
 from .protocols import Protocol, log_ramp, quintic_ramp
 from .spectral import HERMITIAN_TOL, Spectrum, gauge_fix
 
-# LAPACK's real symmetric tridiagonal divide-and-conquer solver, resolved
-# once: scipy's eigh_tridiagonal picks the same routine but validates its
-# arguments on every call
-_STEVD = get_lapack_funcs("stevd", dtype=np.float64)
+
+def _numpy_openblas() -> str | None:
+    """Path of the ILP64 OpenBLAS that numpy's wheel ships and its
+    extension modules already map, or None where there is none."""
+    root = os.path.dirname(os.path.dirname(np.__file__))
+    found = sorted(glob.glob(
+        os.path.join(root, "numpy.libs", "libscipy_openblas64_*")))
+    return found[0] if found else None
+
+
+def _resolve_stevd():
+    """stevd(d, e) -> (w, z, info) with z Fortran-ordered, the call and
+    result of scipy.linalg.lapack's ``stevd``: ``scipy_dstevd_64_`` of
+    numpy's OpenBLAS through ctypes, or, when that library or symbol is
+    missing, scipy's own wrapper, imported only then."""
+    path = _numpy_openblas()
+    try:
+        func = ctypes.CDLL(path).scipy_dstevd_64_ if path else None
+    except (OSError, AttributeError):
+        func = None
+    if func is None:
+        from scipy.linalg.lapack import get_lapack_funcs
+        return get_lapack_funcs("stevd", dtype=np.float64)
+    double = ctypes.POINTER(ctypes.c_double)
+    int64 = ctypes.POINTER(ctypes.c_int64)
+    # JOBZ, N, D, E, Z, LDZ, WORK, LWORK, IWORK, LIWORK, INFO and the
+    # hidden length of the JOBZ string; ILP64, so every integer is 64-bit
+    func.argtypes = [ctypes.c_char_p, int64, double, double, double, int64,
+                     double, int64, int64, int64, int64, ctypes.c_size_t]
+    func.restype = None
+    # a ctypes view of an array's buffer: passed by reference, and about
+    # four times cheaper per call than ndarray.ctypes
+    view, int_view = ctypes.c_double.from_buffer, ctypes.c_int64.from_buffer
+
+    def stevd(d, e):
+        n = len(d)
+        lwork, liwork = (1 + 4 * n + n * n, 3 + 5 * n) if n > 1 else (1, 1)
+        # every array is fresh: spectra are kept in the model's store, and
+        # the call releases the GIL, so shared work arrays could race
+        w = np.array(d, dtype=np.float64)  # overwritten by the eigenvalues
+        off = np.zeros(max(n, 1))          # destroyed by LAPACK
+        off[:n - 1] = e
+        z = np.empty(n * n)                # column-major n x n
+        info = ctypes.c_int64()
+        func(b"V", ctypes.c_int64(n), view(w), view(off), view(z),
+             ctypes.c_int64(max(n, 1)), view(np.empty(lwork)),
+             ctypes.c_int64(lwork), int_view(np.empty(liwork, np.int64)),
+             ctypes.c_int64(liwork), info, 1)
+        return w, z.reshape((n, n), order="F"), info.value
+
+    return stevd
+
+
+# LAPACK's real symmetric tridiagonal divide-and-conquer solver dstevd,
+# resolved once.  It is called in the OpenBLAS that numpy already maps,
+# because importing scipy.linalg for this one routine took longer than a
+# whole ho-figure1 run; scipy.linalg.lapack serves only where numpy's
+# wheel ships no such library (another build, MKL, Accelerate)
+_STEVD = _resolve_stevd()
 
 
 def ramp(omega_i: float, omega_f: float, tau: float) -> Protocol:

@@ -127,6 +127,14 @@ class TestIsingFigure2:
         assert summary["scaling"] is None
         assert not (tmp_path / "ising_figure2_scaling.csv").exists()
 
+    def test_invalid_n_list_without_fit_named(self, tmp_path, capsys):
+        # two sizes run no fit, but each must still be a chain length
+        code = main(["ising-figure2", "--n-list", "3,7", "--grid", "21",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "n_list" in capsys.readouterr().err
+        assert not (tmp_path / "ising_figure2_summary.json").exists()
+
     def test_missed_fit_gate_writes_data_and_exits_one(self, tmp_path, capsys):
         code = main(["ising-figure2", "--n-list", "4,6,8,10,200",
                      "--delta", "0.01", "--grid", "21",
@@ -259,6 +267,23 @@ class TestConfigHandling:
         assert main(["ho-figure1", "--grid", grid,
                      "--out", str(tmp_path)]) == 2
         assert "grid" in capsys.readouterr().err
+
+    # values past float range: g lamdot^2 with lamdot ~ delta / tau, and
+    # the coupling rates |lamdot <n|dH0|k>|^2 with lamdot ~ 1 / tau
+    @pytest.mark.parametrize("argv, keys", [
+        (["ising-figure2", "--n-list", "32", "--delta", "3",
+          "--tau-list", "1e-300", "--grid", "34"], ("tau_list", "delta")),
+        (["ho-figure1", "--tau", "2.589258758753062e-196",
+          "--tau-list", "0.00022621737363199605,3.4304911597934754e-109",
+          "--fock-dim", "57", "--grid", "23", "--beta", "inf"],
+         ("tau", "tau_list")),
+    ], ids=["ising-figure2", "ho-figure1"])
+    def test_float_range_error_names_keys(self, tmp_path, capsys, argv, keys):
+        assert main([*argv, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("FloatingPointError: ")
+        for key in keys:
+            assert re.search(rf"\b{key}\b", err), err
 
     def test_truncation_error_exit_one(self, tmp_path, capsys):
         code = main(["ho-figure1", "--fock-dim", "40", "--grid", "21",
@@ -409,18 +434,26 @@ def test_module_entry_point():
     assert proc.stdout.strip()
 
 
-def test_cli_run_never_loads_scipy_integrate(tmp_path):
-    # scipy.integrate and the scipy.special and scipy.optimize it pulls
-    # in cost more import time than the whole package
+def test_cli_never_loads_scipy(tmp_path):
+    # importing scipy (scipy.linalg alone pulls in numpy.f2py) took longer
+    # than a whole ho-figure1 run; the package calls LAPACK through
+    # numpy's OpenBLAS and imports scipy.sparse only for chains above 8
+    # sites, which no subcommand builds
     script = (
         "import sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import cdwork\n"
+        "loaded = [scipy_modules()]\n"
         "from cdwork.cli import main\n"
-        f"code = main(['ho-figure1', '--grid', '101', '--tau-list', "
-        f"'0.4,0.8', '--out', {str(tmp_path)!r}])\n"
-        "print(code, sorted(m for m in sys.modules if m.split('.')[:2] in "
-        "(['scipy', 'integrate'], ['scipy', 'special'], "
-        "['scipy', 'optimize'])))\n")
+        "loaded.append(scipy_modules())\n"
+        f"codes = [main(['ho-figure1', '--grid', '101', '--tau-list', "
+        f"'0.4,0.8', '--out', {str(tmp_path)!r}]), "
+        f"main(['ising-figure2', '--grid', '21', '--n-list', '32', "
+        f"'--out', {str(tmp_path)!r}])]\n"
+        "loaded.append(scipy_modules())\n"
+        "print(codes, loaded)\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert proc.stdout.splitlines()[-1] == "[0, 0] [[], [], []]"

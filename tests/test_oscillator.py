@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import get_lapack_funcs
 
 from cdwork import (BandStructureError, ConfigError, HOConfig, HarmonicOscillator, InvalidDetuning,
                     NonHermitianInput, SupercriticalDrive,
@@ -185,6 +186,47 @@ class TestFastEigh:
             assert np.array_equal(vectors[parity::2, col:col + size],
                                   vecs * phases[:, None])
             col += size
+
+
+class TestStevdRoute:
+    """``oscillator._STEVD`` calls dstevd in numpy's OpenBLAS through
+    ctypes; scipy's wrapper of the same routine is the bitwise reference,
+    and the fallback where numpy ships no such library."""
+
+    # dstevd runs QL up to SMLSIZ = 25 levels and divide and conquer above
+    @pytest.mark.parametrize("n", [2, 3, 26, 60, 61])
+    def test_same_bits_as_scipy_stevd(self, n):
+        scipy_stevd = get_lapack_funcs("stevd", dtype=np.float64)
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+            kept = d.copy(), e.copy()
+            vals, vecs, info = oscillator._STEVD(d, e)
+            ref_vals, ref_vecs, ref_info = scipy_stevd(d, e)
+            assert info == ref_info == 0
+            assert np.array_equal(vals, ref_vals)
+            assert np.array_equal(vecs, ref_vecs)
+            assert vecs.flags.f_contiguous
+            # LAPACK overwrites d and destroys e; the caller's arrays stay
+            assert np.array_equal(d, kept[0]) and np.array_equal(e, kept[1])
+
+    def test_single_level_closed_form(self):
+        # scipy's wrapper rejects the empty off-diagonal of one level
+        vals, vecs, info = oscillator._STEVD(np.array([-2.5]), np.zeros(0))
+        assert info == 0
+        assert vals.tolist() == [-2.5] and vecs.tolist() == [[1.0]]
+
+    @pytest.mark.parametrize("library", [None, "/nonexistent/libopenblas.so"])
+    def test_scipy_fallback_same_bits(self, monkeypatch, fig1_model, library):
+        h = fig1_model.h_drive_at(0.37)
+        energies, vectors = fig1_model.fast_eigh(h)
+        monkeypatch.setattr(oscillator, "_numpy_openblas", lambda: library)
+        fallback = oscillator._resolve_stevd()
+        assert fallback.module_name == "flapack"
+        monkeypatch.setattr(oscillator, "_STEVD", fallback)
+        again = fig1_model.fast_eigh(h)
+        assert np.array_equal(again[0], energies)
+        assert np.array_equal(again[1], vectors)
 
 
 def _random_state(rng, dim, columns=None, odd=True):
