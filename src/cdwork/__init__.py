@@ -17,9 +17,8 @@ from .geometry import (GeometricTensor, SpeedLimitReport, bound_chain,
                        ensemble_rates, evolved_density, fidelity_decay_check,
                        path_lengths, qgt, speed_limit_report)
 from .models import ParametrizedModel, SpectrumCache, two_level_model
-from .oscillator import (HOConfig, HarmonicOscillator, IonConfig,
-                         WaveformTable, cd_exact_eigensystem, ho_metric,
-                         ion_waveforms, ramp)
+from .oscillator import (HOConfig, HarmonicOscillator, WaveformTable,
+                         cd_exact_eigensystem, ho_metric, ion_waveforms, ramp)
 from .protocols import (Protocol, constant_protocol, cubic_ramp, log_ramp,
                         quintic_ramp)
 from .quadrature import adaptive_simpson, adaptive_simpson_multi, simpson

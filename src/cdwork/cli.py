@@ -33,9 +33,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import CdworkError, ConfigError
+from .errors import CdworkError, ConfigError, named
 from .figures import ho_figure1_data, ising_figure2_data
-from .oscillator import HOConfig, ion_waveforms
+from .oscillator import VALIDITY_MIN, HOConfig, ion_waveforms
 from .verify import run_verification
 
 # each subcommand's configuration keys in flag order, with their
@@ -157,21 +157,16 @@ def _plain(cfg: dict) -> dict:
     return {k: v for k, v in cfg.items() if k != "out"}
 
 
-def _format_value(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
 def write_csv(path: Path, columns: dict, metadata: dict) -> None:
     lines = [f"# cdwork {__version__}"]
     for key in sorted(metadata):
         lines.append(f"# {key}={metadata[key]}")
     names = list(columns)
     lines.append(",".join(names))
-    arrays = [np.asarray(columns[n]) for n in names]
-    for row in zip(*arrays):
-        lines.append(",".join(_format_value(x) for x in row))
+    # Python scalars: str of a float is its shortest round-trip repr
+    values = [np.asarray(columns[n]).tolist() for n in names]
+    for row in zip(*values):
+        lines.append(",".join(map(str, row)))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -286,16 +281,18 @@ def cmd_ising_figure2(cfg: dict) -> int:
 
 def cmd_ion_waveforms(cfg: dict) -> int:
     config = HOConfig(cfg["omega_i"], cfg["omega_f"], cfg["tau"])
-    table = ion_waveforms(config, cfg["nu"], grid_points=cfg["grid"])
-    ion, worst = table.ion, table.min_validity()
+    table = named("omega_i, omega_f, tau, nu", ion_waveforms, config,
+                  cfg["nu"], cfg["grid"])
+    worst = table.min_validity()
+    # the trap runs at the sideband detuning nu: the effective mass is 1
     _write(cfg, "ion-waveforms", {"ion_waveforms": table.columns()},
            "ion_waveforms_validity", {
                "nu": cfg["nu"],
-               "effective_mass": ion.effective_mass,
+               "effective_mass": 1.0,
                "min_validity_ratio": worst,
-               "validity_min_required": ion.validity_min,
-               "within_validity": bool(worst >= ion.validity_min)},
-           nu=cfg["nu"], m_eff=ion.effective_mass)
+               "validity_min_required": VALIDITY_MIN,
+               "within_validity": bool(worst >= VALIDITY_MIN)},
+           nu=cfg["nu"], m_eff=1.0)
     print(f"{_status(True)} ion-waveforms: min validity ratio {worst:.3g}")
     return 0
 

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and ``named``."""
 
 
 class CdworkError(Exception):
@@ -60,3 +60,17 @@ class DegenerateGaugeWarning(UserWarning):
 
 class ValidityWarning(UserWarning):
     """A physical validity constraint is only marginally satisfied."""
+
+
+def named(key: str, func, *args, reads: str | None = None):
+    """func(*args), with a ConfigError prefixed by the name of the
+    argument it comes from, and a FloatingPointError (a value past float
+    range) by the stage, func, and the configuration keys it reads
+    (default: key)."""
+    try:
+        return func(*args)
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+    except FloatingPointError as exc:
+        raise FloatingPointError(
+            f"{func.__name__}, reading {reads or key}: {exc}") from None

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ising
-from .errors import ConfigError
+from .errors import ConfigError, TruncationError, named
 from .fitting import FitResult, fit_power_law
 from .geometry import (SpeedLimitReport, bound_chain, bures_length,
                        ensemble_rates, evolved_density, path_lengths)
@@ -94,15 +94,20 @@ def ho_figure1_data(*, omega_i: float = 1.0, omega_f: float = 3.0,
         raise ConfigError("durations must be positive")
     model = HarmonicOscillator(HOConfig(omega_i, omega_f, tau, dim=dim),
                                cache_size=BLOCK_POINTS + 1)
-    ensemble = model_ensemble(model, beta)
-    rho0 = evolved_density(model, ensemble, 0.0)
     grid = np.linspace(0.0, tau, grid_points)
-    # the CD term, and with it each stage's rates, scales as 1/tau and
-    # 1/tau_k: the keys a float-range error names
-    sweep = _named("tau, tau_list", fluctuation_sweep, model, ensemble, grid,
-                   tau_list, lambda t: ensemble_rates(model, ensemble, t)[1])
+    try:
+        ensemble = model_ensemble(model, beta)
+        rho0 = evolved_density(model, ensemble, 0.0)
+        # the CD term, and with it each stage's rates, scales as 1/tau and
+        # 1/tau_k: the keys a float-range error names
+        sweep = named("tau, tau_list", fluctuation_sweep, model, ensemble,
+                      grid, tau_list,
+                      lambda t: ensemble_rates(model, ensemble, t)[1])
+    except TruncationError as exc:
+        # a thermal tail or a leak past the basis: fock_dim enlarges it
+        raise TruncationError(f"fock_dim = {dim}: {exc}") from None
     bures = bures_length(rho0, evolved_density(model, ensemble, tau))
-    eta, ell = _named("tau", path_lengths, model, ensemble)
+    eta, ell = named("tau", path_lengths, model, ensemble)
     rows = {"t": grid, **sweep[tau_list.index(tau)]}
     mean_series = {k: rows[k] for k in ("t", "mean_cd", "mean_ad")}
     excess_series = {k: rows[k] for k in ("t", "var_cd", "var_ad",
@@ -111,7 +116,7 @@ def ho_figure1_data(*, omega_i: float = 1.0, omega_f: float = 3.0,
     for tau_k, columns in zip(tau_list, sweep):
         columns["t"] = np.linspace(0.0, tau_k, grid_points)
         columns["tau"] = np.full(grid_points, tau_k)
-    tau_table = [_named("tau_list", bound_chain, columns, bures, eta, ell)
+    tau_table = [named("tau_list", bound_chain, columns, bures, eta, ell)
                  for columns in sweep]
     variance_rows = {k: np.concatenate([columns[k] for columns in sweep])
                      for k in ("tau", "t", "var_cd", "var_ad")}
@@ -168,16 +173,16 @@ def ising_figure2_data(*, n_list=None, delta: float = 1.0, tau_list=None,
     if not 1.0 - delta < 1.0 < 1.0 + delta:
         raise ConfigError(f"delta must move lam off the critical point "
                           f"1 in floating point, got {delta!r}")
-    _named("trajectory_sites", ising.momenta, trajectory_sites)
+    named("trajectory_sites", ising.momenta, trajectory_sites)
     for n in n_list:
-        _named("n_list", ising.momenta, n)
+        named("n_list", ising.momenta, n)
     blocks = {"tau": [], "t": [], "lam": [], "excess_variance": [],
               "excess_dev": []}
     for tau_k in sorted(set(float(x) for x in tau_list)):
         config = ising.IsingConfig(trajectory_sites, delta, tau_k)
         grid = np.linspace(0.0, tau_k, grid_points)
-        traj = _named("tau_list, delta", ising.cd_excess_trajectory,
-                      config, grid)
+        traj = named("tau_list, delta", ising.cd_excess_trajectory,
+                     config, grid)
         blocks["tau"].append(np.full_like(grid, tau_k))
         blocks["t"].append(grid)
         blocks["lam"].append(traj.lam)
@@ -186,20 +191,7 @@ def ising_figure2_data(*, n_list=None, delta: float = 1.0, tau_list=None,
     trajectories = {k: np.concatenate(v) for k, v in blocks.items()}
     scaling = None
     if len(set(int(n) for n in n_list)) >= 5:
-        scaling = _named("n_list", ising.scaling_fit, n_list, delta,
-                         reads="n_list, delta")
+        scaling = named("n_list", ising.scaling_fit, n_list, delta,
+                        reads="n_list, delta")
     return IsingFigure2Data(trajectories, scaling, trajectory_sites)
 
-
-def _named(key: str, func, *args, reads: str | None = None):
-    """func(*args), with a ConfigError prefixed by the name of the
-    argument it comes from, and a FloatingPointError (a value past float
-    range) by the stage, func, and the configuration keys it reads
-    (default: key)."""
-    try:
-        return func(*args)
-    except ConfigError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
-    except FloatingPointError as exc:
-        raise FloatingPointError(
-            f"{func.__name__}, reading {reads or key}: {exc}") from None

@@ -5,10 +5,11 @@ A model bundles a protocol with its operators at time t: h0_at(t),
 h1_at(t) (the auxiliary term) and h_drive_at(t, s) = H0 + s H1 in the
 model's own format, which its eigensolver and ``evolve`` take, and the
 dense dh0_dlambda_at(t).  The generic ``ParametrizedModel`` builds dense
-matrices from callables: h0_of(lam) (required), dh0_of(lam) (analytic,
-or a centered difference of h0_of) and h1_of(t) (closed form, or H1
-assembled from the spectrum).  A structured backend overrides the
-operators with its own format (the oscillator's bands, for one).
+matrices from callables: h0_of(lam) and dh0_of(lam), its analytic
+derivatives (both required: there is no finite-difference fallback),
+and h1_of(t) (closed form, or H1 assembled from the spectrum).  A
+structured backend (the oscillator's bands, for one) overrides the
+operators with its own format and passes None for the first two.
 
 Spectra are memoized by parameter point, since every downstream
 quantity (transition probabilities, metric tensors, work moments)
@@ -29,8 +30,6 @@ from .spectral import Spectrum, cd_coupling, dense_evolve, spectrum
 
 # default spectra per model: the 201-point grid of verify's bound chain
 STORE_SIZE = 201
-# centered-difference step of the dH0/dlam fallback, per unit duration
-FD_STEP_SCALE = 1e-5
 
 
 class SpectrumCache:
@@ -73,7 +72,7 @@ class ParametrizedModel:
 
     truncated = False
 
-    def __init__(self, protocol: Protocol, h0_of=None, dh0_of=None, h1_of=None,
+    def __init__(self, protocol: Protocol, h0_of, dh0_of, h1_of=None,
                  cache_size: int = STORE_SIZE):
         self.protocol = protocol
         self._h0_of, self._dh0_of, self._h1_of = h0_of, dh0_of, h1_of
@@ -89,17 +88,7 @@ class ParametrizedModel:
         return self._h0_of(self.protocol.value(t))
 
     def dh0_dlambda_at(self, t: float) -> list[np.ndarray]:
-        lam = self.protocol.value(t)
-        if self._dh0_of is not None:
-            return self._dh0_of(lam)
-        out = []
-        for mu in range(lam.shape[0]):
-            h = max(FD_STEP_SCALE * self.tau, 1e-8 * max(abs(lam[mu]), 1.0))
-            dlam = np.zeros_like(lam)
-            dlam[mu] = h
-            out.append((self._h0_of(lam + dlam) - self._h0_of(lam - dlam))
-                       / (2.0 * h))
-        return out
+        return self._dh0_of(self.protocol.value(t))
 
     def dh0_dt_at(self, t: float) -> np.ndarray:
         return np.tensordot(self.protocol.derivative(t),

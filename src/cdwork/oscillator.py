@@ -23,7 +23,9 @@ truncation.
 
 Also provided: the closed-form eigensystem of the driven oscillator,
 the closed-form per-level metric, and the map from a frequency ramp to
-effective two-photon Raman drive waveforms for a trapped ion.
+effective two-photon Raman drive waveforms for a trapped ion, whose
+constants (LAMB_DICKE, DELTA_RAMAN, DELTA_SPIN) set the validity ratio
+of the adiabatic elimination behind them; below VALIDITY_MIN it warns.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import glob
 import math
 import os
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -196,7 +198,8 @@ class HarmonicOscillator(ParametrizedModel):
         # q p + p q = i (raise^2 - ladder^2): a zero diagonal and a purely
         # imaginary +2 diagonal
         self._qp_sym = 1j * np.stack((np.zeros_like(n), np.pad(-skew, (0, 2))))
-        super().__init__(config.protocol(), cache_size=cache_size)
+        # the bands below stand in for h0_of and dh0_of
+        super().__init__(config.protocol(), None, None, cache_size=cache_size)
 
     def omega(self, t: float) -> float:
         return float(self.protocol.value(t)[0])
@@ -356,32 +359,15 @@ def cd_exact_eigensystem(omega: float, omega_dot: float, n: int):
     return energy, wavefunction
 
 
-@dataclass(frozen=True)
-class IonConfig:
-    """Trapped-ion parameters for the Raman realization of the ramp.
-
-    The two-photon processes are characterized by the sideband detuning
-    nu; delta_raman and delta_spin are the detunings to the excited and
-    spin states whose adiabatic elimination produces the effective
-    quadratic Hamiltonian, valid while
-    delta_spin >> lamb_dicke * Omega1 * Omega2 / delta_raman.
-    """
-
-    nu: float
-    trap_frequency: float | None = None
-    mass: float = 1.0
-    lamb_dicke: float = 0.1
-    delta_raman: float = 1e5
-    delta_spin: float = 1e3
-    validity_min: float = 10.0
-
-    @property
-    def omega_0(self) -> float:
-        return self.nu if self.trap_frequency is None else self.trap_frequency
-
-    @property
-    def effective_mass(self) -> float:
-        return self.mass * self.omega_0 / self.nu
+# Raman realization on an ion trapped at the sideband detuning nu (so
+# the effective mass is 1): the Lamb-Dicke parameter and the detunings to
+# the excited and spin states, whose adiabatic elimination gives the
+# quadratic Hamiltonian while DELTA_SPIN >> LAMB_DICKE Omega1 Omega2 /
+# DELTA_RAMAN; a ratio of the two sides below VALIDITY_MIN warns.
+LAMB_DICKE = 0.1
+DELTA_RAMAN = 1e5
+DELTA_SPIN = 1e3
+VALIDITY_MIN = 10.0
 
 
 @dataclass(frozen=True)
@@ -393,11 +379,7 @@ class WaveformTable:
     omega_dot: np.ndarray
     potential: np.ndarray       # Omega(t) >= 0, the squeezing drive
     omega_eff1: np.ndarray      # complex: -Omega + i omegadot / 2 omega
-    phi3: np.ndarray            # phase of the third Raman beam
-    rabi_1: np.ndarray          # beams 1 and 3 (Omega1 = Omega3)
-    rabi_2: np.ndarray
     validity_ratio: np.ndarray
-    ion: IonConfig = field(compare=False)
 
     def min_validity(self) -> float:
         return float(self.validity_ratio.min())
@@ -415,20 +397,20 @@ class WaveformTable:
         }
 
 
-def ion_waveforms(config: HOConfig, nu: float, *, ion: IonConfig | None = None,
+def ion_waveforms(config: HOConfig, nu: float,
                   grid_points: int = 401) -> WaveformTable:
     """Map a frequency ramp to effective Raman drive waveforms.
 
     Uses omega = sqrt(nu (nu - 2 Omega)), i.e. Omega = (nu^2 - omega^2)
     / (2 nu), and emits Omega_eff1 = -Omega + i omegadot/(2 omega),
-    Omega_eff2 = Omega.  Raises InvalidDetuning when omega(t) exceeds nu
+    Omega_eff2 = Omega; the phase of the third beam is the argument of
+    Omega_eff1.  Raises InvalidDetuning when omega(t) exceeds nu
     anywhere (the laser-induced potential would have to flip sign) and
-    warns when the adiabatic-elimination validity ratio drops below the
-    configured minimum.
+    warns when the adiabatic-elimination validity ratio drops below
+    VALIDITY_MIN.
     """
     if nu <= 0:
         raise InvalidDetuning("nu must be positive")
-    ion = replace(ion, nu=nu) if ion is not None else IonConfig(nu=nu)
     proto = config.protocol()
     times = np.linspace(0.0, config.tau, grid_points)
     omega = np.array([proto.value(t)[0] for t in times])
@@ -439,25 +421,23 @@ def ion_waveforms(config: HOConfig, nu: float, *, ion: IonConfig | None = None,
             "not reachable at this sideband detuning")
     potential = (nu * nu - omega * omega) / (2.0 * nu)
     eff1 = -potential + 0.5j * omega_dot / omega
-    phi3 = np.arctan2(0.5 * omega_dot / omega, -potential)
 
     # Raw beam amplitudes: symmetric choice Omega1 = Omega3 fixes the
     # remaining gauge freedom of the two Raman processes.
-    eta, delta_r, delta_s = ion.lamb_dicke, ion.delta_raman, ion.delta_spin
-    rabi_1 = np.sqrt(np.abs(eff1) * delta_r) / eta
+    rabi_1 = np.sqrt(np.abs(eff1) * DELTA_RAMAN) / LAMB_DICKE
     with np.errstate(divide="ignore", invalid="ignore"):
         rabi_2 = np.where(
             rabi_1 > 0,
-            2.0 * delta_r * np.sqrt((nu + delta_s) * np.abs(potential))
-            / (eta * np.where(rabi_1 > 0, rabi_1, 1.0)),
+            2.0 * DELTA_RAMAN * np.sqrt((nu + DELTA_SPIN) * np.abs(potential))
+            / (LAMB_DICKE * np.where(rabi_1 > 0, rabi_1, 1.0)),
             0.0)
-    coupling = eta * rabi_1 * rabi_2 / delta_r
-    ratio = np.where(coupling > 0, delta_s / np.where(coupling > 0, coupling, 1.0),
-                     np.inf)
-    if ratio.min() < ion.validity_min:
+    coupling = LAMB_DICKE * rabi_1 * rabi_2 / DELTA_RAMAN
+    ratio = np.where(coupling > 0,
+                     DELTA_SPIN / np.where(coupling > 0, coupling, 1.0), np.inf)
+    if ratio.min() < VALIDITY_MIN:
         warnings.warn(
             f"adiabatic-elimination ratio {ratio.min():.3g} below "
-            f"{ion.validity_min:g}", ValidityWarning, stacklevel=2)
+            f"{VALIDITY_MIN:g}", ValidityWarning, stacklevel=2)
 
     # Round trip: the emitted potential must reproduce omega exactly.
     back = np.sqrt(nu * (nu - 2.0 * potential))
@@ -466,5 +446,4 @@ def ion_waveforms(config: HOConfig, nu: float, *, ion: IonConfig | None = None,
         raise InvalidDetuning(
             f"waveform round trip misses omega by {error:.3g}: at nu = "
             f"{nu:g} the potential cannot encode omega to precision")
-    return WaveformTable(times, omega, omega_dot, potential, eff1, phi3,
-                         rabi_1, rabi_2, ratio, ion)
+    return WaveformTable(times, omega, omega_dot, potential, eff1, ratio)

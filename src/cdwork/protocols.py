@@ -3,12 +3,13 @@
 A protocol is a map t -> lambda(t) on [0, tau] together with its time
 derivative.  All driving paths used by the models switch the drive off
 at both ends (zero derivative there), which is what makes the
-counterdiabatic auxiliary term vanish at t = 0 and t = tau.
+counterdiabatic auxiliary term vanish at t = 0 and t = tau.  A
+``Protocol`` holds the two callables and the duration, nothing else.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -32,7 +33,6 @@ class Protocol:
     value: Callable[[float], np.ndarray]
     derivative: Callable[[float], np.ndarray]
     duration: float
-    label: str = field(default="protocol", compare=False)
 
     @property
     def dimension(self) -> int:
@@ -46,12 +46,13 @@ class Protocol:
     def final(self) -> np.ndarray:
         return self.value(self.duration)
 
-    def validate(self, n_nodes: int = 33) -> None:
+    def validate(self) -> None:
         """Check endpoint-derivative and value/derivative consistency.
 
         Raises ProtocolError on violation.  Consistency is checked with
-        centered differences at step h = tau * 1e-6; the tolerance leaves
-        room for the O(h^2) truncation and the ~eps/h rounding floor.
+        centered differences at step h = tau * 1e-6 on 33 nodes; the
+        tolerance leaves room for the O(h^2) truncation and the ~eps/h
+        rounding floor.
         """
         tau = self.duration
         if not tau > 0:
@@ -64,7 +65,7 @@ class Protocol:
                     f"{self.derivative(t_end)}")
         h = tau * 1e-6
         worst = 0.0
-        for t in np.linspace(h, tau - h, n_nodes):
+        for t in np.linspace(h, tau - h, 33):
             fd = (self.value(t + h) - self.value(t - h)) / (2.0 * h)
             worst = max(worst, np.abs(fd - self.derivative(t)).max())
         if worst > 1e-7 * scale / min(tau, 1.0):
@@ -73,7 +74,7 @@ class Protocol:
                 f"deviate by {worst:.3g}")
 
 
-def _smoothstep_protocol(lam_i, lam_f, tau, sigma, dsigma, label) -> Protocol:
+def _smoothstep_protocol(lam_i, lam_f, tau, sigma, dsigma) -> Protocol:
     lam_i, lam_f = _vec(lam_i), _vec(lam_f)
     if lam_i.shape != lam_f.shape:
         raise ProtocolError("endpoint shapes differ")
@@ -89,7 +90,7 @@ def _smoothstep_protocol(lam_i, lam_f, tau, sigma, dsigma, label) -> Protocol:
         s = t / tau
         return span * dsigma(s) / tau
 
-    return Protocol(value, derivative, float(tau), label)
+    return Protocol(value, derivative, float(tau))
 
 
 def quintic_ramp(lam_i, lam_f, tau) -> Protocol:
@@ -100,8 +101,7 @@ def quintic_ramp(lam_i, lam_f, tau) -> Protocol:
     return _smoothstep_protocol(
         lam_i, lam_f, tau,
         lambda s: s**3 * (10.0 - 15.0 * s + 6.0 * s * s),
-        lambda s: 30.0 * s * s * (1.0 - s) ** 2,
-        "quintic")
+        lambda s: 30.0 * s * s * (1.0 - s) ** 2)
 
 
 def cubic_ramp(lam_i, lam_f, tau) -> Protocol:
@@ -109,8 +109,7 @@ def cubic_ramp(lam_i, lam_f, tau) -> Protocol:
     return _smoothstep_protocol(
         lam_i, lam_f, tau,
         lambda s: s * s * (3.0 - 2.0 * s),
-        lambda s: 6.0 * s * (1.0 - s),
-        "cubic")
+        lambda s: 6.0 * s * (1.0 - s))
 
 
 def log_ramp(omega_i: float, omega_f: float, tau: float) -> Protocol:
@@ -134,11 +133,10 @@ def log_ramp(omega_i: float, omega_f: float, tau: float) -> Protocol:
 
     if not tau > 0:
         raise ProtocolError("duration must be positive")
-    return Protocol(value, derivative, float(tau), "log")
+    return Protocol(value, derivative, float(tau))
 
 
 def constant_protocol(lam, tau) -> Protocol:
     lam = _vec(lam)
     zero = np.zeros_like(lam)
-    return Protocol(lambda t: lam.copy(), lambda t: zero.copy(), float(tau),
-                    "constant")
+    return Protocol(lambda t: lam.copy(), lambda t: zero.copy(), float(tau))

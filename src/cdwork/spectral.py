@@ -42,18 +42,18 @@ DEGENERACY_TOL = 1e-9
 COUPLING_TOL = 1e-12
 
 
-def assert_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL,
-                     what: str = "operator") -> None:
+def assert_hermitian(h: np.ndarray) -> None:
     """Raise NonHermitianInput unless h equals its conjugate transpose
-    within ``tol`` in relative Frobenius norm."""
+    within HERMITIAN_TOL in relative Frobenius norm."""
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise NonHermitianInput(f"{what} is not a square matrix")
+        raise NonHermitianInput("operator is not a square matrix")
     scale = np.linalg.norm(h)
     dev = np.linalg.norm(h - h.conj().T)
-    if dev > tol * max(scale, 1e-300):
+    if dev > HERMITIAN_TOL * max(scale, 1e-300):
         raise NonHermitianInput(
-            f"{what} deviates from Hermiticity by {dev:.3g} (scale {scale:.3g})")
+            f"operator deviates from Hermiticity by {dev:.3g} "
+            f"(scale {scale:.3g})")
 
 
 def gauge_fix(vectors: np.ndarray) -> np.ndarray:

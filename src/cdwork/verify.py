@@ -299,8 +299,8 @@ def _check_parity(model, ensemble):
 
 
 def _check_ion_roundtrip():
-    table = ion_waveforms(HOConfig(1.0, 3.0, 0.8), nu=3.0)
-    nu = table.ion.nu
+    nu = 3.0
+    table = ion_waveforms(HOConfig(1.0, 3.0, 0.8), nu)
     back = np.sqrt(nu * (nu - 2.0 * table.potential))
     dev = float(np.abs(back - table.omega).max())
     return CheckResult(

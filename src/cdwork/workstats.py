@@ -110,7 +110,7 @@ def thermal_ensemble(energies: np.ndarray, beta: float, *,
 def model_ensemble(model, beta: float) -> ThermalEnsemble:
     """Thermal ensemble over the model's initial spectrum; models that
     carry their complete Hilbert space skip the truncation bookkeeping."""
-    complete = not getattr(model, "truncated", False)
+    complete = not model.truncated
     return thermal_ensemble(model.spectrum0_at(0.0).energies, beta,
                             complete_spectrum=complete)
 
@@ -120,7 +120,7 @@ def _leakage(model, states: np.ndarray, times=None) -> np.ndarray:
     the truncation-polluted top of the basis; given the blocks' times,
     TruncationError names the first time above DEFICIT_TOL."""
     cap = int(TRUSTED_FRACTION * model.dim)
-    if not getattr(model, "truncated", False) or cap >= model.dim:
+    if not model.truncated or cap >= model.dim:
         return np.zeros(len(states))
     top = states[:, cap:, :]
     leaks = (top.real**2 + top.imag**2).sum(axis=1).max(axis=1)

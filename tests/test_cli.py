@@ -277,7 +277,9 @@ class TestConfigHandling:
           "--tau-list", "0.00022621737363199605,3.4304911597934754e-109",
           "--fock-dim", "57", "--grid", "23", "--beta", "inf"],
          ("tau", "tau_list")),
-    ], ids=["ising-figure2", "ho-figure1"])
+        (["ion-waveforms", "--omega-i", "1e-300", "--omega-f", "1e-300",
+          "--tau", "1e-300", "--nu", "1e300", "--grid", "3"], ("nu",)),
+    ], ids=["ising-figure2", "ho-figure1", "ion-waveforms"])
     def test_float_range_error_names_keys(self, tmp_path, capsys, argv, keys):
         assert main([*argv, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
@@ -291,15 +293,44 @@ class TestConfigHandling:
         assert code == 1
         assert "TruncationError" in capsys.readouterr().err
 
+    # a retained state that leaks past the basis, and a thermal tail on
+    # the top level: fock_dim is the key that enlarges the basis
+    @pytest.mark.parametrize("argv", [
+        ["--omega-f", "1e5"], ["--beta", "0.01"]],
+        ids=["leakage", "thermal-tail"])
+    def test_truncation_error_names_fock_dim(self, tmp_path, capsys, argv):
+        assert main(["ho-figure1", "--fock-dim", "40", "--grid", "3", *argv,
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("TruncationError: ")
+        assert re.search(r"\bfock_dim\b", err), err
+
 
 # positive numbers from the bottom to the top of the float range
 EXTREME = st.one_of(st.sampled_from([1e-300, 1e-5, 1.0, 3.0, 1e5, 1e300]),
                     st.floats(1e-300, 1e300))
 
 
-class TestHoFigure1ConfigSpace:
-    KEYS = sorted(cli._COMMANDS["ho-figure1"])
+def exit_code_in_process(command, argv, keyed=()):
+    """main's exit code for one run into a scratch directory, after
+    checking that an exit-2 message, and an exit-1 message of an error
+    named in ``keyed``, names one of the command's keys.
+    ValidityWarning is documented ion-waveforms output; any other
+    warning is an error."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings(), \
+            redirect_stdout(io.StringIO()), redirect_stderr(err):
+        warnings.simplefilter("ignore", ValidityWarning)
+        code = main([command, *argv, "--out", out])
+    message = err.getvalue()
+    if code == 2 or code == 1 and message.startswith(
+            tuple(f"{name}: " for name in keyed)):
+        assert any(re.search(rf"\b{key}\b", message)
+                   for key in cli._COMMANDS[command]), message
+    return code
 
+
+class TestHoFigure1ConfigSpace:
     @settings(max_examples=100, deadline=None)
     @given(omega_i=EXTREME, omega_f=EXTREME,
            beta=st.one_of(EXTREME, st.just(math.inf)), tau=EXTREME,
@@ -319,35 +350,12 @@ class TestHoFigure1ConfigSpace:
              [0.00022621737363199605, 3.4304911597934754e-109], 57, 23)
     def test_every_config_exits_with_a_documented_code(
             self, omega_i, omega_f, beta, tau, tau_list, fock_dim, grid):
-        argv = ["ho-figure1", "--omega-i", repr(omega_i),
-                "--omega-f", repr(omega_f), "--beta", repr(beta),
-                "--tau", repr(tau),
-                "--tau-list", ",".join(map(repr, tau_list)),
-                "--fock-dim", str(fock_dim), "--grid", str(grid)]
-        err = io.StringIO()
-        with tempfile.TemporaryDirectory() as out, \
-                redirect_stdout(io.StringIO()), redirect_stderr(err):
-            code = main([*argv, "--out", out])
-        assert code in (0, 1, 2)
-        if code == 2:
-            assert any(re.search(rf"\b{key}\b", err.getvalue())
-                       for key in self.KEYS), err.getvalue()
-
-
-def exit_code_in_process(command, argv):
-    """main's exit code for one run into a scratch directory, after
-    checking that an exit-2 message names one of the command's keys.
-    ValidityWarning is documented ion-waveforms output; any other
-    warning is an error."""
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings(), \
-            redirect_stdout(io.StringIO()), redirect_stderr(err):
-        warnings.simplefilter("ignore", ValidityWarning)
-        code = main([command, *argv, "--out", out])
-    if code == 2:
-        assert any(re.search(rf"\b{key}\b", err.getvalue())
-                   for key in cli._COMMANDS[command]), err.getvalue()
-    return code
+        assert exit_code_in_process("ho-figure1", [
+            "--omega-i", repr(omega_i), "--omega-f", repr(omega_f),
+            "--beta", repr(beta), "--tau", repr(tau),
+            "--tau-list", ",".join(map(repr, tau_list)),
+            "--fock-dim", str(fock_dim), "--grid", str(grid)],
+            keyed=("TruncationError", "FloatingPointError")) in (0, 1, 2)
 
 
 class TestIsingFigure2ConfigSpace:
@@ -368,7 +376,8 @@ class TestIsingFigure2ConfigSpace:
         assert exit_code_in_process("ising-figure2", [
             "--delta", repr(delta), "--tau-list", ",".join(map(repr, tau_list)),
             "--grid", str(grid), "--n-list", ",".join(map(str, n_list)),
-            "--trajectory-sites", str(trajectory_sites)]) in (0, 1, 2)
+            "--trajectory-sites", str(trajectory_sites)],
+            keyed=("FloatingPointError",)) in (0, 1, 2)
 
 
 class TestIonWaveformsConfigSpace:
@@ -376,15 +385,17 @@ class TestIonWaveformsConfigSpace:
     @given(omega_i=EXTREME, omega_f=EXTREME, tau=EXTREME, nu=EXTREME,
            grid=st.integers(3, 41))
     # each once raised a RuntimeWarning: omega^2 past float range, and
-    # the round trip's square root of a potential that overflowed to inf
+    # the round trip's square root of a potential that overflowed to inf;
+    # nu^2 past float range once exited 1 naming no key
     @example(1e300, 1e300, 1.0, 1e300, 5)
     @example(1.0, 3.0, 1e-300, 1e300, 5)
+    @example(1e-300, 1e-300, 1e-300, 1e300, 3)
     def test_every_config_exits_with_a_documented_code(
             self, omega_i, omega_f, tau, nu, grid):
         assert exit_code_in_process("ion-waveforms", [
             "--omega-i", repr(omega_i), "--omega-f", repr(omega_f),
-            "--tau", repr(tau), "--nu", repr(nu),
-            "--grid", str(grid)]) in (0, 1, 2)
+            "--tau", repr(tau), "--nu", repr(nu), "--grid", str(grid)],
+            keyed=("FloatingPointError",)) in (0, 1, 2)
 
 
 class TestVerifyCommand:
@@ -450,10 +461,11 @@ def test_cli_never_loads_scipy(tmp_path):
         f"codes = [main(['ho-figure1', '--grid', '101', '--tau-list', "
         f"'0.4,0.8', '--out', {str(tmp_path)!r}]), "
         f"main(['ising-figure2', '--grid', '21', '--n-list', '32', "
-        f"'--out', {str(tmp_path)!r}])]\n"
+        f"'--out', {str(tmp_path)!r}]), "
+        f"main(['ion-waveforms', '--out', {str(tmp_path)!r}])]\n"
         "loaded.append(scipy_modules())\n"
         "print(codes, loaded)\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0] [[], [], []]"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] [[], [], []]"

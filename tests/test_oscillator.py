@@ -12,7 +12,6 @@ from cdwork import (BandStructureError, ConfigError, HOConfig, HarmonicOscillato
                     ion_waveforms, model_ensemble, path_lengths, qgt, ramp,
                     variance_work, work_distribution)
 from cdwork import oscillator
-from cdwork.oscillator import IonConfig
 from cdwork.spectral import dense_evolve
 from conftest import band_to_dense
 
@@ -425,7 +424,8 @@ class TestIonWaveforms:
         i = 200
         w, wd = table.omega[i], table.omega_dot[i]
         expected = math.atan2(wd / (2.0 * w), -table.potential[i])
-        assert table.phi3[i] == pytest.approx(expected, rel=1e-12)
+        assert np.angle(table.omega_eff1[i]) == pytest.approx(expected,
+                                                              rel=1e-12)
         assert table.omega_eff1[i] == pytest.approx(
             -table.potential[i] + 0.5j * wd / w, rel=1e-12)
 
@@ -433,11 +433,6 @@ class TestIonWaveforms:
         table = ion_waveforms(HOConfig(1.0, 3.0, 0.8), nu=3.0)
         back = np.sqrt(3.0 * (3.0 - 2.0 * table.potential))
         assert np.abs(back - table.omega).max() < 1e-12
-
-    def test_effective_mass(self):
-        table = ion_waveforms(HOConfig(1.0, 3.0, 0.8), nu=3.0,
-                              ion=IonConfig(nu=3.0, trap_frequency=6.0))
-        assert table.ion.effective_mass == pytest.approx(2.0, rel=1e-14)
 
     def test_unreachable_ramp_rejected(self):
         with pytest.raises(InvalidDetuning):
@@ -451,6 +446,8 @@ class TestIonWaveforms:
             ion_waveforms(HOConfig(1.0, 3.0, 0.8), nu=1e8, grid_points=21)
 
     def test_marginal_validity_warns(self):
-        weak = IonConfig(nu=3.0, delta_spin=20.0)
+        # at nu = 10 the initial potential (nu^2 - omega_i^2) / 2 nu is
+        # 4.95, and the ratio DELTA_SPIN / 2 sqrt((nu + DELTA_SPIN) Omega)
+        # falls to 7.07, below VALIDITY_MIN
         with pytest.warns(ValidityWarning):
-            ion_waveforms(HOConfig(1.0, 3.0, 0.8), nu=3.0, ion=weak)
+            ion_waveforms(HOConfig(1.0, 3.0, 0.8), nu=10.0)

@@ -172,9 +172,14 @@ class TestPropagate:
                 + 0.4 * np.sin(angle) * SY
             return 2.0 * field
 
-        # user-supplied family: exercises the finite-difference fallback
+        def dh0_of(lam):
+            angle = 0.6 * lam[0]
+            return [1.2 * (-np.sin(angle) * SZ + np.cos(angle) * SX
+                           + 0.4 * np.cos(angle) * SY)]
+
+        # user-supplied family: H1 assembled from the spectrum
         from cdwork import ParametrizedModel
-        model = ParametrizedModel(proto, h0_of)
+        model = ParametrizedModel(proto, h0_of, dh0_of)
 
         grid = np.linspace(0.0, tau, 81)
         spec0 = model.spectrum0_at(0.0)
