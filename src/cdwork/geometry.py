@@ -23,7 +23,8 @@ Both rates are weighted by the populations, so a pair (n, k) counts only
 if one of its levels is populated: the rows are those of the ensemble's
 retained prefix of K levels, a K x d array instead of V^dagger dH0 V.
 ``path_lengths`` integrates the square roots of the rates to eta and
-ell in one quadrature pass, and ``chain_lengths`` adds the endpoint
+ell by nested Clenshaw-Curtis rules, whose finer levels reuse every
+node of the coarser ones, and ``chain_lengths`` adds the endpoint
 Bures length arccos sqrt(F).  They obey bures <= eta <= ell, and tau
 times the time-averaged excess work-fluctuation amplitude equals ell
 exactly (hbar = 1 units); ``bound_chain`` assembles that chain.
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, NotAState
-from .quadrature import adaptive_simpson_multi, simpson
+from .quadrature import clenshaw_curtis, simpson
 from .spectral import DEGENERACY_TOL
 from .workstats import fluctuation_series
 
@@ -145,8 +146,11 @@ def ensemble_rates(model, ensemble, t: float) -> tuple[float, float]:
 def path_lengths(model, ensemble, *,
                  rel_tol: float = 1e-8) -> tuple[float, float]:
     """(eta, ell) of the model's protocol: the square roots of
-    ``ensemble_rates`` integrated in one shared quadrature pass."""
-    out = adaptive_simpson_multi(
+    ``ensemble_rates``, analytic in t on a smooth ramp, integrated
+    together by nested Clenshaw-Curtis rules
+    (``quadrature.clenshaw_curtis``), which reuse every node of the
+    coarser levels; a node costs one spectrum and its coupling rows."""
+    out = clenshaw_curtis(
         lambda t: np.sqrt(np.maximum(ensemble_rates(model, ensemble, t), 0.0)),
         0.0, model.tau, rel_tol=rel_tol)
     return float(out[0]), float(out[1])

@@ -60,7 +60,7 @@ def solve_counter(monkeypatch):
     node."""
     solves, nodes = [], []
     diagonalize = HarmonicOscillator._diagonalize
-    quadrature = geometry.adaptive_simpson_multi
+    quadrature = geometry.clenshaw_curtis
 
     def counting_diagonalize(self, h):
         solves.append((np.shape(h), np.iscomplexobj(h),
@@ -75,6 +75,6 @@ def solve_counter(monkeypatch):
 
     monkeypatch.setattr(HarmonicOscillator, "_diagonalize",
                         counting_diagonalize)
-    monkeypatch.setattr(geometry, "adaptive_simpson_multi",
+    monkeypatch.setattr(geometry, "clenshaw_curtis",
                         counting_quadrature)
     return solves, nodes

@@ -434,7 +434,8 @@ class TestVerifyCommand:
     def test_small_basis_surfaces_truncation_error(self, capsys):
         code = main(["verify", "--fock-dim", "40", "--chain-samples", "1"])
         assert code == 1
-        assert "TruncationError" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "TruncationError" in err and "fock_dim = 40" in err
 
 
 def test_module_entry_point():

@@ -20,7 +20,7 @@ def test_default_figure_solves_each_point_once(solve_counter):
     # H0 spectra are solved from real (2, d) bands, driving ones from
     # complex bands
     assert all(shape == (2, 120) and not driven for shape, driven, _ in solves)
-    assert len(solves) <= 401 + len(nodes) <= 464
+    assert len(solves) <= 401 + len(nodes) <= 434
     # the store holds one block, so a grid point is solved once by the
     # kernel pass and again only if the quadrature lands on it after its
     # block was evicted

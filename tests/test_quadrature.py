@@ -5,8 +5,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, quad_vec
 from scipy.integrate import simpson as scipy_simpson
 
-from cdwork import QuadratureNotConverged, adaptive_simpson, adaptive_simpson_multi
-from cdwork.quadrature import (ABS_FLOOR, MAX_NODES_DEFAULT, RULE_NODES,
+from cdwork import (HOConfig, HarmonicOscillator, QuadratureNotConverged,
+                    adaptive_simpson, adaptive_simpson_multi, clenshaw_curtis,
+                    ensemble_rates, model_ensemble)
+from cdwork.quadrature import (ABS_FLOOR, CC_FIRST_NODES, CC_MAX_NODES,
+                               MAX_NODES_DEFAULT, RULE_NODES, _cc_weights,
                                simpson)
 
 coeffs = st.lists(st.floats(min_value=-3, max_value=3), min_size=1, max_size=5)
@@ -92,6 +95,124 @@ def test_multi_component_shares_nodes():
     single = len(calls)
     # the two components together cost no more than separate passes
     assert single < 2 * 4096
+
+
+# -- nested Clenshaw-Curtis ------------------------------------------------
+
+CC_LEVELS = [2**k + 1 for k in range(3, 9)]
+
+
+def counting(f, calls):
+    def g(t):
+        calls.append(t)
+        return f(t)
+    return g
+
+
+def test_cc_levels_run_from_first_to_last():
+    assert (CC_LEVELS[0], CC_LEVELS[-1]) == (CC_FIRST_NODES, CC_MAX_NODES)
+
+
+@pytest.mark.parametrize("points", CC_LEVELS)
+def test_cc_weights_exact_to_the_level_degree(points):
+    # T_j(cos theta) = cos(j theta): at the nodes theta_k = k pi / n the
+    # Chebyshev polynomials of every degree j <= n + 1 integrate exactly
+    n = points - 1
+    theta = np.arange(points) * np.pi / n
+    w = _cc_weights(n)
+    for j in range(n + 2):
+        exact = 2.0 / (1.0 - j * j) if j % 2 == 0 else 0.0
+        assert w @ np.cos(j * theta) == pytest.approx(exact, abs=1e-14)
+
+
+@given(c=st.lists(st.floats(min_value=-3, max_value=3), min_size=1,
+                  max_size=CC_FIRST_NODES + 1),
+       a=st.floats(min_value=-2.0, max_value=2.0),
+       width=st.floats(min_value=0.1, max_value=4.0))
+def test_cc_polynomials_converge_at_the_second_level(c, a, width):
+    # degree <= 9: exact on 9 points and on 17, which then agree
+    poly = np.polynomial.Polynomial(c)
+    b = a + width
+    calls = []
+    got = clenshaw_curtis(counting(poly, calls), a, b, rel_tol=1e-12)
+    expected = poly.integ()(b) - poly.integ()(a)
+    assert got[0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    assert len(calls) == 2 * CC_FIRST_NODES - 1
+
+
+@pytest.mark.parametrize("f, a, b, rel_tol", [
+    (np.exp, 0.0, 1.0, 1e-8),
+    (np.exp, 0.0, 1.0, 1e-14),
+    (lambda t: [np.sin(t), np.cos(3 * t)], 0.0, 1.5, 1e-10),
+    (lambda t: 1.0 / (1.0 + 25.0 * t * t), -1.0, 1.0, 1e-12),
+    (lambda t: np.exp(-t) * np.sin(8 * t), 2.0, 0.0, 1e-12),
+])
+def test_cc_evaluates_each_node_once(f, a, b, rel_tol):
+    calls = []
+    clenshaw_curtis(counting(f, calls), a, b, rel_tol=rel_tol)
+    assert len(set(calls)) == len(calls)
+    assert len(calls) in CC_LEVELS[1:]
+
+
+def test_cc_reversed_interval_flips_sign():
+    f = lambda t: np.exp(-t) * np.sin(3 * t)
+    assert clenshaw_curtis(f, 2.0, 0.0)[0] == pytest.approx(
+        -clenshaw_curtis(f, 0.0, 2.0)[0], rel=1e-14)
+
+
+def test_cc_zero_integrand_converges_at_the_first_comparison():
+    calls = []
+    out = clenshaw_curtis(counting(lambda t: [0.0, 0.0], calls), 0.0, 2.0,
+                          rel_tol=1e-9)
+    assert out.tolist() == [0.0, 0.0]
+    assert len(calls) == 2 * CC_FIRST_NODES - 1
+
+
+def test_cc_kink_raises_past_the_last_level():
+    calls = []
+    with pytest.raises(QuadratureNotConverged,
+                       match=rf"levels still differ by [0-9.e+-]+ after "
+                             rf"{CC_MAX_NODES} nodes"):
+        clenshaw_curtis(counting(lambda t: np.sqrt(abs(t - 1 / 3)), calls),
+                        0.0, 1.0, rel_tol=1e-12)
+    assert len(calls) == CC_MAX_NODES
+
+
+def test_cc_nan_raises_at_once():
+    calls = []
+    with pytest.raises(QuadratureNotConverged,
+                       match="non-finite integrand at t=1, node 1"):
+        clenshaw_curtis(counting(lambda t: [1.0, np.nan], calls), 0.0, 1.0)
+    assert len(calls) == 1
+
+
+def test_cc_non_finite_bounds_refused():
+    with pytest.raises(ValueError, match="finite"):
+        clenshaw_curtis(np.exp, 0.0, np.inf)
+
+
+def length_chain_draws(seed, samples):
+    """Models and ensembles drawn as verify's length-chain check draws
+    them."""
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        omega_f = float(rng.uniform(1.3, 2.5))
+        tau = float(rng.uniform(0.4, 1.5))
+        beta = float(rng.uniform(1.0, 4.0)) if rng.random() < 0.8 else np.inf
+        kind = rng.choice(["quintic", "log"])
+        model = HarmonicOscillator(
+            HOConfig(1.0, omega_f, tau, dim=100, ramp_kind=kind))
+        yield model, model_ensemble(model, beta)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_cc_path_lengths_agree_with_gauss_kronrod(seed):
+    for model, ensemble in length_chain_draws(seed, 2):
+        def rates(t):
+            return np.sqrt(np.maximum(ensemble_rates(model, ensemble, t), 0))
+        got = clenshaw_curtis(rates, 0.0, model.tau, rel_tol=1e-9)
+        ref = adaptive_simpson_multi(rates, 0.0, model.tau, rel_tol=1e-9)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 # -- the numpy port against scipy.integrate, its reference ---------------
