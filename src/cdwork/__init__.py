@@ -21,8 +21,7 @@ from .oscillator import (HOConfig, HarmonicOscillator, WaveformTable,
                          cd_exact_eigensystem, ho_metric, ion_waveforms, ramp)
 from .protocols import (Protocol, constant_protocol, cubic_ramp, log_ramp,
                         quintic_ramp)
-from .quadrature import (adaptive_simpson, adaptive_simpson_multi,
-                         clenshaw_curtis, simpson)
+from .quadrature import clenshaw_curtis, simpson
 from .spectral import (CertificateReport, Spectrum, StateTrajectory,
                        assert_hermitian, cd_coupling,
                        propagate, spectrum, transitionless_certificate)

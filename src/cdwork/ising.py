@@ -28,7 +28,7 @@ from .errors import ConfigError
 from .fitting import fit_power_law
 from .models import ParametrizedModel
 from .protocols import Protocol, cubic_ramp
-from .quadrature import adaptive_simpson
+from .quadrature import clenshaw_curtis
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
@@ -44,14 +44,21 @@ def momenta(n_sites: int) -> np.ndarray:
     return (2.0 * np.arange(1, n_sites // 2 + 1) - 1.0) * math.pi / n_sites
 
 
-def _gap_form(lam, k):
-    # lam^2 - 2 lam cos k + 1 without cancellation at lam = 1, k -> 0
-    return (lam - 1.0) ** 2 + 4.0 * lam * np.sin(0.5 * k) ** 2
+def _gap_form(lam, offset, k):
+    # lam^2 - 2 lam cos k + 1 from the offset +-(lam - 1), without
+    # cancellation at lam = 1, k -> 0
+    return offset ** 2 + 4.0 * lam * np.sin(0.5 * k) ** 2
+
+
+def _metric_sum(lam, offset, k):
+    # sum over the last axis of sin^2 k / (4 gap form^2)
+    d = _gap_form(lam, offset, k)
+    return (np.sin(k) ** 2 / (4.0 * d * d)).sum(axis=-1)
 
 
 def mode_energy(lam: float, k) -> np.ndarray | float:
     """Single-mode excitation energy 2 sqrt(lam^2 - 2 lam cos k + 1)."""
-    out = 2.0 * np.sqrt(_gap_form(lam, np.asarray(k, dtype=float)))
+    out = 2.0 * np.sqrt(_gap_form(lam, lam - 1.0, np.asarray(k, dtype=float)))
     return out if out.ndim else float(out)
 
 
@@ -64,9 +71,8 @@ def ground_metric(lam, n_sites: int) -> np.ndarray | float:
     """Fidelity-susceptibility metric of the ground state,
     sum_{k>0} sin^2 k / (4 (lam^2 - 2 lam cos k + 1)^2), at each point
     of ``lam`` (a float for a scalar)."""
-    k = momenta(n_sites)
-    d = _gap_form(np.asarray(lam, dtype=float)[..., None], k)
-    out = (np.sin(k) ** 2 / (4.0 * d * d)).sum(axis=-1)
+    lam = np.asarray(lam, dtype=float)[..., None]
+    out = _metric_sum(lam, lam - 1.0, momenta(n_sites))
     return out if out.ndim else float(out)
 
 
@@ -127,12 +133,38 @@ def sweep_cost_integral(n_sites: int, delta: float) -> float:
 
     Protocol independent: any sweep shape with the same endpoints and
     zero endpoint velocity gives this value.  The integrand peaks
-    sharply at the critical point (height ~ N, width ~ 1/N), which the
-    adaptive quadrature resolves with the critical point as a breakpoint.
+    sharply at the critical point (height ~ N, width ~ 1/N).
+
+    Two exact identities of the metric make sqrt(g) |dlam| invariant
+    under lam -> -lam and lam -> 1/lam: g(-lam) = g(lam), since
+    k -> pi - k maps the momenta onto themselves, and g(1/lam) =
+    lam^4 g(lam), since the gap form of 1/lam is that of lam over lam^2
+    (Kramers-Wannier duality).  They fold the interval onto integrals
+    I(x0) of sqrt(g(1 - x)) over the offset x in [0, x0], x0 <= 1: the
+    right side is I(delta / (1 + delta)); the left side is I(delta) for
+    delta <= 1, 2 I(1) - I(2 - delta) up to delta = 2 and
+    2 I(1) + I((delta - 2) / (delta - 1)) beyond.  Each I runs on
+    Clenshaw-Curtis after x = s^4, which widens the critical peak to
+    about N^(-1/4) in s, so the cost does not depend on delta.
     """
-    return adaptive_simpson(
-        lambda lam: math.sqrt(ground_metric(lam, n_sites)),
-        1.0 - delta, 1.0 + delta, rel_tol=1e-9, points=[1.0])
+    k = momenta(n_sites)
+
+    def integrand(s):
+        # the metric at the offset x = s^4 itself, so that offsets far
+        # below the rounding of 1 - x keep every digit
+        x = s**4
+        return 4.0 * s**3 * math.sqrt(_metric_sum(1.0 - x, x, k))
+
+    def folded(x0):
+        return float(clenshaw_curtis(integrand, 0.0, x0**0.25,
+                                     rel_tol=1e-9)[0])
+
+    right = folded(delta / (1.0 + delta))
+    if delta <= 1.0:
+        return right + folded(delta)
+    if delta <= 2.0:
+        return right + 2.0 * folded(1.0) - folded(2.0 - delta)
+    return right + 2.0 * folded(1.0) + folded((delta - 2.0) / (delta - 1.0))
 
 
 @dataclass(frozen=True)

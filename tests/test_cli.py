@@ -371,6 +371,8 @@ class TestIsingFigure2ConfigSpace:
     @example(1.0, [1.0], 21, [32], 5)
     @example(1.0, [1.0], 21, [32, 64, 128, 256, 512], 64)
     @example(1e-20, [1.0], 21, [32, 64, 128, 256, 512, 1024], 64)
+    # the sweep-cost quadrature once spent time growing with log(delta)
+    @example(1e70, [1e70], 21, [8, 16, 32, 64, 128, 256], 16)
     def test_every_config_exits_with_a_documented_code(
             self, delta, tau_list, grid, n_list, trajectory_sites):
         assert exit_code_in_process("ising-figure2", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from cdwork import ConfigError, cubic_ramp, quintic_ramp
+from cdwork import ConfigError, cubic_ramp, ising, quintic_ramp
 from cdwork.ising import (CriticalScaling, IsingConfig, cd_excess_trajectory,
                           dense_field_term, dense_hamiltonian,
                           exact_ground_state, ground_energy, ground_metric,
@@ -100,7 +100,7 @@ class TestMetricSweep:
         k = momenta(n)
         loop = []
         for x in lam:
-            d = _gap_form(float(x), k)
+            d = _gap_form(float(x), float(x) - 1.0, k)
             loop.append(float((np.sin(k) ** 2 / (4.0 * d * d)).sum()))
         np.testing.assert_allclose(g, loop, rtol=1e-15, atol=0.0)
 
@@ -113,6 +113,24 @@ class TestCriticalIdentity:
 
     def test_small_case_value(self):
         assert ground_metric(1.0, 4) == pytest.approx(0.375, rel=1e-12)
+
+
+class TestMetricSymmetries:
+    """The identities behind the sweep-cost fold."""
+
+    @pytest.mark.parametrize("n", [4, 6, 64, 1024])
+    def test_even_in_lam(self, n):
+        # k -> pi - k maps the momenta onto themselves
+        lam = 10.0 ** np.random.default_rng(n).uniform(-3, 3, 200)
+        np.testing.assert_allclose(ground_metric(-lam, n),
+                                   ground_metric(lam, n), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [4, 6, 64, 1024])
+    def test_kramers_wannier_duality(self, n):
+        # the gap form of 1/lam is that of lam over lam^2
+        lam = 10.0 ** np.random.default_rng(n).uniform(-3, 3, 200)
+        np.testing.assert_allclose(ground_metric(1.0 / lam, n) / lam**4,
+                                   ground_metric(lam, n), rtol=1e-13, atol=0)
 
 
 class TestOffCriticalScaling:
@@ -170,6 +188,36 @@ class TestScalingFit:
             g = np.array([ground_metric(x, n) for x in lam])
             value = float(simpson(np.sqrt(g) * np.abs(lamdot), x=grid))
             assert value == pytest.approx(ref, rel=1e-6)
+
+    # 30 digits from mpmath 1.3.0 on the raw lam-integral, with
+    # breakpoints at lam = +-1
+    @pytest.mark.parametrize("n, delta, ref", [
+        (34, 0.737, 2.9868984232447547771),
+        (64, 1.0, 4.9253098612400598948),
+        (64, 1.5, 6.1966712714982793486),
+        (64, 3.0, 10.392456763392560229),
+        (1408, 0.779, 21.469652899619748421),
+    ])
+    def test_sweep_cost_reference_values(self, n, delta, ref):
+        assert sweep_cost_integral(n, delta) == pytest.approx(ref, rel=1e-13)
+
+    def test_sweep_cost_nodes_do_not_grow_with_delta(self, monkeypatch):
+        quadrature = ising.clenshaw_curtis
+        calls = []
+
+        def counting(f, *args, **kwargs):
+            def node(s):
+                calls.append(s)
+                return f(s)
+            return quadrature(node, *args, **kwargs)
+
+        monkeypatch.setattr(ising, "clenshaw_curtis", counting)
+        counts = []
+        for delta in (3.0, 1e10, 1e70):
+            calls.clear()
+            sweep_cost_integral(256, delta)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == counts[2] <= 3 * 257
 
     def test_window_validation(self):
         with pytest.raises(ConfigError):

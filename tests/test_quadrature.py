@@ -2,99 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.integrate import quad, quad_vec
 from scipy.integrate import simpson as scipy_simpson
 
 from cdwork import (HOConfig, HarmonicOscillator, QuadratureNotConverged,
-                    adaptive_simpson, adaptive_simpson_multi, clenshaw_curtis,
-                    ensemble_rates, model_ensemble)
-from cdwork.quadrature import (ABS_FLOOR, CC_FIRST_NODES, CC_MAX_NODES,
-                               MAX_NODES_DEFAULT, RULE_NODES, _cc_weights,
+                    clenshaw_curtis, ensemble_rates, ho_metric, model_ensemble)
+from cdwork.quadrature import (CC_FIRST_NODES, CC_MAX_NODES, _cc_weights,
                                simpson)
-
-coeffs = st.lists(st.floats(min_value=-3, max_value=3), min_size=1, max_size=5)
-
-
-@given(c=coeffs, b=st.floats(min_value=0.5, max_value=4.0))
-def test_polynomials_integrate_exactly(c, b):
-    poly = np.polynomial.Polynomial(c)
-    expected = poly.integ()(b) - poly.integ()(0.0)
-    got = adaptive_simpson(poly, 0.0, b, rel_tol=1e-10, abs_tol=1e-12)
-    assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
-
-
-def test_zero_function():
-    calls = []
-
-    def zero(x):
-        calls.append(x)
-        return 0.0
-
-    assert adaptive_simpson(zero, 0.0, 2.0) == 0.0
-    # a zero tolerance would subdivide until the interval limit
-    assert len(calls) <= 100
-
-
-def test_reversed_interval_flips_sign():
-    f = lambda x: np.exp(-x) * np.sin(3 * x)
-    assert adaptive_simpson(f, 2.0, 0.0) == pytest.approx(
-        -adaptive_simpson(f, 0.0, 2.0), rel=1e-10)
-
-
-def test_sharp_peak_matches_scipy():
-    # width-1e-3 Lorentzian peak in the middle of the interval
-    f = lambda x: 1.0 / ((x - 1.0) ** 2 + 1e-6)
-    ref, _ = quad(f, 0.0, 2.0, points=[1.0], limit=200, epsrel=1e-12)
-    got = adaptive_simpson(f, 0.0, 2.0, rel_tol=1e-9)
-    assert got == pytest.approx(ref, rel=1e-8)
-
-
-def test_node_budget_raises():
-    f = lambda x: 1.0 / ((x - 1.0) ** 2 + 1e-12)
-    with pytest.raises(QuadratureNotConverged):
-        adaptive_simpson(f, 0.0, 2.0, rel_tol=1e-12, max_nodes=200)
-
-
-def test_noise_integrand_raises():
-    rng = np.random.default_rng(0)
-    with pytest.raises(QuadratureNotConverged, match="status 1"):
-        adaptive_simpson(lambda x: float(rng.standard_normal()), 0.0, 1.0,
-                         rel_tol=1e-12)
-
-
-def test_non_finite_integrand_raises():
-    with pytest.raises(QuadratureNotConverged, match="status 3"):
-        adaptive_simpson(lambda x: np.nan if x > 0.5 else 1.0, 0.0, 1.0)
-
-
-def test_breakpoint_splits_the_interval():
-    calls = []
-
-    def kink(x):
-        calls.append(x)
-        return abs(x - 1.0)
-
-    # each side of the kink is linear, which one rule per side integrates
-    # exactly
-    assert adaptive_simpson(kink, 0.0, 2.0, points=[1.0]) \
-        == pytest.approx(1.0, rel=1e-14)
-    assert all(x != 1.0 for x in calls)
-    assert len(calls) <= 4 * 21
-
-
-def test_multi_component_shares_nodes():
-    calls = []
-
-    def f(x):
-        calls.append(x)
-        return [np.sin(x), np.cos(3 * x)]
-
-    out = adaptive_simpson_multi(f, 0.0, 1.5, rel_tol=1e-10)
-    assert out[0] == pytest.approx(1.0 - np.cos(1.5), rel=1e-9)
-    assert out[1] == pytest.approx(np.sin(4.5) / 3.0, rel=1e-9)
-    single = len(calls)
-    # the two components together cost no more than separate passes
-    assert single < 2 * 4096
 
 
 # -- nested Clenshaw-Curtis ------------------------------------------------
@@ -206,62 +119,20 @@ def length_chain_draws(seed, samples):
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-def test_cc_path_lengths_agree_with_gauss_kronrod(seed):
+def test_cc_path_lengths_agree_with_closed_form(seed):
+    # ell = ln(omega_f / omega_i) sqrt(sum_n p_n (n^2 + n + 1) / 8) over
+    # the retained weights, for any monotone ramp from omega_i = 1
     for model, ensemble in length_chain_draws(seed, 2):
         def rates(t):
             return np.sqrt(np.maximum(ensemble_rates(model, ensemble, t), 0))
-        got = clenshaw_curtis(rates, 0.0, model.tau, rel_tol=1e-9)
-        ref = adaptive_simpson_multi(rates, 0.0, model.tau, rel_tol=1e-9)
-        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        got = clenshaw_curtis(rates, 0.0, model.tau, rel_tol=1e-9)[1]
+        levels = np.arange(ensemble.n_levels)
+        ref = (np.log(model.config.omega_f)
+               * np.sqrt(ensemble.weights @ ho_metric(1.0, levels)))
+        assert abs(got - ref) <= 1e-12 * ref
 
 
-# -- the numpy port against scipy.integrate, its reference ---------------
-
-def quad_vec_reference(f, a, b, *, rel_tol=1e-8, abs_tol=0.0,
-                       max_nodes=MAX_NODES_DEFAULT, points=None):
-    """scipy's quad_vec with the settings adaptive_simpson_multi ports."""
-    out, _, info = quad_vec(
-        lambda x: np.atleast_1d(np.asarray(f(x), dtype=float)), a, b,
-        epsabs=max(abs_tol, ABS_FLOOR), epsrel=rel_tol, norm="max",
-        limit=(max_nodes + RULE_NODES) // (2 * RULE_NODES), points=points,
-        full_output=True)
-    assert info.status == 0
-    return out, info.neval
-
-
-def lorentzian(x):
-    return 1.0 / ((x - 1.0) ** 2 + 1e-6)
-
-
-@pytest.mark.parametrize("f, a, b, kwargs", [
-    (lambda x: [np.sin(x), np.cos(3 * x), np.exp(-x)], 0.0, 1.5,
-     {"rel_tol": 1e-10}),
-    (lorentzian, 0.0, 2.0, {"rel_tol": 1e-9}),
-    (lorentzian, 0.0, 2.0, {"rel_tol": 1e-9, "points": [1.0]}),
-    (lorentzian, 0.0, 2.0, {"rel_tol": 1e-9, "points": [0.0, 2.0]}),
-    (lorentzian, 0.0, 2.0, {"rel_tol": 1e-9, "points": [1.0, 1.0, 0.5]}),
-    (lorentzian, 0.0, 2.0, {"rel_tol": 1e-9, "points": [-1.0, 3.0]}),
-    (lorentzian, 2.0, 0.0, {"rel_tol": 1e-9}),
-    (lorentzian, 2.0, 0.0, {"rel_tol": 1e-9, "points": [1.0]}),
-    (lambda x: 0.0, 0.0, 2.0, {}),
-    (lambda x: [0.0, 0.0], 2.0, 0.0, {}),
-    # three kinks: the pass sizes depend on the batch rule's tol/8
-    (lambda x: abs(x - 0.77) + abs(x - 0.87) ** 1.5
-     + np.sqrt(abs(x - 0.98)), 0.0, 2.0, {"rel_tol": 1e-6}),
-], ids=["smooth-vector", "lorentzian", "interior-point", "endpoint-points",
-        "duplicated-points", "out-of-range-points", "reversed",
-        "reversed-with-point", "zero", "zero-reversed", "kinks"])
-def test_multi_equals_quad_vec_bit_for_bit(f, a, b, kwargs):
-    nodes = []
-
-    def counted(x):
-        nodes.append(x)
-        return f(x)
-
-    ref, neval = quad_vec_reference(f, a, b, **kwargs)
-    got = adaptive_simpson_multi(counted, a, b, **kwargs)
-    assert got.tobytes() == np.asarray(ref).tobytes()
-    assert len(nodes) == neval
+# -- the numpy port of scipy.integrate.simpson -------------------------
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 11, 100, 401])
@@ -290,29 +161,3 @@ def test_simpson_is_exact_for_cubics_at_huge_spacing():
     assert simpson(y, 1e300 * x) == pytest.approx(
         1e300 * simpson(y, x), rel=1e-14)
     assert simpson(y, x) == pytest.approx(1.0, rel=1e-14)
-
-
-@pytest.mark.parametrize("f, max_nodes, match", [
-    (lambda x: 1.0 / ((x - 1.0) ** 2 + 1e-12), 200,
-     r"status 1: precision not reached after \d+ of 200 nodes "
-     r"\(error estimate [0-9.e+]+\)"),
-    (lambda x: np.nan if x > 0.5 else 1.0, MAX_NODES_DEFAULT,
-     r"status 3: non-finite integrand after 63 of 32768 nodes "
-     r"\(error estimate nan\)"),
-])
-def test_not_converged_message_names_the_cause(f, max_nodes, match):
-    with pytest.raises(QuadratureNotConverged, match=match):
-        adaptive_simpson(f, 0.0, 2.0, rel_tol=1e-12, max_nodes=max_nodes)
-
-
-def test_rounding_limited_status_named():
-    # a relative tolerance of 1e-18 lies below the rule's rounding error
-    with pytest.raises(QuadratureNotConverged,
-                       match="status 2: rounding-limited"):
-        adaptive_simpson(lambda x: 1e-8 * np.cos(1e3 * x) + 1e-8, 0.0,
-                         1.0, rel_tol=1e-18, abs_tol=0.0)
-
-
-def test_non_finite_bounds_refused():
-    with pytest.raises(ValueError, match="finite"):
-        adaptive_simpson(np.exp, 0.0, np.inf)
