@@ -70,8 +70,10 @@ def ground_energy(lam: float, n_sites: int) -> float:
 def ground_metric(lam, n_sites: int) -> np.ndarray | float:
     """Fidelity-susceptibility metric of the ground state,
     sum_{k>0} sin^2 k / (4 (lam^2 - 2 lam cos k + 1)^2), at each point
-    of ``lam`` (a float for a scalar)."""
-    lam = np.asarray(lam, dtype=float)[..., None]
+    of ``lam`` (a float for a scalar).  It is taken at |lam|: exact,
+    since k -> pi - k maps the momenta onto themselves, and free of the
+    cancellation the gap form suffers near lam = -1 as k -> pi."""
+    lam = np.abs(np.asarray(lam, dtype=float))[..., None]
     out = _metric_sum(lam, lam - 1.0, momenta(n_sites))
     return out if out.ndim else float(out)
 

@@ -3,13 +3,14 @@ work-statistics and geometry machinery.
 
 A model bundles a protocol with its operators at time t: h0_at(t),
 h1_at(t) (the auxiliary term) and h_drive_at(t, s) = H0 + s H1 in the
-model's own format, which its eigensolver and ``evolve`` take, and the
-dense dh0_dlambda_at(t).  The generic ``ParametrizedModel`` builds dense
-matrices from callables: h0_of(lam) and dh0_of(lam), its analytic
-derivatives (both required: there is no finite-difference fallback),
-and h1_of(t) (closed form, or H1 assembled from the spectrum).  A
-structured backend (the oscillator's bands, for one) overrides the
-operators with its own format and passes None for the first two.
+model's own format, which its eigensolver, ``evolve`` and ``commutator``
+take, and the dense dh0_dlambda_at(t).  The generic
+``ParametrizedModel`` builds dense matrices from callables: h0_of(lam)
+and dh0_of(lam), its analytic derivatives (both required: there is no
+finite-difference fallback), and h1_of(t) (closed form, or H1 assembled
+from the spectrum).  A structured backend (the oscillator's bands, for
+one) overrides the operators with its own format and passes None for
+the first two.
 
 Spectra are memoized by parameter point, since every downstream
 quantity (transition probabilities, metric tensors, work moments)
@@ -25,7 +26,8 @@ from collections import OrderedDict
 import numpy as np
 
 from .protocols import Protocol
-from .spectral import Spectrum, cd_coupling, dense_evolve, spectrum
+from .spectral import (Spectrum, cd_coupling, dense_commutator, dense_evolve,
+                       spectrum)
 
 
 # default spectra per model: the 201-point grid of verify's bound chain
@@ -110,6 +112,11 @@ class ParametrizedModel:
         """exp(-i dt h) psi for an ``h_drive_at`` form h: a dense matrix
         here, through its spectrum."""
         return dense_evolve(h, dt, psi)
+
+    def commutator(self, a, b):
+        """i[a, b] for two ``h_drive_at`` forms a and b: dense matrices
+        here."""
+        return dense_commutator(a, b)
 
     def apply_h1(self, times, vectors, out):
         """out[b] = H1(t) @ vectors[b] for t = times[b], vectors of shape

@@ -13,7 +13,10 @@ one parity sector at a time with LAPACK's tridiagonal solver ``dstevd``.
 That routine is called through ``ctypes`` in the OpenBLAS that numpy's
 wheel already loads, so importing the package loads no scipy; where
 numpy ships no such library (another wheel, MKL, Accelerate), the same
-routine comes from ``scipy.linalg.lapack``.
+routine comes from ``scipy.linalg.lapack``.  The driving Hamiltonians
+lie in the span of q^2, p^2 and qp + pq, which is closed under
+commutators, so the commutator i[A, B] that each propagation step
+needs is again a band, formed in O(d).
 
 The reference frequency is sqrt(omega_i * omega_f).  That choice splits
 the squeezing between the two ends of the ramp (factor
@@ -242,6 +245,25 @@ class HarmonicOscillator(ParametrizedModel):
         np.multiply(upper, vectors[:, 2:], out=out[:, :-2])
         out[:, -2:] = 0.0
         out[:, 2:] += upper.conj() * vectors[:, :-2]
+        return out
+
+    def commutator(self, a, b):
+        """i[a, b] for two bands a and b in the span of q^2, p^2 and
+        qp + pq (every ``h_drive_at`` band), as a band.
+
+        The exact commutator of two bands also has a +-4 diagonal,
+        a2_i b2_{i+2} - b2_i a2_{i+2}; it vanishes when both +2
+        diagonals are complex multiples of sqrt((n+1)(n+2)), as they are
+        in that span.  The band is therefore the commutator of the
+        truncated matrices themselves, corner included.  Im(a2 b2^*) is
+        formed from real products: the real part of the complex product,
+        which is not needed, overflows first for a huge auxiliary term."""
+        a0, a2, b0, b2 = a[0], a[1, :-2], b[0], b[1, :-2]
+        x = a2.imag * b2.real - a2.real * b2.imag   # Im(a2 b2^*)
+        out = np.zeros((2, self.dim), dtype=complex)
+        out[0, :-2] = -2.0 * x
+        out[0, 2:] += 2.0 * x
+        out[1, :-2] = 1j * (b2 * (a0[:-2] - a0[2:]) - a2 * (b0[:-2] - b0[2:]))
         return out
 
     def fast_eigh(self, h: np.ndarray):

@@ -3,13 +3,18 @@ unitary propagation for Hermitian families.
 
 Internal units: hbar = 1.
 
-Propagation uses the fourth-order commutator-free exponential integrator
-with two exponentials at the Gauss points (CF4:2; Blanes, Casas, Oteo &
-Ros, Phys. Rep. 470, 151 (2009); Alvermann & Fehske, J. Comput. Phys.
-230, 5930 (2011)).  Each exponential, of a real linear combination h of
-the two Gauss-point Hamiltonians, is applied by an ``evolve(h, dt, psi)``
-hook through the spectrum of h, so every step is exactly unitary and the
-hook can use any band structure of the family.
+Propagation uses the fourth-order Magnus integrator at the two Gauss
+points (Iserles & Norsett, Phil. Trans. R. Soc. A 357, 983 (1999);
+Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).  A step of
+length h takes the Hamiltonians Ha and Hb at the Gauss points and
+applies one exponential of
+
+    Heff = (Ha + Hb) / 2 + (sqrt(3) / 12) h i[Ha, Hb].
+
+The exponential is applied by an ``evolve(h, dt, psi)`` hook through the
+spectrum of Heff, so every step is exactly unitary, and i[Ha, Hb] comes
+from a ``commutator(a, b)`` hook beside it; both hooks can use any band
+structure of the family.
 
 The auxiliary term is assembled from the gauge-invariant matrix-element
 form
@@ -136,16 +141,17 @@ class StateTrajectory:
     substeps: int
 
 
-# CF4:2 Gauss nodes c1,2 = 1/2 -+ sqrt(3)/6 and weights a1,2 = (3 -+ 2 sqrt(3))/12
-_CF4_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
-_CF4_A1 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0
-_CF4_A2 = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
+# Gauss nodes c1,2 = 1/2 -+ sqrt(3)/6 of a step, and the weight of the
+# commutator in the fourth-order Magnus exponent
+_GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+_MAGNUS_WEIGHT = math.sqrt(3.0) / 12.0
 # diff(r, 2r) / err(r) for an error c / r^4
 _HALVING_FACTOR = 15.0 / 16.0
-# CF4 steps (substeps x grid intervals, over all runs) of one propagate
-# call: 10x the costliest test propagation (960) and 40x verify's
-# certificate (240), whose steps take about 1.4 ms each on a Xeon core
-MAX_CF4_STEPS = 10_000
+# Magnus steps (substeps x grid intervals, over all runs) of one
+# propagate call: 10x the costliest test propagation (960) and 40x
+# verify's certificate (240), whose steps take about 0.5 ms each on a
+# Xeon core
+MAX_STEPS = 10_000
 
 
 def dense_evolve(h, dt: float, psi):
@@ -155,44 +161,56 @@ def dense_evolve(h, dt: float, psi):
     return (v * np.exp(-1j * e * dt)) @ (v.conj().T @ psi)
 
 
-def _step_block(h_at, psi, t0, t1, substeps, evolve):
+def dense_commutator(a, b):
+    """i[a, b] of two dense matrices, Hermitian when both are."""
+    return 1j * (a @ b - b @ a)
+
+
+def _step_block(h_at, psi, t0, t1, substeps, evolve, commutator):
     h = (t1 - t0) / substeps
     for j in range(substeps):
         t = t0 + j * h
-        ha = h_at(t + _CF4_NODES[0] * h)
-        hb = h_at(t + _CF4_NODES[1] * h)
-        for wa, wb in ((_CF4_A2, _CF4_A1), (_CF4_A1, _CF4_A2)):
-            psi = evolve(wa * ha + wb * hb, h, psi)
+        ha = h_at(t + _GAUSS_NODES[0] * h)
+        hb = h_at(t + _GAUSS_NODES[1] * h)
+        heff = 0.5 * (ha + hb) + (_MAGNUS_WEIGHT * h) * commutator(ha, hb)
+        psi = evolve(heff, h, psi)
     return psi
 
 
-def _run_grid(h_at, psi0, grid, substeps, evolve):
+def _run_grid(h_at, psi0, grid, substeps, evolve,
+              commutator=dense_commutator):
     states = np.empty((len(grid),) + psi0.shape, dtype=complex)
     states[0] = psi0
     psi = psi0
     for k in range(len(grid) - 1):
-        psi = _step_block(h_at, psi, grid[k], grid[k + 1], substeps, evolve)
+        psi = _step_block(h_at, psi, grid[k], grid[k + 1], substeps, evolve,
+                          commutator)
         states[k + 1] = psi
     return states
 
 
-def propagate(h_at, psi0, grid, *, tol: float = 1e-8,
-              evolve=None) -> StateTrajectory:
+def propagate(h_at, psi0, grid, *, tol: float = 1e-8, evolve=None,
+              commutator=None) -> StateTrajectory:
     """Propagate a state (or a block of column states) through the grid.
 
-    One substep is one CF4:2 step (see the module docstring): it
-    evaluates the Hamiltonian at the two Gauss points of the step and
-    applies two exact exponentials, so every step is exactly unitary.
-    The substep count per grid interval is refined until halving it
-    changes the final state by less than ``tol``.  A probe pair (1 and
-    2 substeps) fixes the constant of the fourth-order error model
-    ``c / r^4``, from which the required count is predicted directly
-    instead of doubling all the way up.  Raises StepNotConverged before
-    a pair of runs would take the call past MAX_CF4_STEPS steps in all.
+    One substep is one fourth-order Magnus step (see the module
+    docstring): it evaluates the Hamiltonian at the two Gauss points of
+    the step, forms one commutator and applies one exact exponential,
+    so every step is exactly unitary.  The substep count per grid
+    interval is refined until halving it changes the final state by
+    less than ``tol``.  A probe pair (1 and 2 substeps) fixes the
+    constant of the fourth-order error model ``c / r^4``, from which
+    the required count is predicted directly instead of doubling all
+    the way up.  Raises StepNotConverged before a pair of runs would
+    take the call past MAX_STEPS steps in all.
 
-    ``evolve(h, dt, psi)`` returns exp(-i dt h) psi for h a real linear
-    combination of ``h_at`` values and psi of shape (d,) or (d, K); the
-    default is ``dense_evolve``, a model's is ``model.evolve``.
+    ``commutator(a, b)`` returns i[a, b] for two ``h_at`` values, in
+    their format; the default is ``dense_commutator``, a model's is
+    ``model.commutator``.  ``evolve(h, dt, psi)`` returns
+    exp(-i dt h) psi for h = Heff, a real linear combination of two
+    ``h_at`` values and their commutator, and psi of shape (d,) or
+    (d, K); the default is ``dense_evolve``, a model's is
+    ``model.evolve``.
     """
     grid = np.asarray(grid, dtype=float)
     if grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
@@ -203,6 +221,8 @@ def propagate(h_at, psi0, grid, *, tol: float = 1e-8,
         raise ValueError("initial state must be normalized")
     if evolve is None:
         evolve = dense_evolve
+    if commutator is None:
+        commutator = dense_commutator
     spent, diff = 0, math.inf
 
     def run_pair(coarse):
@@ -210,13 +230,13 @@ def propagate(h_at, psi0, grid, *, tol: float = 1e-8,
         # state at twice that, charged to the budget before either runs
         nonlocal spent
         spent += 3 * coarse * (len(grid) - 1)
-        if spent > MAX_CF4_STEPS:
+        if spent > MAX_STEPS:
             raise StepNotConverged(
                 f"{2 * coarse} substeps per interval would take the call "
-                f"past MAX_CF4_STEPS = {MAX_CF4_STEPS} CF4 steps (final "
+                f"past MAX_STEPS = {MAX_STEPS} Magnus steps (final "
                 f"state still moves by {diff:.3g}, tol {tol:g})")
-        final = _run_grid(h_at, psi0, grid, coarse, evolve)[-1]
-        states = _run_grid(h_at, psi0, grid, 2 * coarse, evolve)
+        final = _run_grid(h_at, psi0, grid, coarse, evolve, commutator)[-1]
+        states = _run_grid(h_at, psi0, grid, 2 * coarse, evolve, commutator)
         # halving contract applies to each propagated state separately
         return states, float(np.linalg.norm(states[-1] - final, axis=0).max())
 
@@ -243,7 +263,7 @@ class CertificateReport:
     min_overlap: np.ndarray
     final_fidelity: np.ndarray
     passed: bool
-    substeps: int   # CF4 steps per grid interval that propagation settled on
+    substeps: int   # Magnus steps per grid interval that propagation settled on
 
     def worst(self) -> float:
         return float(min(self.min_overlap.min(), self.final_fidelity.min()))
@@ -263,15 +283,17 @@ def transitionless_certificate(model, levels, grid, *, h1_scale: float = 1.0,
     level.  ``h1_scale`` rescales the auxiliary term: at 0 the bare H0
     generates the dynamics (the discriminating control), and any other
     value than 1 lets verification demonstrate that a wrong prefactor
-    is caught.  The Hamiltonians come from
-    ``model.h_drive_at`` and are exponentiated by ``model.evolve`` (for
-    the oscillator: bands, one parity sector at a time).
+    is caught.  The Hamiltonians come from ``model.h_drive_at``; each
+    Magnus step takes their commutator by ``model.commutator`` and
+    exponentiates by ``model.evolve`` (for the oscillator: both on
+    bands, the exponential one parity sector at a time).
     """
     levels = np.atleast_1d(np.asarray(levels, dtype=int))
     grid = np.asarray(grid, dtype=float)
     psi0 = model.spectrum0_at(0.0).states[:, levels]
     traj = propagate(lambda t: model.h_drive_at(t, h1_scale), psi0, grid,
-                     tol=tol, evolve=model.evolve)
+                     tol=tol, evolve=model.evolve,
+                     commutator=model.commutator)
     min_overlap = np.ones(len(levels))
     for i, t in enumerate(grid):
         basis = model.spectrum0_at(t).states[:, levels]

@@ -335,7 +335,9 @@ def _check_ising_critical_identity():
     worst = 0.0
     for n in (4, 64, 1024, 4096):
         ref = n * (n - 1) / 32.0
-        worst = max(worst, abs(ising.ground_metric(1.0, n) - ref) / ref)
+        # g is even in lam, so both critical points carry the identity
+        for lam in (1.0, -1.0):
+            worst = max(worst, abs(ising.ground_metric(lam, n) - ref) / ref)
     return CheckResult("ising-critical-metric-identity", worst <= 1e-10,
                        f"max relative deviation {worst:.2e}")
 

@@ -433,6 +433,17 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL transitionless-certificate" in out
 
+    def test_huge_auxiliary_term_ends_in_step_budget(self, tmp_path, capsys):
+        # under the CLI's floating-point policy the propagation of a
+        # 1e300 auxiliary term stops on its step budget, not on an
+        # overflow in the Magnus commutator
+        code = main(["verify", "--h1-scale", "1e300", "--chain-samples", "1",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "StepNotConverged" in err
+        assert "FloatingPointError" not in err
+
     def test_small_basis_surfaces_truncation_error(self, capsys):
         code = main(["verify", "--fock-dim", "40", "--chain-samples", "1"])
         assert code == 1

@@ -114,6 +114,13 @@ class TestCriticalIdentity:
     def test_small_case_value(self):
         assert ground_metric(1.0, 4) == pytest.approx(0.375, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [1024, 4096])
+    def test_metric_at_negative_critical_point(self, n):
+        # g is even in lam; the gap form at lam = -1 itself cancels as
+        # k -> pi and misses by 6.9e-11 (N = 1024) and 1.3e-9 (N = 4096)
+        ref = n * (n - 1) / 32.0
+        assert ground_metric(-1.0, n) == pytest.approx(ref, rel=1e-13)
+
 
 class TestMetricSymmetries:
     """The identities behind the sweep-cost fold."""

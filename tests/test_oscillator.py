@@ -291,6 +291,34 @@ class TestSectorEvolve:
             fig1_model.evolve(band, 0.3, psi)
 
 
+class TestCommutator:
+    """The band commutator against the dense commutator of the matrices
+    the bands stand for."""
+
+    @pytest.mark.parametrize("scales", [(1.0, 1.0), (0.0, 0.0), (1.0, 0.0)])
+    def test_matches_dense_commutator(self, fig1_model, scales):
+        a = fig1_model.h_drive_at(0.3, scales[0])
+        b = fig1_model.h_drive_at(0.55, scales[1])
+        dense_a, dense_b = band_to_dense(a), band_to_dense(b)
+        want = 1j * (dense_a @ dense_b - dense_b @ dense_a)
+        scale = np.abs(want).max()
+        assert scale > 1.0
+        band = fig1_model.commutator(a, b)
+        assert band.shape == (2, fig1_model.dim)
+        assert np.abs(band_to_dense(band) - want).max() <= 1e-14 * scale
+        # the +-4 diagonals, which no band holds, are rounding only
+        for offset in (4, -4):
+            assert np.abs(np.diagonal(want, offset)).max() <= 1e-14 * scale
+
+    def test_huge_auxiliary_term_stays_finite(self, fig1_model):
+        # the real part of a2 b2^* would overflow; i[a, b] does not
+        a = fig1_model.h_drive_at(0.3, 1e300)
+        b = fig1_model.h_drive_at(0.55, 1e300)
+        with np.errstate(all="raise"):
+            band = fig1_model.commutator(a, b)
+        assert np.isfinite(band).all()
+
+
 def _assert_band_products(model, times, vectors):
     out = model.apply_h1(times, vectors, np.empty_like(vectors))
     for b, t in enumerate(times):

@@ -237,12 +237,32 @@ class TestPropagate:
         for coarse, fine in zip(errors, errors[1:]):
             assert coarse / fine >= 12.0
 
+    @pytest.mark.parametrize("h1_scale", [0.0, 1.0])
+    def test_band_route_error_is_fourth_order(self, fig1_model, h1_scale):
+        # the oscillator's band commutator and sector exponentials; with
+        # the commutator's sign flipped the error falls only by about 4
+        # per doubling (second order)
+        grid = np.linspace(0.0, fig1_model.tau, 11)
+        psi0 = fig1_model.spectrum0_at(0.0).states[:, :9]
+        h_at = lambda t: fig1_model.h_drive_at(t, h1_scale)
+
+        def final(r):
+            return _run_grid(h_at, psi0, grid, r, fig1_model.evolve,
+                             fig1_model.commutator)[-1]
+
+        reference = final(32)
+        errors = [np.linalg.norm(final(r) - reference) for r in (1, 2, 4)]
+        # 4.6e-4 down to 1.0e-6 here: far above rounding
+        assert errors[-1] > 1e-8
+        for coarse, fine in zip(errors, errors[1:]):
+            assert coarse / fine >= 12.0
+
     def test_not_converged_raises(self, rng, monkeypatch):
         # a small step budget stands in for an unreachable tolerance
-        monkeypatch.setattr(spectral, "MAX_CF4_STEPS", 400)
+        monkeypatch.setattr(spectral, "MAX_STEPS", 400)
         h_at = lambda t: np.sin(400.0 * t) * 50.0 * SX + 30.0 * t * SZ
         psi0 = np.array([1.0, 0.0], dtype=complex)
-        with pytest.raises(StepNotConverged, match="MAX_CF4_STEPS = 400"):
+        with pytest.raises(StepNotConverged, match="MAX_STEPS = 400"):
             propagate(h_at, psi0, np.linspace(0, 1.0, 5), tol=1e-14)
 
     def test_step_budget_counts_every_run(self, rng, monkeypatch):
@@ -251,10 +271,10 @@ class TestPropagate:
         h = random_hermitian(rng, 3)
         psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
         grid = np.linspace(0.0, 0.01, 5)
-        monkeypatch.setattr(spectral, "MAX_CF4_STEPS", 11)
+        monkeypatch.setattr(spectral, "MAX_STEPS", 11)
         with pytest.raises(StepNotConverged, match="2 substeps"):
             propagate(lambda t: h, psi0, grid)
-        monkeypatch.setattr(spectral, "MAX_CF4_STEPS", 12)
+        monkeypatch.setattr(spectral, "MAX_STEPS", 12)
         assert propagate(lambda t: h, psi0, grid).substeps == 2
 
     def test_grid_validation(self):
@@ -300,11 +320,15 @@ class TestCertificate:
             exponentials.append(1)
             return fig1_model.evolve(h, dt, psi)
 
-        traj = propagate(h_at, psi0, grid, tol=3e-7, evolve=counting_evolve)
-        assert len(exponentials) <= 1500
-        # 16 fixed steps land within 2e-12 of a 200-step run, with 2,560
-        # exponentials instead of 32,000
-        reference = _run_grid(h_at, psi0, grid, 16, fig1_model.evolve)[-1]
+        # a band h_at needs the model's band commutator
+        traj = propagate(h_at, psi0, grid, tol=3e-7, evolve=counting_evolve,
+                         commutator=fig1_model.commutator)
+        # one exponential per step: (1 + 2) x 80 steps
+        assert len(exponentials) <= 240
+        # 16 fixed steps land within 1e-12 of a 200-step run, with 1,280
+        # exponentials instead of 16,000
+        reference = _run_grid(h_at, psi0, grid, 16, fig1_model.evolve,
+                              fig1_model.commutator)[-1]
         assert np.linalg.norm(traj.states[-1] - reference, axis=0).max() < 3e-7
 
     @pytest.mark.parametrize("h1_scale", [0.99, 1.01])
@@ -320,6 +344,6 @@ class TestCertificate:
         # refinement
         grid = np.linspace(0.0, fig1_model.tau, 81)
         with _deadline(30.0), pytest.raises(StepNotConverged,
-                                            match="MAX_CF4_STEPS"):
+                                            match="MAX_STEPS"):
             transitionless_certificate(fig1_model, np.arange(9), grid,
                                        h1_scale=1e300, tol=3e-7)
