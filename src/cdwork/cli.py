@@ -17,7 +17,9 @@ One floating-point policy holds for every subcommand: a float overflow,
 a division by zero or an invalid operation raises FloatingPointError
 (exit 1, naming the event) instead of writing inf or nan into an
 output.  Code that expects such a value (a Boltzmann weight past float
-range, a division guarded by np.where) sets its own np.errstate.
+range, a division guarded by np.where) sets its own np.errstate.  Every
+subcommand runs numpy's OpenBLAS on one thread, so its outputs are the
+same bytes at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ import numpy as np
 from . import __version__
 from .errors import CdworkError, ConfigError, named
 from .figures import ho_figure1_data, ising_figure2_data
-from .oscillator import VALIDITY_MIN, HOConfig, ion_waveforms
+from .oscillator import (VALIDITY_MIN, HOConfig, ion_waveforms,
+                         one_blas_thread)
 from .verify import run_verification
 
 # each subcommand's configuration keys in flag order, with their
@@ -330,7 +333,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
+        with one_blas_thread(), np.errstate(over="raise", divide="raise",
+                                            invalid="raise"):
             return _HANDLERS[args.command](cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

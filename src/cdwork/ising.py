@@ -57,8 +57,18 @@ def _metric_sum(lam, offset, k):
 
 
 def mode_energy(lam: float, k) -> np.ndarray | float:
-    """Single-mode excitation energy 2 sqrt(lam^2 - 2 lam cos k + 1)."""
-    out = 2.0 * np.sqrt(_gap_form(lam, lam - 1.0, np.asarray(k, dtype=float)))
+    """Single-mode excitation energy 2 sqrt(lam^2 - 2 lam cos k + 1).
+
+    For lam < 0 the mode is taken at |lam| and pi - k, the same energy,
+    with sin^2((pi - k)/2) written as cos^2(k/2) so that pi - k is never
+    rounded: the gap form then has no cancellation near lam = -1 as
+    k -> pi, as ``ground_metric`` has none."""
+    k = np.asarray(k, dtype=float)
+    if lam < 0:
+        gap = (lam + 1.0) ** 2 - 4.0 * lam * np.cos(0.5 * k) ** 2
+    else:
+        gap = _gap_form(lam, lam - 1.0, k)
+    out = 2.0 * np.sqrt(gap)
     return out if out.ndim else float(out)
 
 

@@ -33,6 +33,7 @@ of the adiabatic elimination behind them; below VALIDITY_MIN it warns.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import glob
 import math
@@ -101,6 +102,34 @@ def _resolve_stevd():
         return w, z.reshape((n, n), order="F"), info.value
 
     return stevd
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, and restore
+    its previous thread count after.  Threaded BLAS kernels split their
+    sums by the thread count, so a dense ``eigh`` (verify's 256-level
+    Ising oracle) rounds differently at each count; on one thread the
+    outputs are the same bytes whatever OPENBLAS_NUM_THREADS says.
+    Where numpy ships no such library, the block runs as it is."""
+    get_threads = set_threads = None
+    path = _numpy_openblas()
+    if path:
+        with contextlib.suppress(OSError, AttributeError):
+            lib = ctypes.CDLL(path)
+            get_threads = lib.scipy_openblas_get_num_threads64_
+            set_threads = lib.scipy_openblas_set_num_threads64_
+    if set_threads is None:
+        yield
+        return
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
 
 
 # LAPACK's real symmetric tridiagonal divide-and-conquer solver dstevd,

@@ -4,12 +4,29 @@ Each check returns a CheckResult; the CLI `verify` subcommand prints one
 PASS/FAIL line per check and exits nonzero if any fails.  All random
 inputs derive from one seeded generator, so a run is reproducible from
 its seed.
+
+The checks fall into two lanes that share no state.  Lane A holds the
+checks that share the main model's spectrum store.  Lane B holds the
+six checks that draw from the seeded generator, kept in their suite
+order (each draws where the one before it stopped), the checks that
+build their own models, and the bare-drive control, which then solves
+its own copy of the main model's grid spectra.  Where ``os.fork``
+exists and the process may run on two or more CPUs, lane B runs in a
+forked child while the parent runs lane A; on one CPU the two lanes
+would only take turns, so the suite runs serially there.  Either way
+the results come back in suite order, and if checks raise, the
+exception raised is that of the earliest raising check in suite order,
+as in a serial run.  The suite runs on one BLAS thread, one per lane.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -19,7 +36,7 @@ from .geometry import (bures_fidelity, chain_lengths, ensemble_rates,
                        fidelity_decay_check, path_lengths, qgt,
                        speed_limit_report)
 from .oscillator import (HOConfig, HarmonicOscillator, cd_exact_eigensystem,
-                         ho_metric, ion_waveforms)
+                         ho_metric, ion_waveforms, one_blas_thread)
 from .protocols import cubic_ramp, quintic_ramp
 from .quadrature import simpson
 from .spectral import (Spectrum, cd_coupling, spectrum,
@@ -381,10 +398,103 @@ def _check_fidelity_decay(model):
                        f"observed order {decay.order:.3f}")
 
 
+def _two_cpus() -> bool:
+    """True where lane B can run beside lane A: ``os.fork`` exists and
+    the process may run on two or more CPUs."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+def _run_lane(lane):
+    """Run (position, check) pairs in order, up to the first that raises;
+    returns the (position, result) pairs and that check's (position,
+    exception), or None."""
+    done = []
+    for position, check in lane:
+        try:
+            done.append((position, check()))
+        except Exception as exc:
+            return done, (position, exc)
+    return done, None
+
+
+def _run_forked(lane_a, lane_b):
+    """Lane B in a forked child, lane A here; returns both lanes'
+    (position, result) pairs, or None if no child can be forked, or
+    raises the exception of the earliest raising check."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        # the child never returns and never flushes the stdio buffers it
+        # inherited: a flush would print the parent's pending output twice
+        status = 1
+        try:
+            os.close(read)
+            outcome = _run_lane(lane_b)
+            with os.fdopen(write, "wb") as pipe:
+                pickle.dump(outcome, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    finished = False
+    try:
+        with os.fdopen(read, "rb") as pipe:
+            done_a, raised_a = _run_lane(lane_a)
+            payload = pipe.read()
+        finished = True
+    finally:
+        if not finished:
+            os.kill(pid, signal.SIGKILL)
+        status = os.waitpid(pid, 0)[1]
+    try:
+        done_b, raised_b = pickle.loads(payload)
+    except (EOFError, pickle.UnpicklingError):
+        raise RuntimeError(
+            f"verify's forked lane ended without a result (exit status "
+            f"{os.waitstatus_to_exitcode(status)})") from None
+    raised = [r for r in (raised_a, raised_b) if r is not None]
+    if raised:
+        raise min(raised, key=lambda r: r[0])[1]
+    return done_a + done_b
+
+
+def _run_suite(suite):
+    """Results of the (lane, check) pairs in suite order, on one BLAS
+    thread: lane B forked beside lane A where ``_two_cpus()`` holds and
+    a child can be forked, every check in turn otherwise."""
+    with one_blas_thread():
+        if _two_cpus():
+            lanes = {"A": [], "B": []}
+            for position, (lane, check) in enumerate(suite):
+                lanes[lane].append((position, check))
+            done = _run_forked(lanes["A"], lanes["B"])
+            if done is not None:
+                return [result for _, result in sorted(done,
+                                                       key=lambda r: r[0])]
+        return [check() for _, check in suite]
+
+
 def run_verification(seed: int = 20260809, *, fock_dim: int = 120,
                      chain_samples: int = 12,
                      h1_scale: float = 1.0) -> list[CheckResult]:
-    """Run every invariant suite; returns one result per named check.
+    """Run every invariant suite; returns one result per named check, in
+    suite order.
+
+    Lane A (the checks that share the main model's spectrum store) and
+    lane B (the generator's checks, kept in suite order, the checks that
+    build their own models and the bare-drive control) run side by
+    side, lane B in a forked child, when ``_two_cpus()`` holds;
+    otherwise the suite runs serially.  Both routes return equal
+    results.  If checks raise, the earliest raising check in suite order
+    decides the exception.  The checks run on one BLAS thread, so that
+    two lanes do not share two CPUs among four threads, and so that the
+    results are the same at any BLAS thread count.
 
     TruncationError and friends propagate to the caller: an undersized
     basis is a hard failure, not a FAIL line, and its message names
@@ -395,32 +505,36 @@ def run_verification(seed: int = 20260809, *, fock_dim: int = 120,
     grid = np.linspace(0.0, model.tau, 81)
     try:
         ensemble = model_ensemble(model, 1.0)
-        return [
-            _check_spectrum_contract(rng),
-            _check_cd_gauge_invariance(rng),
-            _check_lz_closed_form(rng),
-            _check_h1_endpoints(model),
-            _check_certificate(model, h1_scale, np.arange(0, 9)),
-            _check_bare_control(model),
-            _check_mean_identity(rng),
-            _check_endpoint_equivalence(model, ensemble),
-            _check_variance_identity(model, ensemble, grid),
-            _check_rowsum(model, ensemble, grid),
-            _check_bound_chain(model, ensemble, grid),
-            _check_length_chain(rng, chain_samples),
-            _check_equality_identity(model, ensemble),
-            _check_qgt(model),
-            _check_fidelity_properties(rng),
-            _check_fidelity_decay(model),
-            _check_reparametrization(),
-            _check_ho_closed_spectrum(max(120, min(fock_dim, 160))),
-            _check_parity(model, ensemble),
-            _check_ion_roundtrip(),
-            _check_ising_oracle(),
-            _check_ising_critical_identity(),
-            _check_ising_protocol_independence(),
-            _check_ising_trajectory(),
+        # (lane, check) in suite order
+        suite = [
+            ("B", partial(_check_spectrum_contract, rng)),
+            ("B", partial(_check_cd_gauge_invariance, rng)),
+            ("B", partial(_check_lz_closed_form, rng)),
+            ("A", partial(_check_h1_endpoints, model)),
+            ("A", partial(_check_certificate, model, h1_scale,
+                          np.arange(0, 9))),
+            ("B", partial(_check_bare_control, model)),
+            ("B", partial(_check_mean_identity, rng)),
+            ("A", partial(_check_endpoint_equivalence, model, ensemble)),
+            ("A", partial(_check_variance_identity, model, ensemble, grid)),
+            ("A", partial(_check_rowsum, model, ensemble, grid)),
+            ("A", partial(_check_bound_chain, model, ensemble, grid)),
+            ("B", partial(_check_length_chain, rng, chain_samples)),
+            ("A", partial(_check_equality_identity, model, ensemble)),
+            ("A", partial(_check_qgt, model)),
+            ("B", partial(_check_fidelity_properties, rng)),
+            ("A", partial(_check_fidelity_decay, model)),
+            ("B", _check_reparametrization),
+            ("B", partial(_check_ho_closed_spectrum,
+                          max(120, min(fock_dim, 160)))),
+            ("A", partial(_check_parity, model, ensemble)),
+            ("B", _check_ion_roundtrip),
+            ("B", _check_ising_oracle),
+            ("B", _check_ising_critical_identity),
+            ("B", _check_ising_protocol_independence),
+            ("B", _check_ising_trajectory),
         ]
+        return _run_suite(suite)
     except TruncationError as exc:
         # a thermal tail or a leak past the basis: fock_dim enlarges the
         # main model's

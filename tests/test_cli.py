@@ -1,6 +1,8 @@
+import ctypes
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -13,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdwork import HOConfig, HarmonicOscillator, ValidityWarning, model_ensemble
-from cdwork import cli
+from cdwork import cli, oscillator
 from cdwork.cli import main
 
 SMALL_HO = ["--beta", "2", "--fock-dim", "80", "--grid", "51",
@@ -483,3 +485,66 @@ def test_cli_never_loads_scipy(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0] [[], [], []]"
+
+
+def test_cli_never_loads_a_process_pool(tmp_path):
+    # verify forks its second lane with os.fork; importing
+    # multiprocessing or concurrent.futures would add to every start-up
+    script = (
+        "import sys\n"
+        "def pool_modules():\n"
+        "    pools = ('multiprocessing', 'concurrent')\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m.split('.')[0] in pools)\n"
+        "from cdwork.cli import main\n"
+        "loaded = [pool_modules()]\n"
+        f"code = main(['verify', '--chain-samples', '1', '--out', "
+        f"{str(tmp_path)!r}])\n"
+        "loaded.append(pool_modules())\n"
+        "print(code, loaded)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 [[], []]"
+
+
+def test_verify_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # a threaded BLAS rounds the Ising oracle's dense eigh differently at
+    # each thread count; the CLI runs on one.  On a machine with a single
+    # CPU OpenBLAS runs one thread whatever it is told, so there this
+    # test cannot tell a pinned run from an unpinned one
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        proc = subprocess.run(
+            [sys.executable, "-m", "cdwork.cli", "verify",
+             "--chain-samples", "1", "--out", str(out)],
+            capture_output=True, env=dict(os.environ,
+                                          OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == b""
+        runs.append((proc.stdout, read_all(out)))
+    assert runs[0] == runs[1]
+
+
+def test_main_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
+    path = oscillator._numpy_openblas()
+    if path is None:
+        pytest.skip("numpy ships no OpenBLAS")
+    lib = ctypes.CDLL(path)
+    seen = []
+
+    def handler(cfg):
+        seen.append(lib.scipy_openblas_get_num_threads64_())
+        return 0
+
+    monkeypatch.setitem(cli._HANDLERS, "ion-waveforms", handler)
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(2)
+    try:
+        threads = lib.scipy_openblas_get_num_threads64_()
+        assert main(["ion-waveforms"]) == 0
+        assert seen == [1]
+        assert lib.scipy_openblas_get_num_threads64_() == threads
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)

@@ -48,6 +48,22 @@ class TestModeEnergy:
         for lam in (0.3, 0.9, 1.5):
             assert np.all(mode_energy(lam, momenta(64)) > 0)
 
+    def test_soft_mode_exact_at_second_critical_point(self):
+        # at lam = -1 the gap form is 4 cos^2(k/2); the softest mode sits
+        # at k -> pi, where lam^2 - 2 lam cos k + 1 cancels (measured:
+        # 0 here, 3.9e-10 relative with the cancelling form)
+        k = momenta(4096)
+        energies = mode_energy(-1.0, k)
+        soft = np.argmin(energies)
+        exact = 4.0 * abs(np.cos(0.5 * k[soft]))
+        assert abs(energies[soft] - exact) <= 1e-15 * exact
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    def test_negative_field_is_the_mirrored_mode(self, lam):
+        k = momenta(64)
+        assert mode_energy(-lam, k) == pytest.approx(
+            mode_energy(lam, np.pi - k), rel=1e-13)
+
     def test_chain_length_validation(self):
         with pytest.raises(ConfigError):
             momenta(5)

@@ -1,11 +1,13 @@
 import math
+import os
 import re
 
 import numpy as np
 import pytest
 
-from cdwork import (HOConfig, HarmonicOscillator, TruncationError,
-                    model_ensemble, transition_matrix, work_moments)
+from cdwork import (HOConfig, HarmonicOscillator, StepNotConverged,
+                    TruncationError, model_ensemble, transition_matrix,
+                    work_moments, verify)
 from cdwork.verify import (_check_cd_gauge_invariance, _check_length_chain,
                            _check_lz_closed_form, _check_mean_identity,
                            _check_spectrum_contract, _sized_oscillator,
@@ -75,13 +77,63 @@ def test_length_chain_reports_populated_levels():
     assert 1 <= low <= high <= 100
 
 
-def test_default_run_path_length_nodes(solve_counter):
+def test_default_run_path_length_nodes(solve_counter, monkeypatch):
     """The 15 path lengths of the default run (12 length-chain draws at
     rel_tol 1e-9, the duration-length equality and the two
     reparametrizations at 1e-8) converge on nested Clenshaw-Curtis
     levels of 17 to 65 points: 399 nodes, against 945 for the
-    Gauss-Kronrod rule."""
+    Gauss-Kronrod rule.  The suite runs serially: the counter lives in
+    this process, and a forked lane would hide the length chain's
+    nodes from it."""
+    monkeypatch.setattr(verify, "_two_cpus", lambda: False)
     _, nodes = solve_counter
     results = run_verification(seed=20260809)
     assert all(r.passed for r in results) and len(results) == 24
     assert len(nodes) <= 399
+
+
+def lanes(monkeypatch, forked):
+    """Force the serial suite (forked False) or the two lanes."""
+    monkeypatch.setattr(verify, "_two_cpus", lambda: forked)
+
+
+@pytest.mark.parametrize("seed", [20260809, 5])
+def test_two_lanes_return_the_serial_results(monkeypatch, seed):
+    results = {}
+    for forked in (False, True):
+        lanes(monkeypatch, forked)
+        results[forked] = run_verification(seed, chain_samples=2)
+    assert len(results[True]) == 24
+    assert results[True] == results[False]
+
+
+def raise_in(monkeypatch, check, exc):
+    def raising(*args):
+        raise exc
+    monkeypatch.setattr(verify, check, raising)
+
+
+@pytest.mark.parametrize("forked", [False, True])
+def test_lane_b_truncation_error_names_fock_dim(monkeypatch, forked):
+    lanes(monkeypatch, forked)
+    raise_in(monkeypatch, "_check_length_chain",
+             TruncationError("a leak past the basis"))
+    with pytest.raises(TruncationError,
+                       match="^fock_dim = 120: a leak past the basis$"):
+        run_verification(chain_samples=1)
+    # the forked lane was reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("forked", [False, True])
+@pytest.mark.parametrize("first, later", [
+    ("_check_certificate", "_check_length_chain"),       # 4 in A, 11 in B
+    ("_check_mean_identity", "_check_variance_identity"),  # 6 in B, 8 in A
+])
+def test_earliest_raising_check_decides(monkeypatch, forked, first, later):
+    lanes(monkeypatch, forked)
+    raise_in(monkeypatch, first, StepNotConverged("first"))
+    raise_in(monkeypatch, later, StepNotConverged("later"))
+    with pytest.raises(StepNotConverged, match="^first$"):
+        run_verification(chain_samples=1)
