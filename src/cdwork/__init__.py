@@ -18,17 +18,16 @@ from .geometry import (GeometricTensor, SpeedLimitReport, bound_chain,
                        path_lengths, qgt, speed_limit_report)
 from .models import ParametrizedModel, SpectrumCache, two_level_model
 from .oscillator import (HOConfig, HarmonicOscillator, WaveformTable,
-                         cd_exact_eigensystem, ho_metric, ion_waveforms, ramp)
-from .protocols import (Protocol, constant_protocol, cubic_ramp, log_ramp,
-                        quintic_ramp)
+                         cd_exact_energy, ho_metric, ion_waveforms, ramp)
+from .protocols import Protocol, cubic_ramp, log_ramp, quintic_ramp
 from .quadrature import clenshaw_curtis, simpson
 from .spectral import (CertificateReport, Spectrum, StateTrajectory,
                        assert_hermitian, cd_coupling,
                        propagate, spectrum, transitionless_certificate)
 from .workstats import (ThermalEnsemble, WorkDistribution,
                         WorkMoments, fluctuation_series, fluctuation_sweep,
-                        identity_check_rowsum, mean_work,
-                        model_ensemble, thermal_ensemble, transition_matrix,
-                        variance_work, work_distribution, work_moments)
+                        identity_check_rowsum, model_ensemble,
+                        thermal_ensemble, transition_matrix,
+                        work_distribution, work_moments)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -36,7 +36,7 @@ class InvalidDetuning(CdworkError):
 
 
 class SupercriticalDrive(CdworkError):
-    """The closed-form driven-oscillator eigensystem does not exist
+    """The closed-form driven-oscillator spectrum does not exist
     because the drive ratio reaches or exceeds one."""
 
 

@@ -158,8 +158,9 @@ def path_lengths(model, ensemble, *,
 
 # -- mixed-state fidelity ------------------------------------------------
 
-def _state_sqrt(rho: np.ndarray, atol: float = 1e-10) -> np.ndarray:
+def _state_sqrt(rho: np.ndarray) -> np.ndarray:
     """sqrt(rho), checked to be a state; a real rho stays real."""
+    atol = 1e-10  # absolute tolerance of the state checks
     rho = np.asarray(rho)
     rho = rho.astype(np.result_type(rho, 1.0), copy=False)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -246,7 +247,7 @@ class SpeedLimitReport:
 def bound_chain(series: dict, bures: float, eta: float,
                 ell: float) -> SpeedLimitReport:
     """The bound chain from the three path lengths of ``chain_lengths``
-    and the excess and energy-variance columns of
+    and the excess-deviation and energy-variance columns of
     ``workstats.fluctuation_series`` on a uniform grid from 0 to tau,
     time-averaged by ``quadrature.simpson``.
 
@@ -256,9 +257,9 @@ def bound_chain(series: dict, bures: float, eta: float,
     """
     grid = series["t"]
     tau = float(grid[-1])
-    avg_excess, avg_energy = (
-        simpson(np.sqrt(np.clip(series[k], 0.0, None)), grid) / tau
-        for k in ("excess_direct", "energy_variance_cd"))
+    avg_excess = simpson(series["excess_dev"], grid) / tau
+    avg_energy = simpson(np.sqrt(np.clip(series["energy_variance_cd"], 0.0,
+                                         None)), grid) / tau
     if ell == 0.0:
         return SpeedLimitReport(tau, ell, eta, bures, avg_excess, avg_energy,
                                 0.0, 0.0, 0.0, True, True, True)

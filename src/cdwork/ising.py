@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,9 +28,6 @@ from .fitting import fit_power_law
 from .models import ParametrizedModel
 from .protocols import Protocol, cubic_ramp
 from .quadrature import clenshaw_curtis
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
 
 DENSE_SITE_CAP = 14
 
@@ -249,39 +245,11 @@ def dense_field_term(n_sites: int) -> np.ndarray:
     return out
 
 
-def sparse_hamiltonian(lam: float, n_sites: int) -> csr_matrix:
-    """The chain as a scipy.sparse matrix (oracle; loads scipy.sparse)."""
-    from scipy.sparse import csr_matrix
-
-    dim, states, z_total, pairs = _dense_terms(n_sites)
-    rows = [states]
-    cols = [states]
-    vals = [-lam * z_total]
-    for flipped in pairs:
-        rows.append(states)
-        cols.append(flipped)
-        vals.append(-np.ones(dim))
-    return csr_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(dim, dim))
-
-
 def exact_ground_state(lam: float, n_sites: int) -> tuple[float, np.ndarray]:
-    """Ground eigenpair of the full spin Hamiltonian.
-
-    Dense diagonalization up to 8 sites, Lanczos (machine tolerance)
-    beyond; oracle use only.  scipy (``scipy.sparse`` and ``eigsh``) is
-    imported only beyond 8 sites, so the package and its CLI, whose
-    oracle chains stop at 8 sites, never load it.
-    """
-    if n_sites <= 8:
-        h = dense_hamiltonian(lam, n_sites)
-        energies, vectors = np.linalg.eigh(h)
-        return float(energies[0]), vectors[:, 0]
-    from scipy.sparse.linalg import eigsh
-
-    vals, vecs = eigsh(sparse_hamiltonian(lam, n_sites), k=1, which="SA", tol=0)
-    return float(vals[0]), vecs[:, 0]
+    """Ground eigenpair of the full spin Hamiltonian by dense
+    diagonalization (oracle; N <= 14, verify's chains stop at 8)."""
+    energies, vectors = np.linalg.eigh(dense_hamiltonian(lam, n_sites))
+    return float(energies[0]), vectors[:, 0]
 
 
 def dense_model(config: IsingConfig) -> ParametrizedModel:

@@ -44,9 +44,6 @@ class SpectrumCache:
         self.maxsize = int(maxsize)
         self._entries: OrderedDict = OrderedDict()
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def get(self, key) -> Spectrum | None:
         hit = self._entries.get(key)
         if hit is not None:

@@ -24,8 +24,8 @@ sqrt(omega_f/omega_i) each way instead of omega_f/omega_i at one end),
 which roughly doubles the number of trustworthy levels for a given
 truncation.
 
-Also provided: the closed-form eigensystem of the driven oscillator,
-the closed-form per-level metric, and the map from a frequency ramp to
+Also provided: the closed-form spectrum of the driven oscillator, the
+closed-form per-level metric, and the map from a frequency ramp to
 effective two-photon Raman drive waveforms for a trapped ion, whose
 constants (LAMB_DICKE, DELTA_RAMAN, DELTA_SPIN) set the validity ratio
 of the adiabatic elimination behind them; below VALIDITY_MIN it warns.
@@ -43,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from numpy.polynomial.hermite import hermval
 
 from .errors import (BandStructureError, ConfigError, InvalidDetuning,
                      NonHermitianInput, SupercriticalDrive, ValidityWarning)
@@ -52,26 +51,27 @@ from .protocols import Protocol, log_ramp, quintic_ramp
 from .spectral import HERMITIAN_TOL, Spectrum, gauge_fix
 
 
-def _numpy_openblas() -> str | None:
-    """Path of the ILP64 OpenBLAS that numpy's wheel ships and its
-    extension modules already map, or None where there is none."""
+def _numpy_openblas():
+    """The ILP64 OpenBLAS that numpy's wheel ships and its extension
+    modules already map, opened through ctypes, or None where there is
+    none or it cannot be opened."""
     root = os.path.dirname(os.path.dirname(np.__file__))
     found = sorted(glob.glob(
         os.path.join(root, "numpy.libs", "libscipy_openblas64_*")))
-    return found[0] if found else None
+    try:
+        return ctypes.CDLL(found[0]) if found else None
+    except OSError:
+        return None
 
 
-def _resolve_stevd():
+def _resolve_stevd(lib):
     """stevd(d, e) -> (w, z, info) with z Fortran-ordered, the call and
     result of scipy.linalg.lapack's ``stevd``: ``scipy_dstevd_64_`` of
-    numpy's OpenBLAS through ctypes, or, when that library or symbol is
-    missing, scipy's own wrapper, imported only then."""
-    path = _numpy_openblas()
+    the OpenBLAS ``lib`` through ctypes, or, when that library or symbol
+    is missing, scipy's own wrapper, imported only then."""
     try:
-        func = ctypes.CDLL(path).scipy_dstevd_64_ if path else None
-    except (OSError, AttributeError):
-        func = None
-    if func is None:
+        func = lib.scipy_dstevd_64_
+    except AttributeError:  # no library (None), or no such symbol in it
         from scipy.linalg.lapack import get_lapack_funcs
         return get_lapack_funcs("stevd", dtype=np.float64)
     double = ctypes.POINTER(ctypes.c_double)
@@ -112,32 +112,33 @@ def one_blas_thread():
     Ising oracle) rounds differently at each count; on one thread the
     outputs are the same bytes whatever OPENBLAS_NUM_THREADS says.
     Where numpy ships no such library, the block runs as it is."""
-    get_threads = set_threads = None
-    path = _numpy_openblas()
-    if path:
-        with contextlib.suppress(OSError, AttributeError):
-            lib = ctypes.CDLL(path)
-            get_threads = lib.scipy_openblas_get_num_threads64_
-            set_threads = lib.scipy_openblas_set_num_threads64_
-    if set_threads is None:
+    if _SET_THREADS is None:
         yield
         return
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    before = get_threads()
-    set_threads(1)
+    before = _GET_THREADS()
+    _SET_THREADS(1)
     try:
         yield
     finally:
-        set_threads(before)
+        _SET_THREADS(before)
 
 
-# LAPACK's real symmetric tridiagonal divide-and-conquer solver dstevd,
-# resolved once.  It is called in the OpenBLAS that numpy already maps,
-# because importing scipy.linalg for this one routine took longer than a
-# whole ho-figure1 run; scipy.linalg.lapack serves only where numpy's
-# wheel ships no such library (another build, MKL, Accelerate)
-_STEVD = _resolve_stevd()
+# numpy's OpenBLAS, opened once.  LAPACK's real symmetric tridiagonal
+# divide-and-conquer solver dstevd is called in it, because importing
+# scipy.linalg for this one routine took longer than a whole ho-figure1
+# run; scipy.linalg.lapack serves only where numpy's wheel ships no such
+# library (another build, MKL, Accelerate).  Its thread-count pair, or
+# None, serves ``one_blas_thread``
+_OPENBLAS = _numpy_openblas()
+_STEVD = _resolve_stevd(_OPENBLAS)
+try:
+    _GET_THREADS = _OPENBLAS.scipy_openblas_get_num_threads64_
+    _SET_THREADS = _OPENBLAS.scipy_openblas_set_num_threads64_
+except AttributeError:
+    _GET_THREADS = _SET_THREADS = None
+else:
+    _GET_THREADS.argtypes, _GET_THREADS.restype = [], ctypes.c_int
+    _SET_THREADS.argtypes, _SET_THREADS.restype = [ctypes.c_int], None
 
 
 def ramp(omega_i: float, omega_f: float, tau: float) -> Protocol:
@@ -166,29 +167,11 @@ class HOConfig:
             return log_ramp(self.omega_i, self.omega_f, self.tau)
         raise ConfigError(f"unknown ramp kind {self.ramp_kind!r}")
 
-    def max_drive_ratio(self) -> float:
-        """Largest omegadot^2 / (4 omega^4) over 201 ramp nodes.  Below
-        one the driven oscillator has the closed-form discrete spectrum;
-        at or above one the closed-form eigensystem does not exist and
-        the truncated basis acts as a regularization of the work
-        statistics.
-        """
-        proto = self.protocol()
-        worst = 0.0
-        for t in np.linspace(0.0, self.tau, 201):
-            w = proto.value(t)[0]
-            wd = proto.derivative(t)[0]
-            if w <= 0:
-                raise ConfigError(f"omega(t) must stay positive, got {w:g}")
-            # omega^4 overflows past omega ~ 1e77; this ratio does not
-            worst = max(worst, (wd / (2.0 * w) / w) ** 2)
-        return worst
-
     def validate(self) -> None:
         """Check the config's own ranges: the Fock dimension, positive
         finite frequencies and duration, and a Hamiltonian in float
         range.  Fast ramps are legitimate models (only the closed-form
-        eigensystem needs a subcritical drive; see ``max_drive_ratio``)."""
+        energy needs a subcritical drive; see ``cd_exact_energy``)."""
         if self.dim < 40:
             raise ConfigError("Fock dimension must be at least 40")
         for key in ("omega_i", "omega_f", "tau"):
@@ -383,31 +366,17 @@ def ho_metric(omega: float, n) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def cd_exact_eigensystem(omega: float, omega_dot: float, n: int):
-    """Closed-form eigenpair of the driven oscillator H0 + H1.
-
-    Returns (E_n, psi_n) where psi_n(q) evaluates the position-space
-    eigenfunction: a Hermite polynomial times a Gaussian of effective
-    frequency omega sqrt(1 - omegadot^2/4 omega^4), carrying the chirp
-    phase exp(i omegadot q^2 / 4 omega).
+def cd_exact_energy(omega: float, omega_dot: float, n: int) -> float:
+    """Closed-form level n of the driven oscillator H0 + H1,
+    omega sqrt(1 - omegadot^2/4 omega^4) (n + 1/2): the level of an
+    oscillator of that effective frequency.  Raises SupercriticalDrive
+    when the drive ratio omegadot^2/4 omega^4 reaches one, where the
+    discrete spectrum is lost.
     """
     ratio = omega_dot * omega_dot / (4.0 * omega**4)
     if ratio >= 1.0:
         raise SupercriticalDrive(f"drive ratio {ratio:.3g} >= 1")
-    root = math.sqrt(1.0 - ratio)
-    energy = omega * root * (n + 0.5)
-    w_eff = omega * root  # hbar = m = 1
-    norm = (w_eff / math.pi) ** 0.25 / math.sqrt(2.0**n * math.factorial(n))
-    coeff = np.zeros(n + 1)
-    coeff[n] = 1.0
-
-    def wavefunction(q):
-        q = np.asarray(q, dtype=float)
-        gauss = np.exp(-0.5 * w_eff * q * q)
-        chirp = np.exp(1j * omega_dot * q * q / (4.0 * omega))
-        return norm * hermval(np.sqrt(w_eff) * q, coeff) * gauss * chirp
-
-    return energy, wavefunction
+    return omega * math.sqrt(1.0 - ratio) * (n + 0.5)
 
 
 # Raman realization on an ion trapped at the sideband detuning nu (so

@@ -26,52 +26,12 @@ class Protocol:
     """Parameter path lambda(t) in R^P over a fixed duration.
 
     ``value`` and ``derivative`` accept a scalar time and return an
-    array of shape (P,).  Use :meth:`validate` to certify the endpoint
-    and consistency contracts numerically.
+    array of shape (P,).
     """
 
     value: Callable[[float], np.ndarray]
     derivative: Callable[[float], np.ndarray]
     duration: float
-
-    @property
-    def dimension(self) -> int:
-        return self.value(0.0).shape[0]
-
-    @property
-    def initial(self) -> np.ndarray:
-        return self.value(0.0)
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.value(self.duration)
-
-    def validate(self) -> None:
-        """Check endpoint-derivative and value/derivative consistency.
-
-        Raises ProtocolError on violation.  Consistency is checked with
-        centered differences at step h = tau * 1e-6 on 33 nodes; the
-        tolerance leaves room for the O(h^2) truncation and the ~eps/h
-        rounding floor.
-        """
-        tau = self.duration
-        if not tau > 0:
-            raise ProtocolError("duration must be positive")
-        scale = max(np.abs(self.initial).max(), np.abs(self.final).max(), 1.0)
-        for t_end in (0.0, tau):
-            if np.abs(self.derivative(t_end)).max() > 1e-12 * scale / tau * max(tau, 1.0):
-                raise ProtocolError(
-                    f"derivative must vanish at t={t_end:g}, got "
-                    f"{self.derivative(t_end)}")
-        h = tau * 1e-6
-        worst = 0.0
-        for t in np.linspace(h, tau - h, 33):
-            fd = (self.value(t + h) - self.value(t - h)) / (2.0 * h)
-            worst = max(worst, np.abs(fd - self.derivative(t)).max())
-        if worst > 1e-7 * scale / min(tau, 1.0):
-            raise ProtocolError(
-                f"value/derivative inconsistency: centered differences "
-                f"deviate by {worst:.3g}")
 
 
 def _smoothstep_protocol(lam_i, lam_f, tau, sigma, dsigma) -> Protocol:
@@ -135,8 +95,3 @@ def log_ramp(omega_i: float, omega_f: float, tau: float) -> Protocol:
         raise ProtocolError("duration must be positive")
     return Protocol(value, derivative, float(tau))
 
-
-def constant_protocol(lam, tau) -> Protocol:
-    lam = _vec(lam)
-    zero = np.zeros_like(lam)
-    return Protocol(lambda t: lam.copy(), lambda t: zero.copy(), float(tau))

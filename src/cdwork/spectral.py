@@ -78,10 +78,6 @@ class Spectrum:
     energies: np.ndarray
     states: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.energies.shape[0]
-
 
 def spectrum(h: np.ndarray, *, check: bool = True,
              degeneracy_tol: float = DEGENERACY_TOL) -> Spectrum:

@@ -35,7 +35,7 @@ from .errors import TruncationError
 from .geometry import (bures_fidelity, chain_lengths, ensemble_rates,
                        fidelity_decay_check, path_lengths, qgt,
                        speed_limit_report)
-from .oscillator import (HOConfig, HarmonicOscillator, cd_exact_eigensystem,
+from .oscillator import (HOConfig, HarmonicOscillator, cd_exact_energy,
                          ho_metric, ion_waveforms, one_blas_thread)
 from .protocols import cubic_ramp, quintic_ramp
 from .quadrature import simpson
@@ -117,8 +117,8 @@ def _check_h1_endpoints(model):
                        f"max endpoint entry {dev:.2e}")
 
 
-def _check_certificate(model, h1_scale, levels, grid_points=81):
-    grid = np.linspace(0.0, model.tau, grid_points)
+def _check_certificate(model, h1_scale, levels):
+    grid = np.linspace(0.0, model.tau, 81)
     cert = transitionless_certificate(model, levels, grid,
                                       h1_scale=h1_scale, tol=3e-7)
     return CheckResult(
@@ -128,8 +128,8 @@ def _check_certificate(model, h1_scale, levels, grid_points=81):
         f"{cert.substeps} steps per interval)")
 
 
-def _check_bare_control(model, grid_points=81):
-    grid = np.linspace(0.0, model.tau, grid_points)
+def _check_bare_control(model):
+    grid = np.linspace(0.0, model.tau, 81)
     cert = transitionless_certificate(model, [0], grid, h1_scale=0.0,
                                       tol=3e-7)
     fid = float(cert.final_fidelity[0])
@@ -279,25 +279,25 @@ def _check_fidelity_properties(rng):
                        f"max deviation {worst:.2e}")
 
 
-def _check_reparametrization(beta=1.0, dim=100):
+def _check_reparametrization():
     values = []
     for kind in ("quintic", "log"):
-        model = HarmonicOscillator(HOConfig(1.0, 2.2, 0.7, dim=dim,
+        model = HarmonicOscillator(HOConfig(1.0, 2.2, 0.7, dim=100,
                                             ramp_kind=kind))
-        values.append(path_lengths(model, model_ensemble(model, beta))[1])
+        values.append(path_lengths(model, model_ensemble(model, 1.0))[1])
     gap = abs(values[0] - values[1])
     return CheckResult("metric-length-reparametrization", gap <= 1e-7,
                        f"|ell_quintic - ell_log| = {gap:.2e}")
 
 
-def _check_ho_closed_spectrum(dim=120):
+def _check_ho_closed_spectrum(dim):
     model = HarmonicOscillator(HOConfig(1.0, 3.0, 1.6, dim=dim))
     cap = dim // 3
     worst = 0.0
     for t in np.linspace(0.0, model.tau, 9):
         w, wd = model.omega(t), model.omega_dot(t)
         energies = model.spectrum_cd_at(t).energies
-        exact = np.array([cd_exact_eigensystem(w, wd, n)[0]
+        exact = np.array([cd_exact_energy(w, wd, n)
                           for n in range(cap + 1)])
         worst = max(worst, float(np.abs(energies[: cap + 1] - exact).max()))
     return CheckResult("driven-spectrum-closed-form", worst <= 1e-7,

@@ -208,15 +208,6 @@ def work_distribution(model, ensemble, t: float, kind: str = "cd", *,
     return WorkDistribution(values, probs)
 
 
-def mean_work(dist: WorkDistribution) -> float:
-    return float(dist.probabilities @ dist.support)
-
-
-def variance_work(dist: WorkDistribution) -> float:
-    mean = mean_work(dist)
-    return float(dist.probabilities @ (dist.support - mean) ** 2)
-
-
 @dataclass(frozen=True)
 class WorkMoments:
     """Mean and variance of the driven ("cd") and adiabatic work."""
@@ -298,7 +289,9 @@ def fluctuation_sweep(model, ensemble, grid, durations,
     and every fluctuation is a norm sum_n p_n ||(H_cd - c_n)|n>||^2 =
     sum_n p_n (v^2 ||U||^2 + 2 g_n v Re<n|U> + g_n^2), g_n = eps_n - c_n:
     c_n = eps_n for the excess, eps_n(0) + mean_cd for var_cd and <H_cd>
-    for energy_variance_cd.
+    for energy_variance_cd.  The excess deviation excess_dev is
+    v sqrt(sum_n p_n ||U||^2), which stays in range where v^2 ||U||^2
+    underflows.
 
     The pass needs one block's spectra at a time: a store of
     BLOCK_POINTS + 1 holds them and t = 0.  ``metric_rate``, a callable
@@ -331,6 +324,8 @@ def fluctuation_sweep(model, ensemble, grid, durations,
 
     mean_ad, var_ad = _weighted_moments(e_now - e_init, p)
     variance_h0 = _weighted_moments(e_now, p)[1]
+    # sqrt(sum_n p_n ||U||^2), the excess deviation at v = 1
+    deviation = np.sqrt(np.sum(p * norms1, axis=-1))
     out = []
     for tau in durations:
         v = model.tau / tau
@@ -344,6 +339,7 @@ def fluctuation_sweep(model, ensemble, grid, durations,
         out.append({"mean_cd": mean_cd, "mean_ad": mean_ad,
                     "var_cd": spread(e_init + mean_cd[:, None]),
                     "var_ad": var_ad, "excess_direct": spread(e_now),
+                    "excess_dev": v * deviation,
                     "energy_variance_cd": spread(
                         np.sum(p * (e_now + dots), axis=-1)[:, None]),
                     "variance_h0": variance_h0})
@@ -357,9 +353,10 @@ def fluctuation_series(model, ensemble, grid) -> dict[str, np.ndarray]:
     one-duration call (v = 1) of ``fluctuation_sweep``.  Columns: t;
     mean_cd, mean_ad, var_cd and var_ad of the driven work E_m(t) -
     eps_n(0) and its adiabatic reference; excess_direct = sum_n p_n
-    ||H1|n(t)>||^2; energy_variance_cd and variance_h0, the variances of
-    H_cd and H0 in rho(t) = sum_n p_n |n(t)><n(t)|, where
-    energy_variance_cd - excess_direct = variance_h0 >= 0."""
+    ||H1|n(t)>||^2 and excess_dev, its square root; energy_variance_cd
+    and variance_h0, the variances of H_cd and H0 in rho(t) =
+    sum_n p_n |n(t)><n(t)|, where energy_variance_cd - excess_direct =
+    variance_h0 >= 0."""
     grid = np.asarray(grid, dtype=float)
     return {"t": grid,
             **fluctuation_sweep(model, ensemble, grid, [model.tau])[0]}

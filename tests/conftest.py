@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from cdwork import HOConfig, HarmonicOscillator, geometry, model_ensemble
+from cdwork import HOConfig, HarmonicOscillator, geometry, ising, model_ensemble
 
 settings.register_profile(
     "default", max_examples=20, deadline=None,
@@ -30,6 +30,54 @@ def band_to_dense(band):
     diagonal and its conjugate on the -2 diagonal."""
     upper = band[1, :-2]
     return np.diag(band[0]) + np.diag(upper, 2) + np.diag(upper.conj(), -2)
+
+
+def work_mean(dist):
+    """Mean of a work distribution over its atoms."""
+    return float(dist.probabilities @ dist.support)
+
+
+def work_variance(dist):
+    """Variance of a work distribution over its atoms."""
+    mean = work_mean(dist)
+    return float(dist.probabilities @ (dist.support - mean) ** 2)
+
+
+def lanczos_ground_state(lam, n_sites):
+    """Ground eigenpair of the chain of ``ising.dense_hamiltonian`` by
+    Lanczos (``eigsh`` to machine tolerance) on a scipy.sparse matrix,
+    for chains too long for the dense oracle."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.linalg import eigsh
+
+    dim, states, z_total, pairs = ising._dense_terms(n_sites)
+    rows = np.concatenate([states] * (len(pairs) + 1))
+    cols = np.concatenate([states, *pairs])
+    vals = np.concatenate([-lam * z_total, *(-np.ones(dim) for _ in pairs)])
+    h = csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    vals, vecs = eigsh(h, k=1, which="SA", tol=0)
+    return float(vals[0]), vecs[:, 0]
+
+
+def dense_metric(lam, n_sites):
+    """Perturbative-sum metric over the full spin spectrum (oracle)."""
+    energies, vectors = np.linalg.eigh(ising.dense_hamiltonian(lam, n_sites))
+    m = vectors[:, :1].conj().T @ ising.dense_field_term(n_sites) @ vectors
+    return float(np.sum(np.abs(m[0, 1:]) ** 2
+                        / (energies[1:] - energies[0]) ** 2))
+
+
+def richardson_metric(lam, n_sites):
+    """Fidelity-susceptibility oracle via symmetric overlaps of the
+    Lanczos ground state (two Richardson stages)."""
+    def estimate(h):
+        _, va = lanczos_ground_state(lam - h, n_sites)
+        _, vb = lanczos_ground_state(lam + h, n_sites)
+        return 2.0 * (1.0 - abs(va @ vb)) / (2.0 * h) ** 2
+
+    g1, g2, g3 = estimate(0.04), estimate(0.02), estimate(0.01)
+    r1, r2 = (4 * g2 - g1) / 3.0, (4 * g3 - g2) / 3.0
+    return (16 * r2 - r1) / 15.0
 
 
 @pytest.fixture(scope="session")

@@ -11,13 +11,15 @@ import numpy as np
 import pytest
 
 from cdwork import (HOConfig, HarmonicOscillator, bures_length,
-                    ensemble_rates, evolved_density, mean_work,
+                    ensemble_rates, evolved_density,
                     model_ensemble, path_lengths, speed_limit_report,
                     transitionless_certificate, work_distribution,
                     work_moments)
 from cdwork.figures import ho_figure1_data
 from cdwork.ising import ground_energy, ground_metric, scaling_fit
-from cdwork.oscillator import cd_exact_eigensystem
+from cdwork.oscillator import cd_exact_energy
+from conftest import (dense_metric, lanczos_ground_state, richardson_metric,
+                      work_mean)
 
 
 def report(num, name, ok, detail):
@@ -38,7 +40,7 @@ def panel_run():
     for i, t in enumerate(grid):
         cd = work_distribution(model, ensemble, t, "cd")
         ad = work_distribution(model, ensemble, t, "adiabatic")
-        means[i] = mean_work(cd), mean_work(ad)
+        means[i] = work_mean(cd), work_mean(ad)
         direct[i] = work_moments(model, ensemble, t).excess
         geometric[i] = ensemble_rates(model, ensemble, t)[1]
     elapsed = time.perf_counter() - start
@@ -134,7 +136,7 @@ def test_criterion_5_closed_form_crosscheck():
     for t in np.linspace(0.0, model.tau, 17):
         w, wd = model.omega(t), model.omega_dot(t)
         energies = model.spectrum_cd_at(t).energies
-        exact = np.array([cd_exact_eigensystem(w, wd, n)[0]
+        exact = np.array([cd_exact_energy(w, wd, n)
                           for n in range(cap + 1)])
         worst = max(worst, float(np.abs(energies[: cap + 1] - exact).max()))
     ok = worst <= 1e-7
@@ -144,30 +146,19 @@ def test_criterion_5_closed_form_crosscheck():
 
 def test_criterion_6_ising_small_chain_oracle():
     start = time.perf_counter()
-    from cdwork.ising import (dense_field_term, dense_hamiltonian,
-                              exact_ground_state)
+    from cdwork.ising import exact_ground_state
     worst_energy = 0.0
     worst_metric = 0.0
     for n in (4, 8, 12):
         lams = (0.6, 1.0, 1.4, 2.0) if n <= 8 else (1.3, 2.0)
+        ground_state = exact_ground_state if n <= 8 else lanczos_ground_state
+        metric = dense_metric if n <= 8 else richardson_metric
         for lam in lams:
-            e0, _ = exact_ground_state(lam, n)
+            e0, _ = ground_state(lam, n)
             worst_energy = max(worst_energy,
                                abs(e0 - ground_energy(lam, n)))
         for lam in (1.3, 2.0):
-            if n <= 8:
-                energies, vectors = np.linalg.eigh(dense_hamiltonian(lam, n))
-                m = vectors[:, :1].conj().T @ dense_field_term(n) @ vectors
-                oracle = float(np.sum(np.abs(m[0, 1:]) ** 2
-                                      / (energies[1:] - energies[0]) ** 2))
-            else:
-                def estimate(h):
-                    _, va = exact_ground_state(lam - h, n)
-                    _, vb = exact_ground_state(lam + h, n)
-                    return 2.0 * (1.0 - abs(va @ vb)) / (2.0 * h) ** 2
-                g1, g2, g3 = estimate(0.04), estimate(0.02), estimate(0.01)
-                r1, r2 = (4 * g2 - g1) / 3.0, (4 * g3 - g2) / 3.0
-                oracle = (16 * r2 - r1) / 15.0
+            oracle = metric(lam, n)
             worst_metric = max(worst_metric,
                                abs(oracle - ground_metric(lam, n)))
     worst_identity = max(

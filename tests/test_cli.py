@@ -1,4 +1,3 @@
-import ctypes
 import io
 import json
 import math
@@ -9,13 +8,14 @@ import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdwork import HOConfig, HarmonicOscillator, ValidityWarning, model_ensemble
-from cdwork import cli, oscillator
+from cdwork import cli, ising, oscillator
 from cdwork.cli import main
 
 SMALL_HO = ["--beta", "2", "--fock-dim", "80", "--grid", "51",
@@ -90,16 +90,27 @@ class TestHoFigure1:
         assert "chain_ok" not in line and "ordering_ok" not in line
 
     def test_failed_ordering_named(self, tmp_path, capsys):
-        # at tau = 1e300 the excess underflows to zero: bures/<dDW> = 0
-        # falls below bures/<dE_cd>, and tau <dDW> misses ell entirely
-        code = main(["ho-figure1", "--grid", "101", "--tau-list", "1e300",
-                     "--out", str(tmp_path)])
+        # in a pure state at tau = 1e157 the energy variance of H_cd,
+        # v^2 ||U||^2 with v = 0.8 / tau, is subnormal: its square root
+        # falls below the excess deviation, and bures/<dE_cd> rises far
+        # above bures/<dDW>
+        code = main(["ho-figure1", "--grid", "101", "--beta", "inf",
+                     "--tau-list", "1e157", "--out", str(tmp_path)])
         assert code == 1
         line = capsys.readouterr().out.strip()
-        assert re.search(r"; ordering_ok failed at tau=1e\+300 \(worst "
-                         r"0\.\d+\); equality_ok failed at tau=1e\+300 "
-                         r"\(worst 1\)$", line), line
+        assert re.search(r"; ordering_ok failed at tau=1e\+157 \(worst "
+                         r"\d\.\d+e\+\d+\)$", line), line
         assert "chain_ok" not in line and "tau=0.8" not in line
+
+    def test_huge_duration_keeps_its_excess_deviation(self, tmp_path):
+        # v = 0.8 / 1e300: v^2 ||U||^2 underflows to zero, the excess
+        # deviation v sqrt(sum_n p_n ||U||^2) does not
+        code = main(["ho-figure1", "--grid", "101", "--tau-list", "1e300",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        summary = json.loads((tmp_path / "ho_figure1_summary.json").read_text())
+        rows = {row["tau"]: row["avg_excess_dev"] for row in summary["per_tau"]}
+        assert rows[1e300] * 1e300 / 0.8 == pytest.approx(rows[0.8], rel=1e-14)
 
     def test_pass_line_names_no_flag(self, tmp_path, capsys):
         assert main(["ho-figure1", *SMALL_HO, "--out", str(tmp_path)]) == 0
@@ -313,6 +324,17 @@ EXTREME = st.one_of(st.sampled_from([1e-300, 1e-5, 1.0, 3.0, 1e5, 1e300]),
                     st.floats(1e-300, 1e300))
 
 
+@st.composite
+def fit_ladders(draw):
+    """Five or more distinct even chain lengths in 4..256 spanning at
+    least 1.5 decades: every ladder that ``ising.scaling_fit`` takes."""
+    low = draw(st.sampled_from([4, 6, 8]))
+    high = 2 * draw(st.integers(math.ceil(low * 10**1.5 / 2), 128))
+    middle = draw(st.sets(st.integers(low // 2 + 1, high // 2 - 1),
+                          min_size=3, max_size=6))
+    return draw(st.permutations([low, high, *(2 * k for k in middle)]))
+
+
 def exit_code_in_process(command, argv, keyed=()):
     """main's exit code for one run into a scratch directory, after
     checking that an exit-2 message, and an exit-1 message of an error
@@ -382,6 +404,21 @@ class TestIsingFigure2ConfigSpace:
             "--grid", str(grid), "--n-list", ",".join(map(str, n_list)),
             "--trajectory-sites", str(trajectory_sites)],
             keyed=("FloatingPointError",)) in (0, 1, 2)
+
+    @settings(max_examples=30, deadline=None)
+    # every delta that moves lam off the critical point in floating point,
+    # up to where the trajectories, which run before the fit, exit 1: past
+    # lam ~ 8.2e76 their metric's 4 (lam^2 - 2 lam cos k + 1)^2 overflows
+    @given(delta=st.floats(2.0**-52, 8e76), n_list=fit_ladders(),
+           grid=st.integers(3, 41))
+    def test_every_fit_ladder_reaches_the_fit(self, delta, n_list, grid):
+        with mock.patch.object(ising, "scaling_fit",
+                               wraps=ising.scaling_fit) as fit:
+            code = exit_code_in_process("ising-figure2", [
+                "--delta", repr(delta), "--n-list", ",".join(map(str, n_list)),
+                "--grid", str(grid)], keyed=("FloatingPointError",))
+        assert code in (0, 1, 2)
+        fit.assert_called_once()
 
 
 class TestIonWaveformsConfigSpace:
@@ -464,8 +501,7 @@ def test_module_entry_point():
 def test_cli_never_loads_scipy(tmp_path):
     # importing scipy (scipy.linalg alone pulls in numpy.f2py) took longer
     # than a whole ho-figure1 run; the package calls LAPACK through
-    # numpy's OpenBLAS and imports scipy.sparse only for chains above 8
-    # sites, which no subcommand builds
+    # numpy's OpenBLAS, and imports scipy only where numpy ships none
     script = (
         "import sys\n"
         "def scipy_modules():\n"
@@ -528,10 +564,9 @@ def test_verify_bytes_do_not_depend_on_blas_threads(tmp_path):
 
 
 def test_main_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
-    path = oscillator._numpy_openblas()
-    if path is None:
+    lib = oscillator._OPENBLAS
+    if lib is None:
         pytest.skip("numpy ships no OpenBLAS")
-    lib = ctypes.CDLL(path)
     seen = []
 
     def handler(cfg):

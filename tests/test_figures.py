@@ -58,7 +58,7 @@ def test_figure_memory_does_not_grow_with_the_grid(monkeypatch, grid_points):
 
     def recording_put(self, key, spec):
         put(self, key, spec)
-        largest.append(len(self))
+        largest.append(len(self._entries))
 
     monkeypatch.setattr(SpectrumCache, "put", recording_put)
     tracemalloc.start()

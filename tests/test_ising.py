@@ -6,32 +6,11 @@ from scipy.integrate import simpson
 
 from cdwork import ConfigError, cubic_ramp, ising, quintic_ramp
 from cdwork.ising import (CriticalScaling, IsingConfig, cd_excess_trajectory,
-                          dense_field_term, dense_hamiltonian,
                           exact_ground_state, ground_energy, ground_metric,
                           ground_state_overlap, mode_energy, momenta,
                           scaling_fit, sweep_cost_integral)
 from cdwork.ising import _gap_form
-
-
-def dense_metric(lam, n_sites):
-    """Perturbative-sum metric over the full spin spectrum (oracle)."""
-    energies, vectors = np.linalg.eigh(dense_hamiltonian(lam, n_sites))
-    m = vectors[:, :1].conj().T @ dense_field_term(n_sites) @ vectors
-    return float(np.sum(np.abs(m[0, 1:]) ** 2
-                        / (energies[1:] - energies[0]) ** 2))
-
-
-def richardson_metric(lam, n_sites):
-    """Fidelity-susceptibility oracle via symmetric overlaps of the
-    exact ground state (two Richardson stages)."""
-    def estimate(h):
-        _, va = exact_ground_state(lam - h, n_sites)
-        _, vb = exact_ground_state(lam + h, n_sites)
-        return 2.0 * (1.0 - abs(va @ vb)) / (2.0 * h) ** 2
-
-    g1, g2, g3 = estimate(0.04), estimate(0.02), estimate(0.01)
-    r1, r2 = (4 * g2 - g1) / 3.0, (4 * g3 - g2) / 3.0
-    return (16 * r2 - r1) / 15.0
+from conftest import dense_metric, lanczos_ground_state, richardson_metric
 
 
 class TestModeEnergy:
@@ -80,7 +59,7 @@ class TestExactDiagonalizationOracle:
 
     @pytest.mark.parametrize("lam", [1.3, 2.0])
     def test_ground_energy_lanczos_n12(self, lam):
-        e0, _ = exact_ground_state(lam, 12)
+        e0, _ = lanczos_ground_state(lam, 12)
         assert abs(e0 - ground_energy(lam, 12)) < 1e-10
 
     @pytest.mark.parametrize("n", [4, 8])

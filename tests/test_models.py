@@ -23,7 +23,7 @@ class TestSpectrumCache:
         cache.put("b", specs[1])
         assert cache.get("a") is specs[0]
         cache.put("c", specs[2])
-        assert len(cache) == 2
+        assert len(cache._entries) == 2
         assert cache.get("b") is None
         assert cache.get("a") is specs[0] and cache.get("c") is specs[2]
 
@@ -43,7 +43,7 @@ def test_private_store_bounds_both_kinds():
         model.spectrum0_at(t)
         model.spectrum_cd_at(t)
     # the last two points of each kind, and nothing else
-    assert len(model._store) == 4
+    assert len(model._store._entries) == 4
     h0_last = model.spectrum0_at(0.6)
     assert model.spectrum_cd_at(0.6) is not h0_last
     assert_same_spectrum(model.spectrum_cd_at(0.6),
@@ -61,8 +61,8 @@ def test_store_holds_cache_size_spectra():
     model = HarmonicOscillator(HOConfig(1.0, 3.0, 0.8, dim=40), cache_size=25)
     for t in np.linspace(0.0, 0.8, 31):
         model.spectrum0_at(t)
-        assert len(model._store) <= 25
-    assert len(model._store) == 25
+        assert len(model._store._entries) <= 25
+    assert len(model._store._entries) == 25
     # the 25 latest points are held, the earlier ones were evicted
     assert model._store.get(model.protocol.value(0.8).tobytes()) is not None
     assert model._store.get(model.protocol.value(0.0).tobytes()) is None

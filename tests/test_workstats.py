@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from cdwork import (DegeneracyError, HOConfig, HarmonicOscillator,
                     ParametrizedModel, TruncationError, bound_chain, chain_lengths,
                     ensemble_rates, fluctuation_series, fluctuation_sweep,
-                    identity_check_rowsum, mean_work,
-                    model_ensemble, quintic_ramp,
+                    identity_check_rowsum, model_ensemble, quintic_ramp,
                     thermal_ensemble, transition_matrix, two_level_model,
-                    variance_work, work_distribution, work_moments)
+                    work_distribution, work_moments)
 from cdwork.workstats import DEFICIT_TOL, basis_leakage
+from conftest import work_mean, work_variance
 
 E_CONST = math.e
 
@@ -97,7 +97,7 @@ class TestWorkDistribution:
         dist = work_distribution(fig1_model, fig1_ground, 0.4, "cd")
         # omega(tau/2) = 2: mean work is (omega - omega_i)/2 for the
         # ground level
-        assert mean_work(dist) == pytest.approx(0.5, abs=1e-8)
+        assert work_mean(dist) == pytest.approx(0.5, abs=1e-8)
 
     def test_unknown_kind_rejected(self, fig1_model, fig1_ensemble):
         with pytest.raises(ValueError):
@@ -113,9 +113,9 @@ class TestMoments:
     def test_mean_matches_thermal_ladder(self, fig1_model, fig1_ensemble):
         dist = work_distribution(fig1_model, fig1_ensemble, 0.8, "adiabatic")
         nbar, _ = geometric_moments(1.0)
-        assert mean_work(dist) == pytest.approx(2.0 * (nbar + 0.5), abs=1e-8)
+        assert work_mean(dist) == pytest.approx(2.0 * (nbar + 0.5), abs=1e-8)
         # frozen reference: 2 (1/(e-1) + 1/2) = 2.16395...
-        assert mean_work(dist) == pytest.approx(2.0 / (E_CONST - 1.0) + 1.0,
+        assert work_mean(dist) == pytest.approx(2.0 / (E_CONST - 1.0) + 1.0,
                                                 abs=1e-8)
 
     def test_variance_matches_thermal_ladder(self, fig1_model, fig1_ensemble):
@@ -123,15 +123,15 @@ class TestMoments:
         _, nvar = geometric_moments(1.0)
         # the 1e-10 thermal tail times n_max^2 bounds the deviation from
         # the untruncated ladder value
-        assert variance_work(dist) == pytest.approx(4.0 * nvar, abs=2e-7)
-        assert variance_work(dist) == pytest.approx(
+        assert work_variance(dist) == pytest.approx(4.0 * nvar, abs=2e-7)
+        assert work_variance(dist) == pytest.approx(
             4.0 * E_CONST / (E_CONST - 1.0) ** 2, abs=2e-7)
 
     def test_cd_mean_equals_adiabatic_along_grid(self, fig1_model,
                                                  fig1_ensemble):
         for t in np.linspace(0.0, 0.8, 17):
-            cd = mean_work(work_distribution(fig1_model, fig1_ensemble, t, "cd"))
-            ad = mean_work(work_distribution(fig1_model, fig1_ensemble, t,
+            cd = work_mean(work_distribution(fig1_model, fig1_ensemble, t, "cd"))
+            ad = work_mean(work_distribution(fig1_model, fig1_ensemble, t,
                                              "adiabatic"))
             assert abs(cd - ad) < 1e-8
 
@@ -139,13 +139,13 @@ class TestMoments:
         model = HarmonicOscillator(HOConfig(2.0, 2.0, 1.0, dim=80))
         ensemble = model_ensemble(model, 1.0)
         dist = work_distribution(model, ensemble, 0.5, "cd")
-        assert abs(mean_work(dist)) < 1e-12
-        assert variance_work(dist) < 1e-12
+        assert abs(work_mean(dist)) < 1e-12
+        assert work_variance(dist) < 1e-12
 
     def test_deterministic_work_at_zero_temperature(self, fig1_model,
                                                     fig1_ground):
         dist = work_distribution(fig1_model, fig1_ground, 0.8, "adiabatic")
-        assert variance_work(dist) == 0.0
+        assert work_variance(dist) == 0.0
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=10)
@@ -158,8 +158,8 @@ class TestMoments:
         ensemble = model_ensemble(model, beta)
         scale = float(np.abs(model.spectrum0_at(0.0).energies).max())
         for t in np.linspace(0.0, tau, 5):
-            cd = mean_work(work_distribution(model, ensemble, t, "cd"))
-            ad = mean_work(work_distribution(model, ensemble, t, "adiabatic"))
+            cd = work_mean(work_distribution(model, ensemble, t, "cd"))
+            ad = work_mean(work_distribution(model, ensemble, t, "adiabatic"))
             assert abs(cd - ad) <= 1e-8 * scale
 
 
@@ -171,10 +171,10 @@ class TestWorkMoments:
         moments = work_moments(model, ensemble, t)
         cd = work_distribution(model, ensemble, t, "cd")
         ad = work_distribution(model, ensemble, t, "adiabatic")
-        assert abs(moments.mean_cd - mean_work(cd)) <= 1e-12
-        assert abs(moments.var_cd - variance_work(cd)) <= 1e-12
-        assert abs(moments.mean_ad - mean_work(ad)) <= 1e-12
-        assert abs(moments.var_ad - variance_work(ad)) <= 1e-12
+        assert abs(moments.mean_cd - work_mean(cd)) <= 1e-12
+        assert abs(moments.var_cd - work_variance(cd)) <= 1e-12
+        assert abs(moments.mean_ad - work_mean(ad)) <= 1e-12
+        assert abs(moments.var_ad - work_variance(ad)) <= 1e-12
         assert moments.excess == moments.var_cd - moments.var_ad
 
     def test_oscillator_interior_and_ends(self, fig1_model, fig1_ensemble):
@@ -365,7 +365,7 @@ class TestGeometricColumn:
     metric rate, taken per point inside the block pass."""
 
     KEYS = {"mean_cd", "mean_ad", "var_cd", "var_ad", "excess_direct",
-            "energy_variance_cd", "variance_h0"}
+            "excess_dev", "energy_variance_cd", "variance_h0"}
 
     @pytest.mark.parametrize("points", [0, 1, 16, 17, 41])
     def test_column_is_the_metric_rate(self, fig1_model, fig1_ensemble,
