@@ -20,6 +20,13 @@ output.  Code that expects such a value (a Boltzmann weight past float
 range, a division guarded by np.where) sets its own np.errstate.  Every
 subcommand runs numpy's OpenBLAS on one thread, so its outputs are the
 same bytes at any BLAS thread count.
+
+Two subcommands fork a second lane of work (``lanes.run_lanes``) where
+``os.fork`` exists and the process may run on two or more CPUs: verify,
+always, and ho-figure1, for a grid of more than one kernel block
+(``workstats.BLOCK_POINTS`` points).  Elsewhere they run serially.  The
+child writes no file and no output, and either way the files, the
+output and the exit code are those of a serial run.
 """
 
 from __future__ import annotations

@@ -4,8 +4,12 @@ These functions compute plain arrays; the CLI handles serialization.
 The oscillator study sweeps durations of one ramp shape: at a fixed
 ramp progress every duration has the same H0 and a CD term that scales
 as 1/tau, so one oscillator and one kernel pass
-(``workstats.fluctuation_sweep``) give every duration's series, which
+(``workstats.fluctuation_kernel``) give every duration's series, which
 go with the duration-free path lengths to ``geometry.bound_chain``.
+The kernel pass is cut on a block boundary into two lanes
+(``lanes.run_lanes``): lane B, in a forked child where two CPUs are
+available, takes the first half of the blocks, and lane A the rest,
+the endpoint Bures length and the path lengths.
 The Ising study produces the excess-fluctuation trajectories across
 the critical point and the finite-size scaling fit.
 """
@@ -13,6 +17,7 @@ the critical point and the finite-size scaling fit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -21,8 +26,10 @@ from .errors import ConfigError, TruncationError, named
 from .fitting import FitResult, fit_power_law
 from .geometry import (SpeedLimitReport, bound_chain, bures_length,
                        ensemble_rates, evolved_density, path_lengths)
+from .lanes import run_lanes
 from .oscillator import HOConfig, HarmonicOscillator
-from .workstats import BLOCK_POINTS, fluctuation_sweep, model_ensemble
+from .workstats import (BLOCK_POINTS, fluctuation_assembly,
+                        fluctuation_kernel, model_ensemble)
 
 
 @dataclass(frozen=True)
@@ -77,14 +84,24 @@ def ho_figure1_data(*, omega_i: float = 1.0, omega_f: float = 3.0,
 
     One oscillator at the figure duration ``tau`` serves the sweep: its
     ``grid_points``-point grid fixes the ramp progress s_j = t_j / tau,
-    and ``fluctuation_sweep`` evaluates every duration's row j there from
-    one eigensolve per point.  Each duration's t column is
-    np.linspace(0, tau_k, grid_points), whose row j lies within one ulp
-    of s_j tau_k.  The model's store holds one block (BLOCK_POINTS + 1
-    spectra, whatever ``grid_points``): the geometric column is taken in
-    the kernel pass, and the endpoint densities before it (t = 0) and
-    after it (t = tau, the last block).  The path lengths do not depend
-    on the duration and are computed once.
+    and one kernel pass (``fluctuation_kernel``) evaluates every
+    duration's row j there from one eigensolve per point, which
+    ``fluctuation_assembly`` scales per duration.  Each duration's t
+    column is np.linspace(0, tau_k, grid_points), whose row j lies
+    within one ulp of s_j tau_k.  The path lengths do not depend on the
+    duration and are computed once.
+
+    The work runs in two lanes (``lanes.run_lanes``), in this order:
+    lane B, the kernel over the first half of the grid's BLOCK_POINTS
+    blocks, in a forked child where two CPUs are available; lane A, the
+    kernel over the rest, then the endpoint Bures length, whose t = tau
+    spectrum the last block left in the store, then the path lengths.
+    The cut falls on a block boundary, so every block sees the times of
+    a serial pass and the outputs are the same bytes; a grid of one
+    block runs serially.  The model's store holds one block
+    (BLOCK_POINTS + 1 spectra, whatever ``grid_points``): the geometric
+    column is taken in the kernel pass, and the initial density (t = 0)
+    before it.
     """
     if tau_list is None:
         tau_list = [round(0.2 * k, 10) for k in range(1, 16)]
@@ -95,19 +112,37 @@ def ho_figure1_data(*, omega_i: float = 1.0, omega_f: float = 3.0,
     model = HarmonicOscillator(HOConfig(omega_i, omega_f, tau, dim=dim),
                                cache_size=BLOCK_POINTS + 1)
     grid = np.linspace(0.0, tau, grid_points)
+
+    def rate(t):
+        return ensemble_rates(model, ensemble, t)[1]
+
+    def kernel(times):
+        # the CD term, and with it each stage's rates, scales as 1/tau and
+        # 1/tau_k: the keys a float-range error names
+        return named("tau, tau_list", fluctuation_kernel, model, ensemble,
+                     times, rate)
+
+    def endpoint_bures():
+        return bures_length(rho0, evolved_density(model, ensemble, tau))
+
+    # lane B takes the first half of the blocks, lane A the rest
+    split = BLOCK_POINTS * (-(-grid_points // BLOCK_POINTS) // 2)
     try:
         ensemble = model_ensemble(model, beta)
         rho0 = evolved_density(model, ensemble, 0.0)
-        # the CD term, and with it each stage's rates, scales as 1/tau and
-        # 1/tau_k: the keys a float-range error names
-        sweep = named("tau, tau_list", fluctuation_sweep, model, ensemble,
-                      grid, tau_list,
-                      lambda t: ensemble_rates(model, ensemble, t)[1])
+        e_init = model.spectrum0_at(0.0).energies[:ensemble.n_levels]
+        steps = [("B", partial(kernel, grid[:split]))] if split else []
+        *parts, bures, (eta, ell) = run_lanes([
+            *steps, ("A", partial(kernel, grid[split:])),
+            ("A", endpoint_bures),
+            ("A", partial(named, "tau", path_lengths, model, ensemble))])
     except TruncationError as exc:
         # a thermal tail or a leak past the basis: fock_dim enlarges it
         raise TruncationError(f"fock_dim = {dim}: {exc}") from None
-    bures = bures_length(rho0, evolved_density(model, ensemble, tau))
-    eta, ell = named("tau", path_lengths, model, ensemble)
+    sweep = named("tau, tau_list", fluctuation_assembly, ensemble, e_init,
+                  {k: np.concatenate([part[k] for part in parts])
+                   for k in parts[0]},
+                  [model.tau / tau_k for tau_k in tau_list])
     rows = {"t": grid, **sweep[tau_list.index(tau)]}
     mean_series = {k: rows[k] for k in ("t", "mean_cd", "mean_ad")}
     excess_series = {k: rows[k] for k in ("t", "var_cd", "var_ad",

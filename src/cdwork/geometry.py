@@ -247,7 +247,7 @@ class SpeedLimitReport:
 def bound_chain(series: dict, bures: float, eta: float,
                 ell: float) -> SpeedLimitReport:
     """The bound chain from the three path lengths of ``chain_lengths``
-    and the excess-deviation and energy-variance columns of
+    and the excess- and energy-deviation columns of
     ``workstats.fluctuation_series`` on a uniform grid from 0 to tau,
     time-averaged by ``quadrature.simpson``.
 
@@ -258,8 +258,7 @@ def bound_chain(series: dict, bures: float, eta: float,
     grid = series["t"]
     tau = float(grid[-1])
     avg_excess = simpson(series["excess_dev"], grid) / tau
-    avg_energy = simpson(np.sqrt(np.clip(series["energy_variance_cd"], 0.0,
-                                         None)), grid) / tau
+    avg_energy = simpson(series["energy_dev"], grid) / tau
     if ell == 0.0:
         return SpeedLimitReport(tau, ell, eta, bures, avg_excess, avg_energy,
                                 0.0, 0.0, 0.0, True, True, True)

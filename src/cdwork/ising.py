@@ -47,9 +47,11 @@ def _gap_form(lam, offset, k):
 
 
 def _metric_sum(lam, offset, k):
-    # sum over the last axis of sin^2 k / (4 gap form^2)
+    # sum over the last axis of sin^2 k / (4 gap form^2), squared after
+    # the division: the gap form squared overflows for |lam| past ~8e76,
+    # where the metric itself only underflows
     d = _gap_form(lam, offset, k)
-    return (np.sin(k) ** 2 / (4.0 * d * d)).sum(axis=-1)
+    return ((np.sin(k) / (2.0 * d)) ** 2).sum(axis=-1)
 
 
 def mode_energy(lam: float, k) -> np.ndarray | float:

@@ -10,21 +10,15 @@ checks that share the main model's spectrum store.  Lane B holds the
 six checks that draw from the seeded generator, kept in their suite
 order (each draws where the one before it stopped), the checks that
 build their own models, and the bare-drive control, which then solves
-its own copy of the main model's grid spectra.  Where ``os.fork``
-exists and the process may run on two or more CPUs, lane B runs in a
-forked child while the parent runs lane A; on one CPU the two lanes
-would only take turns, so the suite runs serially there.  Either way
-the results come back in suite order, and if checks raise, the
-exception raised is that of the earliest raising check in suite order,
-as in a serial run.  The suite runs on one BLAS thread, one per lane.
+its own copy of the main model's grid spectra.  ``lanes.run_lanes``,
+the helper ``ho-figure1`` shares, runs them: lane B in a forked child
+beside lane A where the process may run on two or more CPUs, serially
+otherwise, with the results and the first exception of a serial run.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
 from dataclasses import dataclass
 from functools import partial
 
@@ -35,8 +29,9 @@ from .errors import TruncationError
 from .geometry import (bures_fidelity, chain_lengths, ensemble_rates,
                        fidelity_decay_check, path_lengths, qgt,
                        speed_limit_report)
+from .lanes import run_lanes
 from .oscillator import (HOConfig, HarmonicOscillator, cd_exact_energy,
-                         ho_metric, ion_waveforms, one_blas_thread)
+                         ho_metric, ion_waveforms)
 from .protocols import cubic_ramp, quintic_ramp
 from .quadrature import simpson
 from .spectral import (Spectrum, cd_coupling, spectrum,
@@ -398,88 +393,6 @@ def _check_fidelity_decay(model):
                        f"observed order {decay.order:.3f}")
 
 
-def _two_cpus() -> bool:
-    """True where lane B can run beside lane A: ``os.fork`` exists and
-    the process may run on two or more CPUs."""
-    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2)
-
-
-def _run_lane(lane):
-    """Run (position, check) pairs in order, up to the first that raises;
-    returns the (position, result) pairs and that check's (position,
-    exception), or None."""
-    done = []
-    for position, check in lane:
-        try:
-            done.append((position, check()))
-        except Exception as exc:
-            return done, (position, exc)
-    return done, None
-
-
-def _run_forked(lane_a, lane_b):
-    """Lane B in a forked child, lane A here; returns both lanes'
-    (position, result) pairs, or None if no child can be forked, or
-    raises the exception of the earliest raising check."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        return None
-    if pid == 0:
-        # the child never returns and never flushes the stdio buffers it
-        # inherited: a flush would print the parent's pending output twice
-        status = 1
-        try:
-            os.close(read)
-            outcome = _run_lane(lane_b)
-            with os.fdopen(write, "wb") as pipe:
-                pickle.dump(outcome, pipe)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write)
-    finished = False
-    try:
-        with os.fdopen(read, "rb") as pipe:
-            done_a, raised_a = _run_lane(lane_a)
-            payload = pipe.read()
-        finished = True
-    finally:
-        if not finished:
-            os.kill(pid, signal.SIGKILL)
-        status = os.waitpid(pid, 0)[1]
-    try:
-        done_b, raised_b = pickle.loads(payload)
-    except (EOFError, pickle.UnpicklingError):
-        raise RuntimeError(
-            f"verify's forked lane ended without a result (exit status "
-            f"{os.waitstatus_to_exitcode(status)})") from None
-    raised = [r for r in (raised_a, raised_b) if r is not None]
-    if raised:
-        raise min(raised, key=lambda r: r[0])[1]
-    return done_a + done_b
-
-
-def _run_suite(suite):
-    """Results of the (lane, check) pairs in suite order, on one BLAS
-    thread: lane B forked beside lane A where ``_two_cpus()`` holds and
-    a child can be forked, every check in turn otherwise."""
-    with one_blas_thread():
-        if _two_cpus():
-            lanes = {"A": [], "B": []}
-            for position, (lane, check) in enumerate(suite):
-                lanes[lane].append((position, check))
-            done = _run_forked(lanes["A"], lanes["B"])
-            if done is not None:
-                return [result for _, result in sorted(done,
-                                                       key=lambda r: r[0])]
-        return [check() for _, check in suite]
-
-
 def run_verification(seed: int = 20260809, *, fock_dim: int = 120,
                      chain_samples: int = 12,
                      h1_scale: float = 1.0) -> list[CheckResult]:
@@ -489,12 +402,11 @@ def run_verification(seed: int = 20260809, *, fock_dim: int = 120,
     Lane A (the checks that share the main model's spectrum store) and
     lane B (the generator's checks, kept in suite order, the checks that
     build their own models and the bare-drive control) run side by
-    side, lane B in a forked child, when ``_two_cpus()`` holds;
-    otherwise the suite runs serially.  Both routes return equal
-    results.  If checks raise, the earliest raising check in suite order
-    decides the exception.  The checks run on one BLAS thread, so that
-    two lanes do not share two CPUs among four threads, and so that the
-    results are the same at any BLAS thread count.
+    side through ``lanes.run_lanes``, lane B in a forked child where two
+    CPUs are available; otherwise the suite runs serially.  Both routes
+    return equal results.  If checks raise, the earliest raising check
+    in suite order decides the exception.  The checks run on one BLAS
+    thread, so that the results are the same at any BLAS thread count.
 
     TruncationError and friends propagate to the caller: an undersized
     basis is a hard failure, not a FAIL line, and its message names
@@ -534,7 +446,7 @@ def run_verification(seed: int = 20260809, *, fock_dim: int = 120,
             ("B", _check_ising_protocol_independence),
             ("B", _check_ising_trajectory),
         ]
-        return _run_suite(suite)
+        return run_lanes(suite)
     except TruncationError as exc:
         # a thermal tail or a leak past the basis: fock_dim enlarges the
         # main model's

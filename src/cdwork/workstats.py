@@ -23,7 +23,10 @@ no time propagation.  Two independent routes give its moments:
     sum_n p_n ||U||^2 to the work variance.  ``fluctuation_series``
     reduces both over blocks of grid points, and ``fluctuation_sweep``
     covers a sweep over ramp durations in the same pass, since H1 scales
-    as 1/tau at fixed ramp progress; the store holds one block.
+    as 1/tau at fixed ramp progress; the store holds one block.  The
+    sweep is a kernel pass over grid rows (``fluctuation_kernel``) and a
+    per-duration assembly (``fluctuation_assembly``), so that the pass
+    can be cut on a block boundary and run in two lanes.
 
 The geometric form of the same excess, sum_n p_n g^(n) lamdot lamdot, is
 ``geometry.ensemble_rates``' metric rate, an independent third route
@@ -274,39 +277,26 @@ def _real_dots(a, b):
     return flat.reshape(a.shape[0], -1, 2).sum(axis=-1)
 
 
-def fluctuation_sweep(model, ensemble, grid, durations,
-                      metric_rate=None) -> list[dict]:
-    """Per duration, the columns of ``fluctuation_series`` but t, from
-    one kernel pass over ``grid``, the model's own time grid.
+def fluctuation_kernel(model, ensemble, grid,
+                       metric_rate=None) -> dict[str, np.ndarray]:
+    """The kernel pass of ``fluctuation_sweep`` over the times ``grid``,
+    in blocks of BLOCK_POINTS from its first row.  Columns, per point
+    and retained level: e_now, the energies eps_n(t); dots and norms,
+    Re<n|U> and ||U||^2 of U = H1|n> (``model.apply_h1``); and, where
+    ``metric_rate`` is given, rates, its value per point, taken after
+    each block's leakage check.
 
-    Contract: the durations share one ramp shape, lambda_tau(t) =
-    Lambda(t / tau), as every ramp in ``protocols`` does.  Row j of
-    duration tau is then at the progress s_j = grid[j] / model.tau, with
-    the model's H0 and v = model.tau / tau times its H1 = lamdot A(lambda).
-    Per BLOCK_POINTS points the kernel gathers the K retained |n>, checks
-    their basis leakage and reduces Re<n|U> and ||U||^2 of U = H1|n>
-    (``model.apply_h1``).  As H0|n> = eps_n|n>, (H_cd - eps_n)|n> = v U,
-    and every fluctuation is a norm sum_n p_n ||(H_cd - c_n)|n>||^2 =
-    sum_n p_n (v^2 ||U||^2 + 2 g_n v Re<n|U> + g_n^2), g_n = eps_n - c_n:
-    c_n = eps_n for the excess, eps_n(0) + mean_cd for var_cd and <H_cd>
-    for energy_variance_cd.  The excess deviation excess_dev is
-    v sqrt(sum_n p_n ||U||^2), which stays in range where v^2 ||U||^2
-    underflows.
-
-    The pass needs one block's spectra at a time: a store of
-    BLOCK_POINTS + 1 holds them and t = 0.  ``metric_rate``, a callable
-    of t giving sum_n p_n g^(n) lamdot lamdot, adds the column
-    excess_geometric (times v^2), taken after each block's leakage check.
+    A grid cut on a BLOCK_POINTS boundary gives each part's rows of the
+    whole grid bit for bit, since every block sees the same times.  The
+    pass needs one block's spectra at a time.
     """
     grid = np.asarray(grid, dtype=float)
-    n_keep, p = ensemble.n_levels, ensemble.weights
-    e_init = model.spectrum0_at(0.0).energies[:n_keep]
+    n_keep = ensemble.n_levels
     size = max(min(BLOCK_POINTS, len(grid)), 1)
     states = np.empty((size, model.dim, n_keep), dtype=complex)
     h1_states = np.empty_like(states)
     e_now = np.empty((len(grid), n_keep))
-    # Re<n|U> and ||U||^2 per point and level
-    dots1, norms1 = np.empty((2, len(grid), n_keep))
+    dots, norms = np.empty((2, len(grid), n_keep))
     rates = np.empty(len(grid))
     for start in range(0, len(grid), size):
         times = grid[start:start + size]
@@ -320,16 +310,44 @@ def fluctuation_sweep(model, ensemble, grid, durations,
         if metric_rate is not None:
             rates[rows] = [metric_rate(t) for t in times]
         u = model.apply_h1(times, psi, h1_states[:b])
-        dots1[rows], norms1[rows] = _real_dots(psi, u), _real_dots(u, u)
+        dots[rows], norms[rows] = _real_dots(psi, u), _real_dots(u, u)
+    out = {"e_now": e_now, "dots": dots, "norms": norms}
+    if metric_rate is not None:
+        out["rates"] = rates
+    return out
 
+
+def _scaled_root(a, b, c):
+    """sqrt(a^2 + 2 b + c^2) for a, c >= 0 and |b| <= a c, taken over the
+    scale s = max(a, c) and never squaring it, so that it stays in range
+    where a^2 and c^2 underflow; 0 where s is."""
+    scale = np.maximum(a, c)
+    safe = np.where(scale > 0, scale, 1.0)
+    return scale * np.sqrt(np.clip(
+        (a / safe) ** 2 + 2.0 * (b / safe) / safe + (c / safe) ** 2,
+        0.0, None))
+
+
+def fluctuation_assembly(ensemble, e_init, kernel, speeds) -> list[dict]:
+    """Per speed v, the columns of ``fluctuation_sweep`` from the
+    columns of ``fluctuation_kernel`` at v = 1 and the retained initial
+    energies ``e_init``."""
+    p, e_now = ensemble.weights, kernel["e_now"]
     mean_ad, var_ad = _weighted_moments(e_now - e_init, p)
-    variance_h0 = _weighted_moments(e_now, p)[1]
+    mean_h0, variance_h0 = _weighted_moments(e_now, p)
+    norm_sum = np.sum(p * kernel["norms"], axis=-1)
     # sqrt(sum_n p_n ||U||^2), the excess deviation at v = 1
-    deviation = np.sqrt(np.sum(p * norms1, axis=-1))
+    deviation = np.sqrt(norm_sum)
+    # about c_n = <H_cd>, the energy variance is A + 2 v B + v^2 C: A =
+    # variance_h0, B = sum_n p_n (eps_n - <H0>) Re<n|U> and C = sum_n p_n
+    # ||U||^2 - (sum_n p_n Re<n|U>)^2
+    cross = np.sum(p * (e_now - mean_h0[:, None]) * kernel["dots"], axis=-1)
+    spread_u = np.sqrt(np.clip(
+        norm_sum - np.sum(p * kernel["dots"], axis=-1) ** 2, 0.0, None))
+    spread_h0 = np.sqrt(variance_h0)
     out = []
-    for tau in durations:
-        v = model.tau / tau
-        dots, norms = v * dots1, v * v * norms1
+    for v in speeds:
+        dots, norms = v * kernel["dots"], v * v * kernel["norms"]
 
         def spread(centre):
             gap = e_now - centre
@@ -342,10 +360,45 @@ def fluctuation_sweep(model, ensemble, grid, durations,
                     "excess_dev": v * deviation,
                     "energy_variance_cd": spread(
                         np.sum(p * (e_now + dots), axis=-1)[:, None]),
+                    "energy_dev": _scaled_root(spread_h0, v * cross,
+                                               v * spread_u),
                     "variance_h0": variance_h0})
-        if metric_rate is not None:
-            out[-1]["excess_geometric"] = v * v * rates
+        if "rates" in kernel:
+            out[-1]["excess_geometric"] = v * v * kernel["rates"]
     return out
+
+
+def fluctuation_sweep(model, ensemble, grid, durations,
+                      metric_rate=None) -> list[dict]:
+    """Per duration, the columns of ``fluctuation_series`` but t, from
+    one kernel pass over ``grid``, the model's own time grid.
+
+    Contract: the durations share one ramp shape, lambda_tau(t) =
+    Lambda(t / tau), as every ramp in ``protocols`` does.  Row j of
+    duration tau is then at the progress s_j = grid[j] / model.tau, with
+    the model's H0 and v = model.tau / tau times its H1 = lamdot A(lambda).
+    Per BLOCK_POINTS points the kernel (``fluctuation_kernel``) gathers
+    the K retained |n>, checks their basis leakage and reduces Re<n|U>
+    and ||U||^2 of U = H1|n>.  As H0|n> = eps_n|n>, (H_cd - eps_n)|n> =
+    v U, and the assembly (``fluctuation_assembly``) takes every
+    fluctuation as a norm sum_n p_n ||(H_cd - c_n)|n>||^2 =
+    sum_n p_n (v^2 ||U||^2 + 2 g_n v Re<n|U> + g_n^2), g_n = eps_n - c_n:
+    c_n = eps_n for the excess, eps_n(0) + mean_cd for var_cd and <H_cd>
+    for energy_variance_cd.  The excess deviation excess_dev is
+    v sqrt(sum_n p_n ||U||^2), which stays in range where v^2 ||U||^2
+    underflows, and so does the energy deviation energy_dev, the root of
+    energy_variance_cd taken as sqrt(A + 2 v B + v^2 C) over the scale
+    max(sqrt(A), v sqrt(C)), with A, B and C free of v.
+
+    The pass needs one block's spectra at a time: a store of
+    BLOCK_POINTS + 1 holds them and t = 0.  ``metric_rate``, a callable
+    of t giving sum_n p_n g^(n) lamdot lamdot, adds the column
+    excess_geometric (times v^2), taken after each block's leakage check.
+    """
+    e_init = model.spectrum0_at(0.0).energies[:ensemble.n_levels]
+    kernel = fluctuation_kernel(model, ensemble, grid, metric_rate)
+    return fluctuation_assembly(ensemble, e_init, kernel,
+                                [model.tau / tau for tau in durations])
 
 
 def fluctuation_series(model, ensemble, grid) -> dict[str, np.ndarray]:
@@ -356,7 +409,8 @@ def fluctuation_series(model, ensemble, grid) -> dict[str, np.ndarray]:
     ||H1|n(t)>||^2 and excess_dev, its square root; energy_variance_cd
     and variance_h0, the variances of H_cd and H0 in rho(t) =
     sum_n p_n |n(t)><n(t)|, where energy_variance_cd - excess_direct =
-    variance_h0 >= 0."""
+    variance_h0 >= 0, and energy_dev, the square root of
+    energy_variance_cd."""
     grid = np.asarray(grid, dtype=float)
     return {"t": grid,
             **fluctuation_sweep(model, ensemble, grid, [model.tau])[0]}

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdwork import HOConfig, HarmonicOscillator, ValidityWarning, model_ensemble
-from cdwork import cli, ising, oscillator
+from cdwork import cli, figures, ising, oscillator
 from cdwork.cli import main
 
 SMALL_HO = ["--beta", "2", "--fock-dim", "80", "--grid", "51",
@@ -89,18 +89,37 @@ class TestHoFigure1:
             "2,2.2,2.4,2.6,2.8,3 (worst 0.14)")
         assert "chain_ok" not in line and "ordering_ok" not in line
 
-    def test_failed_ordering_named(self, tmp_path, capsys):
-        # in a pure state at tau = 1e157 the energy variance of H_cd,
-        # v^2 ||U||^2 with v = 0.8 / tau, is subnormal: its square root
-        # falls below the excess deviation, and bures/<dE_cd> rises far
-        # above bures/<dDW>
+    def test_failed_ordering_named(self, tmp_path, capsys, monkeypatch):
+        # an energy deviation below the excess deviation breaks
+        # bures/<dDW> >= bures/<dE_cd>: in a pure state the two are
+        # equal, so halve it at tau = 1.6 only
+        chain = figures.bound_chain
+
+        def halved(series, *lengths):
+            if series["tau"][0] == 1.6:
+                series = dict(series, energy_dev=0.5 * series["energy_dev"])
+            return chain(series, *lengths)
+
+        monkeypatch.setattr(figures, "bound_chain", halved)
         code = main(["ho-figure1", "--grid", "101", "--beta", "inf",
-                     "--tau-list", "1e157", "--out", str(tmp_path)])
+                     "--tau-list", "0.8,1.6", "--out", str(tmp_path)])
         assert code == 1
         line = capsys.readouterr().out.strip()
-        assert re.search(r"; ordering_ok failed at tau=1e\+157 \(worst "
-                         r"\d\.\d+e\+\d+\)$", line), line
+        assert re.search(r"; ordering_ok failed at tau=1\.6 \(worst "
+                         r"\d\.\d+\)$", line), line
         assert "chain_ok" not in line and "tau=0.8" not in line
+
+    @pytest.mark.parametrize("tau", [1e157, 1e160])
+    def test_pure_state_keeps_its_energy_deviation(self, tmp_path, tau):
+        # in a pure state the energy variance of H_cd is v^2 ||U||^2 with
+        # v = 0.8 / tau: subnormal at 1e157, its square root 0/0 at 1e160
+        # if the scale is squared; the energy deviation is neither
+        code = main(["ho-figure1", "--grid", "101", "--beta", "inf",
+                     "--tau-list", repr(tau), "--out", str(tmp_path)])
+        assert code == 0
+        summary = json.loads((tmp_path / "ho_figure1_summary.json").read_text())
+        rows = {row["tau"]: row["avg_energy_dev"] for row in summary["per_tau"]}
+        assert rows[tau] * tau / 0.8 == pytest.approx(rows[0.8], rel=1e-14)
 
     def test_huge_duration_keeps_its_excess_deviation(self, tmp_path):
         # v = 0.8 / 1e300: v^2 ||U||^2 underflows to zero, the excess
@@ -159,6 +178,17 @@ class TestIsingFigure2:
         assert summary["scaling"]["passed"] is False
         assert summary["scaling"]["residual_rms"] > 0.02
         assert (tmp_path / "ising_figure2_scaling.csv").exists()
+
+    def test_huge_sweep_reaches_the_fit(self, tmp_path, capsys):
+        # at lam ~ 1e77 the metric's squared gap form overflowed, although
+        # the metric itself only underflows
+        code = main(["ising-figure2", "--delta", "1e77",
+                     "--n-list", "4,6,8,10,128", "--grid", "3",
+                     "--out", str(tmp_path)])
+        assert code == 0, capsys.readouterr().err
+        summary = json.loads(
+            (tmp_path / "ising_figure2_summary.json").read_text())
+        assert summary["scaling"]["passed"] is True
 
 
 class TestIonWaveforms:
@@ -408,8 +438,8 @@ class TestIsingFigure2ConfigSpace:
     @settings(max_examples=30, deadline=None)
     # every delta that moves lam off the critical point in floating point,
     # up to where the trajectories, which run before the fit, exit 1: past
-    # lam ~ 8.2e76 their metric's 4 (lam^2 - 2 lam cos k + 1)^2 overflows
-    @given(delta=st.floats(2.0**-52, 8e76), n_list=fit_ladders(),
+    # lam ~ 1e154 their lamdot^2 overflows
+    @given(delta=st.floats(2.0**-52, 1e150), n_list=fit_ladders(),
            grid=st.integers(3, 41))
     def test_every_fit_ladder_reaches_the_fit(self, delta, n_list, grid):
         with mock.patch.object(ising, "scaling_fit",
@@ -524,7 +554,7 @@ def test_cli_never_loads_scipy(tmp_path):
 
 
 def test_cli_never_loads_a_process_pool(tmp_path):
-    # verify forks its second lane with os.fork; importing
+    # verify and ho-figure1 fork their second lane with os.fork; importing
     # multiprocessing or concurrent.futures would add to every start-up
     script = (
         "import sys\n"
@@ -534,14 +564,16 @@ def test_cli_never_loads_a_process_pool(tmp_path):
         "                  if m.split('.')[0] in pools)\n"
         "from cdwork.cli import main\n"
         "loaded = [pool_modules()]\n"
-        f"code = main(['verify', '--chain-samples', '1', '--out', "
-        f"{str(tmp_path)!r}])\n"
+        f"codes = [main(['verify', '--chain-samples', '1', '--out', "
+        f"{str(tmp_path)!r}]), "
+        f"main(['ho-figure1', '--grid', '101', '--tau-list', '0.4,0.8', "
+        f"'--out', {str(tmp_path)!r}])]\n"
         "loaded.append(pool_modules())\n"
-        "print(code, loaded)\n")
+        "print(codes, loaded)\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 [[], []]"
+    assert proc.stdout.splitlines()[-1] == "[0, 0] [[], []]"
 
 
 def test_verify_bytes_do_not_depend_on_blas_threads(tmp_path):

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import cdwork
-from cdwork import cli, quadrature, verify
+from cdwork import cli, lanes, quadrature
 
 NEVER_ENTERED = {
     **dict.fromkeys([
@@ -25,11 +25,11 @@ NEVER_ENTERED = {
         "oscillator's band overrides, and the tests build on it"),
     **dict.fromkeys(["oscillator._numpy_openblas", "oscillator._resolve_stevd"],
                     "runs at import, before the profile hook is set"),
-    **dict.fromkeys(["verify._two_cpus", "verify._run_lane",
-                     "verify._run_forked"],
-                    "verify's forked lanes: patched out here so that lane B "
-                    "is profiled in-process; test_verify's lane tests cover "
-                    "them"),
+    **dict.fromkeys(["lanes._two_cpus", "lanes._run_lane",
+                     "lanes._run_forked"],
+                    "the forked lanes: patched out here so that lane B is "
+                    "profiled in-process; the lane tests of test_verify and "
+                    "test_figures cover them"),
 }
 
 
@@ -56,7 +56,7 @@ def package_defs():
 
 
 def test_every_function_has_a_subcommand_caller(monkeypatch, tmp_path):
-    monkeypatch.setattr(verify, "_two_cpus", lambda: False)
+    monkeypatch.setattr(lanes, "_two_cpus", lambda: False)
     # a memo that earlier tests filled would hide its function's calls
     quadrature._cc_weights.cache_clear()
     codes = set()

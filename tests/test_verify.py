@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from cdwork import (HOConfig, HarmonicOscillator, StepNotConverged,
-                    TruncationError, model_ensemble, transition_matrix,
-                    work_moments, verify)
+                    TruncationError, lanes, model_ensemble,
+                    transition_matrix, work_moments, verify)
 from cdwork.verify import (_check_cd_gauge_invariance, _check_length_chain,
                            _check_lz_closed_form, _check_mean_identity,
                            _check_spectrum_contract, _sized_oscillator,
@@ -85,23 +85,23 @@ def test_default_run_path_length_nodes(solve_counter, monkeypatch):
     Gauss-Kronrod rule.  The suite runs serially: the counter lives in
     this process, and a forked lane would hide the length chain's
     nodes from it."""
-    monkeypatch.setattr(verify, "_two_cpus", lambda: False)
+    monkeypatch.setattr(lanes, "_two_cpus", lambda: False)
     _, nodes = solve_counter
     results = run_verification(seed=20260809)
     assert all(r.passed for r in results) and len(results) == 24
     assert len(nodes) <= 399
 
 
-def lanes(monkeypatch, forked):
+def two_lanes(monkeypatch, forked):
     """Force the serial suite (forked False) or the two lanes."""
-    monkeypatch.setattr(verify, "_two_cpus", lambda: forked)
+    monkeypatch.setattr(lanes, "_two_cpus", lambda: forked)
 
 
 @pytest.mark.parametrize("seed", [20260809, 5])
 def test_two_lanes_return_the_serial_results(monkeypatch, seed):
     results = {}
     for forked in (False, True):
-        lanes(monkeypatch, forked)
+        two_lanes(monkeypatch, forked)
         results[forked] = run_verification(seed, chain_samples=2)
     assert len(results[True]) == 24
     assert results[True] == results[False]
@@ -115,7 +115,7 @@ def raise_in(monkeypatch, check, exc):
 
 @pytest.mark.parametrize("forked", [False, True])
 def test_lane_b_truncation_error_names_fock_dim(monkeypatch, forked):
-    lanes(monkeypatch, forked)
+    two_lanes(monkeypatch, forked)
     raise_in(monkeypatch, "_check_length_chain",
              TruncationError("a leak past the basis"))
     with pytest.raises(TruncationError,
@@ -132,7 +132,7 @@ def test_lane_b_truncation_error_names_fock_dim(monkeypatch, forked):
     ("_check_mean_identity", "_check_variance_identity"),  # 6 in B, 8 in A
 ])
 def test_earliest_raising_check_decides(monkeypatch, forked, first, later):
-    lanes(monkeypatch, forked)
+    two_lanes(monkeypatch, forked)
     raise_in(monkeypatch, first, StepNotConverged("first"))
     raise_in(monkeypatch, later, StepNotConverged("later"))
     with pytest.raises(StepNotConverged, match="^first$"):

@@ -11,7 +11,8 @@ from cdwork import (DegeneracyError, HOConfig, HarmonicOscillator,
                     identity_check_rowsum, model_ensemble, quintic_ramp,
                     thermal_ensemble, transition_matrix, two_level_model,
                     work_distribution, work_moments)
-from cdwork.workstats import DEFICIT_TOL, basis_leakage
+from cdwork.workstats import (BLOCK_POINTS, DEFICIT_TOL, basis_leakage,
+                              fluctuation_kernel)
 from conftest import work_mean, work_variance
 
 E_CONST = math.e
@@ -365,7 +366,7 @@ class TestGeometricColumn:
     metric rate, taken per point inside the block pass."""
 
     KEYS = {"mean_cd", "mean_ad", "var_cd", "var_ad", "excess_direct",
-            "excess_dev", "energy_variance_cd", "variance_h0"}
+            "excess_dev", "energy_variance_cd", "energy_dev", "variance_h0"}
 
     @pytest.mark.parametrize("points", [0, 1, 16, 17, 41])
     def test_column_is_the_metric_rate(self, fig1_model, fig1_ensemble,
@@ -388,6 +389,24 @@ class TestGeometricColumn:
             assert set(with_rate) == self.KEYS | {"excess_geometric"}
             for key in self.KEYS:
                 assert np.array_equal(with_rate[key], without[key]), key
+
+    def test_kernel_cut_on_block_edges_gives_the_whole_pass(
+            self, fig1_model, fig1_ensemble):
+        # ho-figure1 runs the kernel over the blocks of a grid in two lanes
+        grid = np.linspace(0.0, 0.8, 41)
+
+        def kernel(times):
+            return fluctuation_kernel(
+                fig1_model, fig1_ensemble, times,
+                lambda t: ensemble_rates(fig1_model, fig1_ensemble, t)[1])
+
+        whole = kernel(grid)
+        edges = [0, BLOCK_POINTS, 2 * BLOCK_POINTS, len(grid)]
+        parts = [kernel(grid[a:b]) for a, b in zip(edges, edges[1:])]
+        assert set(whole) == {"e_now", "dots", "norms", "rates"}
+        for key, column in whole.items():
+            assert np.array_equal(
+                np.concatenate([part[key] for part in parts]), column), key
 
     def test_leakage_is_checked_before_the_rate(self):
         # a too-small basis fails on its leakage, never in the rate
@@ -480,6 +499,17 @@ class TestEnergyFluctuations:
                                                abs=1e-8)
                 assert direct <= row["energy_variance_cd"][0] + 1e-8
                 assert -1e-10 <= direct
+
+    @pytest.mark.parametrize("beta", [1.0, math.inf])
+    def test_energy_deviation_is_the_root_of_the_variance(self, fig1_model,
+                                                          beta):
+        ensemble = model_ensemble(fig1_model, beta)
+        grid = np.linspace(0.0, 0.8, 41)
+        for columns in fluctuation_sweep(fig1_model, ensemble, grid,
+                                         [0.08, 0.8, 8.0]):
+            root = np.sqrt(np.clip(columns["energy_variance_cd"], 0.0, None))
+            np.testing.assert_allclose(columns["energy_dev"], root,
+                                       rtol=1e-14, atol=0.0)
 
     def test_ground_state_decomposition(self, fig1_model, fig1_ground):
         # energy_variance_cd - excess = Var(H0) in the evolved state, >= 0
