@@ -8,8 +8,9 @@ as 1/tau, so one oscillator and one kernel pass
 go with the duration-free path lengths to ``geometry.bound_chain``.
 The kernel pass is cut on a block boundary into two lanes
 (``lanes.run_lanes``): lane B, in a forked child where two CPUs are
-available, takes the first half of the blocks, and lane A the rest,
-the endpoint Bures length and the path lengths.
+available, takes the first blocks, and lane A the rest, the endpoint
+Bures length and the path lengths, whose quadrature nodes count as
+kernel points in the cut.
 The Ising study produces the excess-fluctuation trajectories across
 the critical point and the finite-size scaling fit.
 """
@@ -28,6 +29,7 @@ from .geometry import (SpeedLimitReport, bound_chain, bures_length,
                        ensemble_rates, evolved_density, path_lengths)
 from .lanes import run_lanes
 from .oscillator import HOConfig, HarmonicOscillator
+from .quadrature import CC_FIRST_NODES
 from .workstats import (BLOCK_POINTS, fluctuation_assembly,
                         fluctuation_kernel, model_ensemble)
 
@@ -85,23 +87,29 @@ def ho_figure1_data(*, omega_i: float = 1.0, omega_f: float = 3.0,
     One oscillator at the figure duration ``tau`` serves the sweep: its
     ``grid_points``-point grid fixes the ramp progress s_j = t_j / tau,
     and one kernel pass (``fluctuation_kernel``) evaluates every
-    duration's row j there from one eigensolve per point, which
-    ``fluctuation_assembly`` scales per duration.  Each duration's t
+    duration's row j there from one spectrum per point, solved and rated
+    a block at a time, which ``fluctuation_assembly`` scales per
+    duration.  Each duration's t
     column is np.linspace(0, tau_k, grid_points), whose row j lies
     within one ulp of s_j tau_k.  The path lengths do not depend on the
     duration and are computed once.
 
     The work runs in two lanes (``lanes.run_lanes``), in this order:
-    lane B, the kernel over the first half of the grid's BLOCK_POINTS
-    blocks, in a forked child where two CPUs are available; lane A, the
-    kernel over the rest, then the endpoint Bures length, whose t = tau
-    spectrum the last block left in the store, then the path lengths.
+    lane B, the kernel over the grid's first BLOCK_POINTS blocks, in a
+    forked child where two CPUs are available; lane A, the kernel over
+    the rest, then the endpoint Bures length, whose t = tau spectrum the
+    last block left in the store, then the path lengths.  Lane B takes
+    the blocks of half the grid points and the path lengths' first
+    2 CC_FIRST_NODES - 1 quadrature nodes, rounded up, and lane A at
+    least one block.
     The cut falls on a block boundary, so every block sees the times of
     a serial pass and the outputs are the same bytes; a grid of one
     block runs serially.  The model's store holds one block
-    (BLOCK_POINTS + 1 spectra, whatever ``grid_points``): the geometric
+    (BLOCK_POINTS spectra, whatever ``grid_points``): the geometric
     column is taken in the kernel pass, and the initial density (t = 0)
-    before it.
+    before it, whose spectrum the first block reads.  A block's spectra
+    share the eigenvector arrays of its solve, so a store of exactly one
+    block lets each block's arrays go as a whole.
     """
     if tau_list is None:
         tau_list = [round(0.2 * k, 10) for k in range(1, 16)]
@@ -110,11 +118,11 @@ def ho_figure1_data(*, omega_i: float = 1.0, omega_f: float = 3.0,
     if tau_list[0] <= 0:
         raise ConfigError("durations must be positive")
     model = HarmonicOscillator(HOConfig(omega_i, omega_f, tau, dim=dim),
-                               cache_size=BLOCK_POINTS + 1)
+                               cache_size=BLOCK_POINTS)
     grid = np.linspace(0.0, tau, grid_points)
 
-    def rate(t):
-        return ensemble_rates(model, ensemble, t)[1]
+    def rate(times):
+        return ensemble_rates(model, ensemble, times)[1]
 
     def kernel(times):
         # the CD term, and with it each stage's rates, scales as 1/tau and
@@ -125,8 +133,13 @@ def ho_figure1_data(*, omega_i: float = 1.0, omega_f: float = 3.0,
     def endpoint_bures():
         return bures_length(rho0, evolved_density(model, ensemble, tau))
 
-    # lane B takes the first half of the blocks, lane A the rest
-    split = BLOCK_POINTS * (-(-grid_points // BLOCK_POINTS) // 2)
+    # lane A also spends a kernel point's work on each path-length node
+    # (at least the first two levels' 2 CC_FIRST_NODES - 1), so lane B
+    # takes the whole blocks of half the grid points and those nodes,
+    # rounded up; lane A keeps at least one block
+    blocks = -(-grid_points // BLOCK_POINTS)
+    work = grid_points + 2 * CC_FIRST_NODES - 1
+    split = BLOCK_POINTS * min(-(-work // (2 * BLOCK_POINTS)), blocks - 1)
     try:
         ensemble = model_ensemble(model, beta)
         rho0 = evolved_density(model, ensemble, 0.0)

@@ -1,11 +1,14 @@
 """Quantum geometric tensor, the ensemble's geometric rates, path
 lengths, Uhlmann fidelity and the speed-limit inequality chain.
 
-Every geometric quantity is built from one helper, ``_coupling_rows``: the
-coupling rows <n|dH0/dlam_mu|k> of the requested levels n against every
-level k, with the gaps eps_k - eps_n.  It refuses (DegeneracyError) any
-requested level with a partner within DEGENERACY_TOL of the spectral
-scale, so every gap it hands out is safe to divide by.  From the rows:
+Every geometric quantity is built from one helper, ``_coupling_rows``:
+over a block of times, the coupling rows <n|dH0/dlam_mu|k> and the gaps
+eps_k - eps_n, one sector at a time (``model.coupling_rows``), where a
+sector is a set of levels that dH0 does not couple to the rest: the
+oscillator's two parity sectors, or all levels of a dense model.  It
+refuses (DegeneracyError) any requested level with a partner, in any
+sector, within DEGENERACY_TOL of the spectral scale, so every gap it
+hands out is safe to divide by.  From the rows:
 
   * ``qgt``: the per-level tensor
         Q_mu_nu(n) = sum_{k != n} <n|dH0/dlam_mu|k><k|dH0/dlam_nu|n>
@@ -13,21 +16,23 @@ scale, so every gap it hands out is safe to divide by.  From the rows:
     whose real part g is the metric that controls the quadratic decay of
     eigenstate fidelity;
   * ``ensemble_rates``: with lamdot contracted, the rates of the two
-    path lengths at one time: sum_n p_n g^(n) lamdot lamdot, the
-    counterdiabatic excess of the work variance, and eta's rate, whose
-    mixed-state metric carries the (p_n - p_k)^2/(p_n + p_k) weights
-    (populations are constant under counterdiabatic driving, so the
-    classical term drops).
+    path lengths at each time of a block: sum_n p_n g^(n) lamdot
+    lamdot, the counterdiabatic excess of the work variance, and eta's
+    rate, whose mixed-state metric carries the (p_n - p_k)^2/(p_n + p_k)
+    weights (populations are constant under counterdiabatic driving, so
+    the classical term drops).
 
 Both rates are weighted by the populations, so a pair (n, k) counts only
-if one of its levels is populated: the rows are those of the ensemble's
-retained prefix of K levels, a K x d array instead of V^dagger dH0 V.
+if one of its levels is populated: the rows are those of each sector's
+lowest min(K, m) of its m levels, which hold its share of the
+ensemble's K retained ones, instead of V^dagger dH0 V.
 ``path_lengths`` integrates the square roots of the rates to eta and
 ell by nested Clenshaw-Curtis rules, whose finer levels reuse every
-node of the coarser ones, and ``chain_lengths`` adds the endpoint
-Bures length arccos sqrt(F).  They obey bures <= eta <= ell, and tau
-times the time-averaged excess work-fluctuation amplitude equals ell
-exactly (hbar = 1 units); ``bound_chain`` assembles that chain.
+node of the coarser ones and take each level's new nodes as one block,
+and ``chain_lengths`` adds the endpoint Bures length arccos sqrt(F).
+They obey bures <= eta <= ell, and tau times the time-averaged excess
+work-fluctuation amplitude equals ell exactly (hbar = 1 units);
+``bound_chain`` assembles that chain.
 """
 
 from __future__ import annotations
@@ -51,35 +56,54 @@ class GeometricTensor:
     g: np.ndarray
 
 
-def _coupling_rows(model, t, levels):
-    """Per parameter mu, the coupling rows <n|dH0/dlam_mu|k> of the
-    ``levels`` n against every level k, shape (L, d) each, and the gaps
-    eps_k - eps_n, shape (L, d), infinite at k = n.
+def _coupling_rows(model, times, levels):
+    """Over a block of times, per sector of ``model.coupling_rows``: the
+    level index of each of the sector's m eigenvectors, shape (B, m);
+    the coupling rows <n|dH0/dlam_mu|l> of its lowest eigenvectors n up
+    to the highest of the ``levels`` (at most m of them) against all its
+    l, shape (B, P, k, m); and the gaps eps_l - eps_n, shape (B, k, m),
+    infinite at l = n.
 
-    Raises DegeneracyError naming the first requested level that has
-    another level within DEGENERACY_TOL of the spectral scale.
+    Raises DegeneracyError naming, at the first time that has one, the
+    first requested level with another level (of any sector) within
+    DEGENERACY_TOL of the spectral scale: its nearest partner is a
+    neighbour in the ascending spectrum.
     """
     levels = np.asarray(levels, dtype=int)
-    spec = model.spectrum0_at(t)
-    e = spec.energies
-    gaps = e[None, :] - e[levels, None]
-    gaps[np.arange(len(levels)), levels] = np.inf
-    scale = max(abs(e[0]), abs(e[-1]), 1e-300)
-    bad = np.flatnonzero((np.abs(gaps) < DEGENERACY_TOL * scale).any(axis=1))
+    spectra = model.spectra0_at(times)
+    energies = np.array([spec.energies for spec in spectra])
+    edges = np.pad(energies, ((0, 0), (1, 1)),
+                   constant_values=(-np.inf, np.inf))
+    nearest = np.minimum(energies - edges[:, :-2], edges[:, 2:] - energies)
+    scale = np.maximum(np.maximum(np.abs(energies[:, 0]),
+                                  np.abs(energies[:, -1])), 1e-300)
+    bad = np.argwhere(nearest[:, levels] < DEGENERACY_TOL * scale[:, None])
     if bad.size:
-        raise DegeneracyError(
-            f"level {levels[bad[0]]} is near-degenerate at t={t:g}")
-    bras = spec.states[:, levels].conj().T
-    return [(bras @ p) @ spec.states for p in model.dh0_dlambda_at(t)], gaps
+        at, which = bad[0]
+        raise DegeneracyError(f"level {levels[which]} is near-degenerate at "
+                              f"t={times[at]:g}")
+    out = []
+    for index, rows in model.coupling_rows(times, spectra, levels.max() + 1):
+        e = np.take_along_axis(energies, index, axis=1)
+        diagonal = np.arange(rows.shape[2])
+        gaps = e[:, None, :] - e[:, diagonal, None]
+        gaps[:, diagonal, diagonal] = np.inf
+        out.append((index, rows, gaps))
+    return out
 
 
 def qgt(model, level: int, t: float) -> GeometricTensor:
-    """Geometric tensor of one level.  By Hermiticity the column
-    <k|dH0/dlam_nu|n> is the conjugate of row n, so
-    Q_mu_nu(n) = sum_k M_mu[n, k] conj(M_nu[n, k]) / (eps_k - eps_n)^2."""
-    rows, gaps = _coupling_rows(model, t, [level])
-    m = np.stack(rows)[:, 0]
-    q = np.einsum("ak,bk,k->ab", m, m.conj(), 1.0 / gaps[0] ** 2)
+    """Geometric tensor of one level, a one-point call of the coupling
+    rows.  By Hermiticity the column <k|dH0/dlam_nu|n> is the conjugate
+    of row n, so
+    Q_mu_nu(n) = sum_k M_mu[n, k] conj(M_nu[n, k]) / (eps_k - eps_n)^2,
+    summed over the level's sector, outside which M vanishes."""
+    for index, rows, gaps in _coupling_rows(model, [t], [level]):
+        column = np.flatnonzero(index[0, :rows.shape[2]] == level)
+        if column.size:
+            m, inverse = rows[0, :, column[0]], 1.0 / gaps[0, column[0]] ** 2
+            break
+    q = np.einsum("ak,bk,k->ab", m, m.conj(), inverse)
     g = 0.5 * (q.real + q.real.T)
     return GeometricTensor(q, g)
 
@@ -113,34 +137,53 @@ def fidelity_decay_check(model, level: int, t: float, dt: float) -> FidelityDeca
     return FidelityDecay(r1, float(order))
 
 
-def ensemble_rates(model, ensemble, t: float) -> tuple[float, float]:
-    """(eta_rate, metric_rate) at t: the squared speeds of eta and ell.
+def ensemble_rates(model, ensemble, times):
+    """(eta_rate, metric_rate) at each of ``times``, arrays of its
+    shape: the squared speeds of eta and ell.
 
     metric_rate = sum_n p_n g^(n) lamdot lamdot is the counterdiabatic
-    excess of the work variance.  Both come from the coupling rows of the
-    K populated levels.  With a_nk = |<n|dH0/dt|k>|^2 / (eps_k - eps_n)^2
-    and the symmetric weights w_nk = (p_n - p_k)^2/(p_n + p_k), which
-    vanish when neither level is populated, eta's sum over all pairs is
-    (1/2) sum_nk w a = sum_{n<K, all k} w a - (1/2) sum_{n<K, k<K} w a:
-    the rows count each pair with both levels populated twice.  A
+    excess of the work variance.  Both come from the coupling rows of
+    each sector's lowest min(K, m) eigenvectors, which hold the sector's
+    populated levels among the K retained ones: pairs in different
+    sectors do not couple, and the row count does not depend on the
+    block, so a block gives the bits of its points called one by one.
+    With a_nk = |<n|dH0/dt|k>|^2 / (eps_k - eps_n)^2 and the symmetric
+    weights w_nk = (p_n - p_k)^2/(p_n + p_k), which vanish when neither
+    level is populated, eta's sum over all pairs is (1/2) sum_nk w a =
+    sum_{n populated, all k} w a - (1/2) sum_{n, k populated} w a: the
+    populated rows count each pair with both levels populated twice.  A
     populated level with a near-degenerate partner raises
     DegeneracyError (see ``_coupling_rows``).
     """
-    weights = ensemble.weights
+    times = np.asarray(times, dtype=float)
+    flat = times.reshape(-1)
     n_rows = ensemble.n_levels
-    rows, gaps = _coupling_rows(model, t, np.arange(n_rows))
-    m_dot = np.tensordot(model.protocol.derivative(t), np.array(rows), 1)
-    a = np.abs(m_dot) ** 2 / gaps**2
-    metric_rate = float(weights @ a.sum(axis=1))
-    p = np.zeros(gaps.shape[1])
-    p[:n_rows] = weights
-    pn, pk = weights[:, None], p[None, :]
-    den = pn + pk
-    wmat = np.divide((pn - pk) ** 2, den, out=np.zeros_like(den),
-                     where=den > 0)
-    wa = wmat * a
-    eta_rate = float(wa.sum()) - 0.5 * float(wa[:, :n_rows].sum())
-    return eta_rate, metric_rate
+    weights = np.zeros(model.dim)
+    weights[:n_rows] = ensemble.weights
+    lamdot = np.array([model.protocol.derivative(t) for t in flat])
+    eta = metric = 0.0
+    for index, rows, gaps in _coupling_rows(model, flat, np.arange(n_rows)):
+        p, populated = weights[index], index < n_rows
+        # the populated levels lead each point's sector columns; only the
+        # block's most populated rows are formed, and the row sums padded
+        # to the k rows, so the sums over rows do not depend on the block
+        k = rows.shape[2]
+        c = populated[:, :k].sum(axis=1).max()
+        m_dot = np.einsum("bp,bpkl->bkl", lamdot, rows[:, :, :c])
+        a = np.abs(m_dot) ** 2 / gaps[:, :c] ** 2
+        pn, pk = p[:, :c, None], p[:, None, :]
+        den = pn + pk
+        wa = np.divide((pn - pk) ** 2, den, out=np.zeros_like(den),
+                       where=den > 0) * a
+        sums = np.zeros((3, len(flat), k))
+        sums[0, :, :c] = a.sum(axis=2)
+        sums[1, :, :c] = wa.sum(axis=2)
+        sums[2, :, :c] = np.where(populated[:, None, :k], wa[:, :, :k],
+                                  0.0).sum(axis=2)
+        metric = metric + np.sum(p[:, :k] * sums[0], axis=1)
+        eta = eta + np.sum(np.where(populated[:, :k],
+                                    sums[1] - 0.5 * sums[2], 0.0), axis=1)
+    return eta.reshape(times.shape), metric.reshape(times.shape)
 
 
 def path_lengths(model, ensemble, *,
@@ -149,10 +192,13 @@ def path_lengths(model, ensemble, *,
     ``ensemble_rates``, analytic in t on a smooth ramp, integrated
     together by nested Clenshaw-Curtis rules
     (``quadrature.clenshaw_curtis``), which reuse every node of the
-    coarser levels; a node costs one spectrum and its coupling rows."""
-    out = clenshaw_curtis(
-        lambda t: np.sqrt(np.maximum(ensemble_rates(model, ensemble, t), 0.0)),
-        0.0, model.tau, rel_tol=rel_tol)
+    coarser levels; each level's new nodes are one block of spectra and
+    coupling rows."""
+    def speeds(times):
+        rates = np.stack(ensemble_rates(model, ensemble, times), axis=-1)
+        return np.sqrt(np.maximum(rates, 0.0))
+
+    out = clenshaw_curtis(speeds, 0.0, model.tau, rel_tol=rel_tol)
     return float(out[0]), float(out[1])
 
 

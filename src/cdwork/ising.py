@@ -159,11 +159,12 @@ def sweep_cost_integral(n_sites: int, delta: float) -> float:
     """
     k = momenta(n_sites)
 
-    def integrand(s):
+    def integrand(nodes):
         # the metric at the offset x = s^4 itself, so that offsets far
-        # below the rounding of 1 - x keep every digit
-        x = s**4
-        return 4.0 * s**3 * math.sqrt(_metric_sum(1.0 - x, x, k))
+        # below the rounding of 1 - x keep every digit; node by node, as
+        # numpy's power and a sum over a 2-D array's rows round otherwise
+        return [4.0 * s**3 * math.sqrt(_metric_sum(1.0 - s**4, s**4, k))
+                for s in nodes.tolist()]
 
     def folded(x0):
         return float(clenshaw_curtis(integrand, 0.0, x0**0.25,

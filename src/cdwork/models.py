@@ -2,9 +2,9 @@
 work-statistics and geometry machinery.
 
 A model bundles a protocol with its operators at time t: h0_at(t),
-h1_at(t) (the auxiliary term) and h_drive_at(t, s) = H0 + s H1 in the
-model's own format, which its eigensolver, ``evolve`` and ``commutator``
-take, and the dense dh0_dlambda_at(t).  The generic
+h1_at(t) (the auxiliary term), h_drive_at(t, s) = H0 + s H1 and
+dh0_dlambda_at(t) in the model's own format, which its eigensolver,
+``evolve``, ``commutator`` and ``coupling_rows`` take.  The generic
 ``ParametrizedModel`` builds dense matrices from callables: h0_of(lam)
 and dh0_of(lam), its analytic derivatives (both required: there is no
 finite-difference fallback), and h1_of(t) (closed form, or H1 assembled
@@ -16,7 +16,9 @@ Spectra are memoized by parameter point, since every downstream
 quantity (transition probabilities, metric tensors, work moments)
 reuses them: H0 spectra are keyed by the exact float bytes of lam, and
 driving-Hamiltonian spectra by those of (lam, lamdot), in one private
-least-recently-used store per model.
+least-recently-used store per model.  ``spectra0_at`` takes a block of
+times and solves its misses in one eigensolver call; a single spectrum
+is a block of one.
 """
 
 from __future__ import annotations
@@ -89,14 +91,13 @@ class ParametrizedModel:
     def dh0_dlambda_at(self, t: float) -> list[np.ndarray]:
         return self._dh0_of(self.protocol.value(t))
 
-    def dh0_dt_at(self, t: float) -> np.ndarray:
-        return np.tensordot(self.protocol.derivative(t),
-                            np.array(self.dh0_dlambda_at(t), dtype=complex), 1)
-
     def h1_at(self, t: float) -> np.ndarray:
         if self._h1_of is not None:
             return self._h1_of(t)
-        return cd_coupling(self.spectrum0_at(t), self.dh0_dt_at(t))
+        dh0_dt = np.tensordot(self.protocol.derivative(t),
+                              np.array(self.dh0_dlambda_at(t), dtype=complex),
+                              1)
+        return cd_coupling(self.spectrum0_at(t), dh0_dt)
 
     def h_drive_at(self, t: float, h1_scale: float = 1.0):
         """H0 + h1_scale * H1 at t in the model's operator format;
@@ -121,27 +122,60 @@ class ParametrizedModel:
         return np.matmul(np.stack([self.h1_at(t) for t in times]), vectors,
                          out=out)
 
+    def coupling_rows(self, times, spectra, k):
+        """The coupling rows of a block of H0 ``spectra`` at ``times``,
+        per sector of levels that dH0 does not couple to the rest: the
+        level index in the ascending spectrum of each of the sector's m
+        eigenvectors, shape (B, m), ascending, and the rows
+        <n|dH0/dlam_mu|l> of its min(k, m) lowest eigenvectors n against
+        all of its l, shape (B, P, min(k, m), m) for P parameters.  A
+        dense model is one sector of all d levels."""
+        rows = np.array([[(spec.states[:, :k].conj().T @ part) @ spec.states
+                          for part in self.dh0_dlambda_at(t)]
+                         for t, spec in zip(times, spectra)])
+        levels = np.broadcast_to(np.arange(self.dim), (len(times), self.dim))
+        return [(levels, rows)]
+
     # -- cached spectra --------------------------------------------------
-    def _diagonalize(self, h: np.ndarray) -> Spectrum:
-        """Diagonalization of an ``h_drive_at`` form, used for cached
-        spectra; structured backends override it with their solver."""
-        return spectrum(h, check=False, degeneracy_tol=0.0)
+    def _diagonalize(self, hs) -> list[Spectrum]:
+        """Diagonalizations of a block of ``h_drive_at`` forms, used for
+        cached spectra; structured backends override it with their
+        solver."""
+        return [spectrum(h, check=False, degeneracy_tol=0.0) for h in hs]
 
-    def _cached(self, key, operator) -> Spectrum:
-        spec = self._store.get(key)
-        if spec is None:
-            spec = self._diagonalize(operator())
+    def _spectra(self, times, h1_scale):
+        """Spectra of ``h_drive_at(t, h1_scale)`` at each of ``times``
+        through the store: hits are read, and the misses (each distinct
+        key once) solved in one ``_diagonalize`` call and stored in the
+        order of ``times``."""
+        value, derivative = self.protocol.value, self.protocol.derivative
+        if h1_scale == 0.0:
+            keys = [value(t).tobytes() for t in times]
+        else:
+            keys = [(value(t).tobytes(), derivative(t).tobytes())
+                    for t in times]
+        specs = [self._store.get(key) for key in keys]
+        if None not in specs:
+            return specs
+        missing = {key: t for key, t, spec in zip(keys, times, specs)
+                   if spec is None}
+        solved = dict(zip(missing, self._diagonalize(
+            [self.h_drive_at(t, h1_scale) for t in missing.values()])))
+        for key, spec in solved.items():
             self._store.put(key, spec)
-        return spec
+        return [solved[key] if spec is None else spec
+                for key, spec in zip(keys, specs)]
 
-    def spectrum0_at(self, t: float) -> Spectrum:
-        return self._cached(self.protocol.value(t).tobytes(),
-                            lambda: self.h_drive_at(t, 0.0))
+    def spectra0_at(self, times) -> list:
+        """The H0 spectra at each of ``times``, one block through the
+        store."""
+        return self._spectra(times, 0.0)
 
-    def spectrum_cd_at(self, t: float) -> Spectrum:
-        key = (self.protocol.value(t).tobytes(),
-               self.protocol.derivative(t).tobytes())
-        return self._cached(key, lambda: self.h_drive_at(t))
+    def spectrum0_at(self, t: float):
+        return self._spectra([t], 0.0)[0]
+
+    def spectrum_cd_at(self, t: float):
+        return self._spectra([t], 1.0)[0]
 
 
 def two_level_model(protocol: Protocol) -> ParametrizedModel:

@@ -13,10 +13,15 @@ one parity sector at a time with LAPACK's tridiagonal solver ``dstevd``.
 That routine is called through ``ctypes`` in the OpenBLAS that numpy's
 wheel already loads, so importing the package loads no scipy; where
 numpy ships no such library (another wheel, MKL, Accelerate), the same
-routine comes from ``scipy.linalg.lapack``.  The driving Hamiltonians
-lie in the span of q^2, p^2 and qp + pq, which is closed under
-commutators, so the commutator i[A, B] that each propagation step
-needs is again a band, formed in O(d).
+routine comes from ``scipy.linalg.lapack``.  One solver serves a block
+of bands (a kernel block, a quadrature level, or a single band): it
+keeps each spectrum as its two sectors (``SectorSpectrum``) and
+assembles the dense eigenvector matrix only when a caller reads it;
+the geometric tensor's coupling rows are formed per sector on the q^2
+band (``coupling_rows``).  The driving Hamiltonians lie in the span of
+q^2, p^2 and qp + pq, which is closed under commutators, so the
+commutator i[A, B] that each propagation step needs is again a band,
+formed in O(d).
 
 The reference frequency is sqrt(omega_i * omega_f).  That choice splits
 the squeezing between the two ends of the ramp (factor
@@ -48,7 +53,7 @@ from .errors import (BandStructureError, ConfigError, InvalidDetuning,
                      NonHermitianInput, SupercriticalDrive, ValidityWarning)
 from .models import STORE_SIZE, ParametrizedModel
 from .protocols import Protocol, log_ramp, quintic_ramp
-from .spectral import HERMITIAN_TOL, Spectrum, gauge_fix
+from .spectral import HERMITIAN_TOL
 
 
 def _numpy_openblas():
@@ -65,41 +70,70 @@ def _numpy_openblas():
 
 
 def _resolve_stevd(lib):
-    """stevd(d, e) -> (w, z, info) with z Fortran-ordered, the call and
-    result of scipy.linalg.lapack's ``stevd``: ``scipy_dstevd_64_`` of
-    the OpenBLAS ``lib`` through ctypes, or, when that library or symbol
-    is missing, scipy's own wrapper, imported only then."""
+    """stevd(diags, offs, vectors) -> (values, info) over a block of B
+    symmetric tridiagonal matrices, diagonals diags (B, n) and
+    off-diagonals offs (B, n - 1): the eigenvalues (B, n), ascending per
+    matrix, with point b's eigenvectors written column-major into the C
+    buffer of vectors[b] (so vectors[b].T holds them as columns), and
+    the first nonzero LAPACK info, or 0.  It calls ``scipy_dstevd_64_``
+    of the OpenBLAS ``lib`` through ctypes, or, when that library or
+    symbol is missing, scipy.linalg.lapack's ``stevd``, imported only
+    then."""
     try:
         func = lib.scipy_dstevd_64_
     except AttributeError:  # no library (None), or no such symbol in it
         from scipy.linalg.lapack import get_lapack_funcs
-        return get_lapack_funcs("stevd", dtype=np.float64)
-    double = ctypes.POINTER(ctypes.c_double)
-    int64 = ctypes.POINTER(ctypes.c_int64)
-    # JOBZ, N, D, E, Z, LDZ, WORK, LWORK, IWORK, LIWORK, INFO and the
-    # hidden length of the JOBZ string; ILP64, so every integer is 64-bit
-    func.argtypes = [ctypes.c_char_p, int64, double, double, double, int64,
-                     double, int64, int64, int64, int64, ctypes.c_size_t]
-    func.restype = None
-    # a ctypes view of an array's buffer: passed by reference, and about
-    # four times cheaper per call than ndarray.ctypes
-    view, int_view = ctypes.c_double.from_buffer, ctypes.c_int64.from_buffer
+        func, lapack = None, get_lapack_funcs("stevd", dtype=np.float64)
+    else:
+        int64 = ctypes.POINTER(ctypes.c_int64)
+        # JOBZ, N, D, E, Z, LDZ, WORK, LWORK, IWORK, LIWORK, INFO and the
+        # hidden length of the JOBZ string; ILP64, so every integer is
+        # 64-bit; the arrays go by address
+        address = ctypes.c_void_p
+        func.argtypes = [ctypes.c_char_p, int64, address, address, address,
+                         int64, address, int64, address, int64, int64,
+                         ctypes.c_size_t]
+        func.restype = None
+        # an array's address through a ctypes view of its buffer: about
+        # three times cheaper than ndarray.ctypes
+        view, at = ctypes.c_char.from_buffer, ctypes.addressof
 
-    def stevd(d, e):
-        n = len(d)
+    def stevd(diags, offs, vectors):
+        count, n = np.shape(diags)
+        if (vectors.shape != (count, n, n) or vectors.dtype != np.float64
+                or not vectors.flags.c_contiguous):
+            raise ValueError(f"stevd writes into a C-contiguous float64 "
+                             f"array of shape {(count, n, n)}")
+        # LAPACK overwrites each row of values with its eigenvalues
+        values = np.array(diags, dtype=np.float64, order="C")
+        if func is None:  # scipy's wrapper, one matrix at a time
+            for b in range(count):
+                values[b], z, info = lapack(diags[b], offs[b])
+                if info:
+                    return values, info
+                vectors[b] = z.T
+            return values, 0
+        # the work arrays are this call's own: spectra are kept in the
+        # model's store, and the call releases the GIL, so shared work
+        # arrays could race.  LAPACK destroys the off-diagonal it is given
         lwork, liwork = (1 + 4 * n + n * n, 3 + 5 * n) if n > 1 else (1, 1)
-        # every array is fresh: spectra are kept in the model's store, and
-        # the call releases the GIL, so shared work arrays could race
-        w = np.array(d, dtype=np.float64)  # overwritten by the eigenvalues
-        off = np.zeros(max(n, 1))          # destroyed by LAPACK
-        off[:n - 1] = e
-        z = np.empty(n * n)                # column-major n x n
+        off = np.zeros(max(n, 1))
+        work, iwork = np.empty(lwork), np.empty(liwork, np.int64)
+        size, lead = ctypes.c_int64(n), ctypes.c_int64(max(n, 1))
+        lwork, liwork = ctypes.c_int64(lwork), ctypes.c_int64(liwork)
         info = ctypes.c_int64()
-        func(b"V", ctypes.c_int64(n), view(w), view(off), view(z),
-             ctypes.c_int64(max(n, 1)), view(np.empty(lwork)),
-             ctypes.c_int64(lwork), int_view(np.empty(liwork, np.int64)),
-             ctypes.c_int64(liwork), info, 1)
-        return w, z.reshape((n, n), order="F"), info.value
+        row, matrix = 8 * n, 8 * n * n
+        first_value, first_vector = at(view(values)), at(view(vectors))
+        off_at, work_at, iwork_at = at(view(off)), at(view(work)), \
+            at(view(iwork))
+        for b in range(count):
+            off[:n - 1] = offs[b]
+            func(b"V", size, first_value + b * row, off_at,
+                 first_vector + b * matrix, lead, work_at, lwork, iwork_at,
+                 liwork, info, 1)
+            if info.value:
+                return values, info.value
+        return values, 0
 
     return stevd
 
@@ -237,16 +271,32 @@ class HarmonicOscillator(ParametrizedModel):
         return self._cd_scale(t) * self._qp_sym
 
     def dh0_dlambda_at(self, t):
-        """[dH0/domega] = [omega q^2] at t, expanded from its band into
-        the dense matrix that the coupling rows of the geometric tensor
-        multiply."""
-        band, d = self.omega(t) * self._q2, self.dim
-        dense = np.zeros((d, d))
-        # the diagonal and the +-2 diagonals as strided views of the rows
-        flat = dense.reshape(-1)
-        flat[::d + 1] = band[0]
-        flat[2:(d - 2) * d:d + 1] = flat[2 * d::d + 1] = band[1, :-2]
-        return [dense]
+        """[dH0/domega] = [omega q^2] at t as a band, the operator of the
+        coupling rows (``coupling_rows``)."""
+        return [self.omega(t) * self._q2]
+
+    def coupling_rows(self, times, spectra, k):
+        """The coupling rows of a block of H0 spectra, one parity sector
+        at a time (see ``ParametrizedModel.coupling_rows``): omega q^2
+        couples only levels two apart, so <n|dH0/domega|l> vanishes
+        across sectors.  In sector s the rows of its k lowest
+        eigenvectors (at most its size) are formed on the q^2 band, as
+        the band product of those k vectors times the sector's
+        eigenvector matrix: no dense dH0 and no d x d product."""
+        bands = np.array([self.dh0_dlambda_at(t)[0] for t in times])
+        out = []
+        for parity in (0, 1):
+            levels = np.stack([spec.sectors[parity][0] for spec in spectra])
+            # row j of w[b] is point b's sector eigenvector j
+            w = np.stack([spec.sectors[parity][1].T for spec in spectra])
+            diag = bands[:, None, 0, parity::2]
+            off = bands[:, None, 1, parity::2][..., :-1]
+            low = w[:, :k]
+            bras = low * diag
+            bras[..., :-1] += low[..., 1:] * off
+            bras[..., 1:] += low[..., :-1] * off
+            out.append((levels, (bras @ w.transpose(0, 2, 1))[:, None]))
+        return out
 
     def apply_h1(self, times, vectors, out):
         """out[b] = H1(t) @ vectors[b] for each t = times[b], one band
@@ -278,22 +328,6 @@ class HarmonicOscillator(ParametrizedModel):
         out[1, :-2] = 1j * (b2 * (a0[:-2] - a0[2:]) - a2 * (b0[:-2] - b0[2:]))
         return out
 
-    def fast_eigh(self, h: np.ndarray):
-        """Eigendecomposition of a band h: each parity sector is Hermitian
-        tridiagonal, and a diagonal phase rotation makes it real.
-        Eigenvalues are unsorted across sectors; a real band gives real
-        eigenvectors.  Raises BandStructureError for any input that is not
-        a (2, d) band, ValueError for NaN or inf in it, NonHermitianInput
-        for an imaginary diagonal above HERMITIAN_TOL (as
-        ``assert_hermitian`` on the matrix the band stands for) and
-        LinAlgError when LAPACK's stevd fails."""
-        (vals0, vecs0, ph0), (vals1, vecs1, ph1) = \
-            self._sector_spectra(h, (0, 1))
-        vectors = np.zeros((self.dim, self.dim), dtype=ph0.dtype)
-        vectors[0::2, :len(vals0)] = vecs0 * ph0[:, None]
-        vectors[1::2, len(vals0):] = vecs1 * ph1[:, None]
-        return np.concatenate((vals0, vals1)), vectors
-
     def evolve(self, h, dt, psi):
         """exp(-i dt h) psi (psi of shape (d,) or (d, K)) for a band h,
         by real GEMMs on each parity sector's rows; a sector where psi
@@ -302,7 +336,8 @@ class HarmonicOscillator(ParametrizedModel):
         out = np.zeros_like(psi)
         live = [parity for parity in (0, 1) if psi[parity::2].any()]
         for parity, (vals, vecs, phases) in zip(
-                live, self._sector_spectra(h, live)):
+                live, self._sector_spectra(self._checked_bands([h]), live)):
+            vals, vecs, phases = vals[0], vecs[0], phases[0]
             # the sector of h is P V diag(vals) V^T P^*, P = diag(phases);
             # a complex block viewed as floats interleaves re and im
             rows = psi[parity::2].reshape(len(vals), -1) \
@@ -313,49 +348,124 @@ class HarmonicOscillator(ParametrizedModel):
             out[parity::2] = rows.reshape(out[parity::2].shape)
         return out
 
-    def _sector_spectra(self, h, parities):
-        """(vals, vecs, phases) per requested parity sector of the band h
-        (checked as ``fast_eigh`` documents): its block is
-        P vecs diag(vals) vecs^T P^*, P = diag(phases), with vecs real
-        from stevd."""
-        if np.shape(h) != (2, self.dim):
-            raise BandStructureError(
-                f"the solver takes the band (2, {self.dim}) of a matrix "
-                f"that couples only levels two apart, got shape "
-                f"{np.shape(h)}")
-        if not np.isfinite(h).all():
+    def _checked_bands(self, hs):
+        """The bands hs stacked (B, 2, d).  Raises BandStructureError for
+        any input that is not a (2, d) band, ValueError for NaN or inf in
+        one, and NonHermitianInput for an imaginary diagonal above
+        HERMITIAN_TOL (as ``assert_hermitian`` on the matrix the band
+        stands for)."""
+        for h in hs:
+            if np.shape(h) != (2, self.dim):
+                raise BandStructureError(
+                    f"the solver takes the band (2, {self.dim}) of a matrix "
+                    f"that couples only levels two apart, got shape "
+                    f"{np.shape(h)}")
+        bands = np.array(hs)
+        if not np.isfinite(bands).all():
             raise ValueError("band input has non-finite entries")
-        diagonal, upper = h[0], h[1, :-2]
-        if np.iscomplexobj(h) and diagonal.imag.any():
-            dev = 2.0 * np.linalg.norm(diagonal.imag)
-            scale = math.hypot(np.linalg.norm(diagonal),
-                               math.sqrt(2.0) * np.linalg.norm(upper))
-            if dev > HERMITIAN_TOL * max(scale, 1e-300):
+        diagonal, upper = bands[:, 0], bands[:, 1, :-2]
+        if np.iscomplexobj(bands) and diagonal.imag.any():
+            dev = 2.0 * np.linalg.norm(diagonal.imag, axis=1)
+            scale = np.hypot(np.linalg.norm(diagonal, axis=1),
+                             math.sqrt(2.0) * np.linalg.norm(upper, axis=1))
+            bad = np.flatnonzero(dev > HERMITIAN_TOL
+                                 * np.maximum(scale, 1e-300))
+            if bad.size:
                 raise NonHermitianInput(
-                    f"band deviates from Hermiticity by {dev:.3g} "
-                    f"(scale {scale:.3g})")
+                    f"band deviates from Hermiticity by {dev[bad[0]]:.3g} "
+                    f"(scale {scale[bad[0]]:.3g})")
+        return bands
+
+    def _sector_spectra(self, bands, parities):
+        """(vals, vecs, phases) per requested parity sector of a block of
+        checked bands (B, 2, d): point b's block of its band is
+        P vecs[b] diag(vals[b]) vecs[b]^T P^*, P = diag(phases[b]), with
+        vecs real from one stevd call per point, written into one fresh
+        (B, m, m) array per sector."""
+        count = len(bands)
         sectors = []
         for parity in parities:
             # the sector's levels are parity, parity + 2, ...
-            diag = diagonal[parity::2].real
-            off = upper[parity::2]
+            diag = bands[:, 0, parity::2].real
+            off = bands[:, 1, :-2][:, parity::2]
             mags = np.abs(off)
+            start = np.zeros((count, 1))
             if np.iscomplexobj(off):
                 args = np.where(mags > 0, np.angle(off), 0.0)
-                phases = np.exp(-1j * np.concatenate(([0.0], np.cumsum(args))))
+                phases = np.exp(-1j * np.concatenate(
+                    (start, np.cumsum(args, axis=1)), axis=1))
             else:  # a real band takes signs and keeps its vectors real
                 phases = np.cumprod(np.concatenate(
-                    ([1.0], np.where(off < 0, -1.0, 1.0))))
-            vals, vecs, info = _STEVD(diag, mags)
+                    (start + 1.0, np.where(off < 0, -1.0, 1.0)), axis=1),
+                    axis=1)
+            size = diag.shape[1]
+            vectors = np.empty((count, size, size))
+            vals, info = _STEVD(diag, mags, vectors)
             if info:
                 raise LinAlgError(f"LAPACK stevd failed with info={info}")
-            sectors.append((vals, vecs, phases))
+            sectors.append((vals, vectors.transpose(0, 2, 1), phases))
         return sectors
 
-    def _diagonalize(self, h: np.ndarray) -> Spectrum:
-        energies, vectors = self.fast_eigh(h)
-        order = np.argsort(energies, kind="stable")
-        return Spectrum(energies[order], gauge_fix(vectors[:, order]))
+    def _diagonalize(self, hs):
+        """Spectra of a block of bands, each a ``SectorSpectrum``: both
+        parity sectors solved, each sector's eigenvectors gauge-fixed in
+        place (a real band's stay real) and the two ascending energy
+        lists merged, ties to the even sector."""
+        sectors = self._sector_spectra(self._checked_bands(hs), (0, 1))
+        count, dim = len(hs), self.dim
+        merged = np.concatenate([vals for vals, _, _ in sectors], axis=1)
+        order = np.argsort(merged, axis=1, kind="stable")
+        energies = np.take_along_axis(merged, order, axis=1)
+        # the level of each sector column in the merged, ascending order
+        levels = np.empty_like(order)
+        np.put_along_axis(levels, order, np.arange(dim)[None, :], axis=1)
+        pivots = np.empty((count, dim), dtype=sectors[0][2].dtype)
+        fixed, start = [], 0
+        for vals, vecs, phases in sectors:
+            if np.iscomplexobj(phases):
+                vecs = vecs * phases[:, :, None]
+            else:
+                vecs *= phases[:, :, None]
+            # each column's pivot, its largest entry (the lowest row of a
+            # tie), made real and positive, as ``gauge_fix`` does
+            rows = np.argmax(np.abs(vecs), axis=1)
+            top = np.take_along_axis(vecs, rows[:, None, :], axis=1)[:, 0]
+            pivot = top / np.abs(top)
+            vecs /= pivot[:, None, :]
+            own = levels[:, start:start + vals.shape[1]]
+            np.put_along_axis(pivots, own, pivot, axis=1)
+            fixed.append((own, vecs))
+            start += vals.shape[1]
+        # a zero entry of a gauge-fixed dense column is 0 / its pivot
+        zeros = np.zeros((), dtype=pivots.dtype) / pivots
+        return [SectorSpectrum(energies[b], tuple(
+            (own[b], vecs[b]) for own, vecs in fixed), zeros[b])
+            for b in range(count)]
+
+
+class SectorSpectrum:
+    """A band's spectrum kept one parity sector at a time: the ascending
+    ``energies`` of all d levels and, per sector (levels 0, 2, ... and
+    1, 3, ...), the pair (levels, vectors) of each eigenvector's level in
+    ``energies`` and the gauge-fixed eigenvectors on the sector's rows,
+    ascending in energy.  ``states`` assembles the dense d x d matrix of
+    ``Spectrum``, columns in energy order, on each read; it is not kept,
+    so a spectrum in a store holds one form of its vectors."""
+
+    __slots__ = ("energies", "sectors", "_zeros")
+
+    def __init__(self, energies, sectors, zeros):
+        # zeros: per column, the signed zero of its entries off its sector
+        self.energies, self.sectors, self._zeros = energies, sectors, zeros
+
+    @property
+    def states(self) -> np.ndarray:
+        dim = len(self.energies)
+        out = np.empty((dim, dim), dtype=self._zeros.dtype)
+        out[...] = self._zeros
+        for parity, (levels, vectors) in enumerate(self.sectors):
+            out[parity::2, levels] = vectors
+        return out
 
 
 def ho_metric(omega: float, n) -> np.ndarray | float:

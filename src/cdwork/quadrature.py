@@ -3,10 +3,11 @@ composite Simpson on samples.
 
   * ``clenshaw_curtis`` integrates a vector-valued integrand on nested
     levels of 9, 17, 33, ... points, reusing every earlier node, until
-    two levels agree.  It converges geometrically on analytic
-    integrands (Clenshaw & Curtis, Numer. Math. 2, 197 (1960);
-    Trefethen, SIAM Review 50, 67 (2008)).  ``geometry.path_lengths``
-    uses it, and ``ising.sweep_cost_integral`` once it has folded the
+    two levels agree.  It converges geometrically on analytic integrands
+    (Clenshaw & Curtis, Numer. Math. 2, 197 (1960); Trefethen, SIAM
+    Review 50, 67 (2008)).  The integrand takes each level's new nodes
+    in one call: ``geometry.path_lengths`` solves them as one block of
+    spectra, and ``ising.sweep_cost_integral`` once it has folded the
     critical peak onto an endpoint and widened it by a substitution.
   * ``simpson`` ports scipy's ``simpson`` (``x`` given) bit for bit,
     without loading scipy.integrate.
@@ -55,29 +56,35 @@ def clenshaw_curtis(f, a, b, *, rel_tol=1e-8):
     points, each reusing every node of the levels before it; returns the
     array of component integrals of the first level n that agrees with
     level n/2 to max|I_n - I_n/2| <= max(rel_tol * max|I_n|, ABS_FLOOR).
-    A converged call spends 2^k + 1 evaluations.  Raises
-    QuadratureNotConverged, naming the nodes spent, at a non-finite value
-    or past CC_MAX_NODES."""
+    ``f`` takes each level's new nodes in one call, as an array, and
+    returns one value, or one row of components, per node.  A converged
+    call spends 2^k + 1 evaluations.  Raises QuadratureNotConverged,
+    naming the nodes spent, at the first non-finite value of a level or
+    past CC_MAX_NODES."""
     a, b = float(a), float(b)
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError(f"integration bounds must be finite, got {a}, {b}")
     c, h = 0.5 * (a + b), 0.5 * (b - a)
-    n, values, total = CC_FIRST_NODES - 1, [], None
+    n, values, total = CC_FIRST_NODES - 1, None, None
     while n < CC_MAX_NODES:
         # every node of the first level, then the odd ones of each finer
-        step, new = (2 if values else 1), []
-        for k in range(step - 1, n + 1, step):
-            t = c + h * math.cos(k * math.pi / n)
-            y = np.atleast_1d(np.asarray(f(t), dtype=float))
-            if not np.all(np.isfinite(y)):
-                raise QuadratureNotConverged(
-                    f"non-finite integrand at t={t:g}, node "
-                    f"{len(values) + len(new) + 1}")
-            new.append(y)
-        if values:
-            new = [y for pair in zip(values, new) for y in pair] + values[-1:]
+        spent = 0 if values is None else len(values)
+        nodes = np.array([c + h * math.cos(k * math.pi / n)
+                          for k in range(1 if spent else 0, n + 1,
+                                         2 if spent else 1)])
+        new = np.ascontiguousarray(
+            np.asarray(f(nodes), dtype=float).reshape(len(nodes), -1))
+        bad = np.flatnonzero(~np.isfinite(new).all(axis=1))
+        if bad.size:
+            raise QuadratureNotConverged(
+                f"non-finite integrand at t={nodes[bad[0]]:g}, node "
+                f"{spent + bad[0] + 1}")
+        if spent:
+            merged = np.empty((n + 1, new.shape[1]))
+            merged[0::2], merged[1::2] = values, new
+            new = merged
         values = new
-        previous, total = total, h * (_cc_weights(n) @ np.array(values))
+        previous, total = total, h * (_cc_weights(n) @ values)
         if previous is not None:
             spread = _norm(total - previous)
             if spread <= max(rel_tol * _norm(total), ABS_FLOOR):

@@ -182,9 +182,8 @@ def _check_variance_identity(model, ensemble, grid):
     # 1e-6 relative with a 1e-10 absolute floor: differenced second
     # moments cannot resolve excesses near the rounding floor
     worst = -math.inf
-    for t in grid:
+    for t, geometric in zip(grid, ensemble_rates(model, ensemble, grid)[1]):
         direct = work_moments(model, ensemble, t).excess
-        geometric = ensemble_rates(model, ensemble, t)[1]
         if abs(geometric) > 1e-10:
             worst = max(worst, abs(direct - geometric)
                         - (1e-6 * abs(geometric) + 1e-10))

@@ -31,7 +31,7 @@ no time propagation.  Two independent routes give its moments:
 The geometric form of the same excess, sum_n p_n g^(n) lamdot lamdot, is
 ``geometry.ensemble_rates``' metric rate, an independent third route
 through the coupling rows of dH0 over squared gaps, which
-``fluctuation_sweep`` takes per point in its block pass when passed in.
+``fluctuation_sweep`` takes per block in its block pass when passed in.
 
 For drives fast enough that omegadot^2/(4 omega^4) reaches one, the
 driving Hamiltonian of the oscillator loses its discrete spectrum in
@@ -280,11 +280,12 @@ def _real_dots(a, b):
 def fluctuation_kernel(model, ensemble, grid,
                        metric_rate=None) -> dict[str, np.ndarray]:
     """The kernel pass of ``fluctuation_sweep`` over the times ``grid``,
-    in blocks of BLOCK_POINTS from its first row.  Columns, per point
-    and retained level: e_now, the energies eps_n(t); dots and norms,
-    Re<n|U> and ||U||^2 of U = H1|n> (``model.apply_h1``); and, where
-    ``metric_rate`` is given, rates, its value per point, taken after
-    each block's leakage check.
+    in blocks of BLOCK_POINTS from its first row, each block's spectra
+    one ``model.spectra0_at`` call.  Columns, per point and retained
+    level: e_now, the energies eps_n(t); dots and norms, Re<n|U> and
+    ||U||^2 of U = H1|n> (``model.apply_h1``); and, where
+    ``metric_rate`` is given, rates, its values at a block's times,
+    taken in one call per block after the block's leakage check.
 
     A grid cut on a BLOCK_POINTS boundary gives each part's rows of the
     whole grid bit for bit, since every block sees the same times.  The
@@ -301,14 +302,13 @@ def fluctuation_kernel(model, ensemble, grid,
     for start in range(0, len(grid), size):
         times = grid[start:start + size]
         rows, b = slice(start, start + len(times)), len(times)
-        for i, t in enumerate(times):
-            spec = model.spectrum0_at(t)
+        for i, spec in enumerate(model.spectra0_at(times)):
             states[i] = spec.states[:, :n_keep]
             e_now[start + i] = spec.energies[:n_keep]
         psi = states[:b]
         _leakage(model, psi, times)
         if metric_rate is not None:
-            rates[rows] = [metric_rate(t) for t in times]
+            rates[rows] = metric_rate(times)
         u = model.apply_h1(times, psi, h1_states[:b])
         dots[rows], norms[rows] = _real_dots(psi, u), _real_dots(u, u)
     out = {"e_now": e_now, "dots": dots, "norms": norms}
@@ -392,8 +392,9 @@ def fluctuation_sweep(model, ensemble, grid, durations,
 
     The pass needs one block's spectra at a time: a store of
     BLOCK_POINTS + 1 holds them and t = 0.  ``metric_rate``, a callable
-    of t giving sum_n p_n g^(n) lamdot lamdot, adds the column
-    excess_geometric (times v^2), taken after each block's leakage check.
+    of a block's times giving sum_n p_n g^(n) lamdot lamdot at each,
+    adds the column excess_geometric (times v^2), taken after each
+    block's leakage check.
     """
     e_init = model.spectrum0_at(0.0).energies[:ensemble.n_levels]
     kernel = fluctuation_kernel(model, ensemble, grid, metric_rate)

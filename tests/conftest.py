@@ -104,22 +104,23 @@ def rng():
 @pytest.fixture()
 def solve_counter(monkeypatch):
     """Records the operator (shape, complex or not, bytes) of every
-    oscillator eigensolve and the time of every path-length quadrature
-    node."""
+    oscillator eigensolve, one per band of each solved block, and the
+    time of every path-length quadrature node, one per node of each
+    level."""
     solves, nodes = [], []
     diagonalize = HarmonicOscillator._diagonalize
     quadrature = geometry.clenshaw_curtis
 
-    def counting_diagonalize(self, h):
-        solves.append((np.shape(h), np.iscomplexobj(h),
-                       np.asarray(h).tobytes()))
-        return diagonalize(self, h)
+    def counting_diagonalize(self, hs):
+        solves.extend((np.shape(h), np.iscomplexobj(h),
+                       np.asarray(h).tobytes()) for h in hs)
+        return diagonalize(self, hs)
 
     def counting_quadrature(f, *args, **kwargs):
-        def node(t):
-            nodes.append(t)
-            return f(t)
-        return quadrature(node, *args, **kwargs)
+        def level(times):
+            nodes.extend(times)
+            return f(times)
+        return quadrature(level, *args, **kwargs)
 
     monkeypatch.setattr(HarmonicOscillator, "_diagonalize",
                         counting_diagonalize)

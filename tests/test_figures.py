@@ -60,7 +60,7 @@ def test_geometric_column_is_the_metric_rate():
 
 @pytest.mark.parametrize("grid_points", [401, 1601])
 def test_figure_memory_does_not_grow_with_the_grid(monkeypatch, grid_points):
-    """The figure's store holds one block of spectra (BLOCK_POINTS + 1),
+    """The figure's store holds one block of spectra (BLOCK_POINTS),
     so its peak allocation stays far below the 401 d x d spectra of a
     whole grid (about 46 MB) and does not grow with the grid.  The
     figure runs serially, so that every store is this process's."""
@@ -80,7 +80,7 @@ def test_figure_memory_does_not_grow_with_the_grid(monkeypatch, grid_points):
     finally:
         tracemalloc.stop()
     assert data.passed
-    assert max(largest) <= BLOCK_POINTS + 1
+    assert max(largest) <= BLOCK_POINTS
     assert peak < 12e6
 
 

@@ -12,6 +12,7 @@ from cdwork import (DegeneracyError, HOConfig, HarmonicOscillator, NotAState,
                     path_lengths, qgt, quintic_ramp, speed_limit_report,
                     two_level_model)
 from cdwork.geometry import DEGENERACY_TOL
+from cdwork.workstats import BLOCK_POINTS, fluctuation_kernel
 from cdwork.ising import IsingConfig, dense_model, ground_metric
 from conftest import band_to_dense
 
@@ -22,13 +23,22 @@ def random_density(rng, dim):
     return rho / np.trace(rho).real
 
 
+def dense_dh0(model, t):
+    """dH0/dlam_mu at t as dense matrices; the oscillator keeps its
+    operator as a band."""
+    parts = model.dh0_dlambda_at(t)
+    if isinstance(model, HarmonicOscillator):
+        return [band_to_dense(part) for part in parts]
+    return parts
+
+
 def full_matrix_speeds(model, ensemble, t):
     """Reference: the path-length integrand built from the full d x d
     coupling matrix V^dagger dH0 V, summing eta over every pair."""
     lamdot = model.protocol.derivative(t)
     spec = model.spectrum0_at(t)
     v = spec.states
-    ms = [v.conj().T @ part @ v for part in model.dh0_dlambda_at(t)]
+    ms = [v.conj().T @ part @ v for part in dense_dh0(model, t)]
     e = spec.energies
     dim = e.shape[0]
     m_dot = np.zeros((dim, dim), dtype=complex)
@@ -59,7 +69,7 @@ def loop_qgt_levels(model, levels, t):
     matrices, reading column n of M_nu directly."""
     spec = model.spectrum0_at(t)
     v = spec.states
-    ms = [v.conj().T @ part @ v for part in model.dh0_dlambda_at(t)]
+    ms = [v.conj().T @ part @ v for part in dense_dh0(model, t)]
     e = spec.energies
     scale = max(abs(e[0]), abs(e[-1]), 1e-300)
     n_par = len(ms)
@@ -168,6 +178,95 @@ class TestPopulatedRows:
         model = degenerate_pair_model((0, 2), (1, 2))
         with pytest.raises(DegeneracyError, match="level 0 is near"):
             ensemble_rates(model, model_ensemble(model, 1.0), 0.4)
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestBlocks:
+    """A block of times against the same times one by one, and the block
+    rates against closed forms."""
+
+    TIMES = np.linspace(0.0, 0.8, 16)
+
+    def test_block_equals_its_points_bit_for_bit(self):
+        # separate models, so that no point reads a spectrum the block
+        # solved
+        block_model, point_model = (
+            HarmonicOscillator(HOConfig(1.0, 3.0, 0.8)) for _ in range(2))
+        ensemble = model_ensemble(block_model, 1.0)
+        block = block_model.spectra0_at(self.TIMES)
+        points = [point_model.spectra0_at([t])[0] for t in self.TIMES]
+        for a, b in zip(block, points):
+            assert same_bits(a.energies, b.energies)
+            assert same_bits(a.states, b.states)
+        rates = ensemble_rates(block_model, ensemble, self.TIMES)
+        singles = [ensemble_rates(point_model, ensemble, [t])
+                   for t in self.TIMES]
+        for which in (0, 1):
+            assert same_bits(rates[which],
+                             np.concatenate([r[which] for r in singles]))
+        kernel = fluctuation_kernel(
+            block_model, ensemble, self.TIMES,
+            lambda times: ensemble_rates(block_model, ensemble, times)[1])
+        assert len(self.TIMES) == BLOCK_POINTS
+        for i, t in enumerate(self.TIMES):
+            point = fluctuation_kernel(
+                point_model, ensemble, [t],
+                lambda times: ensemble_rates(point_model, ensemble, times)[1])
+            for key, column in kernel.items():
+                assert same_bits(column[i], point[key][0]), (t, key)
+
+    @pytest.mark.parametrize("beta", [1.0, math.inf])
+    def test_block_metric_rate_matches_closed_form(self, fig1_model, beta):
+        ensemble = model_ensemble(fig1_model, beta)
+        n = np.arange(ensemble.n_levels)
+        _, rates = ensemble_rates(fig1_model, ensemble, self.TIMES)
+        for t, rate in zip(self.TIMES, rates):
+            omega, omega_dot = fig1_model.omega(t), fig1_model.omega_dot(t)
+            exact = omega_dot**2 * float(ensemble.weights
+                                         @ ho_metric(omega, n))
+            assert abs(rate - exact) <= 1e-10 * max(exact, 1e-300), t
+
+    def test_two_level_rates_match_closed_form(self):
+        # H0 = lam sz + sx, one sector of both levels: g = 1 / (4 (1 +
+        # lam^2)^2) for either level, and eta's weight (p0 - p1)^2 / (p0 +
+        # p1) on the one pair
+        model = two_level_model(quintic_ramp([-1.5], [2.0], 1.0))
+        ensemble = model_ensemble(model, 0.7)
+        p0, p1 = ensemble.weights
+        times = np.linspace(0.05, 0.95, 7)
+        eta, metric = ensemble_rates(model, ensemble, times)
+        for t, eta_rate, metric_rate in zip(times, eta, metric):
+            lam = model.protocol.value(t)[0]
+            lamdot = model.protocol.derivative(t)[0]
+            g = 1.0 / (4.0 * (1.0 + lam * lam) ** 2)
+            assert metric_rate == pytest.approx(g * lamdot**2, rel=1e-13)
+            assert eta_rate == pytest.approx(
+                (p0 - p1) ** 2 * g * lamdot**2, rel=1e-12)
+
+    def test_partner_in_the_other_sector_is_refused(self):
+        # a flat ramp at the reference frequency has a diagonal H0 with
+        # levels 2n + 1; giving level 2 the energy of level 1 makes a
+        # degenerate pair across the parity sectors, which the coupling
+        # rows of either sector never pair
+        class CrossedLevels(HarmonicOscillator):
+            def h0_at(self, t):
+                band = super().h0_at(t)
+                band[0, 2] = band[0, 1]
+                return band
+
+        model = CrossedLevels(HOConfig(2.0, 2.0, 1.0, dim=60))
+        energies = model.spectrum0_at(0.5).energies
+        assert energies[1] == energies[2]
+        ensemble = model_ensemble(model, 0.5)
+        assert ensemble.n_levels > 2
+        with pytest.raises(DegeneracyError, match="level 1 is near"):
+            ensemble_rates(model, ensemble, self.TIMES)
+        with pytest.raises(DegeneracyError, match="level 2 is near"):
+            qgt(model, 2, 0.5)
+        assert np.isfinite(qgt(model, 0, 0.5).g).all()
 
 
 class TestQgt:

@@ -208,10 +208,10 @@ class TestScalingFit:
         calls = []
 
         def counting(f, *args, **kwargs):
-            def node(s):
-                calls.append(s)
-                return f(s)
-            return quadrature(node, *args, **kwargs)
+            def level(nodes):
+                calls.extend(nodes)
+                return f(nodes)
+            return quadrature(level, *args, **kwargs)
 
         monkeypatch.setattr(ising, "clenshaw_curtis", counting)
         counts = []

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from cdwork import (HOConfig, HarmonicOscillator, ParametrizedModel,
-                    SpectrumCache, model_ensemble, quintic_ramp,
-                    two_level_model)
+                    SpectrumCache, ensemble_rates, model_ensemble,
+                    quintic_ramp, two_level_model)
 
 
 def assert_same_spectrum(a, b):
@@ -47,7 +47,7 @@ def test_private_store_bounds_both_kinds():
     h0_last = model.spectrum0_at(0.6)
     assert model.spectrum_cd_at(0.6) is not h0_last
     assert_same_spectrum(model.spectrum_cd_at(0.6),
-                         model._diagonalize(model.h_drive_at(0.6)))
+                         model._diagonalize([model.h_drive_at(0.6)])[0])
 
 
 def test_default_store_is_private():
@@ -76,7 +76,7 @@ def test_finished_model_freed_without_cyclic_gc():
         ensemble = model_ensemble(model, 1.0)
         model.spectrum0_at(0.4)
         model.spectrum_cd_at(0.4)
-        model.dh0_dt_at(0.4)
+        ensemble_rates(model, ensemble, [0.2, 0.4])
         ref = weakref.ref(model)
         del model, ensemble
         assert ref() is None

@@ -5,6 +5,7 @@ import pytest
 from numpy.polynomial.hermite import hermval
 from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import lapack
 from scipy.linalg.lapack import get_lapack_funcs
 
 from cdwork import (BandStructureError, ConfigError, HOConfig, HarmonicOscillator, InvalidDetuning,
@@ -120,19 +121,28 @@ class TestMatrices:
             assert not fig1_model.h_drive_at(t)[0].imag.any()
 
 
+def solve(model, h):
+    """(energies, states) of the band h, a one-band block of the
+    oscillator's solver."""
+    spec = model._diagonalize([h])[0]
+    return spec.energies, spec.states
+
+
 class TestFastEigh:
+    """The oscillator's band solver, ``_diagonalize``, one parity sector
+    at a time."""
+
     def test_matches_dense_solver_in_band(self, fig1_model):
         h = fig1_model.h_drive_at(0.37)
         dense = band_to_dense(h)
-        energies, vectors = fig1_model.fast_eigh(h)
-        assert np.abs(np.sort(energies)
-                      - np.linalg.eigvalsh(dense)).max() < 1e-10
+        energies, vectors = solve(fig1_model, h)
+        assert np.abs(energies - np.linalg.eigvalsh(dense)).max() < 1e-10
         assert np.abs(dense @ vectors - vectors * energies).max() < 1e-9
 
     def test_real_band_keeps_vectors_real(self, fig1_model):
         # a real band needs only signs for its phase rotation
         h0 = fig1_model.h0_at(0.37)
-        energies, vectors = fig1_model.fast_eigh(h0)
+        energies, vectors = solve(fig1_model, h0)
         assert vectors.dtype == np.float64
         assert np.abs(band_to_dense(h0) @ vectors
                       - vectors * energies).max() < 1e-9
@@ -141,7 +151,7 @@ class TestFastEigh:
         # a negative scale turns the zero diagonal of qp+pq into -0.0
         h1 = fig1_model.h1_at(0.37)
         assert np.all(np.signbit(h1.real[0]))
-        energies, vectors = fig1_model.fast_eigh(h1)
+        energies, vectors = solve(fig1_model, h1)
         assert np.abs(band_to_dense(h1) @ vectors
                       - vectors * energies).max() < 1e-12
 
@@ -152,11 +162,11 @@ class TestFastEigh:
         h = band_to_dense(fig1_model.h0_at(0.4)).astype(complex)
         h[5, 5 + distance] = h[5 + distance, 5] = 1e-3
         with pytest.raises(BandStructureError, match="two apart"):
-            fig1_model.fast_eigh(h)
+            solve(fig1_model, h)
 
     def test_rejects_wrong_shape(self, fig1_model):
         with pytest.raises(BandStructureError, match="shape"):
-            fig1_model.fast_eigh(np.eye(fig1_model.dim - 1))
+            solve(fig1_model, np.eye(fig1_model.dim - 1))
 
     # the diagonal, the +2 diagonal and a padding entry
     @pytest.mark.parametrize("entry", [(0, 4), (1, 4), (1, -1)])
@@ -165,7 +175,7 @@ class TestFastEigh:
         h = fig1_model.h_drive_at(0.37)
         h[entry] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            fig1_model.fast_eigh(h)
+            solve(fig1_model, h)
 
     @pytest.mark.parametrize("h1_scale", [0.0, 1.0])
     @pytest.mark.parametrize("entry", [(0, 4), (1, 5)])
@@ -175,76 +185,93 @@ class TestFastEigh:
         band = fig1_model.h_drive_at(0.37, h1_scale)
         band[entry] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            fig1_model.fast_eigh(band)
+            solve(fig1_model, band)
 
     def test_rejects_imaginary_diagonal(self, fig1_model, rng):
         h = fig1_model.h_drive_at(0.37)
         h[0, 4] += 1e-6j
         with pytest.raises(NonHermitianInput, match="Hermiticity"):
-            fig1_model.fast_eigh(h)
+            solve(fig1_model, h)
         with pytest.raises(NonHermitianInput, match="Hermiticity"):
             fig1_model.evolve(h, 0.3, _random_state(rng, fig1_model.dim))
         # below HERMITIAN_TOL of the band's scale, as in assert_hermitian,
         # the imaginary part is dropped
         h[0, 4] = h[0, 4].real + 1e-20j
-        assert np.array_equal(fig1_model.fast_eigh(h)[0], fig1_model.fast_eigh(
-            fig1_model.h_drive_at(0.37))[0])
+        assert np.array_equal(solve(fig1_model, h)[0], solve(
+            fig1_model, fig1_model.h_drive_at(0.37))[0])
 
     def test_same_bits_as_scipy_tridiagonal_solver(self, fig1_model):
         # reference: scipy's validated front end to the same LAPACK routine
         h = fig1_model.h_drive_at(0.37)
-        energies, vectors = fig1_model.fast_eigh(h)
-        col = 0
-        for parity in (0, 1):
+        sectors = fig1_model._sector_spectra(
+            fig1_model._checked_bands([h]), (0, 1))
+        for parity, (vals, vecs, phases) in enumerate(sectors):
             off = h[1, :-2][parity::2]
-            phases = np.exp(-1j * np.concatenate(([0.0], np.cumsum(np.angle(off)))))
-            vals, vecs = eigh_tridiagonal(h[0, parity::2].real, np.abs(off))
-            size = len(vals)
-            assert np.array_equal(energies[col:col + size], vals)
-            assert np.array_equal(vectors[parity::2, col:col + size],
-                                  vecs * phases[:, None])
-            col += size
+            ref = np.exp(-1j * np.concatenate(([0.0],
+                                               np.cumsum(np.angle(off)))))
+            ref_vals, ref_vecs = eigh_tridiagonal(h[0, parity::2].real,
+                                                  np.abs(off))
+            assert np.array_equal(vals[0], ref_vals)
+            assert np.array_equal(vecs[0] * phases[0][:, None],
+                                  ref_vecs * ref[:, None])
 
 
 class TestStevdRoute:
     """``oscillator._STEVD`` calls dstevd in numpy's OpenBLAS through
-    ctypes; scipy's wrapper of the same routine is the bitwise reference,
-    and the fallback where numpy ships no such library."""
+    ctypes, over a block of matrices; scipy's wrapper of the same
+    routine is the bitwise reference, and the fallback where numpy ships
+    no such library."""
 
     # dstevd runs QL up to SMLSIZ = 25 levels and divide and conquer above
     @pytest.mark.parametrize("n", [2, 3, 26, 60, 61])
     def test_same_bits_as_scipy_stevd(self, n):
         scipy_stevd = get_lapack_funcs("stevd", dtype=np.float64)
         rng = np.random.default_rng(n)
-        for _ in range(20):
-            d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
-            kept = d.copy(), e.copy()
-            vals, vecs, info = oscillator._STEVD(d, e)
-            ref_vals, ref_vecs, ref_info = scipy_stevd(d, e)
-            assert info == ref_info == 0
-            assert np.array_equal(vals, ref_vals)
-            assert np.array_equal(vecs, ref_vecs)
-            assert vecs.flags.f_contiguous
-            # LAPACK overwrites d and destroys e; the caller's arrays stay
-            assert np.array_equal(d, kept[0]) and np.array_equal(e, kept[1])
+        d, e = rng.standard_normal((20, n)), rng.standard_normal((20, n - 1))
+        kept = d.copy(), e.copy()
+        vectors = np.empty((20, n, n))
+        vals, info = oscillator._STEVD(d, e, vectors)
+        assert info == 0
+        for b in range(20):
+            ref_vals, ref_vecs, ref_info = scipy_stevd(d[b], e[b])
+            assert ref_info == 0
+            assert np.array_equal(vals[b], ref_vals)
+            assert np.array_equal(vectors[b].T, ref_vecs)
+            assert vectors[b].T.flags.f_contiguous
+        # LAPACK overwrites d and destroys e; the caller's arrays stay
+        assert np.array_equal(d, kept[0]) and np.array_equal(e, kept[1])
+
+    @pytest.mark.parametrize("vectors", [
+        np.empty((2, 3, 3)), np.empty((1, 3, 3), dtype=np.float32),
+        np.empty((1, 3, 3), order="F"), np.empty((1, 3, 4))[..., :3]])
+    def test_refuses_an_output_it_cannot_write(self, vectors):
+        # the routine writes through the buffer's address
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            oscillator._STEVD(np.ones((1, 3)), np.ones((1, 2)), vectors)
 
     def test_single_level_closed_form(self):
         # scipy's wrapper rejects the empty off-diagonal of one level
-        vals, vecs, info = oscillator._STEVD(np.array([-2.5]), np.zeros(0))
+        vectors = np.empty((1, 1, 1))
+        vals, info = oscillator._STEVD(np.array([[-2.5]]), np.zeros((1, 0)),
+                                       vectors)
         assert info == 0
-        assert vals.tolist() == [-2.5] and vecs.tolist() == [[1.0]]
+        assert vals.tolist() == [[-2.5]] and vectors.tolist() == [[[1.0]]]
 
     @pytest.mark.parametrize("library", [None, "/nonexistent/libopenblas.so"])
     def test_scipy_fallback_same_bits(self, monkeypatch, fig1_model, library):
         h = fig1_model.h_drive_at(0.37)
-        energies, vectors = fig1_model.fast_eigh(h)
+        energies, vectors = solve(fig1_model, h)
         # the library numpy's wheel ships is missing, or cannot be opened
         monkeypatch.setattr(oscillator.glob, "glob",
                             lambda pattern: [library] if library else [])
+        requested = []
+        get_funcs = lapack.get_lapack_funcs
+        monkeypatch.setattr(lapack, "get_lapack_funcs", lambda *args, **kw:
+                            requested.append(args) or get_funcs(*args, **kw))
         fallback = oscillator._resolve_stevd(oscillator._numpy_openblas())
-        assert fallback.module_name == "flapack"
+        assert requested == [("stevd",)]
         monkeypatch.setattr(oscillator, "_STEVD", fallback)
-        again = fig1_model.fast_eigh(h)
+        again = solve(fig1_model, h)
         assert np.array_equal(again[0], energies)
         assert np.array_equal(again[1], vectors)
 

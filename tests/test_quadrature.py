@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,8 +8,8 @@ from scipy.integrate import simpson as scipy_simpson
 
 from cdwork import (HOConfig, HarmonicOscillator, QuadratureNotConverged,
                     clenshaw_curtis, ensemble_rates, ho_metric, model_ensemble)
-from cdwork.quadrature import (CC_FIRST_NODES, CC_MAX_NODES, _cc_weights,
-                               simpson)
+from cdwork.quadrature import (ABS_FLOOR, CC_FIRST_NODES, CC_MAX_NODES,
+                               _cc_weights, simpson)
 
 
 # -- nested Clenshaw-Curtis ------------------------------------------------
@@ -16,10 +18,12 @@ CC_LEVELS = [2**k + 1 for k in range(3, 9)]
 
 
 def counting(f, calls):
-    def g(t):
-        calls.append(t)
-        return f(t)
-    return g
+    """The level-wise integrand of a scalar-node ``f``, recording every
+    node in ``calls``."""
+    def level(nodes):
+        calls.extend(nodes)
+        return [f(t) for t in nodes]
+    return level
 
 
 def test_cc_levels_run_from_first_to_last():
@@ -68,7 +72,7 @@ def test_cc_evaluates_each_node_once(f, a, b, rel_tol):
 
 
 def test_cc_reversed_interval_flips_sign():
-    f = lambda t: np.exp(-t) * np.sin(3 * t)
+    f = lambda nodes: np.exp(-nodes) * np.sin(3 * nodes)
     assert clenshaw_curtis(f, 2.0, 0.0)[0] == pytest.approx(
         -clenshaw_curtis(f, 0.0, 2.0)[0], rel=1e-14)
 
@@ -92,11 +96,75 @@ def test_cc_kink_raises_past_the_last_level():
 
 
 def test_cc_nan_raises_at_once():
+    # the first level is one call: its nodes are spent, and the first
+    # non-finite one is named
     calls = []
     with pytest.raises(QuadratureNotConverged,
                        match="non-finite integrand at t=1, node 1"):
         clenshaw_curtis(counting(lambda t: [1.0, np.nan], calls), 0.0, 1.0)
-    assert len(calls) == 1
+    assert len(calls) == CC_FIRST_NODES
+
+
+def node_by_node(f, a, b, rel_tol):
+    """Oracle: the nested rule with one call of a scalar-node ``f`` per
+    node, the nodes of each level in the order the rule visits them;
+    returns (integrals, nodes) or raises as the rule does."""
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    n, values, total, nodes = CC_FIRST_NODES - 1, [], None, []
+    while n < CC_MAX_NODES:
+        step, new = (2 if values else 1), []
+        for k in range(step - 1, n + 1, step):
+            t = c + h * math.cos(k * math.pi / n)
+            nodes.append(t)
+            y = np.atleast_1d(np.asarray(f(t), dtype=float))
+            if not np.all(np.isfinite(y)):
+                raise QuadratureNotConverged(
+                    f"non-finite integrand at t={t:g}, node "
+                    f"{len(values) + len(new) + 1}")
+            new.append(y)
+        if values:
+            new = [y for pair in zip(values, new) for y in pair] + values[-1:]
+        values = new
+        previous, total = total, h * (_cc_weights(n) @ np.array(values))
+        if previous is not None and np.amax(abs(total - previous)) <= max(
+                rel_tol * np.amax(abs(total)), ABS_FLOOR):
+            return total, nodes
+        n *= 2
+    raise QuadratureNotConverged("past the last level")
+
+
+@pytest.mark.parametrize("f, a, b, rel_tol", [
+    (np.exp, 0.0, 1.0, 1e-14),
+    (lambda t: [np.sin(t), np.cos(3 * t)], 0.0, 1.5, 1e-10),
+    (lambda t: 1.0 / (1.0 + 25.0 * t * t), -1.0, 1.0, 1e-12),
+    (lambda t: [np.exp(-t) * np.sin(8 * t), t**3], 2.0, 0.0, 1e-12),
+])
+def test_cc_levels_match_node_by_node_bits(f, a, b, rel_tol):
+    calls = []
+    got = clenshaw_curtis(counting(f, calls), a, b, rel_tol=rel_tol)
+    want, nodes = node_by_node(f, a, b, rel_tol)
+    assert calls == nodes
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad_node", [1, 6, 9, 10, 17, 30, 40])
+def test_cc_names_the_first_non_finite_node(bad_node):
+    # a non-finite value at the bad node and every later one: a level
+    # names its first, as node-by-node evaluation does
+    def f(t):
+        return np.nan if visited.setdefault(t, len(visited) + 1) >= \
+            bad_node else 1.0 / (1.0 + 25.0 * t * t)
+
+    messages = []
+    for rule in (lambda g: clenshaw_curtis(counting(g, []), -1.0, 1.0,
+                                           rel_tol=1e-14),
+                 lambda g: node_by_node(g, -1.0, 1.0, 1e-14)):
+        visited = {}
+        with pytest.raises(QuadratureNotConverged) as caught:
+            rule(f)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    assert messages[0].endswith(f"node {bad_node}")
 
 
 def test_cc_non_finite_bounds_refused():
@@ -123,8 +191,9 @@ def test_cc_path_lengths_agree_with_closed_form(seed):
     # ell = ln(omega_f / omega_i) sqrt(sum_n p_n (n^2 + n + 1) / 8) over
     # the retained weights, for any monotone ramp from omega_i = 1
     for model, ensemble in length_chain_draws(seed, 2):
-        def rates(t):
-            return np.sqrt(np.maximum(ensemble_rates(model, ensemble, t), 0))
+        def rates(nodes):
+            return np.sqrt(np.maximum(np.stack(
+                ensemble_rates(model, ensemble, nodes), axis=-1), 0))
         got = clenshaw_curtis(rates, 0.0, model.tau, rel_tol=1e-9)[1]
         levels = np.arange(ensemble.n_levels)
         ref = (np.log(model.config.omega_f)

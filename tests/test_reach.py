@@ -14,7 +14,7 @@ NEVER_ENTERED = {
     **dict.fromkeys([
         "models.ParametrizedModel.h0_at",
         "models.ParametrizedModel.dh0_dlambda_at",
-        "models.ParametrizedModel.dh0_dt_at",
+        "models.ParametrizedModel.coupling_rows",
         "models.ParametrizedModel.h1_at", "models.ParametrizedModel.evolve",
         "models.ParametrizedModel.commutator",
         "models.ParametrizedModel.apply_h1",

@@ -113,8 +113,9 @@ class TestCdAuxiliary:
         # clear of the truncation edge
         model = HarmonicOscillator(HOConfig(1.0, 3.0, 0.8, dim=280))
         t = 0.4
-        h1 = cd_coupling(spectrum(band_to_dense(model.h0_at(t))),
-                         model.dh0_dt_at(t))
+        dh0_dt = model.omega_dot(t) * band_to_dense(
+            model.dh0_dlambda_at(t)[0])
+        h1 = cd_coupling(spectrum(band_to_dense(model.h0_at(t))), dh0_dt)
         ref = band_to_dense(model.h1_at(t))
         block = slice(0, 2 * 280 // 3)
         assert np.abs((h1 - ref)[block, block]).max() < 1e-8

@@ -363,7 +363,7 @@ class TestDurationSweep:
 
 class TestGeometricColumn:
     """fluctuation_sweep's optional metric-rate column: ensemble_rates'
-    metric rate, taken per point inside the block pass."""
+    metric rate, taken per block inside the block pass."""
 
     KEYS = {"mean_cd", "mean_ad", "var_cd", "var_ad", "excess_direct",
             "excess_dev", "energy_variance_cd", "energy_dev", "variance_h0"}
