@@ -25,7 +25,7 @@ from .spectral import (CertificateReport, Spectrum, StateTrajectory,
                        assert_hermitian, cd_coupling,
                        propagate, spectrum, transitionless_certificate)
 from .workstats import (ThermalEnsemble, WorkDistribution,
-                        WorkMoments, fluctuation_series, fluctuation_sweep,
+                        WorkMoments, fluctuation_series,
                         identity_check_rowsum, model_ensemble,
                         thermal_ensemble, transition_matrix,
                         work_distribution, work_moments)

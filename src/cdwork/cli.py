@@ -58,8 +58,7 @@ _COMMANDS = {
                       "delta": 1.0, "trajectory_sites": 64},
     "ion-waveforms": {"omega_i": 1.0, "omega_f": 3.0, "tau": 0.8,
                       "grid": 401, "nu": 3.0},
-    "verify": {"fock_dim": 120, "chain_samples": 12, "h1_scale": 1.0,
-               "seed": 20260809},
+    "verify": {"fock_dim": 120, "chain_samples": 12, "seed": 20260809},
 }
 # element type of the list keys, which hold a non-empty list
 _LIST_ITEMS = {"tau_list": float, "n_list": int}
@@ -89,11 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
         for key, default in table.items():
             parse = (_parse_list(_LIST_ITEMS[key]) if key in _LIST_ITEMS
                      else type(default))
-            p.add_argument("--" + key.replace("_", "-"), dest=key,
-                           type=parse, help=(
-                               "test hook: rescale the auxiliary term in the "
-                               "transitionless certificate"
-                               if key == "h1_scale" else None))
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=parse)
         p.add_argument("--out", type=Path)
         p.add_argument("--format", choices=("csv", "json"))
     return parser
@@ -309,8 +304,7 @@ def cmd_ion_waveforms(cfg: dict) -> int:
 
 def cmd_verify(cfg: dict) -> int:
     results = run_verification(seed=cfg["seed"], fock_dim=cfg["fock_dim"],
-                               chain_samples=cfg["chain_samples"],
-                               h1_scale=cfg["h1_scale"])
+                               chain_samples=cfg["chain_samples"])
     for res in results:
         print(f"{_status(res.passed)} {res.name}: {res.detail}")
     if cfg["out"] is not None:

@@ -5,12 +5,12 @@ A model bundles a protocol with its operators at time t: h0_at(t),
 h1_at(t) (the auxiliary term), h_drive_at(t, s) = H0 + s H1 and
 dh0_dlambda_at(t) in the model's own format, which its eigensolver,
 ``evolve``, ``commutator`` and ``coupling_rows`` take.  The generic
-``ParametrizedModel`` builds dense matrices from callables: h0_of(lam)
-and dh0_of(lam), its analytic derivatives (both required: there is no
-finite-difference fallback), and h1_of(t) (closed form, or H1 assembled
-from the spectrum).  A structured backend (the oscillator's bands, for
-one) overrides the operators with its own format and passes None for
-the first two.
+``ParametrizedModel`` builds dense matrices from two callables,
+h0_of(lam) and dh0_of(lam), its analytic derivatives (both required:
+there is no finite-difference fallback), and assembles H1 from the
+spectrum by ``spectral.cd_coupling``.  A structured backend (the
+oscillator's bands, for one) overrides the operators with its own
+format and passes None for both.
 
 Spectra are memoized by parameter point, since every downstream
 quantity (transition probabilities, metric tensors, work moments)
@@ -60,8 +60,8 @@ class SpectrumCache:
 
 class ParametrizedModel:
     """Hermitian family H0(lambda(t)) driven along a protocol, as dense
-    matrices from the callables ``h0_of``, ``dh0_of`` and ``h1_of`` (see
-    the module docstring).
+    matrices from the callables ``h0_of`` and ``dh0_of`` (see the module
+    docstring).
 
     ``truncated`` marks backends whose matrices are finite sections of
     an infinite operator; work statistics then track how much weight
@@ -73,10 +73,10 @@ class ParametrizedModel:
 
     truncated = False
 
-    def __init__(self, protocol: Protocol, h0_of, dh0_of, h1_of=None,
+    def __init__(self, protocol: Protocol, h0_of, dh0_of,
                  cache_size: int = STORE_SIZE):
         self.protocol = protocol
-        self._h0_of, self._dh0_of, self._h1_of = h0_of, dh0_of, h1_of
+        self._h0_of, self._dh0_of = h0_of, dh0_of
         self._store = SpectrumCache(cache_size)
         self.dim = int(np.shape(self.h0_at(0.0))[-1])
 
@@ -92,8 +92,6 @@ class ParametrizedModel:
         return self._dh0_of(self.protocol.value(t))
 
     def h1_at(self, t: float) -> np.ndarray:
-        if self._h1_of is not None:
-            return self._h1_of(t)
         dh0_dt = np.tensordot(self.protocol.derivative(t),
                               np.array(self.dh0_dlambda_at(t), dtype=complex),
                               1)

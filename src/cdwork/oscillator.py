@@ -53,7 +53,7 @@ from .errors import (BandStructureError, ConfigError, InvalidDetuning,
                      NonHermitianInput, SupercriticalDrive, ValidityWarning)
 from .models import STORE_SIZE, ParametrizedModel
 from .protocols import Protocol, log_ramp, quintic_ramp
-from .spectral import HERMITIAN_TOL
+from .spectral import HERMITIAN_TOL, gauge_fix
 
 
 def _numpy_openblas():
@@ -408,9 +408,10 @@ class HarmonicOscillator(ParametrizedModel):
 
     def _diagonalize(self, hs):
         """Spectra of a block of bands, each a ``SectorSpectrum``: both
-        parity sectors solved, each sector's eigenvectors gauge-fixed in
-        place (a real band's stay real) and the two ascending energy
-        lists merged, ties to the even sector."""
+        parity sectors solved, each sector's eigenvectors divided in
+        place by their pivot phases (``spectral.gauge_fix``; a real
+        band's stay real) and the two ascending energy lists merged,
+        ties to the even sector."""
         sectors = self._sector_spectra(self._checked_bands(hs), (0, 1))
         count, dim = len(hs), self.dim
         merged = np.concatenate([vals for vals, _, _ in sectors], axis=1)
@@ -419,28 +420,17 @@ class HarmonicOscillator(ParametrizedModel):
         # the level of each sector column in the merged, ascending order
         levels = np.empty_like(order)
         np.put_along_axis(levels, order, np.arange(dim)[None, :], axis=1)
-        pivots = np.empty((count, dim), dtype=sectors[0][2].dtype)
         fixed, start = [], 0
         for vals, vecs, phases in sectors:
             if np.iscomplexobj(phases):
                 vecs = vecs * phases[:, :, None]
             else:
                 vecs *= phases[:, :, None]
-            # each column's pivot, its largest entry (the lowest row of a
-            # tie), made real and positive, as ``gauge_fix`` does
-            rows = np.argmax(np.abs(vecs), axis=1)
-            top = np.take_along_axis(vecs, rows[:, None, :], axis=1)[:, 0]
-            pivot = top / np.abs(top)
-            vecs /= pivot[:, None, :]
-            own = levels[:, start:start + vals.shape[1]]
-            np.put_along_axis(pivots, own, pivot, axis=1)
-            fixed.append((own, vecs))
+            vecs /= gauge_fix(vecs)
+            fixed.append((levels[:, start:start + vals.shape[1]], vecs))
             start += vals.shape[1]
-        # a zero entry of a gauge-fixed dense column is 0 / its pivot
-        zeros = np.zeros((), dtype=pivots.dtype) / pivots
         return [SectorSpectrum(energies[b], tuple(
-            (own[b], vecs[b]) for own, vecs in fixed), zeros[b])
-            for b in range(count)]
+            (own[b], vecs[b]) for own, vecs in fixed)) for b in range(count)]
 
 
 class SectorSpectrum:
@@ -449,20 +439,19 @@ class SectorSpectrum:
     1, 3, ...), the pair (levels, vectors) of each eigenvector's level in
     ``energies`` and the gauge-fixed eigenvectors on the sector's rows,
     ascending in energy.  ``states`` assembles the dense d x d matrix of
-    ``Spectrum``, columns in energy order, on each read; it is not kept,
-    so a spectrum in a store holds one form of its vectors."""
+    ``Spectrum``, columns in energy order and zero off their sector, on
+    each read; it is not kept, so a spectrum in a store holds one form
+    of its vectors."""
 
-    __slots__ = ("energies", "sectors", "_zeros")
+    __slots__ = ("energies", "sectors")
 
-    def __init__(self, energies, sectors, zeros):
-        # zeros: per column, the signed zero of its entries off its sector
-        self.energies, self.sectors, self._zeros = energies, sectors, zeros
+    def __init__(self, energies, sectors):
+        self.energies, self.sectors = energies, sectors
 
     @property
     def states(self) -> np.ndarray:
         dim = len(self.energies)
-        out = np.empty((dim, dim), dtype=self._zeros.dtype)
-        out[...] = self._zeros
+        out = np.zeros((dim, dim), dtype=self.sectors[0][1].dtype)
         for parity, (levels, vectors) in enumerate(self.sectors):
             out[parity::2, levels] = vectors
         return out

@@ -62,12 +62,13 @@ def assert_hermitian(h: np.ndarray) -> None:
 
 
 def gauge_fix(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column's phase so its largest-magnitude entry is real
-    and positive.  Deterministic: ties resolve to the lowest index."""
-    idx = np.argmax(np.abs(vectors), axis=0)
-    pivots = vectors[idx, np.arange(vectors.shape[1])]
-    phases = pivots / np.abs(pivots)
-    return vectors / phases[None, :]
+    """The unit phase of each column's pivot, shape (..., 1, n) for
+    columns over the last two axes (..., d, n): its largest-magnitude
+    entry, the lowest row of a tie.  Dividing the columns by it makes
+    every pivot real and positive, the gauge of ``spectrum``."""
+    rows = np.argmax(np.abs(vectors), axis=-2)[..., None, :]
+    pivots = np.take_along_axis(vectors, rows, axis=-2)
+    return pivots / np.abs(pivots)
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ def spectrum(h: np.ndarray, *, check: bool = True,
         warnings.warn("near-degenerate eigenvalues: phase gauge fixed but "
                       "unstable under perturbation", DegenerateGaugeWarning,
                       stacklevel=2)
-    return Spectrum(energies, gauge_fix(vectors))
+    return Spectrum(energies, vectors / gauge_fix(vectors))
 
 
 def cd_coupling(spec: Spectrum, dh0_dt: np.ndarray) -> np.ndarray:
@@ -277,12 +278,12 @@ def transitionless_certificate(model, levels, grid, *, h1_scale: float = 1.0,
     PASS requires both the minimum overlap along the grid and the final
     fidelity to reach 1 - CERTIFICATE_THRESHOLD for every requested
     level.  ``h1_scale`` rescales the auxiliary term: at 0 the bare H0
-    generates the dynamics (the discriminating control), and any other
-    value than 1 lets verification demonstrate that a wrong prefactor
-    is caught.  The Hamiltonians come from ``model.h_drive_at``; each
-    Magnus step takes their commutator by ``model.commutator`` and
-    exponentiates by ``model.evolve`` (for the oscillator: both on
-    bands, the exponential one parity sector at a time).
+    generates the dynamics (verify's discriminating control); the tests
+    run other values to show that a wrong prefactor is caught.  The
+    Hamiltonians come from ``model.h_drive_at``; each Magnus step takes
+    their commutator by ``model.commutator`` and exponentiates by
+    ``model.evolve`` (for the oscillator: both on bands, the exponential
+    one parity sector at a time).
     """
     levels = np.atleast_1d(np.asarray(levels, dtype=int))
     grid = np.asarray(grid, dtype=float)

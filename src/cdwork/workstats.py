@@ -20,18 +20,17 @@ no time propagation.  Two independent routes give its moments:
     completeness sum_m p_{n->m} E_m(t)^k = <n(t)|H_cd^k|n(t)>, and as
     H0|n(t)> = eps_n(t)|n(t)>, every moment follows from U = H1|n(t)>.
     H1 does no mean work (Re<n|U> = 0, its zero diagonal) and adds
-    sum_n p_n ||U||^2 to the work variance.  ``fluctuation_series``
-    reduces both over blocks of grid points, and ``fluctuation_sweep``
-    covers a sweep over ramp durations in the same pass, since H1 scales
-    as 1/tau at fixed ramp progress; the store holds one block.  The
-    sweep is a kernel pass over grid rows (``fluctuation_kernel``) and a
-    per-duration assembly (``fluctuation_assembly``), so that the pass
+    sum_n p_n ||U||^2 to the work variance.  ``fluctuation_kernel``
+    reduces U over blocks of grid points, and ``fluctuation_assembly``
+    scales its columns to every duration of one ramp shape, since H1
+    scales as 1/tau at fixed ramp progress; ``fluctuation_series`` is
+    the pair at the model's own duration.  Kept apart, the kernel pass
     can be cut on a block boundary and run in two lanes.
 
 The geometric form of the same excess, sum_n p_n g^(n) lamdot lamdot, is
 ``geometry.ensemble_rates``' metric rate, an independent third route
 through the coupling rows of dH0 over squared gaps, which
-``fluctuation_sweep`` takes per block in its block pass when passed in.
+``fluctuation_kernel`` takes per block when passed in.
 
 For drives fast enough that omegadot^2/(4 omega^4) reaches one, the
 driving Hamiltonian of the oscillator loses its discrete spectrum in
@@ -60,6 +59,8 @@ PROB_FLOOR = 1e-16
 TRUSTED_FRACTION = 2.0 / 3.0
 # thermal weight a truncated spectrum may leave beyond its retained levels
 TAIL_TOL = 1e-10
+# work atoms closer than this in energy are merged into one
+MERGE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -170,12 +171,12 @@ class WorkDistribution:
     probabilities: np.ndarray
 
 
-def _merge_atoms(values, probs, merge_tol):
+def _merge_atoms(values, probs):
     order = np.argsort(values, kind="stable")
     values, probs = values[order], probs[order]
     out_v, out_p = [values[0]], [probs[0]]
     for v, p in zip(values[1:], probs[1:]):
-        if v - out_v[-1] <= merge_tol:
+        if v - out_v[-1] <= MERGE_TOL:
             out_p[-1] += p
         else:
             out_v.append(v)
@@ -183,13 +184,13 @@ def _merge_atoms(values, probs, merge_tol):
     return np.array(out_v), np.array(out_p)
 
 
-def work_distribution(model, ensemble, t: float, kind: str = "cd", *,
-                      merge_tol: float = 1e-12) -> WorkDistribution:
+def work_distribution(model, ensemble, t: float,
+                      kind: str = "cd") -> WorkDistribution:
     """P[W(t)] for the driven ("cd") or the adiabatic reference process.
 
     cd atoms sit at E_m(t) - eps_n(0) with weight p_n p_{n->m};
     adiabatic atoms sit at eps_n(t) - eps_n(0) with weight p_n.  Atoms
-    closer than merge_tol in energy are merged; atoms below PROB_FLOOR
+    closer than MERGE_TOL in energy are merged; atoms below PROB_FLOOR
     (rounding ghosts of exactly forbidden transitions) are dropped.
     For the mean and variance alone, ``work_moments`` skips the atoms.
     """
@@ -207,7 +208,7 @@ def work_distribution(model, ensemble, t: float, kind: str = "cd", *,
     else:
         raise ValueError(f"unknown kind {kind!r}")
     live = probs > PROB_FLOOR
-    values, probs = _merge_atoms(values[live], probs[live], merge_tol)
+    values, probs = _merge_atoms(values[live], probs[live])
     return WorkDistribution(values, probs)
 
 
@@ -279,17 +280,18 @@ def _real_dots(a, b):
 
 def fluctuation_kernel(model, ensemble, grid,
                        metric_rate=None) -> dict[str, np.ndarray]:
-    """The kernel pass of ``fluctuation_sweep`` over the times ``grid``,
-    in blocks of BLOCK_POINTS from its first row, each block's spectra
-    one ``model.spectra0_at`` call.  Columns, per point and retained
-    level: e_now, the energies eps_n(t); dots and norms, Re<n|U> and
-    ||U||^2 of U = H1|n> (``model.apply_h1``); and, where
-    ``metric_rate`` is given, rates, its values at a block's times,
-    taken in one call per block after the block's leakage check.
+    """The kernel pass over the times ``grid``, in blocks of
+    BLOCK_POINTS from its first row, each block's spectra one
+    ``model.spectra0_at`` call.  Columns, per point and retained level:
+    e_now, the energies eps_n(t); dots and norms, Re<n|U> and ||U||^2
+    of U = H1|n> (``model.apply_h1``); and, where ``metric_rate`` is
+    given, rates, its values at a block's times, taken in one call per
+    block after the block's leakage check.
 
     A grid cut on a BLOCK_POINTS boundary gives each part's rows of the
     whole grid bit for bit, since every block sees the same times.  The
-    pass needs one block's spectra at a time.
+    pass needs one block's spectra at a time: a store of BLOCK_POINTS + 1
+    holds them and t = 0.
     """
     grid = np.asarray(grid, dtype=float)
     n_keep = ensemble.n_levels
@@ -329,22 +331,37 @@ def _scaled_root(a, b, c):
 
 
 def fluctuation_assembly(ensemble, e_init, kernel, speeds) -> list[dict]:
-    """Per speed v, the columns of ``fluctuation_sweep`` from the
+    """Per speed v, the columns of ``fluctuation_series`` but t from the
     columns of ``fluctuation_kernel`` at v = 1 and the retained initial
-    energies ``e_init``."""
+    energies ``e_init``, and excess_geometric, v^2 times the kernel's
+    rates, where it took them.
+
+    Contract: each speed v = model.tau / tau stands for a duration tau
+    of the ramp shape of the kernel's model, lambda_tau(t) =
+    Lambda(t / tau), as every ramp in ``protocols`` is; row j is then at
+    the progress grid[j] / model.tau, with the model's H0 and v times
+    its H1 = lamdot A(lambda).  As H0|n> = eps_n|n>, (H_cd - eps_n)|n> =
+    v U, and every fluctuation is a norm sum_n p_n ||(H_cd - c_n)|n>||^2
+    = sum_n p_n (v^2 ||U||^2 + 2 g_n v Re<n|U> + g_n^2), g_n = eps_n -
+    c_n: c_n = eps_n for the excess, eps_n(0) + mean_cd for var_cd and
+    <H_cd> for energy_variance_cd.  excess_dev = v sqrt(sum_n p_n
+    ||U||^2) stays in range where v^2 ||U||^2 underflows, and so does
+    energy_dev, the root of energy_variance_cd taken as sqrt(A + 2 v B +
+    v^2 C) over the scale max(sqrt(A), v sqrt(C)), A, B and C free of
+    v."""
     p, e_now = ensemble.weights, kernel["e_now"]
     mean_ad, var_ad = _weighted_moments(e_now - e_init, p)
-    mean_h0, variance_h0 = _weighted_moments(e_now, p)
+    mean_h0, var_h0 = _weighted_moments(e_now, p)
     norm_sum = np.sum(p * kernel["norms"], axis=-1)
     # sqrt(sum_n p_n ||U||^2), the excess deviation at v = 1
     deviation = np.sqrt(norm_sum)
     # about c_n = <H_cd>, the energy variance is A + 2 v B + v^2 C: A =
-    # variance_h0, B = sum_n p_n (eps_n - <H0>) Re<n|U> and C = sum_n p_n
+    # Var(H0), B = sum_n p_n (eps_n - <H0>) Re<n|U> and C = sum_n p_n
     # ||U||^2 - (sum_n p_n Re<n|U>)^2
     cross = np.sum(p * (e_now - mean_h0[:, None]) * kernel["dots"], axis=-1)
     spread_u = np.sqrt(np.clip(
         norm_sum - np.sum(p * kernel["dots"], axis=-1) ** 2, 0.0, None))
-    spread_h0 = np.sqrt(variance_h0)
+    spread_h0 = np.sqrt(var_h0)
     out = []
     for v in speeds:
         dots, norms = v * kernel["dots"], v * v * kernel["norms"]
@@ -361,57 +378,23 @@ def fluctuation_assembly(ensemble, e_init, kernel, speeds) -> list[dict]:
                     "energy_variance_cd": spread(
                         np.sum(p * (e_now + dots), axis=-1)[:, None]),
                     "energy_dev": _scaled_root(spread_h0, v * cross,
-                                               v * spread_u),
-                    "variance_h0": variance_h0})
+                                               v * spread_u)})
         if "rates" in kernel:
             out[-1]["excess_geometric"] = v * v * kernel["rates"]
     return out
 
 
-def fluctuation_sweep(model, ensemble, grid, durations,
-                      metric_rate=None) -> list[dict]:
-    """Per duration, the columns of ``fluctuation_series`` but t, from
-    one kernel pass over ``grid``, the model's own time grid.
-
-    Contract: the durations share one ramp shape, lambda_tau(t) =
-    Lambda(t / tau), as every ramp in ``protocols`` does.  Row j of
-    duration tau is then at the progress s_j = grid[j] / model.tau, with
-    the model's H0 and v = model.tau / tau times its H1 = lamdot A(lambda).
-    Per BLOCK_POINTS points the kernel (``fluctuation_kernel``) gathers
-    the K retained |n>, checks their basis leakage and reduces Re<n|U>
-    and ||U||^2 of U = H1|n>.  As H0|n> = eps_n|n>, (H_cd - eps_n)|n> =
-    v U, and the assembly (``fluctuation_assembly``) takes every
-    fluctuation as a norm sum_n p_n ||(H_cd - c_n)|n>||^2 =
-    sum_n p_n (v^2 ||U||^2 + 2 g_n v Re<n|U> + g_n^2), g_n = eps_n - c_n:
-    c_n = eps_n for the excess, eps_n(0) + mean_cd for var_cd and <H_cd>
-    for energy_variance_cd.  The excess deviation excess_dev is
-    v sqrt(sum_n p_n ||U||^2), which stays in range where v^2 ||U||^2
-    underflows, and so does the energy deviation energy_dev, the root of
-    energy_variance_cd taken as sqrt(A + 2 v B + v^2 C) over the scale
-    max(sqrt(A), v sqrt(C)), with A, B and C free of v.
-
-    The pass needs one block's spectra at a time: a store of
-    BLOCK_POINTS + 1 holds them and t = 0.  ``metric_rate``, a callable
-    of a block's times giving sum_n p_n g^(n) lamdot lamdot at each,
-    adds the column excess_geometric (times v^2), taken after each
-    block's leakage check.
-    """
-    e_init = model.spectrum0_at(0.0).energies[:ensemble.n_levels]
-    kernel = fluctuation_kernel(model, ensemble, grid, metric_rate)
-    return fluctuation_assembly(ensemble, e_init, kernel,
-                                [model.tau / tau for tau in durations])
-
-
 def fluctuation_series(model, ensemble, grid) -> dict[str, np.ndarray]:
-    """Work moments and energy fluctuations at every time of a grid, the
-    one-duration call (v = 1) of ``fluctuation_sweep``.  Columns: t;
-    mean_cd, mean_ad, var_cd and var_ad of the driven work E_m(t) -
-    eps_n(0) and its adiabatic reference; excess_direct = sum_n p_n
-    ||H1|n(t)>||^2 and excess_dev, its square root; energy_variance_cd
-    and variance_h0, the variances of H_cd and H0 in rho(t) =
-    sum_n p_n |n(t)><n(t)|, where energy_variance_cd - excess_direct =
-    variance_h0 >= 0, and energy_dev, the square root of
+    """Work moments and energy fluctuations at every time of a grid:
+    one kernel pass (``fluctuation_kernel``) assembled at v = 1
+    (``fluctuation_assembly``).  Columns: t; mean_cd, mean_ad, var_cd
+    and var_ad of the driven work E_m(t) - eps_n(0) and its adiabatic
+    reference; excess_direct = sum_n p_n ||H1|n(t)>||^2 and excess_dev,
+    its square root; energy_variance_cd, the variance of H_cd in
+    rho(t) = sum_n p_n |n(t)><n(t)|, which exceeds excess_direct by the
+    variance of H0 there; and energy_dev, the square root of
     energy_variance_cd."""
     grid = np.asarray(grid, dtype=float)
-    return {"t": grid,
-            **fluctuation_sweep(model, ensemble, grid, [model.tau])[0]}
+    e_init = model.spectrum0_at(0.0).energies[:ensemble.n_levels]
+    return {"t": grid, **fluctuation_assembly(
+        ensemble, e_init, fluctuation_kernel(model, ensemble, grid), [1.0])[0]}

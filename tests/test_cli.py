@@ -8,6 +8,7 @@ import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdwork import HOConfig, HarmonicOscillator, ValidityWarning, model_ensemble
-from cdwork import cli, figures, ising, oscillator
+from cdwork import cli, figures, ising, oscillator, spectral, verify
 from cdwork.cli import main
 
 SMALL_HO = ["--beta", "2", "--fock-dim", "80", "--grid", "51",
@@ -292,7 +293,6 @@ class TestConfigHandling:
         ("ising-figure2", "--delta", "inf"),
         ("ho-figure1", "--tau-list", "0.4,inf"),
         ("ion-waveforms", "--nu", "inf"),
-        ("verify", "--h1-scale", "inf"),
     ])
     def test_non_finite_value_exits_two(self, tmp_path, capsys, command,
                                         flag, value):
@@ -496,17 +496,41 @@ class TestVerifyCommand:
         assert main(["verify", "--seed", seed]) == 2
         assert "seed" in capsys.readouterr().err
 
-    def test_corrupted_auxiliary_term_fails(self, capsys):
-        code = main(["verify", "--h1-scale", "2.0", "--chain-samples", "1"])
+    def test_auxiliary_scale_is_no_flag(self, capsys):
+        # the certificate always runs the true auxiliary term
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--h1-scale", "2"])
+        assert exc.value.code == 2
+        assert "--h1-scale" in capsys.readouterr().err
+
+    def test_auxiliary_scale_is_no_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"h1_scale": 2.0}))
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert "unknown config key 'h1_scale'" in capsys.readouterr().err
+
+    @staticmethod
+    def _scaled_certificate(monkeypatch, h1_scale):
+        # the certificate check at a wrong auxiliary scale; the bare
+        # control's explicit h1_scale=0.0 overrides the default set here
+        monkeypatch.setattr(verify, "transitionless_certificate", partial(
+            spectral.transitionless_certificate, h1_scale=h1_scale))
+
+    def test_corrupted_auxiliary_term_fails(self, monkeypatch, capsys):
+        self._scaled_certificate(monkeypatch, 2.0)
+        code = main(["verify", "--chain-samples", "1"])
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL transitionless-certificate" in out
+        assert "PASS bare-drive-control-fails" in out
 
-    def test_huge_auxiliary_term_ends_in_step_budget(self, tmp_path, capsys):
+    def test_huge_auxiliary_term_ends_in_step_budget(self, tmp_path,
+                                                     monkeypatch, capsys):
         # under the CLI's floating-point policy the propagation of a
         # 1e300 auxiliary term stops on its step budget, not on an
         # overflow in the Magnus commutator
-        code = main(["verify", "--h1-scale", "1e300", "--chain-samples", "1",
+        self._scaled_certificate(monkeypatch, 1e300)
+        code = main(["verify", "--chain-samples", "1",
                      "--out", str(tmp_path)])
         assert code == 1
         err = capsys.readouterr().err

@@ -14,7 +14,7 @@ from cdwork import (BandStructureError, ConfigError, HOConfig, HarmonicOscillato
                     ion_waveforms, model_ensemble, path_lengths, qgt, ramp,
                     work_distribution)
 from cdwork import oscillator
-from cdwork.spectral import dense_evolve
+from cdwork.spectral import dense_evolve, gauge_fix
 from conftest import band_to_dense, work_variance
 
 
@@ -214,6 +214,80 @@ class TestFastEigh:
             assert np.array_equal(vals[0], ref_vals)
             assert np.array_equal(vecs[0] * phases[0][:, None],
                                   ref_vecs * ref[:, None])
+
+
+class TestGauge:
+    """Oscillator spectra are in the gauge that ``spectral.spectrum``
+    documents: each column divided by the unit phase of its pivot, its
+    largest-magnitude entry (``spectral.gauge_fix``)."""
+
+    TIMES = (0.0, 0.13, 0.4, 0.71, 0.8)
+
+    @classmethod
+    def spectra(cls, model):
+        """(band, spectrum) pairs: H0 (a real band) and the driving
+        Hamiltonian (a complex one) at each of TIMES."""
+        return [pair for t in cls.TIMES for pair in (
+            (model.h0_at(t), model.spectrum0_at(t)),
+            (model.h_drive_at(t), model.spectrum_cd_at(t)))]
+
+    def test_pivots_are_real_and_positive(self, fig1_model):
+        eps = np.finfo(float).eps
+        for _, spec in self.spectra(fig1_model):
+            v = spec.states
+            pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+            assert np.all(pivots.real > 0.0)
+            # exact on a real band; a complex pivot keeps the rounding of
+            # the one complex division that fixed it
+            assert np.all(np.abs(pivots.imag) <= eps * pivots.real)
+
+    def test_rule_leaves_states_unchanged(self, fig1_model):
+        # on the real H0 spectra; a complex column keeps a phase within
+        # an ulp of one, from the rounding of its one complex division
+        for t in self.TIMES:
+            v = fig1_model.spectrum0_at(t).states
+            assert (v / gauge_fix(v)).tobytes() == v.tobytes()
+
+    def test_states_are_the_rule_on_the_sector_eigenvectors(self,
+                                                            fig1_model):
+        # the dense rule of ``spectrum`` on the unfixed eigenvectors of
+        # both sectors gives every entry of states; the off-sector zeros
+        # it divides may come out signed, so equality, not bits, here
+        model = fig1_model
+        for band, spec in self.spectra(model):
+            raw = np.zeros_like(spec.states)
+            sectors = model._sector_spectra(model._checked_bands([band]),
+                                            (0, 1))
+            for parity, (_, vecs, phases) in enumerate(sectors):
+                raw[parity::2, spec.sectors[parity][0]] = \
+                    vecs[0] * phases[0][:, None]
+            assert np.array_equal(raw / gauge_fix(raw), spec.states)
+
+    def test_off_sector_entries_are_positive_zeros(self, fig1_model):
+        for _, spec in self.spectra(fig1_model):
+            v = spec.states
+            for parity, (levels, _) in enumerate(spec.sectors):
+                # real and imaginary parts alike
+                off = np.ascontiguousarray(v[1 - parity::2][:, levels])
+                parts = off.view(float)
+                assert not parts.any() and not np.signbit(parts).any()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_helper_on_a_stack_is_per_matrix(self, fig1_model, rng, dtype):
+        stack = rng.standard_normal((5, 12, 7)).astype(dtype)
+        if dtype is complex:
+            stack += 1j * rng.standard_normal(stack.shape)
+        # and the unfixed sector eigenvectors of one band block
+        bands = fig1_model._checked_bands(
+            [fig1_model.h_drive_at(t, 1.0 if dtype is complex else 0.0)
+             for t in (0.13, 0.4)])
+        _, vecs, phases = fig1_model._sector_spectra(bands, (1,))[0]
+        for block in (stack, vecs * phases[:, :, None]):
+            phase = gauge_fix(block)
+            assert phase.shape == (len(block), 1, block.shape[-1])
+            assert phase.tobytes() == np.stack(
+                [gauge_fix(matrix) for matrix in block]).tobytes()
+            assert np.allclose(np.abs(phase), 1.0, rtol=0.0, atol=1e-15)
 
 
 class TestStevdRoute:

@@ -7,15 +7,37 @@ from hypothesis import strategies as st
 
 from cdwork import (DegeneracyError, HOConfig, HarmonicOscillator,
                     ParametrizedModel, TruncationError, bound_chain, chain_lengths,
-                    ensemble_rates, fluctuation_series, fluctuation_sweep,
+                    ensemble_rates, fluctuation_series,
                     identity_check_rowsum, model_ensemble, quintic_ramp,
                     thermal_ensemble, transition_matrix, two_level_model,
                     work_distribution, work_moments)
 from cdwork.workstats import (BLOCK_POINTS, DEFICIT_TOL, basis_leakage,
-                              fluctuation_kernel)
+                              fluctuation_assembly, fluctuation_kernel)
 from conftest import work_mean, work_variance
 
 E_CONST = math.e
+
+
+def kernel_sweep(model, ensemble, grid, durations, metric_rate=None):
+    """Per duration of the model's ramp shape, the columns of one kernel
+    pass over the model's own time ``grid`` assembled at that speed, as
+    ``figures.ho_figure1_data`` takes them."""
+    e_init = model.spectrum0_at(0.0).energies[:ensemble.n_levels]
+    kernel = fluctuation_kernel(model, ensemble, grid, metric_rate)
+    return fluctuation_assembly(ensemble, e_init, kernel,
+                                [model.tau / tau for tau in durations])
+
+
+class FixedH1Model(ParametrizedModel):
+    """A dense model driven by ``h1(t)`` in place of the counterdiabatic
+    term that ``ParametrizedModel`` assembles from its spectrum."""
+
+    def __init__(self, model, h1):
+        super().__init__(model.protocol, model._h0_of, model._dh0_of)
+        self._h1 = h1
+
+    def h1_at(self, t):
+        return self._h1(t)
 
 
 def geometric_moments(beta_omega):
@@ -260,28 +282,26 @@ class TestOperatorRoute:
         series = fluctuation_series(fig1_model, ensemble, grid)
         assert np.array_equal(series["mean_cd"], series["mean_ad"])
         durations = [round(0.2 * k, 10) for k in range(1, 16)]
-        for columns in fluctuation_sweep(fig1_model, ensemble, grid,
-                                         durations):
+        for columns in kernel_sweep(fig1_model, ensemble, grid, durations):
             assert np.array_equal(columns["mean_cd"], columns["mean_ad"])
 
-    @pytest.mark.parametrize("h1_of", [None, lambda t: np.array(
+    @pytest.mark.parametrize("h1", [None, lambda t: np.array(
         [[0.3, 0.2j], [-0.2j, -0.1]])])
-    def test_dense_default_on_two_level_model(self, h1_of):
+    def test_dense_default_on_two_level_model(self, h1):
         # the second term is no counterdiabatic one: it has a diagonal in
         # the instantaneous basis, so Re<n|r_n> != 0; the driven moments'
         # completeness algebra still matches the transition matrix, while
         # the excess identity needs the zero diagonal of a true H1
         model = two_level_model(quintic_ramp([0.3], [1.7], 1.0))
-        if h1_of is not None:
-            model = ParametrizedModel(model.protocol, model._h0_of,
-                                      model._dh0_of, h1_of)
+        if h1 is not None:
+            model = FixedH1Model(model, h1)
         ensemble = model_ensemble(model, 2.0)
         grid = np.linspace(0.0, 1.0, 23)
         series = fluctuation_series(model, ensemble, grid)
         for i, t in enumerate(grid):
             oracle = work_moments(model, ensemble, t)
             checks = [("mean_cd", oracle.mean_cd), ("var_cd", oracle.var_cd)]
-            if h1_of is None:
+            if h1 is None:
                 checks.append(("excess_direct", oracle.excess))
             for key, value in checks:
                 assert series[key][i] == pytest.approx(value, abs=1e-13)
@@ -312,8 +332,9 @@ class TestOperatorRoute:
 
 
 class TestDurationSweep:
-    """fluctuation_sweep takes every duration of one ramp shape from the
-    model's grid; each duration's own model is the oracle."""
+    """One kernel pass over the model's grid, assembled per speed, gives
+    every duration of one ramp shape; each duration's own model is the
+    oracle."""
 
     @pytest.mark.parametrize("kind", ["quintic", "log"])
     @pytest.mark.parametrize("beta", [1.0, math.inf])
@@ -322,8 +343,8 @@ class TestDurationSweep:
         ensemble = model_ensemble(model, beta)
         durations = [0.4, 0.8, 1.2, 2.0, 3.0]
         points = 81
-        sweep = fluctuation_sweep(model, ensemble,
-                                  np.linspace(0.0, 0.8, points), durations)
+        sweep = kernel_sweep(model, ensemble, np.linspace(0.0, 0.8, points),
+                             durations)
         assert len(sweep) == len(durations)
         for tau, columns in zip(durations, sweep):
             own = HarmonicOscillator(HOConfig(1.0, 3.0, tau, ramp_kind=kind))
@@ -346,13 +367,12 @@ class TestDurationSweep:
             model = two_level_model(quintic_ramp([0.3], [1.7], tau))
             if h1 is None:
                 return model
-            return ParametrizedModel(model.protocol, model._h0_of,
-                                     model._dh0_of, lambda t: h1 / tau)
+            return FixedH1Model(model, lambda t: h1 / tau)
 
         model = model_at(1.0)
         ensemble = model_ensemble(model, 2.0)
-        sweep = fluctuation_sweep(model, ensemble, np.linspace(0.0, 1.0, 23),
-                                  [0.5, 2.0])
+        sweep = kernel_sweep(model, ensemble, np.linspace(0.0, 1.0, 23),
+                             [0.5, 2.0])
         for tau, columns in zip((0.5, 2.0), sweep):
             own = model_at(tau)
             oracle = fluctuation_series(own, model_ensemble(own, 2.0),
@@ -362,11 +382,11 @@ class TestDurationSweep:
 
 
 class TestGeometricColumn:
-    """fluctuation_sweep's optional metric-rate column: ensemble_rates'
-    metric rate, taken per block inside the block pass."""
+    """The kernel's optional metric-rate column: ensemble_rates' metric
+    rate, taken per block inside the block pass."""
 
     KEYS = {"mean_cd", "mean_ad", "var_cd", "var_ad", "excess_direct",
-            "excess_dev", "energy_variance_cd", "energy_dev", "variance_h0"}
+            "excess_dev", "energy_variance_cd", "energy_dev"}
 
     @pytest.mark.parametrize("points", [0, 1, 16, 17, 41])
     def test_column_is_the_metric_rate(self, fig1_model, fig1_ensemble,
@@ -375,8 +395,8 @@ class TestGeometricColumn:
         grid = np.linspace(0.0, 0.8, points)
         rates = np.array([ensemble_rates(fig1_model, fig1_ensemble, t)[1]
                           for t in grid])
-        plain = fluctuation_sweep(fig1_model, fig1_ensemble, grid, [0.4, 0.8])
-        sweep = fluctuation_sweep(
+        plain = kernel_sweep(fig1_model, fig1_ensemble, grid, [0.4, 0.8])
+        sweep = kernel_sweep(
             fig1_model, fig1_ensemble, grid, [0.4, 0.8],
             lambda t: ensemble_rates(fig1_model, fig1_ensemble, t)[1])
         short, own = sweep
@@ -417,7 +437,7 @@ class TestGeometricColumn:
             raise DegeneracyError(f"rate taken at t={t:g}")
 
         with pytest.raises(TruncationError):
-            fluctuation_sweep(model, ensemble, [0.0, 0.8], [0.8], rate)
+            fluctuation_kernel(model, ensemble, [0.0, 0.8], rate)
 
 
 class TestExcessVariance:
@@ -505,17 +525,19 @@ class TestEnergyFluctuations:
                                                           beta):
         ensemble = model_ensemble(fig1_model, beta)
         grid = np.linspace(0.0, 0.8, 41)
-        for columns in fluctuation_sweep(fig1_model, ensemble, grid,
-                                         [0.08, 0.8, 8.0]):
+        for columns in kernel_sweep(fig1_model, ensemble, grid,
+                                    [0.08, 0.8, 8.0]):
             root = np.sqrt(np.clip(columns["energy_variance_cd"], 0.0, None))
             np.testing.assert_allclose(columns["energy_dev"], root,
                                        rtol=1e-14, atol=0.0)
 
     def test_ground_state_decomposition(self, fig1_model, fig1_ground):
         # energy_variance_cd - excess = Var(H0) in the evolved state, >= 0
+        p = fig1_ground.weights
         for t in (0.2, 0.4, 0.6):
             row = fluctuation_series(fig1_model, fig1_ground, [t])
-            variance_h0 = row["variance_h0"][0]
+            e = fig1_model.spectrum0_at(t).energies[:fig1_ground.n_levels]
+            variance_h0 = float(p @ e**2 - (p @ e) ** 2)
             assert variance_h0 >= -1e-12
             assert row["energy_variance_cd"][0] - row["excess_direct"][0] \
                 == pytest.approx(variance_h0, rel=1e-8)
