@@ -21,9 +21,9 @@ from .oscillator import (HOConfig, HarmonicOscillator, WaveformTable,
                          cd_exact_energy, ho_metric, ion_waveforms, ramp)
 from .protocols import Protocol, cubic_ramp, log_ramp, quintic_ramp
 from .quadrature import clenshaw_curtis, simpson
-from .spectral import (CertificateReport, Spectrum, StateTrajectory,
-                       assert_hermitian, cd_coupling,
-                       propagate, spectrum, transitionless_certificate)
+from .spectral import (CertificateReport, Spectrum, assert_hermitian,
+                       cd_coupling, propagate, spectrum,
+                       transitionless_certificate)
 from .workstats import (ThermalEnsemble, WorkDistribution,
                         WorkMoments, fluctuation_series,
                         identity_check_rowsum, model_ensemble,

@@ -7,18 +7,21 @@ dh0_dlambda_at(t) in the model's own format, which its eigensolver,
 ``evolve``, ``commutator`` and ``coupling_rows`` take.  The generic
 ``ParametrizedModel`` builds dense matrices from two callables,
 h0_of(lam) and dh0_of(lam), its analytic derivatives (both required:
-there is no finite-difference fallback), and assembles H1 from the
-spectrum by ``spectral.cd_coupling``.  A structured backend (the
-oscillator's bands, for one) overrides the operators with its own
-format and passes None for both.
+there is no finite-difference fallback), assembles H1 from the
+spectrum by ``spectral.cd_coupling``, and exponentiates and commutes
+dense matrices.  A structured backend (the oscillator's bands, for
+one) overrides the operators with its own format and passes None for
+both callables.
 
-Spectra are memoized by parameter point, since every downstream
-quantity (transition probabilities, metric tensors, work moments)
-reuses them: H0 spectra are keyed by the exact float bytes of lam, and
-driving-Hamiltonian spectra by those of (lam, lamdot), in one private
-least-recently-used store per model.  ``spectra0_at`` takes a block of
-times and solves its misses in one eigensolver call; a single spectrum
-is a block of one.
+Spectra are memoized in one private least-recently-used store per
+model, since every downstream quantity (transition probabilities,
+metric tensors, work moments) reuses them.  The key (h1_scale,
+float(t)) names the spectrum of h_drive_at(t, h1_scale), h1_scale = 0
+for H0: a model's protocol is fixed, so the time names the parameter
+point without the bytes of lam(t) and lamdot(t), or the two protocol
+evaluations that formed them.  ``spectra0_at`` takes a block of times
+and solves its misses in one eigensolver call; a single spectrum is a
+block of one.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ from collections import OrderedDict
 import numpy as np
 
 from .protocols import Protocol
-from .spectral import (Spectrum, cd_coupling, dense_commutator, dense_evolve,
-                       spectrum)
+from .spectral import Spectrum, cd_coupling, gauge_fix
 
 
 # default spectra per model: the 201-point grid of verify's bound chain
@@ -67,8 +69,8 @@ class ParametrizedModel:
     an infinite operator; work statistics then track how much weight
     strays into the polluted top of the basis.  H0 and
     driving-Hamiltonian spectra share one store of at most ``cache_size``
-    entries (H0 keys are bytes and driving keys pairs of bytes, so the
-    two kinds never collide).
+    entries (their keys differ in h1_scale, so the two kinds never
+    collide).
     """
 
     truncated = False
@@ -97,7 +99,7 @@ class ParametrizedModel:
                               1)
         return cd_coupling(self.spectrum0_at(t), dh0_dt)
 
-    def h_drive_at(self, t: float, h1_scale: float = 1.0):
+    def h_drive_at(self, t: float, h1_scale: float):
         """H0 + h1_scale * H1 at t in the model's operator format;
         h1_scale = 0 gives the bare H0."""
         if h1_scale == 0.0:
@@ -105,14 +107,16 @@ class ParametrizedModel:
         return self.h0_at(t) + h1_scale * self.h1_at(t)
 
     def evolve(self, h, dt: float, psi):
-        """exp(-i dt h) psi for an ``h_drive_at`` form h: a dense matrix
-        here, through its spectrum."""
-        return dense_evolve(h, dt, psi)
+        """exp(-i dt h) psi for an ``h_drive_at`` form h, psi of shape
+        (d,) or (d, K): a dense Hermitian matrix here, through its
+        spectrum (one ``numpy.linalg.eigh``)."""
+        e, v = np.linalg.eigh(h)
+        return (v * np.exp(-1j * e * dt)) @ (v.conj().T @ psi)
 
     def commutator(self, a, b):
         """i[a, b] for two ``h_drive_at`` forms a and b: dense matrices
-        here."""
-        return dense_commutator(a, b)
+        here, Hermitian when both are."""
+        return 1j * (a @ b - b @ a)
 
     def apply_h1(self, times, vectors, out):
         """out[b] = H1(t) @ vectors[b] for t = times[b], vectors of shape
@@ -136,22 +140,18 @@ class ParametrizedModel:
 
     # -- cached spectra --------------------------------------------------
     def _diagonalize(self, hs) -> list[Spectrum]:
-        """Diagonalizations of a block of ``h_drive_at`` forms, used for
-        cached spectra; structured backends override it with their
-        solver."""
-        return [spectrum(h, check=False, degeneracy_tol=0.0) for h in hs]
+        """Diagonalizations of a block of ``h_drive_at`` forms for cached
+        spectra, in the gauge of ``spectral.spectrum`` without its checks;
+        structured backends override it with their solver."""
+        return [Spectrum(e, v / gauge_fix(v))
+                for e, v in map(np.linalg.eigh, hs)]
 
     def _spectra(self, times, h1_scale):
         """Spectra of ``h_drive_at(t, h1_scale)`` at each of ``times``
         through the store: hits are read, and the misses (each distinct
         key once) solved in one ``_diagonalize`` call and stored in the
         order of ``times``."""
-        value, derivative = self.protocol.value, self.protocol.derivative
-        if h1_scale == 0.0:
-            keys = [value(t).tobytes() for t in times]
-        else:
-            keys = [(value(t).tobytes(), derivative(t).tobytes())
-                    for t in times]
+        keys = [(h1_scale, float(t)) for t in times]
         specs = [self._store.get(key) for key in keys]
         if None not in specs:
             return specs

@@ -438,7 +438,9 @@ class SectorSpectrum:
     ``energies`` of all d levels and, per sector (levels 0, 2, ... and
     1, 3, ...), the pair (levels, vectors) of each eigenvector's level in
     ``energies`` and the gauge-fixed eigenvectors on the sector's rows,
-    ascending in energy.  ``states`` assembles the dense d x d matrix of
+    ascending in energy.  Each pivot is positive: exactly on a real band,
+    to rounding on a complex one (imaginary part at most about 1.25e-16
+    of the real part).  ``states`` assembles the dense d x d matrix of
     ``Spectrum``, columns in energy order and zero off their sector, on
     each read; it is not kept, so a spectrum in a store holds one form
     of its vectors."""

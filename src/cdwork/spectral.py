@@ -11,10 +11,10 @@ applies one exponential of
 
     Heff = (Ha + Hb) / 2 + (sqrt(3) / 12) h i[Ha, Hb].
 
-The exponential is applied by an ``evolve(h, dt, psi)`` hook through the
-spectrum of Heff, so every step is exactly unitary, and i[Ha, Hb] comes
-from a ``commutator(a, b)`` hook beside it; both hooks can use any band
-structure of the family.
+The Hamiltonians are the model's ``h_drive_at`` values, i[Ha, Hb] its
+``commutator`` and the exponential its ``evolve`` (through the spectrum
+of Heff, so every step is exactly unitary), each in the model's own
+format: dense matrices, or the oscillator's bands.
 
 The auxiliary term is assembled from the gauge-invariant matrix-element
 form
@@ -65,7 +65,9 @@ def gauge_fix(vectors: np.ndarray) -> np.ndarray:
     """The unit phase of each column's pivot, shape (..., 1, n) for
     columns over the last two axes (..., d, n): its largest-magnitude
     entry, the lowest row of a tie.  Dividing the columns by it makes
-    every pivot real and positive, the gauge of ``spectrum``."""
+    every pivot positive, the gauge of ``spectrum``: a real column's
+    pivot exactly, a complex column's to rounding (its imaginary part
+    at most about 1.25e-16 of its real part)."""
     rows = np.argmax(np.abs(vectors), axis=-2)[..., None, :]
     pivots = np.take_along_axis(vectors, rows, axis=-2)
     return pivots / np.abs(pivots)
@@ -73,26 +75,26 @@ def gauge_fix(vectors: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigen-decomposition with ascending eigenvalues and a fixed phase
-    gauge on the eigenvector columns."""
+    """Eigen-decomposition with ascending eigenvalues and the phase gauge
+    of ``gauge_fix`` on the eigenvector columns (each pivot positive,
+    exactly in a real column and to rounding in a complex one)."""
 
     energies: np.ndarray
     states: np.ndarray
 
 
-def spectrum(h: np.ndarray, *, check: bool = True,
-             degeneracy_tol: float = DEGENERACY_TOL) -> Spectrum:
+def spectrum(h: np.ndarray) -> Spectrum:
     """Diagonalize a Hermitian matrix with the fixed phase gauge.
 
-    Emits DegenerateGaugeWarning when two eigenvalues are closer than
-    degeneracy_tol times the spectral scale; the gauge is still applied
+    Always checks Hermiticity (``assert_hermitian``) and always emits
+    DegenerateGaugeWarning when two eigenvalues are closer than
+    DEGENERACY_TOL times the spectral scale; the gauge is still applied
     deterministically.
     """
-    if check:
-        assert_hermitian(h)
+    assert_hermitian(h)
     energies, vectors = np.linalg.eigh(h)
     scale = max(abs(energies[0]), abs(energies[-1]), 1e-300)
-    if energies.shape[0] > 1 and np.diff(energies).min() < degeneracy_tol * scale:
+    if energies.shape[0] > 1 and np.diff(energies).min() < DEGENERACY_TOL * scale:
         warnings.warn("near-degenerate eigenvalues: phase gauge fixed but "
                       "unstable under perturbation", DegenerateGaugeWarning,
                       stacklevel=2)
@@ -127,17 +129,6 @@ def cd_coupling(spec: Spectrum, dh0_dt: np.ndarray) -> np.ndarray:
     return v @ h1_eig @ v.conj().T
 
 
-@dataclass(frozen=True)
-class StateTrajectory:
-    """States on a time grid; shape (len(times), dim) or
-    (len(times), dim, n_columns) for block propagation."""
-
-    times: np.ndarray
-    states: np.ndarray
-    norm_drift: float
-    substeps: int
-
-
 # Gauss nodes c1,2 = 1/2 -+ sqrt(3)/6 of a step, and the weight of the
 # commutator in the fourth-order Magnus exponent
 _GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
@@ -151,63 +142,47 @@ _HALVING_FACTOR = 15.0 / 16.0
 MAX_STEPS = 10_000
 
 
-def dense_evolve(h, dt: float, psi):
-    """exp(-i dt h) psi for a dense Hermitian h, through the spectrum
-    of h (one ``numpy.linalg.eigh``); psi has shape (d,) or (d, K)."""
-    e, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * e * dt)) @ (v.conj().T @ psi)
-
-
-def dense_commutator(a, b):
-    """i[a, b] of two dense matrices, Hermitian when both are."""
-    return 1j * (a @ b - b @ a)
-
-
-def _step_block(h_at, psi, t0, t1, substeps, evolve, commutator):
+def _step_block(model, psi, t0, t1, substeps, h1_scale):
     h = (t1 - t0) / substeps
     for j in range(substeps):
         t = t0 + j * h
-        ha = h_at(t + _GAUSS_NODES[0] * h)
-        hb = h_at(t + _GAUSS_NODES[1] * h)
-        heff = 0.5 * (ha + hb) + (_MAGNUS_WEIGHT * h) * commutator(ha, hb)
-        psi = evolve(heff, h, psi)
+        ha = model.h_drive_at(t + _GAUSS_NODES[0] * h, h1_scale)
+        hb = model.h_drive_at(t + _GAUSS_NODES[1] * h, h1_scale)
+        heff = (0.5 * (ha + hb)
+                + (_MAGNUS_WEIGHT * h) * model.commutator(ha, hb))
+        psi = model.evolve(heff, h, psi)
     return psi
 
 
-def _run_grid(h_at, psi0, grid, substeps, evolve,
-              commutator=dense_commutator):
+def _run_grid(model, psi0, grid, substeps, h1_scale):
     states = np.empty((len(grid),) + psi0.shape, dtype=complex)
     states[0] = psi0
     psi = psi0
     for k in range(len(grid) - 1):
-        psi = _step_block(h_at, psi, grid[k], grid[k + 1], substeps, evolve,
-                          commutator)
+        psi = _step_block(model, psi, grid[k], grid[k + 1], substeps,
+                          h1_scale)
         states[k + 1] = psi
     return states
 
 
-def propagate(h_at, psi0, grid, *, tol: float = 1e-8, evolve=None,
-              commutator=None) -> StateTrajectory:
-    """Propagate a state (or a block of column states) through the grid.
+def propagate(model, psi0, grid, *, h1_scale: float,
+              tol: float) -> tuple[np.ndarray, int]:
+    """Propagate a state (or a block of column states) through the grid
+    under the model's H0 + h1_scale H1.
 
-    One substep is one fourth-order Magnus step (see the module
-    docstring): it evaluates the Hamiltonian at the two Gauss points of
-    the step, forms one commutator and applies one exact exponential,
-    so every step is exactly unitary.  The substep count per grid
-    interval is refined until halving it changes the final state by
-    less than ``tol``.  A probe pair (1 and 2 substeps) fixes the
-    constant of the fourth-order error model ``c / r^4``, from which
-    the required count is predicted directly instead of doubling all
-    the way up.  Raises StepNotConverged before a pair of runs would
-    take the call past MAX_STEPS steps in all.
-
-    ``commutator(a, b)`` returns i[a, b] for two ``h_at`` values, in
-    their format; the default is ``dense_commutator``, a model's is
-    ``model.commutator``.  ``evolve(h, dt, psi)`` returns
-    exp(-i dt h) psi for h = Heff, a real linear combination of two
-    ``h_at`` values and their commutator, and psi of shape (d,) or
-    (d, K); the default is ``dense_evolve``, a model's is
-    ``model.evolve``.
+    Returns ``(states, substeps)``: the states on the grid, shape
+    (len(grid),) + psi0.shape, and the Magnus steps per grid interval
+    that the refinement settled on.  One substep is one fourth-order
+    Magnus step (see the module docstring): it evaluates
+    ``model.h_drive_at`` at the two Gauss points of the step, forms one
+    ``model.commutator`` and applies one exact ``model.evolve``, so
+    every step is exactly unitary.  The substep count per grid interval
+    is refined until halving it changes the final state by less than
+    ``tol``.  A probe pair (1 and 2 substeps) fixes the constant of the
+    fourth-order error model ``c / r^4``, from which the required count
+    is predicted directly instead of doubling all the way up.  Raises
+    StepNotConverged before a pair of runs would take the call past
+    MAX_STEPS steps in all.
     """
     grid = np.asarray(grid, dtype=float)
     if grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
@@ -216,10 +191,6 @@ def propagate(h_at, psi0, grid, *, tol: float = 1e-8, evolve=None,
     norms = np.linalg.norm(psi0, axis=0)
     if np.abs(norms - 1.0).max() > 1e-10:
         raise ValueError("initial state must be normalized")
-    if evolve is None:
-        evolve = dense_evolve
-    if commutator is None:
-        commutator = dense_commutator
     spent, diff = 0, math.inf
 
     def run_pair(coarse):
@@ -232,8 +203,8 @@ def propagate(h_at, psi0, grid, *, tol: float = 1e-8, evolve=None,
                 f"{2 * coarse} substeps per interval would take the call "
                 f"past MAX_STEPS = {MAX_STEPS} Magnus steps (final "
                 f"state still moves by {diff:.3g}, tol {tol:g})")
-        final = _run_grid(h_at, psi0, grid, coarse, evolve, commutator)[-1]
-        states = _run_grid(h_at, psi0, grid, 2 * coarse, evolve, commutator)
+        final = _run_grid(model, psi0, grid, coarse, h1_scale)[-1]
+        states = _run_grid(model, psi0, grid, 2 * coarse, h1_scale)
         # halving contract applies to each propagated state separately
         return states, float(np.linalg.norm(states[-1] - final, axis=0).max())
 
@@ -249,8 +220,7 @@ def propagate(h_at, psi0, grid, *, tol: float = 1e-8, evolve=None,
         states, diff = run_pair(target)
         substeps = 2 * target
         error_const = diff * target**4 / _HALVING_FACTOR
-    drift = float(np.abs(np.linalg.norm(states, axis=1) - 1.0).max())
-    return StateTrajectory(grid, states, drift, substeps)
+    return states, substeps
 
 
 @dataclass(frozen=True)
@@ -271,7 +241,7 @@ CERTIFICATE_THRESHOLD = 1e-6
 
 
 def transitionless_certificate(model, levels, grid, *, h1_scale: float = 1.0,
-                               tol: float = 1e-8) -> CertificateReport:
+                               tol: float) -> CertificateReport:
     """Propagate eigenlevels of H0(0) and track overlap with the
     instantaneous eigenstates of H0(t).
 
@@ -279,25 +249,23 @@ def transitionless_certificate(model, levels, grid, *, h1_scale: float = 1.0,
     fidelity to reach 1 - CERTIFICATE_THRESHOLD for every requested
     level.  ``h1_scale`` rescales the auxiliary term: at 0 the bare H0
     generates the dynamics (verify's discriminating control); the tests
-    run other values to show that a wrong prefactor is caught.  The
-    Hamiltonians come from ``model.h_drive_at``; each Magnus step takes
-    their commutator by ``model.commutator`` and exponentiates by
-    ``model.evolve`` (for the oscillator: both on bands, the exponential
-    one parity sector at a time).
+    run other values to show that a wrong prefactor is caught.
+    ``propagate`` steps with the model's own methods: ``h_drive_at``,
+    ``commutator`` and ``evolve`` (for the oscillator: all three on
+    bands, the exponential one parity sector at a time).
     """
     levels = np.atleast_1d(np.asarray(levels, dtype=int))
     grid = np.asarray(grid, dtype=float)
     psi0 = model.spectrum0_at(0.0).states[:, levels]
-    traj = propagate(lambda t: model.h_drive_at(t, h1_scale), psi0, grid,
-                     tol=tol, evolve=model.evolve,
-                     commutator=model.commutator)
+    states, substeps = propagate(model, psi0, grid, h1_scale=h1_scale,
+                                 tol=tol)
     min_overlap = np.ones(len(levels))
     for i, t in enumerate(grid):
         basis = model.spectrum0_at(t).states[:, levels]
-        overlap = np.abs(np.einsum("dn,dn->n", basis.conj(), traj.states[i]))
+        overlap = np.abs(np.einsum("dn,dn->n", basis.conj(), states[i]))
         min_overlap = np.minimum(min_overlap, overlap)
     final = model.spectrum0_at(grid[-1]).states[:, levels]
-    fidelity = np.abs(np.einsum("dn,dn->n", final.conj(), traj.states[-1]))
+    fidelity = np.abs(np.einsum("dn,dn->n", final.conj(), states[-1]))
     passed = bool(min_overlap.min() >= 1.0 - CERTIFICATE_THRESHOLD
                   and fidelity.min() >= 1.0 - CERTIFICATE_THRESHOLD)
-    return CertificateReport(min_overlap, fidelity, passed, traj.substeps)
+    return CertificateReport(min_overlap, fidelity, passed, substeps)

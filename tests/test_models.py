@@ -47,7 +47,7 @@ def test_private_store_bounds_both_kinds():
     h0_last = model.spectrum0_at(0.6)
     assert model.spectrum_cd_at(0.6) is not h0_last
     assert_same_spectrum(model.spectrum_cd_at(0.6),
-                         model._diagonalize([model.h_drive_at(0.6)])[0])
+                         model._diagonalize([model.h_drive_at(0.6, 1.0)])[0])
 
 
 def test_default_store_is_private():
@@ -64,8 +64,8 @@ def test_store_holds_cache_size_spectra():
         assert len(model._store._entries) <= 25
     assert len(model._store._entries) == 25
     # the 25 latest points are held, the earlier ones were evicted
-    assert model._store.get(model.protocol.value(0.8).tobytes()) is not None
-    assert model._store.get(model.protocol.value(0.0).tobytes()) is None
+    assert model._store.get((0.0, 0.8)) is not None
+    assert model._store.get((0.0, 0.0)) is None
 
 
 def test_finished_model_freed_without_cyclic_gc():

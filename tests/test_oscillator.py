@@ -9,12 +9,12 @@ from scipy.linalg import lapack
 from scipy.linalg.lapack import get_lapack_funcs
 
 from cdwork import (BandStructureError, ConfigError, HOConfig, HarmonicOscillator, InvalidDetuning,
-                    NonHermitianInput, SupercriticalDrive,
+                    NonHermitianInput, ParametrizedModel, SupercriticalDrive,
                     ValidityWarning, cd_exact_energy, ho_metric,
                     ion_waveforms, model_ensemble, path_lengths, qgt, ramp,
                     work_distribution)
 from cdwork import oscillator
-from cdwork.spectral import dense_evolve, gauge_fix
+from cdwork.spectral import gauge_fix
 from conftest import band_to_dense, work_variance
 
 
@@ -118,7 +118,7 @@ class TestMatrices:
     def test_hermitian(self, fig1_model):
         # a band is Hermitian when its diagonal is real
         for t in (0.1, 0.37, 0.62):
-            assert not fig1_model.h_drive_at(t)[0].imag.any()
+            assert not fig1_model.h_drive_at(t, 1.0)[0].imag.any()
 
 
 def solve(model, h):
@@ -133,7 +133,7 @@ class TestFastEigh:
     at a time."""
 
     def test_matches_dense_solver_in_band(self, fig1_model):
-        h = fig1_model.h_drive_at(0.37)
+        h = fig1_model.h_drive_at(0.37, 1.0)
         dense = band_to_dense(h)
         energies, vectors = solve(fig1_model, h)
         assert np.abs(energies - np.linalg.eigvalsh(dense)).max() < 1e-10
@@ -172,7 +172,7 @@ class TestFastEigh:
     @pytest.mark.parametrize("entry", [(0, 4), (1, 4), (1, -1)])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_band(self, fig1_model, entry, bad):
-        h = fig1_model.h_drive_at(0.37)
+        h = fig1_model.h_drive_at(0.37, 1.0)
         h[entry] = bad
         with pytest.raises(ValueError, match="non-finite"):
             solve(fig1_model, h)
@@ -188,7 +188,7 @@ class TestFastEigh:
             solve(fig1_model, band)
 
     def test_rejects_imaginary_diagonal(self, fig1_model, rng):
-        h = fig1_model.h_drive_at(0.37)
+        h = fig1_model.h_drive_at(0.37, 1.0)
         h[0, 4] += 1e-6j
         with pytest.raises(NonHermitianInput, match="Hermiticity"):
             solve(fig1_model, h)
@@ -198,11 +198,11 @@ class TestFastEigh:
         # the imaginary part is dropped
         h[0, 4] = h[0, 4].real + 1e-20j
         assert np.array_equal(solve(fig1_model, h)[0], solve(
-            fig1_model, fig1_model.h_drive_at(0.37))[0])
+            fig1_model, fig1_model.h_drive_at(0.37, 1.0))[0])
 
     def test_same_bits_as_scipy_tridiagonal_solver(self, fig1_model):
         # reference: scipy's validated front end to the same LAPACK routine
-        h = fig1_model.h_drive_at(0.37)
+        h = fig1_model.h_drive_at(0.37, 1.0)
         sectors = fig1_model._sector_spectra(
             fig1_model._checked_bands([h]), (0, 1))
         for parity, (vals, vecs, phases) in enumerate(sectors):
@@ -229,7 +229,7 @@ class TestGauge:
         Hamiltonian (a complex one) at each of TIMES."""
         return [pair for t in cls.TIMES for pair in (
             (model.h0_at(t), model.spectrum0_at(t)),
-            (model.h_drive_at(t), model.spectrum_cd_at(t)))]
+            (model.h_drive_at(t, 1.0), model.spectrum_cd_at(t)))]
 
     def test_pivots_are_real_and_positive(self, fig1_model):
         eps = np.finfo(float).eps
@@ -333,7 +333,7 @@ class TestStevdRoute:
 
     @pytest.mark.parametrize("library", [None, "/nonexistent/libopenblas.so"])
     def test_scipy_fallback_same_bits(self, monkeypatch, fig1_model, library):
-        h = fig1_model.h_drive_at(0.37)
+        h = fig1_model.h_drive_at(0.37, 1.0)
         energies, vectors = solve(fig1_model, h)
         # the library numpy's wheel ships is missing, or cannot be opened
         monkeypatch.setattr(oscillator.glob, "glob",
@@ -360,7 +360,7 @@ def _random_state(rng, dim, columns=None, odd=True):
 
 class TestSectorEvolve:
     """``evolve`` exponentiates one parity sector at a time; the dense
-    default of the generic model is the reference."""
+    ``evolve`` of the generic model is the reference."""
 
     @staticmethod
     def _operators(model, h1_scale):
@@ -377,7 +377,8 @@ class TestSectorEvolve:
         psi = _random_state(rng, fig1_model.dim, columns)
         out = fig1_model.evolve(band, dt, psi)
         assert out.shape == psi.shape
-        assert np.abs(out - dense_evolve(dense, dt, psi)).max() < 1e-13
+        want = ParametrizedModel.evolve(fig1_model, dense, dt, psi)
+        assert np.abs(out - want).max() < 1e-13
         # a column slice of a spectrum is Fortran-ordered
         assert np.array_equal(
             fig1_model.evolve(band, dt, np.asfortranarray(psi)), out)
@@ -398,7 +399,8 @@ class TestSectorEvolve:
         out = fig1_model.evolve(band, 0.3, psi)
         assert len(solves) == 1
         assert not out[1::2].any()
-        assert np.abs(out - dense_evolve(dense, 0.3, psi)).max() < 1e-13
+        want = ParametrizedModel.evolve(fig1_model, dense, 0.3, psi)
+        assert np.abs(out - want).max() < 1e-13
 
     @pytest.mark.parametrize("h1_scale", [0.0, 1.0])
     @pytest.mark.parametrize("entry", [(0, 5), (1, 6)])

@@ -18,8 +18,7 @@ NEVER_ENTERED = {
         "models.ParametrizedModel.h1_at", "models.ParametrizedModel.evolve",
         "models.ParametrizedModel.commutator",
         "models.ParametrizedModel.apply_h1",
-        "models.ParametrizedModel._diagonalize", "spectral.dense_evolve",
-        "spectral.dense_commutator", "models.two_level_model",
+        "models.ParametrizedModel._diagonalize", "models.two_level_model",
         "models.two_level_model.<locals>.h0_of", "ising.dense_model"],
         "the dense generic model route: every subcommand runs the "
         "oscillator's band overrides, and the tests build on it"),

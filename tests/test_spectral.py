@@ -14,7 +14,7 @@ from cdwork import (DegenerateGaugeWarning, DegeneracyError, HOConfig,
                     assert_hermitian, cd_coupling, propagate, quintic_ramp,
                     spectrum, transitionless_certificate, two_level_model)
 from cdwork import spectral
-from cdwork.spectral import _run_grid, dense_evolve
+from cdwork.spectral import _run_grid
 from conftest import band_to_dense
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -40,6 +40,23 @@ def _deadline(seconds):
 def random_hermitian(rng, dim):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return 0.5 * (a + a.conj().T)
+
+
+class DenseFamily(ParametrizedModel):
+    """A dense family whose driving Hamiltonian is ``h_at(t)`` at every
+    scale, stepped by the generic model's dense ``evolve`` and
+    ``commutator``."""
+
+    def __init__(self, h_at):
+        self._h_at = h_at
+
+    def h_drive_at(self, t, h1_scale):
+        return self._h_at(t)
+
+
+def norm_drift(states):
+    """Largest deviation of a propagated state's norm from 1."""
+    return float(np.abs(np.linalg.norm(states, axis=1) - 1.0).max())
 
 
 class TestSpectrum:
@@ -135,12 +152,16 @@ class TestCdAuxiliary:
         drive = np.zeros((3, 3), dtype=complex)
         drive[0, 1] = drive[1, 0] = 1.0
         with pytest.raises(DegeneracyError):
-            cd_coupling(spectrum(h0, degeneracy_tol=0.0), drive)
+            with pytest.warns(DegenerateGaugeWarning):
+                spec = spectrum(h0)
+            cd_coupling(spec, drive)
 
     def test_uncoupled_degeneracy_tolerated(self):
         h0 = np.diag([1.0, 1.0, 3.0]).astype(complex)
         drive = np.diag([0.5, 0.7, 0.9]).astype(complex)
-        h1 = cd_coupling(spectrum(h0, degeneracy_tol=0.0), drive)
+        with pytest.warns(DegenerateGaugeWarning):
+            spec = spectrum(h0)
+        h1 = cd_coupling(spec, drive)
         assert np.abs(h1).max() < 1e-12
 
     def test_endpoints_switched_off(self, fig1_model):
@@ -155,10 +176,11 @@ class TestPropagate:
         psi0 = np.zeros(5, dtype=complex)
         psi0[0] = 1.0
         dt = 0.7
-        traj = propagate(lambda t: h, psi0, [0.0, dt])
+        states, _ = propagate(DenseFamily(lambda t: h), psi0, [0.0, dt],
+                              h1_scale=1.0, tol=1e-8)
         expected = (v * np.exp(-1j * e * dt)) @ (v.conj().T @ psi0)
-        assert np.abs(traj.states[-1] - expected).max() < 1e-12
-        assert traj.norm_drift < 1e-10
+        assert np.abs(states[-1] - expected).max() < 1e-12
+        assert norm_drift(states) < 1e-10
 
     def test_adiabatic_phase_tracking(self):
         # two-level family with a geometric phase: the propagated state
@@ -184,9 +206,8 @@ class TestPropagate:
 
         grid = np.linspace(0.0, tau, 81)
         spec0 = model.spectrum0_at(0.0)
-        traj = propagate(
-            lambda t: model.h0_at(t) + model.h1_at(t),
-            spec0.states[:, 0], grid, tol=1e-8)
+        states, _ = propagate(model, spec0.states[:, 0], grid, h1_scale=1.0,
+                              tol=1e-8)
 
         fine = np.linspace(0.0, tau, 4001)
         energies = np.array([model.spectrum0_at(t).energies[0] for t in fine])
@@ -205,7 +226,7 @@ class TestPropagate:
         geo = simpson(conn[: i_mid].imag, x=fine[1: i_mid + 1])
         predicted = np.exp(-1j * dyn - 1j * geo)
         v_mid = model.spectrum0_at(t_mid).states[:, 0]
-        state = traj.states[np.searchsorted(grid, t_mid)]
+        state = states[np.searchsorted(grid, t_mid)]
         overlap = np.vdot(v_mid, state)
         assert abs(abs(overlap) - 1.0) < 1e-6
         assert abs(overlap - predicted) < 1e-4
@@ -215,12 +236,12 @@ class TestPropagate:
         h_fast = 0.3 * random_hermitian(rng, 6)
         psi0 = np.zeros(6, dtype=complex)
         psi0[0] = 1.0
-        h_at = lambda t: h_slow + np.sin(3.0 * t) * h_fast
+        model = DenseFamily(lambda t: h_slow + np.sin(3.0 * t) * h_fast)
         grid = np.linspace(0.0, 1.0, 11)
-        traj = propagate(h_at, psi0, grid, tol=1e-7)
-        finer = propagate(h_at, psi0, grid, tol=1e-9)
-        assert np.abs(traj.states[-1] - finer.states[-1]).max() < 2e-7
-        assert traj.norm_drift < 1e-10
+        states, _ = propagate(model, psi0, grid, h1_scale=1.0, tol=1e-7)
+        finer, _ = propagate(model, psi0, grid, h1_scale=1.0, tol=1e-9)
+        assert np.abs(states[-1] - finer[-1]).max() < 2e-7
+        assert norm_drift(states) < 1e-10
 
     def test_fixed_step_error_is_fourth_order(self, rng):
         # same family as the halving contract; each doubling of the step
@@ -229,11 +250,11 @@ class TestPropagate:
         h_fast = 0.3 * random_hermitian(rng, 6)
         psi0 = np.zeros(6, dtype=complex)
         psi0[0] = 1.0
-        h_at = lambda t: h_slow + np.sin(3.0 * t) * h_fast
+        model = DenseFamily(lambda t: h_slow + np.sin(3.0 * t) * h_fast)
         grid = np.linspace(0.0, 1.0, 11)
-        reference = _run_grid(h_at, psi0, grid, 256, dense_evolve)[-1]
+        reference = _run_grid(model, psi0, grid, 256, 1.0)[-1]
         errors = [np.linalg.norm(
-            _run_grid(h_at, psi0, grid, r, dense_evolve)[-1] - reference)
+            _run_grid(model, psi0, grid, r, 1.0)[-1] - reference)
             for r in (1, 2, 4, 8)]
         for coarse, fine in zip(errors, errors[1:]):
             assert coarse / fine >= 12.0
@@ -245,11 +266,9 @@ class TestPropagate:
         # per doubling (second order)
         grid = np.linspace(0.0, fig1_model.tau, 11)
         psi0 = fig1_model.spectrum0_at(0.0).states[:, :9]
-        h_at = lambda t: fig1_model.h_drive_at(t, h1_scale)
 
         def final(r):
-            return _run_grid(h_at, psi0, grid, r, fig1_model.evolve,
-                             fig1_model.commutator)[-1]
+            return _run_grid(fig1_model, psi0, grid, r, h1_scale)[-1]
 
         reference = final(32)
         errors = [np.linalg.norm(final(r) - reference) for r in (1, 2, 4)]
@@ -261,29 +280,34 @@ class TestPropagate:
     def test_not_converged_raises(self, rng, monkeypatch):
         # a small step budget stands in for an unreachable tolerance
         monkeypatch.setattr(spectral, "MAX_STEPS", 400)
-        h_at = lambda t: np.sin(400.0 * t) * 50.0 * SX + 30.0 * t * SZ
+        model = DenseFamily(
+            lambda t: np.sin(400.0 * t) * 50.0 * SX + 30.0 * t * SZ)
         psi0 = np.array([1.0, 0.0], dtype=complex)
         with pytest.raises(StepNotConverged, match="MAX_STEPS = 400"):
-            propagate(h_at, psi0, np.linspace(0, 1.0, 5), tol=1e-14)
+            propagate(model, psi0, np.linspace(0, 1.0, 5), h1_scale=1.0,
+                      tol=1e-14)
 
     def test_step_budget_counts_every_run(self, rng, monkeypatch):
         # the probe pair takes (1 + 2) x 4 steps on a 5-point grid: a
         # budget of 11 stops the second probe, 12 lets the pair run
         h = random_hermitian(rng, 3)
+        model = DenseFamily(lambda t: h)
         psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
         grid = np.linspace(0.0, 0.01, 5)
         monkeypatch.setattr(spectral, "MAX_STEPS", 11)
         with pytest.raises(StepNotConverged, match="2 substeps"):
-            propagate(lambda t: h, psi0, grid)
+            propagate(model, psi0, grid, h1_scale=1.0, tol=1e-8)
         monkeypatch.setattr(spectral, "MAX_STEPS", 12)
-        assert propagate(lambda t: h, psi0, grid).substeps == 2
+        _, substeps = propagate(model, psi0, grid, h1_scale=1.0, tol=1e-8)
+        assert substeps == 2
 
     def test_grid_validation(self):
+        model = DenseFamily(lambda t: SZ)
         psi0 = np.array([1.0, 0.0], dtype=complex)
         with pytest.raises(ValueError):
-            propagate(lambda t: SZ, psi0, [0.5, 1.0])
+            propagate(model, psi0, [0.5, 1.0], h1_scale=1.0, tol=1e-8)
         with pytest.raises(ValueError):
-            propagate(lambda t: SZ, 2.0 * psi0, [0.0, 1.0])
+            propagate(model, 2.0 * psi0, [0.0, 1.0], h1_scale=1.0, tol=1e-8)
 
 
 class TestCertificate:
@@ -307,30 +331,25 @@ class TestCertificate:
         assert not without.passed
         assert without.final_fidelity[0] < 0.999
 
-    def test_verify_point_cost_and_accuracy(self, fig1_model):
+    def test_verify_point_cost_and_accuracy(self, fig1_model, monkeypatch):
         # the verify suite's certificate: nine levels, 81-point grid
         grid = np.linspace(0.0, fig1_model.tau, 81)
         psi0 = fig1_model.spectrum0_at(0.0).states[:, :9]
-
-        def h_at(t):
-            return fig1_model.h0_at(t) + fig1_model.h1_at(t)
-
         exponentials = []
+        evolve = HarmonicOscillator.evolve
 
-        def counting_evolve(h, dt, psi):
+        def counting_evolve(self, h, dt, psi):
             exponentials.append(1)
-            return fig1_model.evolve(h, dt, psi)
+            return evolve(self, h, dt, psi)
 
-        # a band h_at needs the model's band commutator
-        traj = propagate(h_at, psi0, grid, tol=3e-7, evolve=counting_evolve,
-                         commutator=fig1_model.commutator)
+        monkeypatch.setattr(HarmonicOscillator, "evolve", counting_evolve)
+        states, _ = propagate(fig1_model, psi0, grid, h1_scale=1.0, tol=3e-7)
         # one exponential per step: (1 + 2) x 80 steps
         assert len(exponentials) <= 240
         # 16 fixed steps land within 1e-12 of a 200-step run, with 1,280
         # exponentials instead of 16,000
-        reference = _run_grid(h_at, psi0, grid, 16, fig1_model.evolve,
-                              fig1_model.commutator)[-1]
-        assert np.linalg.norm(traj.states[-1] - reference, axis=0).max() < 3e-7
+        reference = _run_grid(fig1_model, psi0, grid, 16, 1.0)[-1]
+        assert np.linalg.norm(states[-1] - reference, axis=0).max() < 3e-7
 
     @pytest.mark.parametrize("h1_scale", [0.99, 1.01])
     def test_verify_point_catches_wrong_prefactor(self, fig1_model, h1_scale):
