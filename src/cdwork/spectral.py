@@ -11,10 +11,11 @@ applies one exponential of
 
     Heff = (Ha + Hb) / 2 + (sqrt(3) / 12) h i[Ha, Hb].
 
-The Hamiltonians are the model's ``h_drive_at`` values, i[Ha, Hb] its
-``commutator`` and the exponential its ``evolve`` (through the spectrum
-of Heff, so every step is exactly unitary), each in the model's own
-format: dense matrices, or the oscillator's bands.
+The Hamiltonians come from a callable (a model's ``h_drive_at`` at one
+scale), i[Ha, Hb] is the model's ``commutator`` and the exponential its
+``evolve`` (through the spectrum of Heff, so every step is exactly
+unitary), each in the model's own format: dense matrices, or the
+oscillator's bands.
 
 The auxiliary term is assembled from the gauge-invariant matrix-element
 form
@@ -30,6 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,47 +144,52 @@ _HALVING_FACTOR = 15.0 / 16.0
 MAX_STEPS = 10_000
 
 
-def _step_block(model, psi, t0, t1, substeps, h1_scale):
+def _step_block(h_at, model, psi, t0, t1, substeps):
     h = (t1 - t0) / substeps
     for j in range(substeps):
         t = t0 + j * h
-        ha = model.h_drive_at(t + _GAUSS_NODES[0] * h, h1_scale)
-        hb = model.h_drive_at(t + _GAUSS_NODES[1] * h, h1_scale)
+        ha = h_at(t + _GAUSS_NODES[0] * h)
+        hb = h_at(t + _GAUSS_NODES[1] * h)
         heff = (0.5 * (ha + hb)
                 + (_MAGNUS_WEIGHT * h) * model.commutator(ha, hb))
         psi = model.evolve(heff, h, psi)
     return psi
 
 
-def _run_grid(model, psi0, grid, substeps, h1_scale):
+def _run_grid(h_at, model, psi0, grid, substeps):
     states = np.empty((len(grid),) + psi0.shape, dtype=complex)
     states[0] = psi0
     psi = psi0
     for k in range(len(grid) - 1):
-        psi = _step_block(model, psi, grid[k], grid[k + 1], substeps,
-                          h1_scale)
+        psi = _step_block(h_at, model, psi, grid[k], grid[k + 1], substeps)
         states[k + 1] = psi
     return states
 
 
-def propagate(model, psi0, grid, *, h1_scale: float,
-              tol: float) -> tuple[np.ndarray, int]:
-    """Propagate a state (or a block of column states) through the grid
-    under the model's H0 + h1_scale H1.
-
-    Returns ``(states, substeps)``: the states on the grid, shape
+class Propagation(NamedTuple):
+    """What ``propagate`` returns: the states on the grid, shape
     (len(grid),) + psi0.shape, and the Magnus steps per grid interval
-    that the refinement settled on.  One substep is one fourth-order
-    Magnus step (see the module docstring): it evaluates
-    ``model.h_drive_at`` at the two Gauss points of the step, forms one
-    ``model.commutator`` and applies one exact ``model.evolve``, so
-    every step is exactly unitary.  The substep count per grid interval
-    is refined until halving it changes the final state by less than
-    ``tol``.  A probe pair (1 and 2 substeps) fixes the constant of the
-    fourth-order error model ``c / r^4``, from which the required count
-    is predicted directly instead of doubling all the way up.  Raises
-    StepNotConverged before a pair of runs would take the call past
-    MAX_STEPS steps in all.
+    that the refinement settled on."""
+
+    states: np.ndarray
+    substeps: int
+
+
+def propagate(h_at, psi0, grid, *, model, tol: float) -> Propagation:
+    """Propagate a state (or a block of column states) through the grid
+    under the Hamiltonian ``h_at(t)``, given in ``model``'s operator
+    format (``h_at`` is typically ``model.h_drive_at`` at one scale).
+
+    One substep is one fourth-order Magnus step (see the module
+    docstring): it evaluates ``h_at`` at the two Gauss points of the
+    step, forms one ``model.commutator`` and applies one exact
+    ``model.evolve``, so every step is exactly unitary.  The substep
+    count per grid interval is refined until halving it changes the
+    final state by less than ``tol``.  A probe pair (1 and 2 substeps)
+    fixes the constant of the fourth-order error model ``c / r^4``, from
+    which the required count is predicted directly instead of doubling
+    all the way up.  Raises StepNotConverged before a pair of runs would
+    take the call past MAX_STEPS steps in all.
     """
     grid = np.asarray(grid, dtype=float)
     if grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
@@ -203,8 +210,8 @@ def propagate(model, psi0, grid, *, h1_scale: float,
                 f"{2 * coarse} substeps per interval would take the call "
                 f"past MAX_STEPS = {MAX_STEPS} Magnus steps (final "
                 f"state still moves by {diff:.3g}, tol {tol:g})")
-        final = _run_grid(model, psi0, grid, coarse, h1_scale)[-1]
-        states = _run_grid(model, psi0, grid, 2 * coarse, h1_scale)
+        final = _run_grid(h_at, model, psi0, grid, coarse)[-1]
+        states = _run_grid(h_at, model, psi0, grid, 2 * coarse)
         # halving contract applies to each propagated state separately
         return states, float(np.linalg.norm(states[-1] - final, axis=0).max())
 
@@ -220,7 +227,7 @@ def propagate(model, psi0, grid, *, h1_scale: float,
         states, diff = run_pair(target)
         substeps = 2 * target
         error_const = diff * target**4 / _HALVING_FACTOR
-    return states, substeps
+    return Propagation(states, substeps)
 
 
 @dataclass(frozen=True)
@@ -250,15 +257,16 @@ def transitionless_certificate(model, levels, grid, *, h1_scale: float = 1.0,
     level.  ``h1_scale`` rescales the auxiliary term: at 0 the bare H0
     generates the dynamics (verify's discriminating control); the tests
     run other values to show that a wrong prefactor is caught.
-    ``propagate`` steps with the model's own methods: ``h_drive_at``,
-    ``commutator`` and ``evolve`` (for the oscillator: all three on
-    bands, the exponential one parity sector at a time).
+    The Hamiltonians come from ``model.h_drive_at``; each Magnus step
+    takes their commutator by ``model.commutator`` and exponentiates by
+    ``model.evolve`` (for the oscillator: both on bands, the exponential
+    one parity sector at a time).
     """
     levels = np.atleast_1d(np.asarray(levels, dtype=int))
     grid = np.asarray(grid, dtype=float)
     psi0 = model.spectrum0_at(0.0).states[:, levels]
-    states, substeps = propagate(model, psi0, grid, h1_scale=h1_scale,
-                                 tol=tol)
+    states, substeps = propagate(lambda t: model.h_drive_at(t, h1_scale),
+                                 psi0, grid, model=model, tol=tol)
     min_overlap = np.ones(len(levels))
     for i, t in enumerate(grid):
         basis = model.spectrum0_at(t).states[:, levels]

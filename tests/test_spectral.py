@@ -42,16 +42,15 @@ def random_hermitian(rng, dim):
     return 0.5 * (a + a.conj().T)
 
 
-class DenseFamily(ParametrizedModel):
-    """A dense family whose driving Hamiltonian is ``h_at(t)`` at every
-    scale, stepped by the generic model's dense ``evolve`` and
-    ``commutator``."""
+class DenseAlgebra(ParametrizedModel):
+    """The generic model's dense ``evolve`` and ``commutator`` without a
+    family behind them, for propagating a bare dense ``h_at``."""
 
-    def __init__(self, h_at):
-        self._h_at = h_at
+    def __init__(self):
+        pass
 
-    def h_drive_at(self, t, h1_scale):
-        return self._h_at(t)
+
+DENSE = DenseAlgebra()
 
 
 def norm_drift(states):
@@ -176,8 +175,8 @@ class TestPropagate:
         psi0 = np.zeros(5, dtype=complex)
         psi0[0] = 1.0
         dt = 0.7
-        states, _ = propagate(DenseFamily(lambda t: h), psi0, [0.0, dt],
-                              h1_scale=1.0, tol=1e-8)
+        states, _ = propagate(lambda t: h, psi0, [0.0, dt], model=DENSE,
+                              tol=1e-8)
         expected = (v * np.exp(-1j * e * dt)) @ (v.conj().T @ psi0)
         assert np.abs(states[-1] - expected).max() < 1e-12
         assert norm_drift(states) < 1e-10
@@ -206,8 +205,8 @@ class TestPropagate:
 
         grid = np.linspace(0.0, tau, 81)
         spec0 = model.spectrum0_at(0.0)
-        states, _ = propagate(model, spec0.states[:, 0], grid, h1_scale=1.0,
-                              tol=1e-8)
+        states, _ = propagate(lambda t: model.h_drive_at(t, 1.0),
+                              spec0.states[:, 0], grid, model=model, tol=1e-8)
 
         fine = np.linspace(0.0, tau, 4001)
         energies = np.array([model.spectrum0_at(t).energies[0] for t in fine])
@@ -236,10 +235,10 @@ class TestPropagate:
         h_fast = 0.3 * random_hermitian(rng, 6)
         psi0 = np.zeros(6, dtype=complex)
         psi0[0] = 1.0
-        model = DenseFamily(lambda t: h_slow + np.sin(3.0 * t) * h_fast)
+        h_at = lambda t: h_slow + np.sin(3.0 * t) * h_fast
         grid = np.linspace(0.0, 1.0, 11)
-        states, _ = propagate(model, psi0, grid, h1_scale=1.0, tol=1e-7)
-        finer, _ = propagate(model, psi0, grid, h1_scale=1.0, tol=1e-9)
+        states, _ = propagate(h_at, psi0, grid, model=DENSE, tol=1e-7)
+        finer, _ = propagate(h_at, psi0, grid, model=DENSE, tol=1e-9)
         assert np.abs(states[-1] - finer[-1]).max() < 2e-7
         assert norm_drift(states) < 1e-10
 
@@ -250,11 +249,11 @@ class TestPropagate:
         h_fast = 0.3 * random_hermitian(rng, 6)
         psi0 = np.zeros(6, dtype=complex)
         psi0[0] = 1.0
-        model = DenseFamily(lambda t: h_slow + np.sin(3.0 * t) * h_fast)
+        h_at = lambda t: h_slow + np.sin(3.0 * t) * h_fast
         grid = np.linspace(0.0, 1.0, 11)
-        reference = _run_grid(model, psi0, grid, 256, 1.0)[-1]
+        reference = _run_grid(h_at, DENSE, psi0, grid, 256)[-1]
         errors = [np.linalg.norm(
-            _run_grid(model, psi0, grid, r, 1.0)[-1] - reference)
+            _run_grid(h_at, DENSE, psi0, grid, r)[-1] - reference)
             for r in (1, 2, 4, 8)]
         for coarse, fine in zip(errors, errors[1:]):
             assert coarse / fine >= 12.0
@@ -268,7 +267,8 @@ class TestPropagate:
         psi0 = fig1_model.spectrum0_at(0.0).states[:, :9]
 
         def final(r):
-            return _run_grid(fig1_model, psi0, grid, r, h1_scale)[-1]
+            return _run_grid(lambda t: fig1_model.h_drive_at(t, h1_scale),
+                             fig1_model, psi0, grid, r)[-1]
 
         reference = final(32)
         errors = [np.linalg.norm(final(r) - reference) for r in (1, 2, 4)]
@@ -280,34 +280,33 @@ class TestPropagate:
     def test_not_converged_raises(self, rng, monkeypatch):
         # a small step budget stands in for an unreachable tolerance
         monkeypatch.setattr(spectral, "MAX_STEPS", 400)
-        model = DenseFamily(
-            lambda t: np.sin(400.0 * t) * 50.0 * SX + 30.0 * t * SZ)
+        h_at = lambda t: np.sin(400.0 * t) * 50.0 * SX + 30.0 * t * SZ
         psi0 = np.array([1.0, 0.0], dtype=complex)
         with pytest.raises(StepNotConverged, match="MAX_STEPS = 400"):
-            propagate(model, psi0, np.linspace(0, 1.0, 5), h1_scale=1.0,
+            propagate(h_at, psi0, np.linspace(0, 1.0, 5), model=DENSE,
                       tol=1e-14)
 
     def test_step_budget_counts_every_run(self, rng, monkeypatch):
         # the probe pair takes (1 + 2) x 4 steps on a 5-point grid: a
         # budget of 11 stops the second probe, 12 lets the pair run
         h = random_hermitian(rng, 3)
-        model = DenseFamily(lambda t: h)
         psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
         grid = np.linspace(0.0, 0.01, 5)
         monkeypatch.setattr(spectral, "MAX_STEPS", 11)
         with pytest.raises(StepNotConverged, match="2 substeps"):
-            propagate(model, psi0, grid, h1_scale=1.0, tol=1e-8)
+            propagate(lambda t: h, psi0, grid, model=DENSE, tol=1e-8)
         monkeypatch.setattr(spectral, "MAX_STEPS", 12)
-        _, substeps = propagate(model, psi0, grid, h1_scale=1.0, tol=1e-8)
+        _, substeps = propagate(lambda t: h, psi0, grid, model=DENSE,
+                                tol=1e-8)
         assert substeps == 2
 
     def test_grid_validation(self):
-        model = DenseFamily(lambda t: SZ)
         psi0 = np.array([1.0, 0.0], dtype=complex)
         with pytest.raises(ValueError):
-            propagate(model, psi0, [0.5, 1.0], h1_scale=1.0, tol=1e-8)
+            propagate(lambda t: SZ, psi0, [0.5, 1.0], model=DENSE, tol=1e-8)
         with pytest.raises(ValueError):
-            propagate(model, 2.0 * psi0, [0.0, 1.0], h1_scale=1.0, tol=1e-8)
+            propagate(lambda t: SZ, 2.0 * psi0, [0.0, 1.0], model=DENSE,
+                      tol=1e-8)
 
 
 class TestCertificate:
@@ -343,12 +342,13 @@ class TestCertificate:
             return evolve(self, h, dt, psi)
 
         monkeypatch.setattr(HarmonicOscillator, "evolve", counting_evolve)
-        states, _ = propagate(fig1_model, psi0, grid, h1_scale=1.0, tol=3e-7)
+        h_at = lambda t: fig1_model.h_drive_at(t, 1.0)
+        states, _ = propagate(h_at, psi0, grid, model=fig1_model, tol=3e-7)
         # one exponential per step: (1 + 2) x 80 steps
         assert len(exponentials) <= 240
         # 16 fixed steps land within 1e-12 of a 200-step run, with 1,280
         # exponentials instead of 16,000
-        reference = _run_grid(fig1_model, psi0, grid, 16, 1.0)[-1]
+        reference = _run_grid(h_at, fig1_model, psi0, grid, 16)[-1]
         assert np.linalg.norm(states[-1] - reference, axis=0).max() < 3e-7
 
     @pytest.mark.parametrize("h1_scale", [0.99, 1.01])
