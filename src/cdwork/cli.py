@@ -24,7 +24,7 @@ same bytes at any BLAS thread count.
 Two subcommands fork a second lane of work (``lanes.run_lanes``) where
 ``os.fork`` exists and the process may run on two or more CPUs: verify,
 always, and ho-figure1, for a grid of more than one kernel block
-(``workstats.BLOCK_POINTS`` points).  Elsewhere they run serially.  The
+(``spectral.BLOCK_POINTS`` points).  Elsewhere they run serially.  The
 child writes no file and no output, and either way the files, the
 output and the exit code are those of a serial run.
 """
@@ -162,17 +162,26 @@ def _plain(cfg: dict) -> dict:
     return {k: v for k, v in cfg.items() if k != "out"}
 
 
+# CSV rows formatted and written at a time
+CSV_BLOCK_ROWS = 1024
+
+
 def write_csv(path: Path, columns: dict, metadata: dict) -> None:
-    lines = [f"# cdwork {__version__}"]
-    for key in sorted(metadata):
-        lines.append(f"# {key}={metadata[key]}")
-    names = list(columns)
-    lines.append(",".join(names))
-    # Python scalars: str of a float is its shortest round-trip repr
-    values = [np.asarray(columns[n]).tolist() for n in names]
-    for row in zip(*values):
-        lines.append(",".join(map(str, row)))
-    path.write_text("\n".join(lines) + "\n")
+    """The metadata as '#' lines, the column names and the rows, in
+    blocks of CSV_BLOCK_ROWS rows: each block's cells are formatted a
+    column at a time, so only one block's strings are held."""
+    head = [f"# cdwork {__version__}"]
+    head += [f"# {key}={metadata[key]}" for key in sorted(metadata)]
+    head.append(",".join(columns))
+    values = [np.asarray(column) for column in columns.values()]
+    rows = min((len(column) for column in values), default=0)
+    with path.open("w") as out:
+        out.write("\n".join(head) + "\n")
+        for start in range(0, rows, CSV_BLOCK_ROWS):
+            # Python scalars: str of a float is its shortest round-trip repr
+            cells = [map(str, column[start:start + CSV_BLOCK_ROWS].tolist())
+                     for column in values]
+            out.write("".join(",".join(row) + "\n" for row in zip(*cells)))
 
 
 def write_json(path: Path, payload: dict) -> None:

@@ -30,8 +30,9 @@ from .geometry import (SpeedLimitReport, bound_chain, bures_length,
 from .lanes import run_lanes
 from .oscillator import HOConfig, HarmonicOscillator
 from .quadrature import CC_FIRST_NODES
-from .workstats import (BLOCK_POINTS, fluctuation_assembly,
-                        fluctuation_kernel, model_ensemble)
+from .spectral import BLOCK_POINTS
+from .workstats import (fluctuation_assembly, fluctuation_kernel,
+                        model_ensemble)
 
 
 @dataclass(frozen=True)

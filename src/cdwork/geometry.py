@@ -245,7 +245,7 @@ def evolved_density(model, ensemble, t: float) -> np.ndarray:
     """Density matrix with the initial populations carried onto the
     instantaneous eigenstates at time t (what counterdiabatic driving
     produces)."""
-    states = model.spectrum0_at(t).states[:, : ensemble.weights.shape[0]]
+    states = model.spectrum0_at(t).columns(ensemble.n_levels)
     return (states * ensemble.weights) @ states.conj().T
 
 

@@ -4,7 +4,7 @@ work-statistics and geometry machinery.
 A model bundles a protocol with its operators at time t: h0_at(t),
 h1_at(t) (the auxiliary term), h_drive_at(t, s) = H0 + s H1 and
 dh0_dlambda_at(t) in the model's own format, which its eigensolver,
-``evolve``, ``commutator`` and ``coupling_rows`` take.  The generic
+``evolve_block``, ``commutator`` and ``coupling_rows`` take.  The generic
 ``ParametrizedModel`` builds dense matrices from two callables,
 h0_of(lam) and dh0_of(lam), its analytic derivatives (both required:
 there is no finite-difference fallback), assembles H1 from the
@@ -19,9 +19,11 @@ metric tensors, work moments) reuses them.  The key (h1_scale,
 float(t)) names the spectrum of h_drive_at(t, h1_scale), h1_scale = 0
 for H0: a model's protocol is fixed, so the time names the parameter
 point without the bytes of lam(t) and lamdot(t), or the two protocol
-evaluations that formed them.  ``spectra0_at`` takes a block of times
-and solves its misses in one eigensolver call; a single spectrum is a
-block of one.
+evaluations that formed them.  ``spectra0_at`` and ``spectra_cd_at``
+take a block of times, of H0 and of H0 + H1, and solve its misses
+BLOCK_POINTS at a time, one eigensolver call per chunk, so that no call
+allocates more than one chunk's eigenvectors; a single spectrum
+(``spectrum0_at``, ``spectrum_cd_at``) is a block of one.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from collections import OrderedDict
 import numpy as np
 
 from .protocols import Protocol
-from .spectral import Spectrum, cd_coupling, gauge_fix
+from .spectral import BLOCK_POINTS, Spectrum, cd_coupling, gauge_fix
 
 
 # default spectra per model: the 201-point grid of verify's bound chain
@@ -106,12 +108,17 @@ class ParametrizedModel:
             return self.h0_at(t)
         return self.h0_at(t) + h1_scale * self.h1_at(t)
 
-    def evolve(self, h, dt: float, psi):
-        """exp(-i dt h) psi for an ``h_drive_at`` form h, psi of shape
-        (d,) or (d, K): a dense Hermitian matrix here, through its
-        spectrum (one ``numpy.linalg.eigh``)."""
-        e, v = np.linalg.eigh(h)
-        return (v * np.exp(-1j * e * dt)) @ (v.conj().T @ psi)
+    def evolve_block(self, hs, dts, psi):
+        """The state after each step of a block, shape (B,) + psi.shape:
+        step j applies exp(-i dts[j] hs[j]) to the state after step
+        j - 1 (psi before step 0), for ``h_drive_at`` forms hs and psi
+        of shape (d,) or (d, K).  Dense Hermitian matrices here, each
+        through its spectrum (one ``numpy.linalg.eigh`` per step)."""
+        out = np.empty((len(hs),) + np.shape(psi), dtype=complex)
+        for j, (h, dt) in enumerate(zip(hs, dts)):
+            e, v = np.linalg.eigh(h)
+            psi = out[j] = (v * np.exp(-1j * e * dt)) @ (v.conj().T @ psi)
+        return out
 
     def commutator(self, a, b):
         """i[a, b] for two ``h_drive_at`` forms a and b: dense matrices
@@ -149,18 +156,21 @@ class ParametrizedModel:
     def _spectra(self, times, h1_scale):
         """Spectra of ``h_drive_at(t, h1_scale)`` at each of ``times``
         through the store: hits are read, and the misses (each distinct
-        key once) solved in one ``_diagonalize`` call and stored in the
-        order of ``times``."""
+        key once) solved BLOCK_POINTS at a time, one ``_diagonalize``
+        call each, and stored in the order of ``times``."""
         keys = [(h1_scale, float(t)) for t in times]
         specs = [self._store.get(key) for key in keys]
         if None not in specs:
             return specs
-        missing = {key: t for key, t, spec in zip(keys, times, specs)
-                   if spec is None}
-        solved = dict(zip(missing, self._diagonalize(
-            [self.h_drive_at(t, h1_scale) for t in missing.values()])))
-        for key, spec in solved.items():
-            self._store.put(key, spec)
+        missing = list({key: t for key, t, spec in zip(keys, times, specs)
+                        if spec is None}.items())
+        solved = {}
+        for start in range(0, len(missing), BLOCK_POINTS):
+            chunk = missing[start:start + BLOCK_POINTS]
+            for (key, _), spec in zip(chunk, self._diagonalize(
+                    [self.h_drive_at(t, h1_scale) for _, t in chunk])):
+                solved[key] = spec
+                self._store.put(key, spec)
         return [solved[key] if spec is None else spec
                 for key, spec in zip(keys, specs)]
 
@@ -171,6 +181,11 @@ class ParametrizedModel:
 
     def spectrum0_at(self, t: float):
         return self._spectra([t], 0.0)[0]
+
+    def spectra_cd_at(self, times) -> list:
+        """The spectra of H0 + H1 at each of ``times``, one block
+        through the store."""
+        return self._spectra(times, 1.0)
 
     def spectrum_cd_at(self, t: float):
         return self._spectra([t], 1.0)[0]

@@ -16,12 +16,15 @@ numpy ships no such library (another wheel, MKL, Accelerate), the same
 routine comes from ``scipy.linalg.lapack``.  One solver serves a block
 of bands (a kernel block, a quadrature level, or a single band): it
 keeps each spectrum as its two sectors (``SectorSpectrum``) and
-assembles the dense eigenvector matrix only when a caller reads it;
-the geometric tensor's coupling rows are formed per sector on the q^2
-band (``coupling_rows``).  The driving Hamiltonians lie in the span of
-q^2, p^2 and qp + pq, which is closed under commutators, so the
-commutator i[A, B] that each propagation step needs is again a band,
-formed in O(d).
+assembles eigenvectors only when a caller reads them: the first k
+columns (``columns``), which the kernel, the transition matrix's H0
+side, the leakage check and the certificate take, or the dense matrix
+(``states``); the geometric tensor's coupling rows are formed per
+sector on the q^2 band (``coupling_rows``).  The driving Hamiltonians
+lie in the span of q^2, p^2 and qp + pq, which is closed under
+commutators, so the commutator i[A, B] that each propagation step
+needs is again a band, formed in O(d), and a block of propagation
+steps is solved by the same solver (``evolve_block``).
 
 The reference frequency is sqrt(omega_i * omega_f).  That choice splits
 the squeezing between the two ends of the ramp (factor
@@ -328,24 +331,30 @@ class HarmonicOscillator(ParametrizedModel):
         out[1, :-2] = 1j * (b2 * (a0[:-2] - a0[2:]) - a2 * (b0[:-2] - b0[2:]))
         return out
 
-    def evolve(self, h, dt, psi):
-        """exp(-i dt h) psi (psi of shape (d,) or (d, K)) for a band h,
-        by real GEMMs on each parity sector's rows; a sector where psi
-        is exactly zero stays zero, unsolved."""
+    def evolve_block(self, hs, dts, psi):
+        """The state after each step of a block, shape (B,) + psi.shape
+        (psi of shape (d,) or (d, K)): step j applies
+        exp(-i dts[j] hs[j]) for a band hs[j] to the state after step
+        j - 1.  The block's live sectors are solved in one
+        ``_sector_spectra`` call, and each step is two real GEMMs on the
+        sector's rows; a sector where psi is exactly zero stays zero,
+        unsolved, since no band couples the two sectors."""
         psi = np.ascontiguousarray(psi, dtype=complex)
-        out = np.zeros_like(psi)
+        out = np.zeros((len(hs),) + psi.shape, dtype=complex)
         live = [parity for parity in (0, 1) if psi[parity::2].any()]
         for parity, (vals, vecs, phases) in zip(
-                live, self._sector_spectra(self._checked_bands([h]), live)):
-            vals, vecs, phases = vals[0], vecs[0], phases[0]
-            # the sector of h is P V diag(vals) V^T P^*, P = diag(phases);
-            # a complex block viewed as floats interleaves re and im
-            rows = psi[parity::2].reshape(len(vals), -1) \
-                * phases.conj()[:, None]
-            rows = (vecs.T @ rows.view(float)).view(complex)
-            rows *= np.exp(-1j * dt * vals)[:, None]
-            rows = (vecs @ rows.view(float)).view(complex) * phases[:, None]
-            out[parity::2] = rows.reshape(out[parity::2].shape)
+                live, self._sector_spectra(self._checked_bands(hs), live)):
+            rows = psi[parity::2].reshape(vals.shape[1], -1)
+            for j, dt in enumerate(dts):
+                # the sector of hs[j] is P V diag(vals) V^T P^*, P =
+                # diag(phases); a complex block viewed as floats
+                # interleaves re and im
+                rows = rows * phases[j].conj()[:, None]
+                rows = (vecs[j].T @ rows.view(float)).view(complex)
+                rows *= np.exp(-1j * dt * vals[j])[:, None]
+                rows = (vecs[j] @ rows.view(float)).view(complex) \
+                    * phases[j][:, None]
+                out[j, parity::2] = rows.reshape(out[j, parity::2].shape)
         return out
 
     def _checked_bands(self, hs):
@@ -441,14 +450,25 @@ class SectorSpectrum:
     ascending in energy.  Each pivot is positive: exactly on a real band,
     to rounding on a complex one (imaginary part at most about 1.25e-16
     of the real part).  ``states`` assembles the dense d x d matrix of
-    ``Spectrum``, columns in energy order and zero off their sector, on
-    each read; it is not kept, so a spectrum in a store holds one form
-    of its vectors."""
+    ``Spectrum``, columns in energy order and zero off their sector, and
+    ``columns(k)`` its first k columns alone, on each read; neither is
+    kept, so a spectrum in a store holds one form of its vectors."""
 
     __slots__ = ("energies", "sectors")
 
     def __init__(self, energies, sectors):
         self.energies, self.sectors = energies, sectors
+
+    def columns(self, k: int) -> np.ndarray:
+        """The first k columns of ``states``, (d, k), bit for bit, from
+        the sector vectors of levels below k alone: a sector's levels
+        ascend, so those are a prefix of its vectors."""
+        dim = len(self.energies)
+        out = np.zeros((dim, k), dtype=self.sectors[0][1].dtype)
+        for parity, (levels, vectors) in enumerate(self.sectors):
+            count = np.searchsorted(levels, k)
+            out[parity::2, levels[:count]] = vectors[:, :count]
+        return out
 
     @property
     def states(self) -> np.ndarray:

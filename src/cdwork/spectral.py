@@ -12,10 +12,13 @@ applies one exponential of
     Heff = (Ha + Hb) / 2 + (sqrt(3) / 12) h i[Ha, Hb].
 
 The Hamiltonians come from a callable (a model's ``h_drive_at`` at one
-scale), i[Ha, Hb] is the model's ``commutator`` and the exponential its
-``evolve`` (through the spectrum of Heff, so every step is exactly
-unitary), each in the model's own format: dense matrices, or the
-oscillator's bands.
+scale) and i[Ha, Hb] is the model's ``commutator``, each in the model's
+own format: dense matrices, or the oscillator's bands.  Heff depends on
+the time, not on the state, so a pass forms its exponents BLOCK_POINTS
+steps at a time and hands each block to the model's ``evolve_block``,
+which solves the block's spectra (one block call on the oscillator's
+sectors) and applies the steps in order, so every step is exactly
+unitary.
 
 The auxiliary term is assembled from the gauge-invariant matrix-element
 form
@@ -47,6 +50,12 @@ DEGENERACY_TOL = 1e-9
 # coupling (against the largest one) below which cd_coupling treats a
 # degenerate pair as uncoupled
 COUPLING_TOL = 1e-12
+# times (grid points or Magnus steps) whose spectra one solver call
+# takes: a model's store solves its misses, the fluctuation kernel its
+# grid and propagation its exponents in blocks of at most this many,
+# so that no call holds more than one block's eigenvectors (whole-grid
+# kernel arrays ran slower)
+BLOCK_POINTS = 16
 
 
 def assert_hermitian(h: np.ndarray) -> None:
@@ -83,6 +92,10 @@ class Spectrum:
 
     energies: np.ndarray
     states: np.ndarray
+
+    def columns(self, k: int) -> np.ndarray:
+        """The first k eigenvectors, ``states[:, :k]``."""
+        return self.states[:, :k]
 
 
 def spectrum(h: np.ndarray) -> Spectrum:
@@ -139,30 +152,33 @@ _MAGNUS_WEIGHT = math.sqrt(3.0) / 12.0
 _HALVING_FACTOR = 15.0 / 16.0
 # Magnus steps (substeps x grid intervals, over all runs) of one
 # propagate call: 10x the costliest test propagation (960) and 40x
-# verify's certificate (240), whose steps take about 0.5 ms each on a
-# Xeon core
+# verify's certificate (240), whose steps take about 0.46 ms each in
+# blocks (0.50 ms one at a time) on one core of a 2-vCPU Xeon machine
 MAX_STEPS = 10_000
 
 
-def _step_block(h_at, model, psi, t0, t1, substeps):
-    h = (t1 - t0) / substeps
-    for j in range(substeps):
-        t = t0 + j * h
-        ha = h_at(t + _GAUSS_NODES[0] * h)
-        hb = h_at(t + _GAUSS_NODES[1] * h)
-        heff = (0.5 * (ha + hb)
-                + (_MAGNUS_WEIGHT * h) * model.commutator(ha, hb))
-        psi = model.evolve(heff, h, psi)
-    return psi
-
-
 def _run_grid(h_at, model, psi0, grid, substeps):
+    """The states on the grid at ``substeps`` Magnus steps per interval:
+    the exponents of BLOCK_POINTS steps at a time, each block applied
+    by one ``model.evolve_block`` call."""
+    steps = [(t0 + j * h, h) for t0, t1 in zip(grid[:-1], grid[1:])
+             for h in [(t1 - t0) / substeps] for j in range(substeps)]
     states = np.empty((len(grid),) + psi0.shape, dtype=complex)
-    states[0] = psi0
-    psi = psi0
-    for k in range(len(grid) - 1):
-        psi = _step_block(h_at, model, psi, grid[k], grid[k + 1], substeps)
-        states[k + 1] = psi
+    states[0] = psi = psi0
+    for start in range(0, len(steps), BLOCK_POINTS):
+        block = steps[start:start + BLOCK_POINTS]
+        heffs = []
+        for t, h in block:
+            ha = h_at(t + _GAUSS_NODES[0] * h)
+            hb = h_at(t + _GAUSS_NODES[1] * h)
+            heffs.append(0.5 * (ha + hb)
+                         + (_MAGNUS_WEIGHT * h) * model.commutator(ha, hb))
+        after = model.evolve_block(heffs, [h for _, h in block], psi)
+        psi = after[-1]
+        # the steps of the block that end a grid interval
+        ends = np.arange(start + 1, start + len(block) + 1)
+        done = ends % substeps == 0
+        states[ends[done] // substeps] = after[done]
     return states
 
 
@@ -182,14 +198,15 @@ def propagate(h_at, psi0, grid, *, model, tol: float) -> Propagation:
 
     One substep is one fourth-order Magnus step (see the module
     docstring): it evaluates ``h_at`` at the two Gauss points of the
-    step, forms one ``model.commutator`` and applies one exact
-    ``model.evolve``, so every step is exactly unitary.  The substep
-    count per grid interval is refined until halving it changes the
-    final state by less than ``tol``.  A probe pair (1 and 2 substeps)
-    fixes the constant of the fourth-order error model ``c / r^4``, from
-    which the required count is predicted directly instead of doubling
-    all the way up.  Raises StepNotConverged before a pair of runs would
-    take the call past MAX_STEPS steps in all.
+    step and forms one ``model.commutator``; ``model.evolve_block``
+    applies the exact exponentials of BLOCK_POINTS steps at a time, so
+    every step is exactly unitary.  The substep count per grid interval
+    is refined until halving it changes the final state by less than
+    ``tol``.  A probe pair (1 and 2 substeps) fixes the constant of the
+    fourth-order error model ``c / r^4``, from which the required count
+    is predicted directly instead of doubling all the way up.  Raises
+    StepNotConverged before a pair of runs would take the call past
+    MAX_STEPS steps in all.
     """
     grid = np.asarray(grid, dtype=float)
     if grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
@@ -258,21 +275,25 @@ def transitionless_certificate(model, levels, grid, *, h1_scale: float = 1.0,
     generates the dynamics (verify's discriminating control); the tests
     run other values to show that a wrong prefactor is caught.
     The Hamiltonians come from ``model.h_drive_at``; each Magnus step
-    takes their commutator by ``model.commutator`` and exponentiates by
-    ``model.evolve`` (for the oscillator: both on bands, the exponential
-    one parity sector at a time).
+    takes their commutator by ``model.commutator``, and
+    ``model.evolve_block`` exponentiates a block of steps (for the
+    oscillator: both on bands, a block's exponentials in one solver
+    call per parity sector).  The grid's H0 spectra are one
+    ``model.spectra0_at`` call, each read for its first
+    max(levels) + 1 columns.
     """
     levels = np.atleast_1d(np.asarray(levels, dtype=int))
     grid = np.asarray(grid, dtype=float)
-    psi0 = model.spectrum0_at(0.0).states[:, levels]
+    width = int(levels.max()) + 1
+    psi0 = model.spectrum0_at(0.0).columns(width)[:, levels]
     states, substeps = propagate(lambda t: model.h_drive_at(t, h1_scale),
                                  psi0, grid, model=model, tol=tol)
     min_overlap = np.ones(len(levels))
-    for i, t in enumerate(grid):
-        basis = model.spectrum0_at(t).states[:, levels]
-        overlap = np.abs(np.einsum("dn,dn->n", basis.conj(), states[i]))
+    for spec, state in zip(model.spectra0_at(grid), states):
+        basis = spec.columns(width)[:, levels]
+        overlap = np.abs(np.einsum("dn,dn->n", basis.conj(), state))
         min_overlap = np.minimum(min_overlap, overlap)
-    final = model.spectrum0_at(grid[-1]).states[:, levels]
+    final = model.spectrum0_at(grid[-1]).columns(width)[:, levels]
     fidelity = np.abs(np.einsum("dn,dn->n", final.conj(), states[-1]))
     passed = bool(min_overlap.min() >= 1.0 - CERTIFICATE_THRESHOLD
                   and fidelity.min() >= 1.0 - CERTIFICATE_THRESHOLD)

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationError
+from .spectral import BLOCK_POINTS
 
 # largest mass a retained eigenstate may put on the polluted top of a
 # truncated basis before spectra-derived quantities are refused
@@ -143,7 +144,7 @@ def basis_leakage(model, ensemble, t: float) -> float:
     that carry their complete Hilbert space): the error indicator of
     every spectra-derived quantity, since transition-matrix rows sum to
     one whatever the truncation."""
-    states = model.spectrum0_at(t).states[None, :, : ensemble.n_levels]
+    states = model.spectrum0_at(t).columns(ensemble.n_levels)[None]
     return float(_leakage(model, states)[0])
 
 
@@ -155,11 +156,10 @@ def transition_matrix(model, ensemble, t: float) -> np.ndarray:
     into the top of the basis coordinates (the basis is then too small
     for the requested state).
     """
-    spec0 = model.spectrum0_at(t)
-    n_keep = ensemble.n_levels
-    _leakage(model, spec0.states[None, :, :n_keep], [t])
+    retained = model.spectrum0_at(t).columns(ensemble.n_levels)
+    _leakage(model, retained[None], [t])
     spec_cd = model.spectrum_cd_at(t)
-    probs = np.abs(spec_cd.states.conj().T @ spec0.states[:, :n_keep]) ** 2
+    probs = np.abs(spec_cd.states.conj().T @ retained) ** 2
     return probs.T
 
 
@@ -268,10 +268,6 @@ def identity_check_rowsum(model, ensemble, t: float) -> float:
     return float(np.abs(sums).max())
 
 
-# grid points per fluctuation-kernel block; whole-grid arrays ran slower
-BLOCK_POINTS = 16
-
-
 def _real_dots(a, b):
     """Re <a_k|b_k> for the columns of two (B, d, K) blocks, shape (B, K)."""
     flat = np.einsum("bdk,bdk->bk", a.view(float), b.view(float))
@@ -305,7 +301,7 @@ def fluctuation_kernel(model, ensemble, grid,
         times = grid[start:start + size]
         rows, b = slice(start, start + len(times)), len(times)
         for i, spec in enumerate(model.spectra0_at(times)):
-            states[i] = spec.states[:, :n_keep]
+            states[i] = spec.columns(n_keep)
             e_now[start + i] = spec.energies[:n_keep]
         psi = states[:b]
         _leakage(model, psi, times)

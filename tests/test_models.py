@@ -68,6 +68,39 @@ def test_store_holds_cache_size_spectra():
     assert model._store.get((0.0, 0.0)) is None
 
 
+@pytest.mark.parametrize("kind", ["h0", "driven"])
+def test_block_read_solves_in_bounded_chunks(kind):
+    # 81 grid spectra read as one block: the bits of 81 single reads, in
+    # ceil(81 / BLOCK_POINTS) = 6 solver calls
+    grid = np.linspace(0.0, 0.8, 81)
+    block, single = (HarmonicOscillator(HOConfig(1.0, 3.0, 0.8, dim=60))
+                     for _ in range(2))
+    calls = []
+    solve = block._diagonalize
+    block._diagonalize = lambda hs: calls.append(len(hs)) or solve(hs)
+    read = {"h0": (block.spectra0_at, single.spectrum0_at),
+            "driven": (block.spectra_cd_at, single.spectrum_cd_at)}[kind]
+    for spec, t in zip(read[0](grid), grid):
+        assert_same_spectrum(spec, read[1](t))
+    assert calls == [16] * 5 + [1]
+
+
+def test_dense_evolve_block_is_its_eigh_steps():
+    # the generic model's hook: one eigh per step, applied in order
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
+    hs = list(a + a.conj().transpose(0, 2, 1))
+    dts = [0.1, 0.25, 0.05, 0.4, 0.2]
+    psi = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+    model = two_level_model(quintic_ramp([0.0], [1.0], 1.0))
+    out = model.evolve_block(hs, dts, psi)
+    assert out.shape == (5, 6, 2)
+    for h, dt, state in zip(hs, dts, out):
+        e, v = np.linalg.eigh(h)
+        psi = (v * np.exp(-1j * e * dt)) @ (v.conj().T @ psi)
+        assert np.array_equal(state, psi)
+
+
 def test_finished_model_freed_without_cyclic_gc():
     gc.collect()
     gc.disable()

@@ -193,7 +193,8 @@ class TestFastEigh:
         with pytest.raises(NonHermitianInput, match="Hermiticity"):
             solve(fig1_model, h)
         with pytest.raises(NonHermitianInput, match="Hermiticity"):
-            fig1_model.evolve(h, 0.3, _random_state(rng, fig1_model.dim))
+            fig1_model.evolve_block([h], [0.3],
+                                    _random_state(rng, fig1_model.dim))
         # below HERMITIAN_TOL of the band's scale, as in assert_hermitian,
         # the imaginary part is dropped
         h[0, 4] = h[0, 4].real + 1e-20j
@@ -271,6 +272,18 @@ class TestGauge:
                 off = np.ascontiguousarray(v[1 - parity::2][:, levels])
                 parts = off.view(float)
                 assert not parts.any() and not np.signbit(parts).any()
+
+    @pytest.mark.parametrize("width", ["one", "retained", "all"])
+    def test_columns_are_the_leading_states(self, fig1_model, fig1_ensemble,
+                                            width):
+        # real H0 and complex driven spectra, bit for bit
+        k = {"one": 1, "retained": fig1_ensemble.n_levels,
+             "all": fig1_model.dim}[width]
+        for _, spec in self.spectra(fig1_model):
+            lead = spec.columns(k)
+            want = spec.states[:, :k]
+            assert lead.shape == want.shape and lead.dtype == want.dtype
+            assert lead.tobytes() == np.ascontiguousarray(want).tobytes()
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_helper_on_a_stack_is_per_matrix(self, fig1_model, rng, dtype):
@@ -358,9 +371,15 @@ def _random_state(rng, dim, columns=None, odd=True):
     return psi / np.linalg.norm(psi, axis=0)
 
 
+def _dense_step(model, dense, dt, psi):
+    """One exact step of the generic model's dense ``evolve_block``."""
+    return ParametrizedModel.evolve_block(model, [dense], [dt], psi)[0]
+
+
 class TestSectorEvolve:
-    """``evolve`` exponentiates one parity sector at a time; the dense
-    ``evolve`` of the generic model is the reference."""
+    """``evolve_block`` exponentiates one parity sector at a time; the
+    dense ``evolve_block`` of the generic model is the reference, and a
+    block gives the bits of its steps taken one at a time."""
 
     @staticmethod
     def _operators(model, h1_scale):
@@ -375,13 +394,13 @@ class TestSectorEvolve:
         band, dense = self._operators(fig1_model, h1_scale)
         assert np.iscomplexobj(band) == bool(h1_scale)
         psi = _random_state(rng, fig1_model.dim, columns)
-        out = fig1_model.evolve(band, dt, psi)
-        assert out.shape == psi.shape
-        want = ParametrizedModel.evolve(fig1_model, dense, dt, psi)
-        assert np.abs(out - want).max() < 1e-13
+        out = fig1_model.evolve_block([band], [dt], psi)
+        assert out.shape == (1,) + psi.shape
+        want = _dense_step(fig1_model, dense, dt, psi)
+        assert np.abs(out[0] - want).max() < 1e-13
         # a column slice of a spectrum is Fortran-ordered
-        assert np.array_equal(
-            fig1_model.evolve(band, dt, np.asfortranarray(psi)), out)
+        assert np.array_equal(fig1_model.evolve_block(
+            [band], [dt], np.asfortranarray(psi)), out)
 
     @pytest.mark.parametrize("columns", [None, 3])
     def test_empty_sector_stays_zero_and_is_not_solved(self, fig1_model, rng,
@@ -396,11 +415,40 @@ class TestSectorEvolve:
         monkeypatch.setattr(oscillator, "_STEVD", counting_stevd)
         band, dense = self._operators(fig1_model, 1.0)
         psi = _random_state(rng, fig1_model.dim, columns, odd=False)
-        out = fig1_model.evolve(band, 0.3, psi)
+        out = fig1_model.evolve_block([band], [0.3], psi)[0]
         assert len(solves) == 1
         assert not out[1::2].any()
-        want = ParametrizedModel.evolve(fig1_model, dense, 0.3, psi)
+        want = _dense_step(fig1_model, dense, 0.3, psi)
         assert np.abs(out - want).max() < 1e-13
+
+    @pytest.mark.parametrize("odd", [True, False])
+    @pytest.mark.parametrize("length", [1, 5, 16])
+    def test_block_is_its_single_steps(self, fig1_model, rng, monkeypatch,
+                                       length, odd):
+        # one solver call per live sector for the whole block, and the
+        # bits of the steps taken one block of one at a time; an empty
+        # odd sector stays zero and unsolved in both
+        matrices = []
+        stevd = oscillator._STEVD
+
+        def counting_stevd(diags, offs, vectors):
+            matrices.append(len(diags))
+            return stevd(diags, offs, vectors)
+
+        monkeypatch.setattr(oscillator, "_STEVD", counting_stevd)
+        hs = [fig1_model.h_drive_at(t, 1.0)
+              for t in np.linspace(0.1, 0.7, length)]
+        dts = list(np.linspace(0.004, 0.03, length))
+        psi = _random_state(rng, fig1_model.dim, 9, odd=odd)
+        out = fig1_model.evolve_block(hs, dts, psi)
+        live = 2 if odd else 1
+        assert matrices == [length] * live
+        state = psi
+        for j, (h, dt) in enumerate(zip(hs, dts)):
+            state = fig1_model.evolve_block([h], [dt], state)[0]
+            assert np.array_equal(out[j], state)
+        assert matrices == [length] * live + [1] * (length * live)
+        assert odd or not out[:, 1::2].any()
 
     @pytest.mark.parametrize("h1_scale", [0.0, 1.0])
     @pytest.mark.parametrize("entry", [(0, 5), (1, 6)])
@@ -412,7 +460,7 @@ class TestSectorEvolve:
         band[entry] = bad
         psi = _random_state(rng, fig1_model.dim, odd=False)
         with pytest.raises(ValueError, match="non-finite"):
-            fig1_model.evolve(band, 0.3, psi)
+            fig1_model.evolve_block([band], [0.3], psi)
 
 
 class TestCommutator:

@@ -15,11 +15,13 @@ NEVER_ENTERED = {
         "models.ParametrizedModel.h0_at",
         "models.ParametrizedModel.dh0_dlambda_at",
         "models.ParametrizedModel.coupling_rows",
-        "models.ParametrizedModel.h1_at", "models.ParametrizedModel.evolve",
+        "models.ParametrizedModel.h1_at",
+        "models.ParametrizedModel.evolve_block",
         "models.ParametrizedModel.commutator",
         "models.ParametrizedModel.apply_h1",
         "models.ParametrizedModel._diagonalize", "models.two_level_model",
-        "models.two_level_model.<locals>.h0_of", "ising.dense_model"],
+        "models.two_level_model.<locals>.h0_of", "ising.dense_model",
+        "spectral.Spectrum.columns"],
         "the dense generic model route: every subcommand runs the "
         "oscillator's band overrides, and the tests build on it"),
     **dict.fromkeys(["oscillator._numpy_openblas", "oscillator._resolve_stevd"],

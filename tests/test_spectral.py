@@ -335,13 +335,14 @@ class TestCertificate:
         grid = np.linspace(0.0, fig1_model.tau, 81)
         psi0 = fig1_model.spectrum0_at(0.0).states[:, :9]
         exponentials = []
-        evolve = HarmonicOscillator.evolve
+        evolve_block = HarmonicOscillator.evolve_block
 
-        def counting_evolve(self, h, dt, psi):
-            exponentials.append(1)
-            return evolve(self, h, dt, psi)
+        def counting_evolve_block(self, hs, dts, psi):
+            exponentials.extend(dts)
+            return evolve_block(self, hs, dts, psi)
 
-        monkeypatch.setattr(HarmonicOscillator, "evolve", counting_evolve)
+        monkeypatch.setattr(HarmonicOscillator, "evolve_block",
+                            counting_evolve_block)
         h_at = lambda t: fig1_model.h_drive_at(t, 1.0)
         states, _ = propagate(h_at, psi0, grid, model=fig1_model, tol=3e-7)
         # one exponential per step: (1 + 2) x 80 steps

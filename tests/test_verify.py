@@ -1,6 +1,10 @@
+import json
 import math
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,3 +141,48 @@ def test_earliest_raising_check_decides(monkeypatch, forked, first, later):
     raise_in(monkeypatch, later, StepNotConverged("later"))
     with pytest.raises(StepNotConverged, match="^first$"):
         run_verification(chain_samples=1)
+
+
+# one untraced and one traced `verify --chain-samples 1` in a fresh
+# interpreter, so that the tracer's patching stays out of this process;
+# lane B is forked, as on the benchmark's two CPUs, so the propagation
+# counts are lane A's (the certificate), whatever this machine offers
+TRACED_VERIFY = """
+import contextlib, io, json, sys
+from pathlib import Path
+src, bench, out = sys.argv[1:]
+sys.path[:0] = [src, bench]
+from cdwork import cli, lanes
+from tracer import Tracer
+lanes._two_cpus = lambda: True
+runs = []
+for label in ("plain", "traced"):
+    if label == "traced":
+        tracer = Tracer()
+        tracer.install()
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(["verify", "--chain-samples", "1",
+                         "--out", str(Path(out) / label)])
+    runs.append((code, stdout.getvalue()))
+metrics = tracer.metrics()
+print(json.dumps({"runs": runs, "counts": {
+    name: metrics["spectral.propagate." + name][0]
+    for name in ("h_evals", "substeps")}}))
+"""
+
+
+def test_traced_verify_reports_what_an_untraced_run_does(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_VERIFY, str(root / "src"),
+         str(root / "bench"), str(tmp_path)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    plain, traced = report["runs"]
+    assert plain[0] == 0 and traced == plain
+    assert ((tmp_path / "traced" / "verify_report.json").read_bytes()
+            == (tmp_path / "plain" / "verify_report.json").read_bytes())
+    # the certificate's (1 + 2) x 80 Magnus steps, two Gauss points each
+    assert report["counts"] == {"h_evals": 480, "substeps": 2}
