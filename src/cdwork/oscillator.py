@@ -466,7 +466,7 @@ class SectorSpectrum:
         dim = len(self.energies)
         out = np.zeros((dim, k), dtype=self.sectors[0][1].dtype)
         for parity, (levels, vectors) in enumerate(self.sectors):
-            count = np.searchsorted(levels, k)
+            count = levels.searchsorted(k)
             out[parity::2, levels[:count]] = vectors[:, :count]
         return out
 

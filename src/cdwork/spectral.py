@@ -161,8 +161,10 @@ def _run_grid(h_at, model, psi0, grid, substeps):
     """The states on the grid at ``substeps`` Magnus steps per interval:
     the exponents of BLOCK_POINTS steps at a time, each block applied
     by one ``model.evolve_block`` call."""
-    steps = [(t0 + j * h, h) for t0, t1 in zip(grid[:-1], grid[1:])
-             for h in [(t1 - t0) / substeps] for j in range(substeps)]
+    steps = []
+    for t0, t1 in zip(grid[:-1], grid[1:]):
+        h = (t1 - t0) / substeps
+        steps += [(t0 + j * h, h) for j in range(substeps)]
     states = np.empty((len(grid),) + psi0.shape, dtype=complex)
     states[0] = psi = psi0
     for start in range(0, len(steps), BLOCK_POINTS):
