@@ -14,7 +14,7 @@ from .errors import (BandStructureError, CdworkError, ConfigError,
 from .fitting import FitResult, fit_power_law
 from .geometry import (GeometricTensor, SpeedLimitReport, bound_chain,
                        bures_fidelity, bures_length, chain_lengths,
-                       ensemble_rates, evolved_density, fidelity_decay_check,
+                       density_factor, ensemble_rates, fidelity_decay_check,
                        path_lengths, qgt, speed_limit_report)
 from .models import ParametrizedModel, SpectrumCache, two_level_model
 from .oscillator import (HOConfig, HarmonicOscillator, WaveformTable,
@@ -25,8 +25,7 @@ from .spectral import (CertificateReport, Spectrum, assert_hermitian,
                        cd_coupling, propagate, spectrum,
                        transitionless_certificate)
 from .workstats import (ThermalEnsemble, WorkDistribution,
-                        WorkMoments, fluctuation_series,
-                        identity_check_rowsum, model_ensemble,
+                        WorkMoments, fluctuation_series, model_ensemble,
                         thermal_ensemble, transition_matrix,
                         work_distribution, work_moments)
 

@@ -26,7 +26,7 @@ from . import ising
 from .errors import ConfigError, TruncationError, named
 from .fitting import FitResult, fit_power_law
 from .geometry import (SpeedLimitReport, bound_chain, bures_length,
-                       ensemble_rates, evolved_density, path_lengths)
+                       density_factor, ensemble_rates, path_lengths)
 from .lanes import run_lanes
 from .oscillator import HOConfig, HarmonicOscillator
 from .quadrature import CC_FIRST_NODES
@@ -98,19 +98,20 @@ def ho_figure1_data(*, omega_i: float = 1.0, omega_f: float = 3.0,
     The work runs in two lanes (``lanes.run_lanes``), in this order:
     lane B, the kernel over the grid's first BLOCK_POINTS blocks, in a
     forked child where two CPUs are available; lane A, the kernel over
-    the rest, then the endpoint Bures length, whose t = tau spectrum the
-    last block left in the store, then the path lengths.  Lane B takes
-    the blocks of half the grid points and the path lengths' first
-    2 CC_FIRST_NODES - 1 quadrature nodes, rounded up, and lane A at
-    least one block.
+    the rest, then the endpoint Bures length, from the K retained
+    columns at each end (``geometry.density_factor``; the t = tau
+    spectrum is the one the last block left in the store), then the
+    path lengths.  Lane B takes the blocks of half the grid points and
+    the path lengths' first 2 CC_FIRST_NODES - 1 quadrature nodes,
+    rounded up, and lane A at least one block.
     The cut falls on a block boundary, so every block sees the times of
     a serial pass and the outputs are the same bytes; a grid of one
     block runs serially.  The model's store holds one block
     (BLOCK_POINTS spectra, whatever ``grid_points``): the geometric
-    column is taken in the kernel pass, and the initial density (t = 0)
-    before it, whose spectrum the first block reads.  A block's spectra
-    share the eigenvector arrays of its solve, so a store of exactly one
-    block lets each block's arrays go as a whole.
+    column is taken in the kernel pass, and the initial density's K
+    columns (t = 0) before it, whose spectrum the first block reads.  A
+    block's spectra share the eigenvector arrays of its solve, so a
+    store of exactly one block lets each block's arrays go as a whole.
     """
     if tau_list is None:
         tau_list = [round(0.2 * k, 10) for k in range(1, 16)]
@@ -132,7 +133,7 @@ def ho_figure1_data(*, omega_i: float = 1.0, omega_f: float = 3.0,
                      times, rate)
 
     def endpoint_bures():
-        return bures_length(rho0, evolved_density(model, ensemble, tau))
+        return bures_length(start, density_factor(model, ensemble, tau))
 
     # lane A also spends a kernel point's work on each path-length node
     # (at least the first two levels' 2 CC_FIRST_NODES - 1), so lane B
@@ -143,7 +144,7 @@ def ho_figure1_data(*, omega_i: float = 1.0, omega_f: float = 3.0,
     split = BLOCK_POINTS * min(-(-work // (2 * BLOCK_POINTS)), blocks - 1)
     try:
         ensemble = model_ensemble(model, beta)
-        rho0 = evolved_density(model, ensemble, 0.0)
+        start = density_factor(model, ensemble, 0.0)
         e_init = model.spectrum0_at(0.0).energies[:ensemble.n_levels]
         steps = [("B", partial(kernel, grid[:split]))] if split else []
         *parts, bures, (eta, ell) = run_lanes([

@@ -29,7 +29,8 @@ ensemble's K retained ones, instead of V^dagger dH0 V.
 ``path_lengths`` integrates the square roots of the rates to eta and
 ell by nested Clenshaw-Curtis rules, whose finer levels reuse every
 node of the coarser ones and take each level's new nodes as one block,
-and ``chain_lengths`` adds the endpoint Bures length arccos sqrt(F).
+and ``chain_lengths`` adds the endpoint Bures length arccos sqrt(F),
+taken from the K retained eigenvectors at each end.
 They obey bures <= eta <= ell, and tau times the time-averaged excess
 work-fluctuation amplitude equals ell exactly (hbar = 1 units);
 ``bound_chain`` assembles that chain.
@@ -224,6 +225,12 @@ def _state_sqrt(rho: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(np.where(e < floor, 0.0, e))) @ v.conj().T
 
 
+def _trace_norm_fidelity(m: np.ndarray) -> float:
+    """(tr |m|)^2, the squared sum of m's singular values, capped at 1:
+    the Uhlmann fidelity of two states whose factors' product is m."""
+    return min(float(np.linalg.svd(m, compute_uv=False).sum() ** 2), 1.0)
+
+
 def bures_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
 
@@ -231,22 +238,28 @@ def bures_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     is the same quantity but symmetric in the arguments by construction
     and well conditioned when either state is near singular.
     """
-    singulars = np.linalg.svd(_state_sqrt(rho) @ _state_sqrt(sigma),
-                              compute_uv=False)
-    return min(float(singulars.sum() ** 2), 1.0)
+    return _trace_norm_fidelity(_state_sqrt(rho) @ _state_sqrt(sigma))
 
 
-def bures_length(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """arccos sqrt(F): the Riemannian distance induced by fidelity."""
-    return float(np.arccos(np.sqrt(bures_fidelity(rho, sigma))))
+def density_factor(model, ensemble, t: float) -> np.ndarray:
+    """A = V sqrt(p), shape (d, K): the first K instantaneous
+    eigenvectors at t, each scaled by the root of its initial
+    population, so that A A^dagger is the density that counterdiabatic
+    driving carries there (the populations stay on their levels)."""
+    return (model.spectrum0_at(t).columns(ensemble.n_levels)
+            * np.sqrt(ensemble.weights))
 
 
-def evolved_density(model, ensemble, t: float) -> np.ndarray:
-    """Density matrix with the initial populations carried onto the
-    instantaneous eigenstates at time t (what counterdiabatic driving
-    produces)."""
-    states = model.spectrum0_at(t).columns(ensemble.n_levels)
-    return (states * ensemble.weights) @ states.conj().T
+def bures_length(a: np.ndarray, b: np.ndarray) -> float:
+    """arccos sqrt(F), the Riemannian distance induced by fidelity,
+    between the densities a a^dagger and b b^dagger of two factors
+    (``density_factor``).  By Uhlmann's theorem (Rep. Math. Phys. 9, 273
+    (1976)) F is the squared trace norm of a^dagger b, a K x K product
+    for rank-K factors, so no d x d density is formed or decomposed.
+    The arguments are factors A with rho = A A^dagger, not densities:
+    given two densities it takes F = ||rho^dagger sigma||_tr^2, which is
+    not their fidelity (``bures_fidelity`` takes densities)."""
+    return float(np.arccos(np.sqrt(_trace_norm_fidelity(a.conj().T @ b))))
 
 
 # -- speed-limit report ----------------------------------------------------
@@ -324,11 +337,13 @@ def bound_chain(series: dict, bures: float, eta: float,
 def chain_lengths(model, ensemble, *,
                   rel_tol: float = 1e-8) -> tuple[float, float, float]:
     """(bures, eta, ell): the endpoint Bures length of the evolved
-    densities and ``path_lengths``.  The endpoint spectra are solved
-    first, so a model whose store holds a grid from 0 to tau reuses them
-    before the quadrature nodes can evict them."""
-    bures = bures_length(evolved_density(model, ensemble, 0.0),
-                         evolved_density(model, ensemble, model.tau))
+    densities, from the K retained columns at each end
+    (``density_factor``, ``bures_length``), and ``path_lengths``.  The
+    endpoint spectra are solved first, so a model whose store holds a
+    grid from 0 to tau reuses them before the quadrature nodes can evict
+    them."""
+    bures = bures_length(density_factor(model, ensemble, 0.0),
+                         density_factor(model, ensemble, model.tau))
     return (bures, *path_lengths(model, ensemble, rel_tol=rel_tol))
 
 

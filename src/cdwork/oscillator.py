@@ -470,6 +470,16 @@ class SectorSpectrum:
             out[parity::2, levels[:count]] = vectors[:, :count]
         return out
 
+    def transition_probs(self, columns: np.ndarray) -> np.ndarray:
+        """|states^dagger columns|^2, (d, k), rows in level order, one
+        sector at a time: each sector's vectors against the columns' rows
+        there, with no dense ``states``.  A column of the other sector is
+        zero on these rows, so its overlaps come out exactly zero."""
+        out = np.empty((len(self.energies), columns.shape[1]))
+        for parity, (levels, vectors) in enumerate(self.sectors):
+            out[levels] = np.abs(vectors.conj().T @ columns[parity::2]) ** 2
+        return out
+
     @property
     def states(self) -> np.ndarray:
         dim = len(self.energies)

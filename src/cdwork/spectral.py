@@ -97,6 +97,11 @@ class Spectrum:
         """The first k eigenvectors, ``states[:, :k]``."""
         return self.states[:, :k]
 
+    def transition_probs(self, columns: np.ndarray) -> np.ndarray:
+        """|states^dagger columns|^2, (d, k): each eigenvector's squared
+        overlap with each column."""
+        return np.abs(self.states.conj().T @ columns) ** 2
+
 
 def spectrum(h: np.ndarray) -> Spectrum:
     """Diagonalize a Hermitian matrix with the fixed phase gauge.
@@ -266,6 +271,30 @@ class CertificateReport:
 CERTIFICATE_THRESHOLD = 1e-6
 
 
+def level_propagation(model, levels, grid, *, h1_scale: float = 1.0,
+                      tol: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """(states, final fidelity, substeps): eigenlevels of H0(0)
+    propagated over the grid and their overlaps with the same levels of
+    H0 at the grid's end.  Only the end points' H0 spectra are read.
+
+    ``h1_scale`` rescales the auxiliary term: at 0 the bare H0 generates
+    the dynamics (verify's discriminating control reads this fidelity
+    alone); the tests run other values to show that a wrong prefactor is
+    caught.  The Hamiltonians come from ``model.h_drive_at``; each Magnus
+    step takes their commutator by ``model.commutator``, and
+    ``model.evolve_block`` exponentiates a block of steps (for the
+    oscillator: both on bands, a block's exponentials in one solver call
+    per parity sector).  ``levels`` is an integer array.
+    """
+    width = int(levels.max()) + 1
+    psi0 = model.spectrum0_at(0.0).columns(width)[:, levels]
+    states, substeps = propagate(lambda t: model.h_drive_at(t, h1_scale),
+                                 psi0, grid, model=model, tol=tol)
+    final = model.spectrum0_at(grid[-1]).columns(width)[:, levels]
+    fidelity = np.abs(np.einsum("dn,dn->n", final.conj(), states[-1]))
+    return states, fidelity, substeps
+
+
 def transitionless_certificate(model, levels, grid, *, h1_scale: float = 1.0,
                                tol: float) -> CertificateReport:
     """Propagate eigenlevels of H0(0) and track overlap with the
@@ -273,30 +302,21 @@ def transitionless_certificate(model, levels, grid, *, h1_scale: float = 1.0,
 
     PASS requires both the minimum overlap along the grid and the final
     fidelity to reach 1 - CERTIFICATE_THRESHOLD for every requested
-    level.  ``h1_scale`` rescales the auxiliary term: at 0 the bare H0
-    generates the dynamics (verify's discriminating control); the tests
-    run other values to show that a wrong prefactor is caught.
-    The Hamiltonians come from ``model.h_drive_at``; each Magnus step
-    takes their commutator by ``model.commutator``, and
-    ``model.evolve_block`` exponentiates a block of steps (for the
-    oscillator: both on bands, a block's exponentials in one solver
-    call per parity sector).  The grid's H0 spectra are one
-    ``model.spectra0_at`` call, each read for its first
-    max(levels) + 1 columns.
+    level.  ``level_propagation`` gives the states and the final
+    fidelity (``h1_scale`` as there); the grid's H0 spectra are then one
+    ``model.spectra0_at`` call, each read for its first max(levels) + 1
+    columns.
     """
     levels = np.atleast_1d(np.asarray(levels, dtype=int))
     grid = np.asarray(grid, dtype=float)
+    states, fidelity, substeps = level_propagation(
+        model, levels, grid, h1_scale=h1_scale, tol=tol)
     width = int(levels.max()) + 1
-    psi0 = model.spectrum0_at(0.0).columns(width)[:, levels]
-    states, substeps = propagate(lambda t: model.h_drive_at(t, h1_scale),
-                                 psi0, grid, model=model, tol=tol)
     min_overlap = np.ones(len(levels))
     for spec, state in zip(model.spectra0_at(grid), states):
         basis = spec.columns(width)[:, levels]
         overlap = np.abs(np.einsum("dn,dn->n", basis.conj(), state))
         min_overlap = np.minimum(min_overlap, overlap)
-    final = model.spectrum0_at(grid[-1]).columns(width)[:, levels]
-    fidelity = np.abs(np.einsum("dn,dn->n", final.conj(), states[-1]))
     passed = bool(min_overlap.min() >= 1.0 - CERTIFICATE_THRESHOLD
                   and fidelity.min() >= 1.0 - CERTIFICATE_THRESHOLD)
     return CertificateReport(min_overlap, fidelity, passed, substeps)

@@ -9,24 +9,25 @@ The checks fall into two lanes that share no state.  Lane A holds the
 checks that share the main model's spectrum store.  Lane B holds the
 six checks that draw from the seeded generator, kept in their suite
 order (each draws where the one before it stopped), the checks that
-build their own models, and the bare-drive control, which then solves
-its own copy of the main model's grid spectra.  ``lanes.run_lanes``,
-the helper ``ho-figure1`` shares, runs them: lane B in a forked child
-beside lane A where the process may run on two or more CPUs, serially
-otherwise, with the results and the first exception of a serial run.
-Each lane alone, from the state at the fork, takes about 0.30 s (A)
-and 0.32 s (B) on one core of a 2-vCPU Xeon machine: lane B's length
-chain and bare control, 0.14 s and 0.07 s, against lane A's
-certificate and variance identity, 0.13 s and 0.06 s.  Checks that
-build their own models move between the lanes only when one lane runs
-more than 10% longer.
+build their own models, and the bare-drive control, which propagates
+the main model's ground state under the bare H0 and reads only its
+overlap at t = tau, so that it solves no H0 spectrum between the ends.
+``lanes.run_lanes``, the helper ``ho-figure1`` shares, runs them: lane
+B in a forked child beside lane A where the process may run on two or
+more CPUs, serially otherwise, with the results and the first
+exception of a serial run.  Each lane alone, from the state at the
+fork, takes about 0.28 s (A) and 0.26 to 0.27 s (B) on one core of a
+2-vCPU Xeon machine, lane A the longer by 1% to 8%: lane A's
+certificate and duration-length equality, 0.13 s and 0.08 s, against
+lane B's length chain and bare control, 0.12 s and 0.04 s.  Checks
+move between the lanes only when one lane runs more than 10% longer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -40,11 +41,11 @@ from .oscillator import (HOConfig, HarmonicOscillator, cd_exact_energy,
                          ho_metric, ion_waveforms)
 from .protocols import cubic_ramp, quintic_ramp
 from .quadrature import simpson
-from .spectral import (Spectrum, cd_coupling, spectrum,
+from .spectral import (Spectrum, cd_coupling, level_propagation, spectrum,
                        transitionless_certificate)
 from .workstats import (DEFICIT_TOL, basis_leakage, fluctuation_series,
-                        identity_check_rowsum, model_ensemble,
-                        transition_matrix, work_distribution, work_moments)
+                        model_ensemble, transition_matrix, work_distribution,
+                        work_moments)
 
 
 @dataclass(frozen=True)
@@ -127,13 +128,14 @@ def _check_certificate(model, levels):
 
 
 def _check_bare_control(model):
-    grid = np.linspace(0.0, model.tau, 81)
-    cert = transitionless_certificate(model, [0], grid, h1_scale=0.0,
-                                      tol=3e-7)
-    fid = float(cert.final_fidelity[0])
+    # the certificate's propagation under the bare H0, read only at tau
+    _, fidelity, substeps = level_propagation(
+        model, np.array([0]), np.linspace(0.0, model.tau, 81),
+        h1_scale=0.0, tol=3e-7)
+    fid = float(fidelity[0])
     return CheckResult("bare-drive-control-fails", fid < 0.999,
                        f"bare final fidelity {fid:.6f} "
-                       f"({cert.substeps} steps per interval)")
+                       f"({substeps} steps per interval)")
 
 
 def _sized_oscillator(omega_f, tau, beta, times):
@@ -181,26 +183,32 @@ def _check_endpoint_equivalence(model, ensemble):
                        f"max atom deviation {worst:.2e}")
 
 
-def _check_variance_identity(model, ensemble, grid):
+def _grid_moments(model, ensemble, grid):
+    """``work_moments`` at each point of the grid, one transition matrix
+    per point, with the driven spectra solved as one block first; both
+    moment identities read this one list."""
+    model.spectra_cd_at(grid)
+    return [work_moments(model, ensemble, t) for t in grid]
+
+
+def _check_variance_identity(model, ensemble, grid, moments):
     # 1e-6 relative with a 1e-10 absolute floor: differenced second
     # moments cannot resolve excesses near the rounding floor
     rates = ensemble_rates(model, ensemble, grid)[1]
-    # the driven spectra as one block, once the rates' arrays are freed
-    model.spectra_cd_at(grid)
     worst = -math.inf
-    for t, geometric in zip(grid, rates):
-        direct = work_moments(model, ensemble, t).excess
+    # the moments' driven spectra are solved once the rates' arrays are
+    # freed
+    for point, geometric in zip(moments(), rates):
         if abs(geometric) > 1e-10:
-            worst = max(worst, abs(direct - geometric)
+            worst = max(worst, abs(point.excess - geometric)
                         - (1e-6 * abs(geometric) + 1e-10))
     return CheckResult("variance-identity", worst <= 0.0,
                        f"max margin above tolerance {worst:.2e}")
 
 
-def _check_rowsum(model, ensemble, grid):
+def _check_rowsum(model, moments):
     scale = float(np.abs(model.spectrum0_at(0.0).energies).max())
-    model.spectra_cd_at(grid)  # the driven spectra as one block
-    worst = max(identity_check_rowsum(model, ensemble, t) for t in grid)
+    worst = max(point.rowsum_residual for point in moments())
     return CheckResult("rowsum-identity", worst <= 1e-8 * scale,
                        f"max residual {worst:.2e} (scale {scale:.2g})")
 
@@ -331,19 +339,22 @@ def _check_ion_roundtrip():
 def _check_ising_oracle():
     worst = 0.0
     for n in (4, 8):
-        for lam in (0.6, 1.0, 1.4, 2.0):
-            e0, psi0 = ising.exact_ground_state(lam, n)
-            worst = max(worst, abs(e0 - ising.ground_energy(lam, n)))
+        # one dense solve per field: the ground pair where only it is
+        # read, the whole spectrum where the metric sums over it
+        ground = {lam: ising.exact_ground_state(lam, n)
+                  for lam in (0.6, 1.0, 1.4, 2.2)}
+        field = ising.dense_field_term(n)
         for lam in (1.3, 2.0):
             energies, vectors = np.linalg.eigh(ising.dense_hamiltonian(lam, n))
-            field = ising.dense_field_term(n)
+            ground[lam] = float(energies[0]), vectors[:, 0]
             m = vectors[:, :1].conj().T @ field @ vectors
             g_dense = float(np.sum(np.abs(m[0, 1:]) ** 2
                                    / (energies[1:] - energies[0]) ** 2))
             worst = max(worst, abs(g_dense - ising.ground_metric(lam, n)))
-        _, v1 = np.linalg.eigh(ising.dense_hamiltonian(1.4, n))
-        _, v2 = np.linalg.eigh(ising.dense_hamiltonian(2.2, n))
-        worst = max(worst, abs(abs(v1[:, 0] @ v2[:, 0])
+        for lam in (0.6, 1.0, 1.4, 2.0):
+            worst = max(worst,
+                        abs(ground[lam][0] - ising.ground_energy(lam, n)))
+        worst = max(worst, abs(abs(ground[1.4][1] @ ground[2.2][1])
                                - ising.ground_state_overlap(1.4, 2.2, n)))
     return CheckResult("ising-free-fermion-vs-exact", worst <= 1e-8,
                        f"max deviation {worst:.2e}")
@@ -422,6 +433,7 @@ def run_verification(seed: int = 20260809, *, fock_dim: int = 120,
     grid = np.linspace(0.0, model.tau, 81)
     try:
         ensemble = model_ensemble(model, 1.0)
+        moments = cache(partial(_grid_moments, model, ensemble, grid))
         # (lane, check) in suite order
         suite = [
             ("B", partial(_check_spectrum_contract, rng)),
@@ -432,8 +444,9 @@ def run_verification(seed: int = 20260809, *, fock_dim: int = 120,
             ("B", partial(_check_bare_control, model)),
             ("B", partial(_check_mean_identity, rng)),
             ("A", partial(_check_endpoint_equivalence, model, ensemble)),
-            ("A", partial(_check_variance_identity, model, ensemble, grid)),
-            ("A", partial(_check_rowsum, model, ensemble, grid)),
+            ("A", partial(_check_variance_identity, model, ensemble, grid,
+                          moments)),
+            ("A", partial(_check_rowsum, model, moments)),
             ("A", partial(_check_bound_chain, model, ensemble, grid)),
             ("B", partial(_check_length_chain, rng, chain_samples)),
             ("A", partial(_check_equality_identity, model, ensemble)),

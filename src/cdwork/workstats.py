@@ -14,8 +14,9 @@ so the whole work distribution is computable from spectra alone, with
 no time propagation.  Two independent routes give its moments:
 
   * the transition matrix: ``work_moments`` sums
-    p_n p_{n->m} (E_m(t) - eps_n(0))^k over it, and ``work_distribution``
-    builds the merged atoms;
+    p_n p_{n->m} (E_m(t) - eps_n(0))^k over it, with the row sums
+    sum_m p_{n->m} E_m(t) = eps_n(t), and ``work_distribution`` builds
+    the merged atoms;
   * the operator route, which needs no spectrum of H_cd at all: by
     completeness sum_m p_{n->m} E_m(t)^k = <n(t)|H_cd^k|n(t)>, and as
     H0|n(t)> = eps_n(t)|n(t)>, every moment follows from U = H1|n(t)>.
@@ -154,13 +155,13 @@ def transition_matrix(model, ensemble, t: float) -> np.ndarray:
     (columns) of H_cd.  Raises TruncationError
     when a retained eigenstate leaks more than DEFICIT_TOL of its mass
     into the top of the basis coordinates (the basis is then too small
-    for the requested state).
+    for the requested state).  The overlaps are the driven spectrum's
+    ``transition_probs`` of the retained columns (on the oscillator, one
+    parity sector at a time).
     """
     retained = model.spectrum0_at(t).columns(ensemble.n_levels)
     _leakage(model, retained[None], [t])
-    spec_cd = model.spectrum_cd_at(t)
-    probs = np.abs(spec_cd.states.conj().T @ retained) ** 2
-    return probs.T
+    return model.spectrum_cd_at(t).transition_probs(retained).T
 
 
 @dataclass(frozen=True)
@@ -214,12 +215,16 @@ def work_distribution(model, ensemble, t: float,
 
 @dataclass(frozen=True)
 class WorkMoments:
-    """Mean and variance of the driven ("cd") and adiabatic work."""
+    """Mean and variance of the driven ("cd") and adiabatic work, and
+    the row-sum residual max_n |sum_m p_{n->m} (E_m(t) - eps_n(t))|,
+    which vanishes identically because the auxiliary term has zero
+    diagonal in the instantaneous basis."""
 
     mean_cd: float
     var_cd: float
     mean_ad: float
     var_ad: float
+    rowsum_residual: float
 
     @property
     def excess(self) -> float:
@@ -235,9 +240,11 @@ def _weighted_moments(values, probs):
 
 
 def work_moments(model, ensemble, t: float) -> WorkMoments:
-    """Both processes' work mean and variance in one pass over the
-    transition matrix: sum_nm p_n p_{n->m} (E_m(t) - eps_n(0))^k for cd,
-    sum_n p_n (eps_n(t) - eps_n(0))^k for the adiabatic reference.
+    """Both processes' work mean and variance and the row-sum residual
+    in one pass over the transition matrix: sum_nm p_n p_{n->m}
+    (E_m(t) - eps_n(0))^k for cd, sum_n p_n (eps_n(t) - eps_n(0))^k for
+    the adiabatic reference, and the rows' sum_m p_{n->m} E_m(t) against
+    eps_n(t).
 
     Weights at or below PROB_FLOOR are dropped, and basis leakage raises
     TruncationError, exactly as in work_distribution.
@@ -245,27 +252,14 @@ def work_moments(model, ensemble, t: float) -> WorkMoments:
     tm = transition_matrix(model, ensemble, t)
     n_keep = ensemble.n_levels
     e_init = model.spectrum0_at(0.0).energies[:n_keep]
+    e_now = model.spectrum0_at(t).energies[:n_keep]
     e_cd = model.spectrum_cd_at(t).energies
     mean_cd, var_cd = _weighted_moments(
         (e_cd[None, :] - e_init[:, None]).ravel(),
         (ensemble.weights[:, None] * tm).ravel())
-    mean_ad, var_ad = _weighted_moments(
-        model.spectrum0_at(t).energies[:n_keep] - e_init,
-        ensemble.weights)
-    return WorkMoments(mean_cd, var_cd, mean_ad, var_ad)
-
-
-def identity_check_rowsum(model, ensemble, t: float) -> float:
-    """max_n |sum_m p_{n->m} (E_m(t) - eps_n(t))|.
-
-    Vanishes identically because the auxiliary term has zero diagonal in
-    the instantaneous basis; the return value is the numerical residual.
-    """
-    tm = transition_matrix(model, ensemble, t)
-    e_cd = model.spectrum_cd_at(t).energies
-    e_now = model.spectrum0_at(t).energies[: ensemble.n_levels]
-    sums = tm @ e_cd - e_now
-    return float(np.abs(sums).max())
+    mean_ad, var_ad = _weighted_moments(e_now - e_init, ensemble.weights)
+    return WorkMoments(mean_cd, var_cd, mean_ad, var_ad,
+                       float(np.abs(tm @ e_cd - e_now).max()))
 
 
 def _real_dots(a, b):

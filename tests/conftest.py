@@ -43,6 +43,14 @@ def work_variance(dist):
     return float(dist.probabilities @ (dist.support - mean) ** 2)
 
 
+def evolved_density(model, ensemble, t):
+    """The dense d x d density A A^H of ``geometry.density_factor``: the
+    initial populations carried onto the instantaneous eigenstates at t
+    (oracle for the factor form of the Bures length)."""
+    states = model.spectrum0_at(t).columns(ensemble.n_levels)
+    return (states * ensemble.weights) @ states.conj().T
+
+
 def lanczos_ground_state(lam, n_sites):
     """Ground eigenpair of the chain of ``ising.dense_hamiltonian`` by
     Lanczos (``eigsh`` to machine tolerance) on a scipy.sparse matrix,

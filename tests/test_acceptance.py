@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cdwork import (HOConfig, HarmonicOscillator, bures_length,
-                    ensemble_rates, evolved_density,
+                    density_factor, ensemble_rates,
                     model_ensemble, path_lengths, speed_limit_report,
                     transitionless_certificate, work_distribution,
                     work_moments)
@@ -200,8 +200,8 @@ def test_criterion_8_length_chain_randomized():
             HOConfig(1.0, omega_f, tau, dim=100, ramp_kind=kind))
         ensemble = model_ensemble(model, beta)
         eta, ell = path_lengths(model, ensemble, rel_tol=1e-9)
-        bures = bures_length(evolved_density(model, ensemble, 0.0),
-                             evolved_density(model, ensemble, tau))
+        bures = bures_length(density_factor(model, ensemble, 0.0),
+                             density_factor(model, ensemble, tau))
         worst = max(worst, bures - eta, eta - ell)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and elapsed < 300.0

@@ -512,7 +512,7 @@ class TestVerifyCommand:
     @staticmethod
     def _scaled_certificate(monkeypatch, h1_scale):
         # the certificate check at a wrong auxiliary scale; the bare
-        # control's explicit h1_scale=0.0 overrides the default set here
+        # control calls spectral.level_propagation, which this leaves be
         monkeypatch.setattr(verify, "transitionless_certificate", partial(
             spectral.transitionless_certificate, h1_scale=h1_scale))
 

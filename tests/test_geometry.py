@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,14 +8,14 @@ from hypothesis import strategies as st
 
 from cdwork import (DegeneracyError, HOConfig, HarmonicOscillator, NotAState,
                     ParametrizedModel, bures_fidelity, bures_length,
-                    chain_lengths, ensemble_rates, evolved_density,
+                    chain_lengths, density_factor, ensemble_rates,
                     fidelity_decay_check, ho_metric, model_ensemble,
                     path_lengths, qgt, quintic_ramp, speed_limit_report,
                     two_level_model)
 from cdwork.geometry import DEGENERACY_TOL
 from cdwork.workstats import BLOCK_POINTS, fluctuation_kernel
 from cdwork.ising import IsingConfig, dense_model, ground_metric
-from conftest import band_to_dense
+from conftest import band_to_dense, evolved_density
 
 
 def random_density(rng, dim):
@@ -390,7 +391,9 @@ class TestBures:
     def test_identical_states(self, rng):
         rho = random_density(rng, 6)
         assert bures_fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
-        assert bures_length(rho, rho) < 1e-5
+        factor = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+        factor /= np.linalg.norm(factor)
+        assert bures_length(factor, factor) < 1e-5
 
     def test_orthogonal_pure_states(self):
         a = np.zeros((3, 3), dtype=complex)
@@ -398,7 +401,9 @@ class TestBures:
         b = np.zeros((3, 3), dtype=complex)
         b[1, 1] = 1.0
         assert bures_fidelity(a, b) == pytest.approx(0.0, abs=1e-14)
-        assert bures_length(a, b) == pytest.approx(math.pi / 2, abs=1e-7)
+        # a pure state is its own factor
+        assert bures_length(a[:, :1], b[:, 1:2]) \
+            == pytest.approx(math.pi / 2, abs=1e-7)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=15)
@@ -442,9 +447,8 @@ class TestBures:
                            np.eye(2) / 2.0)
 
     def test_figure_endpoints(self, fig1_model, fig1_ensemble):
-        rho0 = evolved_density(fig1_model, fig1_ensemble, 0.0)
-        rho1 = evolved_density(fig1_model, fig1_ensemble, 0.8)
-        value = bures_length(rho0, rho1)
+        value = bures_length(density_factor(fig1_model, fig1_ensemble, 0.0),
+                             density_factor(fig1_model, fig1_ensemble, 0.8))
         assert value == pytest.approx(0.476, abs=0.005)
 
     def test_figure_endpoints_match_low_rank_form(self, fig1_model):
@@ -460,6 +464,28 @@ class TestBures:
                                   evolved_density(fig1_model, ensemble, 0.8))
         assert abs(fidelity - reference) <= 1e-13
 
+    @pytest.mark.parametrize("beta", [4.0, 1.0])
+    def test_factor_form_against_mpmath(self, fig1_model, beta):
+        # the figure endpoints' Bures length from their K retained columns
+        # (K = 6 at beta = 4, 24 at beta = 1) against a 32-digit SVD of the
+        # same columns: 3e-16 and 7e-16 off it, where the dense d x d route
+        # is 9e-16 and 4.1e-15 off; the bound allows 2e-15 (36 ulps of the
+        # lengths 0.38 and 0.47, about 3x the larger error seen), and the
+        # dense route must be no closer
+        ensemble = model_ensemble(fig1_model, beta)
+        a, b = (density_factor(fig1_model, ensemble, t) for t in (0.0, 0.8))
+        with mpmath.workdps(32):
+            # the oscillator's H0 eigenvectors are real
+            product = mpmath.matrix(a.T.tolist()) * mpmath.matrix(b.tolist())
+            singulars = mpmath.svd_r(product, compute_uv=False)
+            reference = mpmath.acos(mpmath.fsum(singulars))
+        dense = float(np.arccos(np.sqrt(bures_fidelity(
+            evolved_density(fig1_model, ensemble, 0.0),
+            evolved_density(fig1_model, ensemble, 0.8)))))
+        error = abs(float(bures_length(a, b) - reference))
+        assert error <= 2e-15
+        assert error <= abs(float(dense - reference))
+
 
 class TestEtaLength:
     def test_constant_path_zero(self):
@@ -468,9 +494,9 @@ class TestEtaLength:
 
     def test_bracketed_by_bures_and_metric(self, fig1_model, fig1_ensemble):
         bures, eta, ell = chain_lengths(fig1_model, fig1_ensemble)
-        rho0 = evolved_density(fig1_model, fig1_ensemble, 0.0)
-        rho1 = evolved_density(fig1_model, fig1_ensemble, 0.8)
-        assert bures == bures_length(rho0, rho1)
+        assert bures == bures_length(
+            density_factor(fig1_model, fig1_ensemble, 0.0),
+            density_factor(fig1_model, fig1_ensemble, 0.8))
         assert (eta, ell) == path_lengths(fig1_model, fig1_ensemble)
         assert bures <= eta + 1e-8
         assert eta <= ell + 1e-8

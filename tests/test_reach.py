@@ -21,7 +21,7 @@ NEVER_ENTERED = {
         "models.ParametrizedModel.apply_h1",
         "models.ParametrizedModel._diagonalize", "models.two_level_model",
         "models.two_level_model.<locals>.h0_of", "ising.dense_model",
-        "spectral.Spectrum.columns"],
+        "spectral.Spectrum.columns", "spectral.Spectrum.transition_probs"],
         "the dense generic model route: every subcommand runs the "
         "oscillator's band overrides, and the tests build on it"),
     **dict.fromkeys(["oscillator._numpy_openblas", "oscillator._resolve_stevd"],

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from cdwork import (HOConfig, HarmonicOscillator, StepNotConverged,
-                    TruncationError, lanes, model_ensemble,
-                    transition_matrix, work_moments, verify)
+                    TruncationError, lanes, model_ensemble, spectral,
+                    transition_matrix, transitionless_certificate,
+                    work_moments, verify)
 from cdwork.verify import (_check_cd_gauge_invariance, _check_length_chain,
                            _check_lz_closed_form, _check_mean_identity,
                            _check_spectrum_contract, _sized_oscillator,
@@ -94,6 +95,48 @@ def test_default_run_path_length_nodes(solve_counter, monkeypatch):
     results = run_verification(seed=20260809)
     assert all(r.passed for r in results) and len(results) == 24
     assert len(nodes) <= 399
+
+
+def test_bare_control_reads_only_the_final_overlap(solve_counter,
+                                                   monkeypatch):
+    """The bare-drive control propagates as the certificate at h1_scale 0
+    does: the same fidelity and substeps, bit for bit.  On a fresh model
+    it solves the H0 spectra at t = 0 and tau alone, where the
+    certificate solves all 81 grid points."""
+    solves, _ = solve_counter
+    runs = []
+
+    def recorded(*args, **kwargs):
+        runs.append(spectral.level_propagation(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(verify, "level_propagation", recorded)
+    model = HarmonicOscillator(HOConfig(1.0, 3.0, 0.8, dim=120))
+    result = verify._check_bare_control(model)
+    assert solves == [((2, 120), False, model.h0_at(t).tobytes())
+                      for t in (0.0, 0.8)]
+    (_, fidelity, substeps), = runs
+    fresh = HarmonicOscillator(HOConfig(1.0, 3.0, 0.8, dim=120))
+    cert = transitionless_certificate(fresh, [0], np.linspace(0.0, 0.8, 81),
+                                      h1_scale=0.0, tol=3e-7)
+    assert len(solves) == 2 + 81
+    assert fidelity[0] == cert.final_fidelity[0]
+    assert substeps == cert.substeps
+    assert result.detail == (f"bare final fidelity {fidelity[0]:.6f} "
+                             f"({substeps} steps per interval)")
+
+
+def test_ising_oracle_solves_each_field_once(monkeypatch):
+    """Six distinct fields per chain length, one dense solve each."""
+    sizes, eigh = [], np.linalg.eigh
+
+    def counting_eigh(h):
+        sizes.append(len(h))
+        return eigh(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    assert verify._check_ising_oracle().passed
+    assert sorted(sizes) == [16] * 6 + [256] * 6
 
 
 def two_lanes(monkeypatch, forked):

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from cdwork import (DegeneracyError, HOConfig, HarmonicOscillator,
                     ParametrizedModel, TruncationError, bound_chain, chain_lengths,
-                    ensemble_rates, fluctuation_series,
-                    identity_check_rowsum, model_ensemble, quintic_ramp,
-                    thermal_ensemble, transition_matrix, two_level_model,
-                    work_distribution, work_moments)
+                    ensemble_rates, fluctuation_series, model_ensemble,
+                    quintic_ramp, thermal_ensemble, transition_matrix,
+                    two_level_model, work_distribution, work_moments)
 from cdwork.workstats import (BLOCK_POINTS, DEFICIT_TOL, basis_leakage,
                               fluctuation_assembly, fluctuation_kernel)
 from conftest import work_mean, work_variance
@@ -99,6 +98,48 @@ class TestTransitionMatrix:
         ensemble = model_ensemble(model, 1.0)
         with pytest.raises(TruncationError):
             transition_matrix(model, ensemble, 0.8)
+
+    @staticmethod
+    def dense_route(model, ensemble, t):
+        """The matrix from the dense driven eigenvector matrix against the
+        retained H0 columns, in one product."""
+        retained = model.spectrum0_at(t).columns(ensemble.n_levels)
+        states = model.spectrum_cd_at(t).states
+        return (np.abs(states.conj().T @ retained) ** 2).T
+
+    def test_sectors_give_the_dense_bits_on_the_verify_grid(
+            self, fig1_model, fig1_ensemble):
+        for t in np.linspace(0.0, 0.8, 81):
+            assert np.array_equal(
+                transition_matrix(fig1_model, fig1_ensemble, t),
+                self.dense_route(fig1_model, fig1_ensemble, t))
+
+    @pytest.mark.parametrize("dim, beta", [(120, math.inf), (200, 1.0),
+                                           (200, math.inf)])
+    def test_sectors_stay_within_ulps_of_the_dense_route(self, dim, beta):
+        # one retained level (a matrix-vector product) and the larger
+        # basis sum the sector products in another order than the dense
+        # product with its interleaved zeros; every entry is at most 1,
+        # the change seen is at most 2 ulps of 1 (4.4e-16), and the bound
+        # allows 8
+        model = HarmonicOscillator(HOConfig(1.0, 3.0, 0.8, dim=dim))
+        ensemble = model_ensemble(model, beta)
+        worst = max(float(np.abs(transition_matrix(model, ensemble, t)
+                                 - self.dense_route(model, ensemble, t)).max())
+                    for t in np.linspace(0.0, 0.8, 81))
+        assert worst <= 8 * np.finfo(float).eps
+
+    def test_dense_model_keeps_the_dense_product(self, rng):
+        a, b = (0.5 * (x + x.conj().T) for x in
+                rng.standard_normal((2, 12, 12))
+                + 1j * rng.standard_normal((2, 12, 12)))
+        model = ParametrizedModel(quintic_ramp([0.0], [1.0], 1.0),
+                                  lambda lam: a + lam[0] * b,
+                                  lambda lam: [b])
+        ensemble = model_ensemble(model, 0.5)
+        for t in np.linspace(0.0, 1.0, 5):
+            assert np.array_equal(transition_matrix(model, ensemble, t),
+                                  self.dense_route(model, ensemble, t))
 
 
 class TestWorkDistribution:
@@ -476,20 +517,21 @@ class TestExcessVariance:
 
 class TestRowsumIdentity:
     def test_zero_at_start(self, fig1_model, fig1_ensemble):
-        assert identity_check_rowsum(fig1_model, fig1_ensemble, 0.0) < 1e-12
+        moments = work_moments(fig1_model, fig1_ensemble, 0.0)
+        assert moments.rowsum_residual < 1e-12
 
     def test_along_grid(self, fig1_model, fig1_ensemble):
         scale = float(np.abs(fig1_model.spectrum0_at(0.0).energies).max())
         for t in np.linspace(0.0, 0.8, 9):
-            assert identity_check_rowsum(fig1_model, fig1_ensemble, t) \
-                <= 1e-8 * scale
+            moments = work_moments(fig1_model, fig1_ensemble, t)
+            assert moments.rowsum_residual <= 1e-8 * scale
 
     def test_two_level_machine_precision(self):
         proto = quintic_ramp([0.3], [1.7], 1.0)
         model = two_level_model(proto)
         ensemble = model_ensemble(model, 2.0)
         for t in np.linspace(0.0, 1.0, 7):
-            assert identity_check_rowsum(model, ensemble, t) < 1e-12
+            assert work_moments(model, ensemble, t).rowsum_residual < 1e-12
 
 
 class TestEnergyFluctuations:
