@@ -16,7 +16,7 @@ from .geometry import (GeometricTensor, SpeedLimitReport, bound_chain,
                        bures_fidelity, bures_length, chain_lengths,
                        density_factor, ensemble_rates, fidelity_decay_check,
                        path_lengths, qgt, speed_limit_report)
-from .models import ParametrizedModel, SpectrumCache, two_level_model
+from .models import ParametrizedModel, SpectrumCache
 from .oscillator import (HOConfig, HarmonicOscillator, WaveformTable,
                          cd_exact_energy, ho_metric, ion_waveforms, ramp)
 from .protocols import Protocol, cubic_ramp, log_ramp, quintic_ramp

@@ -129,8 +129,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
 def _validate_config(command: str, cfg: dict) -> None:
     """Reject, by key name, a value of the wrong type or range: numbers
     must be positive (a seed may be zero) and finite (beta may be inf),
-    integers must be integers, and null stands only for a null
-    default."""
+    integers must be integers, null stands only for a null default, and
+    ``out`` must be a path whose nearest existing part is a directory,
+    so that a run never ends in failing to write its files."""
     table = _COMMANDS[command]
     for key in sorted(table):
         value = cfg[key]
@@ -149,6 +150,15 @@ def _validate_config(command: str, cfg: dict) -> None:
             what = f"a non-empty list of {what}s" if listed \
                 else ("an " if what[0] in "aeiou" else "a ") + what
             raise ConfigError(f"{key} must be {what}, got {value!r}")
+    out = cfg["out"]
+    if out is not None and not isinstance(out, (str, os.PathLike)):
+        raise ConfigError(f"out must be a directory path, got {out!r}")
+    if out:
+        path = Path(out).resolve()
+        existing = next(p for p in (path, *path.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"out {str(out)!r}: {str(existing)!r} exists "
+                              f"and is not a directory")
     if cfg["format"] not in (None, "csv", "json"):
         raise ConfigError(f"unknown format {cfg['format']!r}")
     if command == "ho-figure1" and cfg["grid"] < 3:

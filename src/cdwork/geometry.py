@@ -126,10 +126,10 @@ def fidelity_decay_check(model, level: int, t: float, dt: float) -> FidelityDeca
     g = qgt(model, level, t).g
     lamdot = model.protocol.derivative(t)
     rate = float(lamdot @ g @ lamdot)
-    v0 = model.spectrum0_at(t).states[:, level]
+    v0 = model.spectrum0_at(t).columns(level + 1)[:, level]
 
     def residual(h):
-        v1 = model.spectrum0_at(t + h).states[:, level]
+        v1 = model.spectrum0_at(t + h).columns(level + 1)[:, level]
         decay = 1.0 - abs(np.vdot(v0, v1))
         return abs(decay - 0.5 * rate * h * h)
 

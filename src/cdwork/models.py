@@ -13,17 +13,19 @@ dense matrices.  A structured backend (the oscillator's bands, for
 one) overrides the operators with its own format and passes None for
 both callables.
 
-Spectra are memoized in one private least-recently-used store per
-model, since every downstream quantity (transition probabilities,
-metric tensors, work moments) reuses them.  The key (h1_scale,
-float(t)) names the spectrum of h_drive_at(t, h1_scale), h1_scale = 0
-for H0: a model's protocol is fixed, so the time names the parameter
-point without the bytes of lam(t) and lamdot(t), or the two protocol
-evaluations that formed them.  ``spectra0_at`` and ``spectra_cd_at``
-take a block of times, of H0 and of H0 + H1, and solve its misses
-BLOCK_POINTS at a time, one eigensolver call per chunk, so that no call
-allocates more than one chunk's eigenvectors; a single spectrum
-(``spectrum0_at``, ``spectrum_cd_at``) is a block of one.
+Spectra (``spectral.Spectrum``: one sector of all levels for the
+dense family, one per parity for the oscillator's bands) are memoized
+in one private least-recently-used store per model, since every
+downstream quantity (transition probabilities, metric tensors, work
+moments) reuses them.  The key (h1_scale, float(t)) names the spectrum
+of h_drive_at(t, h1_scale), h1_scale = 0 for H0: a model's protocol is
+fixed, so the time names the parameter point without the bytes of
+lam(t) and lamdot(t), or the two protocol evaluations that formed them.
+``spectra0_at`` and ``spectra_cd_at`` take a block of times, of H0 and
+of H0 + H1, and solve its misses BLOCK_POINTS at a time, one eigensolver
+call per chunk, so that no call allocates more than one chunk's
+eigenvectors; a single spectrum (``spectrum0_at``, ``spectrum_cd_at``)
+is a block of one.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from collections import OrderedDict
 import numpy as np
 
 from .protocols import Protocol
-from .spectral import BLOCK_POINTS, Spectrum, cd_coupling, gauge_fix
+from .spectral import BLOCK_POINTS, Spectrum, cd_coupling, dense_spectrum
 
 
 # default spectra per model: the 201-point grid of verify's bound chain
@@ -138,20 +140,22 @@ class ParametrizedModel:
         eigenvectors, shape (B, m), ascending, and the rows
         <n|dH0/dlam_mu|l> of its min(k, m) lowest eigenvectors n against
         all of its l, shape (B, P, min(k, m), m) for P parameters.  A
-        dense model is one sector of all d levels."""
-        rows = np.array([[(spec.states[:, :k].conj().T @ part) @ spec.states
+        dense model's spectra are one sector of all d levels, whose
+        vectors are read as they are kept."""
+        vectors = [spec.sectors[0][1] for spec in spectra]
+        rows = np.array([[(v[:, :k].conj().T @ part) @ v
                           for part in self.dh0_dlambda_at(t)]
-                         for t, spec in zip(times, spectra)])
+                         for t, v in zip(times, vectors)])
         levels = np.broadcast_to(np.arange(self.dim), (len(times), self.dim))
         return [(levels, rows)]
 
     # -- cached spectra --------------------------------------------------
     def _diagonalize(self, hs) -> list[Spectrum]:
         """Diagonalizations of a block of ``h_drive_at`` forms for cached
-        spectra, in the gauge of ``spectral.spectrum`` without its checks;
-        structured backends override it with their solver."""
-        return [Spectrum(e, v / gauge_fix(v))
-                for e, v in map(np.linalg.eigh, hs)]
+        spectra: one-sector spectra from ``spectral.dense_spectrum``, as
+        ``spectral.spectrum`` gives without its checks; structured
+        backends override it with their solver and their sectors."""
+        return [dense_spectrum(e, v) for e, v in map(np.linalg.eigh, hs)]
 
     def _spectra(self, times, h1_scale):
         """Spectra of ``h_drive_at(t, h1_scale)`` at each of ``times``
@@ -190,17 +194,3 @@ class ParametrizedModel:
     def spectrum_cd_at(self, t: float):
         return self._spectra([t], 1.0)[0]
 
-
-def two_level_model(protocol: Protocol) -> ParametrizedModel:
-    """Avoided-crossing two-level family H0 = lam * sigma_z + sigma_x.
-
-    A closed-form testbed: eigenvalues -+sqrt(1 + lam^2) and auxiliary
-    term H1 = -(lamdot / (2 (1 + lam^2))) sigma_y.
-    """
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-    def h0_of(lam):
-        return lam[0] * sz + sx
-
-    return ParametrizedModel(protocol, h0_of, dh0_of=lambda lam: [sz])

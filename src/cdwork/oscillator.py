@@ -15,16 +15,16 @@ wheel already loads, so importing the package loads no scipy; where
 numpy ships no such library (another wheel, MKL, Accelerate), the same
 routine comes from ``scipy.linalg.lapack``.  One solver serves a block
 of bands (a kernel block, a quadrature level, or a single band): it
-keeps each spectrum as its two sectors (``SectorSpectrum``) and
-assembles eigenvectors only when a caller reads them: the first k
-columns (``columns``), which the kernel, the transition matrix's H0
-side, the leakage check and the certificate take, or the dense matrix
-(``states``); the geometric tensor's coupling rows are formed per
-sector on the q^2 band (``coupling_rows``).  The driving Hamiltonians
-lie in the span of q^2, p^2 and qp + pq, which is closed under
-commutators, so the commutator i[A, B] that each propagation step
-needs is again a band, formed in O(d), and a block of propagation
-steps is solved by the same solver (``evolve_block``).
+keeps each spectrum as a ``spectral.Spectrum`` of two sectors, the
+even rows and the odd ones, whose first k columns (``columns``) the
+kernel, the transition matrix's H0 side, the leakage check, the
+fidelity decay and the certificate read; the transition matrix's
+H0 + H1 side (``transition_probs``) and the geometric tensor's coupling
+rows (``coupling_rows``, on the q^2 band) are formed per sector.  The
+driving Hamiltonians lie in the span of q^2, p^2 and qp + pq, which is
+closed under commutators, so the commutator i[A, B] that each
+propagation step needs is again a band, formed in O(d), and a block of
+propagation steps is solved by the same solver (``evolve_block``).
 
 The reference frequency is sqrt(omega_i * omega_f).  That choice splits
 the squeezing between the two ends of the ramp (factor
@@ -56,7 +56,7 @@ from .errors import (BandStructureError, ConfigError, InvalidDetuning,
                      NonHermitianInput, SupercriticalDrive, ValidityWarning)
 from .models import STORE_SIZE, ParametrizedModel
 from .protocols import Protocol, log_ramp, quintic_ramp
-from .spectral import HERMITIAN_TOL, gauge_fix
+from .spectral import HERMITIAN_TOL, Spectrum, gauge_fix
 
 
 def _numpy_openblas():
@@ -416,11 +416,11 @@ class HarmonicOscillator(ParametrizedModel):
         return sectors
 
     def _diagonalize(self, hs):
-        """Spectra of a block of bands, each a ``SectorSpectrum``: both
-        parity sectors solved, each sector's eigenvectors divided in
-        place by their pivot phases (``spectral.gauge_fix``; a real
-        band's stay real) and the two ascending energy lists merged,
-        ties to the even sector."""
+        """Spectra of a block of bands, each a two-sector
+        ``spectral.Spectrum``: both parity sectors solved, each sector's
+        eigenvectors divided in place by their pivot phases
+        (``spectral.gauge_fix``; a real band's stay real) and the two
+        ascending energy lists merged, ties to the even sector."""
         sectors = self._sector_spectra(self._checked_bands(hs), (0, 1))
         count, dim = len(hs), self.dim
         merged = np.concatenate([vals for vals, _, _ in sectors], axis=1)
@@ -438,55 +438,8 @@ class HarmonicOscillator(ParametrizedModel):
             vecs /= gauge_fix(vecs)
             fixed.append((levels[:, start:start + vals.shape[1]], vecs))
             start += vals.shape[1]
-        return [SectorSpectrum(energies[b], tuple(
+        return [Spectrum(energies[b], tuple(
             (own[b], vecs[b]) for own, vecs in fixed)) for b in range(count)]
-
-
-class SectorSpectrum:
-    """A band's spectrum kept one parity sector at a time: the ascending
-    ``energies`` of all d levels and, per sector (levels 0, 2, ... and
-    1, 3, ...), the pair (levels, vectors) of each eigenvector's level in
-    ``energies`` and the gauge-fixed eigenvectors on the sector's rows,
-    ascending in energy.  Each pivot is positive: exactly on a real band,
-    to rounding on a complex one (imaginary part at most about 1.25e-16
-    of the real part).  ``states`` assembles the dense d x d matrix of
-    ``Spectrum``, columns in energy order and zero off their sector, and
-    ``columns(k)`` its first k columns alone, on each read; neither is
-    kept, so a spectrum in a store holds one form of its vectors."""
-
-    __slots__ = ("energies", "sectors")
-
-    def __init__(self, energies, sectors):
-        self.energies, self.sectors = energies, sectors
-
-    def columns(self, k: int) -> np.ndarray:
-        """The first k columns of ``states``, (d, k), bit for bit, from
-        the sector vectors of levels below k alone: a sector's levels
-        ascend, so those are a prefix of its vectors."""
-        dim = len(self.energies)
-        out = np.zeros((dim, k), dtype=self.sectors[0][1].dtype)
-        for parity, (levels, vectors) in enumerate(self.sectors):
-            count = levels.searchsorted(k)
-            out[parity::2, levels[:count]] = vectors[:, :count]
-        return out
-
-    def transition_probs(self, columns: np.ndarray) -> np.ndarray:
-        """|states^dagger columns|^2, (d, k), rows in level order, one
-        sector at a time: each sector's vectors against the columns' rows
-        there, with no dense ``states``.  A column of the other sector is
-        zero on these rows, so its overlaps come out exactly zero."""
-        out = np.empty((len(self.energies), columns.shape[1]))
-        for parity, (levels, vectors) in enumerate(self.sectors):
-            out[levels] = np.abs(vectors.conj().T @ columns[parity::2]) ** 2
-        return out
-
-    @property
-    def states(self) -> np.ndarray:
-        dim = len(self.energies)
-        out = np.zeros((dim, dim), dtype=self.sectors[0][1].dtype)
-        for parity, (levels, vectors) in enumerate(self.sectors):
-            out[parity::2, levels] = vectors
-        return out
 
 
 def ho_metric(omega: float, n) -> np.ndarray | float:

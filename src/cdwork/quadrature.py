@@ -22,9 +22,9 @@ import numpy as np
 
 from .errors import QuadratureNotConverged
 
-# floor of the level-agreement tolerance max(rel_tol * max|I|, ABS_FLOOR):
-# a spread at or below it, as of an identically zero or underflowing
-# integrand, stops at the first comparison
+# floor of the level-agreement tolerance max(rel_tol * max|A|, ABS_FLOOR),
+# A the rule's integral of |f|: a spread at or below it, as of an
+# identically zero or underflowing integrand, stops at the first comparison
 ABS_FLOOR = 1e-300
 
 # Clenshaw-Curtis levels: 2^k + 1 points from the first to the last
@@ -55,7 +55,10 @@ def clenshaw_curtis(f, a, b, *, rel_tol=1e-8):
     Clenshaw-Curtis rules of CC_FIRST_NODES, 2 CC_FIRST_NODES - 1, ...
     points, each reusing every node of the levels before it; returns the
     array of component integrals of the first level n that agrees with
-    level n/2 to max|I_n - I_n/2| <= max(rel_tol * max|I_n|, ABS_FLOOR).
+    level n/2 to max|I_n - I_n/2| <= max(rel_tol * max|A_n|, ABS_FLOOR),
+    A_n the level's integral of |f|: a component whose integral cancels
+    to near zero is held to the rounding of its parts, not of its sum,
+    and a nonnegative integrand has A_n = I_n.
     ``f`` takes each level's new nodes in one call, as an array, and
     returns one value, or one row of components, per node.  A converged
     call spends 2^k + 1 evaluations.  Raises QuadratureNotConverged,
@@ -87,7 +90,8 @@ def clenshaw_curtis(f, a, b, *, rel_tol=1e-8):
         previous, total = total, h * (_cc_weights(n) @ values)
         if previous is not None:
             spread = _norm(total - previous)
-            if spread <= max(rel_tol * _norm(total), ABS_FLOOR):
+            scale = _norm(h * (_cc_weights(n) @ abs(values)))
+            if spread <= max(rel_tol * scale, ABS_FLOOR):
                 return total
         n *= 2
     raise QuadratureNotConverged(

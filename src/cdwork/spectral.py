@@ -3,6 +3,10 @@ unitary propagation for Hermitian families.
 
 Internal units: hbar = 1.
 
+Every eigen-decomposition is a ``Spectrum``, its eigenvectors kept per
+sector of levels that the operator does not couple to the rest: one
+sector for a dense matrix, the two parity sectors for the oscillator.
+
 Propagation uses the fourth-order Magnus integrator at the two Gauss
 points (Iserles & Norsett, Phil. Trans. R. Soc. A 357, 983 (1999);
 Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).  A step of
@@ -84,23 +88,58 @@ def gauge_fix(vectors: np.ndarray) -> np.ndarray:
     return pivots / np.abs(pivots)
 
 
-@dataclass(frozen=True)
 class Spectrum:
-    """Eigen-decomposition with ascending eigenvalues and the phase gauge
-    of ``gauge_fix`` on the eigenvector columns (each pivot positive,
-    exactly in a real column and to rounding in a complex one)."""
+    """An eigen-decomposition kept one sector at a time: the ascending
+    ``energies`` of all d levels and, in ``sectors``, a pair (levels,
+    vectors) per sector of levels that the operator does not couple to
+    the rest.  Sector s of S sits on rows s, s + S, ...: ``levels`` is
+    the index in ``energies`` of each of its eigenvectors, ascending,
+    and ``vectors`` holds them as columns on those rows, in the gauge of
+    ``gauge_fix`` (each pivot positive, exactly in a real column and to
+    rounding in a complex one).  A dense spectrum is one sector of all d
+    levels (``dense_spectrum``); the oscillator's has its two parity
+    sectors.  Eigenvectors become d-vectors only when read (``columns``,
+    and ``states``, which is ``columns(d)``), so a stored spectrum holds
+    one form of them."""
 
-    energies: np.ndarray
-    states: np.ndarray
+    __slots__ = ("energies", "sectors")
+
+    def __init__(self, energies, sectors):
+        self.energies, self.sectors = energies, sectors
 
     def columns(self, k: int) -> np.ndarray:
-        """The first k eigenvectors, ``states[:, :k]``."""
-        return self.states[:, :k]
+        """The first k eigenvectors, (d, k), from the sector vectors of
+        levels below k alone: a sector's levels ascend, so those are a
+        prefix of its vectors."""
+        dim, stride = len(self.energies), len(self.sectors)
+        out = np.zeros((dim, k), dtype=self.sectors[0][1].dtype)
+        for s, (levels, vectors) in enumerate(self.sectors):
+            count = levels.searchsorted(k)
+            out[s::stride, levels[:count]] = vectors[:, :count]
+        return out
+
+    @property
+    def states(self) -> np.ndarray:
+        """All d eigenvectors as the columns of a d x d matrix."""
+        return self.columns(len(self.energies))
 
     def transition_probs(self, columns: np.ndarray) -> np.ndarray:
-        """|states^dagger columns|^2, (d, k): each eigenvector's squared
-        overlap with each column."""
-        return np.abs(self.states.conj().T @ columns) ** 2
+        """|states^dagger columns|^2, (d, k), rows in level order, one
+        sector at a time: each sector's vectors against the columns' rows
+        there, with no dense ``states``.  A column of another sector is
+        zero on these rows, so its overlaps come out exactly zero."""
+        stride = len(self.sectors)
+        out = np.empty((len(self.energies), columns.shape[1]))
+        for s, (levels, vectors) in enumerate(self.sectors):
+            out[levels] = np.abs(vectors.conj().T @ columns[s::stride]) ** 2
+        return out
+
+
+def dense_spectrum(energies: np.ndarray, vectors: np.ndarray) -> Spectrum:
+    """The one-sector Spectrum of an ``eigh`` result, its eigenvector
+    columns divided by their pivot phases (``gauge_fix``)."""
+    return Spectrum(energies, ((np.arange(len(energies)),
+                                vectors / gauge_fix(vectors)),))
 
 
 def spectrum(h: np.ndarray) -> Spectrum:
@@ -118,7 +157,7 @@ def spectrum(h: np.ndarray) -> Spectrum:
         warnings.warn("near-degenerate eigenvalues: phase gauge fixed but "
                       "unstable under perturbation", DegenerateGaugeWarning,
                       stacklevel=2)
-    return Spectrum(energies, vectors / gauge_fix(vectors))
+    return dense_spectrum(energies, vectors)
 
 
 def cd_coupling(spec: Spectrum, dh0_dt: np.ndarray) -> np.ndarray:

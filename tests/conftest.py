@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from cdwork import HOConfig, HarmonicOscillator, geometry, ising, model_ensemble
+from cdwork import (HOConfig, HarmonicOscillator, ParametrizedModel, geometry,
+                    ising, model_ensemble)
 
 settings.register_profile(
     "default", max_examples=20, deadline=None,
@@ -30,6 +31,21 @@ def band_to_dense(band):
     diagonal and its conjugate on the -2 diagonal."""
     upper = band[1, :-2]
     return np.diag(band[0]) + np.diag(upper, 2) + np.diag(upper.conj(), -2)
+
+
+def two_level_model(protocol):
+    """Avoided-crossing two-level family H0 = lam * sigma_z + sigma_x.
+
+    A closed-form testbed: eigenvalues -+sqrt(1 + lam^2) and auxiliary
+    term H1 = -(lamdot / (2 (1 + lam^2))) sigma_y.
+    """
+    sz = np.diag([1.0, -1.0]).astype(complex)
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+    def h0_of(lam):
+        return lam[0] * sz + sx
+
+    return ParametrizedModel(protocol, h0_of, dh0_of=lambda lam: [sz])
 
 
 def work_mean(dist):

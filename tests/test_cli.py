@@ -274,6 +274,7 @@ class TestConfigHandling:
         ("ho-figure1", {"beta": "warm"}, "beta"),
         ("ho-figure1", {"omega_i": True}, "omega_i"),
         ("verify", {"seed": "x"}, "seed"),
+        ("ion-waveforms", {"out": 5}, "out"),
     ])
     def test_wrong_type_in_config_file_named(self, tmp_path, capsys,
                                              command, config, key):
@@ -281,6 +282,17 @@ class TestConfigHandling:
         cfg.write_text(json.dumps(config))
         assert main([command, "--config", str(cfg)]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_through_an_existing_file_exits_two(self, tmp_path, capsys,
+                                                    monkeypatch, below):
+        # rejected before the subcommand runs, not when it writes
+        monkeypatch.setattr(cli, "ion_waveforms", None)
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        assert main(["ion-waveforms", "--out", str(blocker / below)]) == 2
+        err = capsys.readouterr().err
+        assert "out" in err and str(blocker) in err
 
     @pytest.mark.parametrize("omega_f", ["1e200", "1e300"])
     def test_overflowing_frequency_exits_two(self, tmp_path, capsys, omega_f):

@@ -10,12 +10,11 @@ from cdwork import (DegeneracyError, HOConfig, HarmonicOscillator, NotAState,
                     ParametrizedModel, bures_fidelity, bures_length,
                     chain_lengths, density_factor, ensemble_rates,
                     fidelity_decay_check, ho_metric, model_ensemble,
-                    path_lengths, qgt, quintic_ramp, speed_limit_report,
-                    two_level_model)
+                    path_lengths, qgt, quintic_ramp, speed_limit_report)
 from cdwork.geometry import DEGENERACY_TOL
 from cdwork.workstats import BLOCK_POINTS, fluctuation_kernel
 from cdwork.ising import IsingConfig, dense_model, ground_metric
-from conftest import band_to_dense, evolved_density
+from conftest import band_to_dense, evolved_density, two_level_model
 
 
 def random_density(rng, dim):

@@ -6,7 +6,8 @@ import pytest
 
 from cdwork import (HOConfig, HarmonicOscillator, ParametrizedModel,
                     SpectrumCache, ensemble_rates, model_ensemble,
-                    quintic_ramp, two_level_model)
+                    quintic_ramp)
+from conftest import two_level_model
 
 
 def assert_same_spectrum(a, b):

@@ -85,6 +85,16 @@ def test_cc_zero_integrand_converges_at_the_first_comparison():
     assert len(calls) == 2 * CC_FIRST_NODES - 1
 
 
+def test_cc_cancelling_integral_converges_at_the_second_level():
+    # 1 - 2t integrates to 0 on [0, 1]: the levels differ by rounding
+    # only, which the scale of |f| accepts and that of the sum does not
+    calls = []
+    out = clenshaw_curtis(counting(lambda t: 1.0 - 2.0 * t, calls), 0.0, 1.0,
+                          rel_tol=1e-12)
+    assert abs(out[0]) <= 1e-15
+    assert len(calls) == 2 * CC_FIRST_NODES - 1
+
+
 def test_cc_kink_raises_past_the_last_level():
     calls = []
     with pytest.raises(QuadratureNotConverged,
@@ -126,8 +136,9 @@ def node_by_node(f, a, b, rel_tol):
             new = [y for pair in zip(values, new) for y in pair] + values[-1:]
         values = new
         previous, total = total, h * (_cc_weights(n) @ np.array(values))
+        scale = np.amax(abs(h * (_cc_weights(n) @ abs(np.array(values)))))
         if previous is not None and np.amax(abs(total - previous)) <= max(
-                rel_tol * np.amax(abs(total)), ABS_FLOOR):
+                rel_tol * scale, ABS_FLOOR):
             return total, nodes
         n *= 2
     raise QuadratureNotConverged("past the last level")

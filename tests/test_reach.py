@@ -19,11 +19,10 @@ NEVER_ENTERED = {
         "models.ParametrizedModel.evolve_block",
         "models.ParametrizedModel.commutator",
         "models.ParametrizedModel.apply_h1",
-        "models.ParametrizedModel._diagonalize", "models.two_level_model",
-        "models.two_level_model.<locals>.h0_of", "ising.dense_model",
-        "spectral.Spectrum.columns", "spectral.Spectrum.transition_probs"],
+        "models.ParametrizedModel._diagonalize", "ising.dense_model"],
         "the dense generic model route: every subcommand runs the "
-        "oscillator's band overrides, and the tests build on it"),
+        "oscillator's band overrides of these methods, and the tests "
+        "build dense models on them"),
     **dict.fromkeys(["oscillator._numpy_openblas", "oscillator._resolve_stevd"],
                     "runs at import, before the profile hook is set"),
     **dict.fromkeys(["lanes._two_cpus", "lanes._run_lane",

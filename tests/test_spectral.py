@@ -10,12 +10,12 @@ from scipy.integrate import simpson
 
 from cdwork import (DegenerateGaugeWarning, DegeneracyError, HOConfig,
                     HarmonicOscillator, NonHermitianInput, ParametrizedModel,
-                    StepNotConverged,
+                    Spectrum, StepNotConverged,
                     assert_hermitian, cd_coupling, propagate, quintic_ramp,
-                    spectrum, transitionless_certificate, two_level_model)
-from cdwork import spectral
-from cdwork.spectral import _run_grid
-from conftest import band_to_dense
+                    spectrum, transitionless_certificate)
+from cdwork import ising, spectral
+from cdwork.spectral import _run_grid, gauge_fix
+from conftest import band_to_dense, two_level_model
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1j], [1j, 0.0]])
@@ -112,6 +112,39 @@ class TestSpectrum:
             spectrum(h)
 
 
+class TestOneSector:
+    """A dense spectrum is one sector of all d levels: its reads give,
+    bit for bit, those of eigh's eigenvector matrix divided by its pivot
+    phases (``gauge_fix``)."""
+
+    @staticmethod
+    def assert_dense_reads(spec, h, rng):
+        energies, vectors = np.linalg.eigh(h)
+        states = vectors / gauge_fix(vectors)
+        dim = len(energies)
+        assert len(spec.sectors) == 1
+        assert np.array_equal(spec.sectors[0][0], np.arange(dim))
+        assert spec.energies.tobytes() == energies.tobytes()
+        for k in (1, 3, dim):
+            assert spec.columns(k).tobytes() == \
+                np.ascontiguousarray(states[:, :k]).tobytes()
+        assert spec.states.tobytes() == states.tobytes()
+        c = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
+        assert spec.transition_probs(c).tobytes() == \
+            (np.abs(states.conj().T @ c) ** 2).tobytes()
+
+    def test_spectrum_of_a_random_matrix(self, rng):
+        h = random_hermitian(rng, 11)
+        self.assert_dense_reads(spectrum(h), h, rng)
+
+    @pytest.mark.parametrize("t", [0.0, 0.35, 1.0])
+    def test_dense_ising_model(self, rng, t):
+        model = ising.dense_model(ising.IsingConfig(4))
+        self.assert_dense_reads(model.spectrum0_at(t), model.h0_at(t), rng)
+        self.assert_dense_reads(model.spectrum_cd_at(t),
+                                model.h_drive_at(t, 1.0), rng)
+
+
 class TestCdAuxiliary:
     def test_static_family_gives_zero(self, rng):
         h0 = random_hermitian(rng, 6)
@@ -142,7 +175,8 @@ class TestCdAuxiliary:
         spec = spectrum(h0)
         ref = cd_coupling(spec, dh)
         phases = np.exp(2j * np.pi * rng.random(8))
-        rephased = type(spec)(spec.energies, spec.states * phases[None, :])
+        (levels, vectors), = spec.sectors
+        rephased = Spectrum(spec.energies, ((levels, vectors * phases),))
         assert np.abs(cd_coupling(rephased, dh) - ref).max() < 1e-12
         assert np.abs(ref - ref.conj().T).max() < 1e-13
 

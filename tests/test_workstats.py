@@ -9,10 +9,10 @@ from cdwork import (DegeneracyError, HOConfig, HarmonicOscillator,
                     ParametrizedModel, TruncationError, bound_chain, chain_lengths,
                     ensemble_rates, fluctuation_series, model_ensemble,
                     quintic_ramp, thermal_ensemble, transition_matrix,
-                    two_level_model, work_distribution, work_moments)
+                    work_distribution, work_moments)
 from cdwork.workstats import (BLOCK_POINTS, DEFICIT_TOL, basis_leakage,
                               fluctuation_assembly, fluctuation_kernel)
-from conftest import work_mean, work_variance
+from conftest import two_level_model, work_mean, work_variance
 
 E_CONST = math.e
 
