@@ -195,16 +195,23 @@ def write_csv(path: Path, columns: dict, metadata: dict) -> None:
 
 
 def write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
-                               default=_json_default) + "\n")
+    """The payload as strict JSON (RFC 8259 has no inf or nan): a
+    non-finite float is written as the string "inf", "-inf" or "nan",
+    the spelling ``resolve_config`` reads back for beta."""
+    path.write_text(json.dumps(_json_ready(payload), indent=2, sort_keys=True,
+                               allow_nan=False) + "\n")
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+def _json_ready(obj):
+    if isinstance(obj, dict):
+        return {key: _json_ready(value) for key, value in obj.items()}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_json_ready(value) for value in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    return obj
 
 
 def _write(cfg: dict, command: str, series: dict, summary_stem: str,

@@ -30,7 +30,8 @@ ensemble's K retained ones, instead of V^dagger dH0 V.
 ell by nested Clenshaw-Curtis rules, whose finer levels reuse every
 node of the coarser ones and take each level's new nodes as one block,
 and ``chain_lengths`` adds the endpoint Bures length arccos sqrt(F),
-taken from the K retained eigenvectors at each end.
+taken from the K retained eigenvectors at each end by the one fidelity
+route, ``bures_fidelity``, which takes each density as a factor.
 They obey bures <= eta <= ell, and tau times the time-averaged excess
 work-fluctuation amplitude equals ell exactly (hbar = 1 units);
 ``bound_chain`` assembles that chain.
@@ -205,40 +206,26 @@ def path_lengths(model, ensemble, *,
 
 # -- mixed-state fidelity ------------------------------------------------
 
-def _state_sqrt(rho: np.ndarray) -> np.ndarray:
-    """sqrt(rho), checked to be a state; a real rho stays real."""
-    atol = 1e-10  # absolute tolerance of the state checks
-    rho = np.asarray(rho)
-    rho = rho.astype(np.result_type(rho, 1.0), copy=False)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise NotAState("density matrix must be square")
-    if np.linalg.norm(rho - rho.conj().T) > atol * max(1.0, np.linalg.norm(rho)):
-        raise NotAState("density matrix must be Hermitian")
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > atol:
-        raise NotAState(f"trace {tr!r} deviates from one")
-    e, v = np.linalg.eigh(rho)
-    if e.min() < -atol:
-        raise NotAState(f"negative eigenvalue {e.min():.3g}")
-    # below eigh's rounding floor: zeros of a low-rank state
-    floor = rho.shape[0] * np.finfo(float).eps * e.max()
-    return (v * np.sqrt(np.where(e < floor, 0.0, e))) @ v.conj().T
-
-
-def _trace_norm_fidelity(m: np.ndarray) -> float:
-    """(tr |m|)^2, the squared sum of m's singular values, capped at 1:
-    the Uhlmann fidelity of two states whose factors' product is m."""
-    return min(float(np.linalg.svd(m, compute_uv=False).sum() ** 2), 1.0)
-
-
-def bures_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
-
-    Evaluated as the squared trace norm of sqrt(rho) sqrt(sigma), which
-    is the same quantity but symmetric in the arguments by construction
-    and well conditioned when either state is near singular.
+def bures_fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 of rho =
+    a a^dagger and sigma = b b^dagger, from their factors (a pure state
+    is its own, a (d, 1) column; ``density_factor``).  By Uhlmann's
+    theorem (Rep. Math. Phys. 9, 273 (1976)) F is the squared trace norm
+    of a^dagger b, capped at 1: a K x K product for rank-K factors, so
+    no d x d density is formed or decomposed.  Raises NotAState unless
+    both factors are 2-D with equal row counts and ||a||_F^2 = tr(rho)
+    is within 1e-10 of one; Hermiticity and PSD hold by construction.
     """
-    return _trace_norm_fidelity(_state_sqrt(rho) @ _state_sqrt(sigma))
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
+        raise NotAState(f"factors must be 2-D with equal row counts, got "
+                        f"shapes {a.shape} and {b.shape}")
+    for factor in (a, b):
+        trace = float(np.vdot(factor, factor).real)
+        if abs(trace - 1.0) > 1e-10:
+            raise NotAState(f"trace {trace!r} deviates from one")
+    singulars = np.linalg.svd(a.conj().T @ b, compute_uv=False)
+    return min(float(singulars.sum() ** 2), 1.0)
 
 
 def density_factor(model, ensemble, t: float) -> np.ndarray:
@@ -252,14 +239,8 @@ def density_factor(model, ensemble, t: float) -> np.ndarray:
 
 def bures_length(a: np.ndarray, b: np.ndarray) -> float:
     """arccos sqrt(F), the Riemannian distance induced by fidelity,
-    between the densities a a^dagger and b b^dagger of two factors
-    (``density_factor``).  By Uhlmann's theorem (Rep. Math. Phys. 9, 273
-    (1976)) F is the squared trace norm of a^dagger b, a K x K product
-    for rank-K factors, so no d x d density is formed or decomposed.
-    The arguments are factors A with rho = A A^dagger, not densities:
-    given two densities it takes F = ||rho^dagger sigma||_tr^2, which is
-    not their fidelity (``bures_fidelity`` takes densities)."""
-    return float(np.arccos(np.sqrt(_trace_norm_fidelity(a.conj().T @ b))))
+    between the densities of two factors (``bures_fidelity``)."""
+    return float(np.arccos(np.sqrt(bures_fidelity(a, b))))
 
 
 # -- speed-limit report ----------------------------------------------------

@@ -35,8 +35,8 @@ truncation.
 Also provided: the closed-form spectrum of the driven oscillator, the
 closed-form per-level metric, and the map from a frequency ramp to
 effective two-photon Raman drive waveforms for a trapped ion, whose
-constants (LAMB_DICKE, DELTA_RAMAN, DELTA_SPIN) set the validity ratio
-of the adiabatic elimination behind them; below VALIDITY_MIN it warns.
+spin detuning DELTA_SPIN sets the validity ratio of the adiabatic
+elimination behind them; below VALIDITY_MIN it warns.
 """
 
 from __future__ import annotations
@@ -464,19 +464,26 @@ def cd_exact_energy(omega: float, omega_dot: float, n: int) -> float:
 
 
 # Raman realization on an ion trapped at the sideband detuning nu (so
-# the effective mass is 1): the Lamb-Dicke parameter and the detunings to
-# the excited and spin states, whose adiabatic elimination gives the
-# quadratic Hamiltonian while DELTA_SPIN >> LAMB_DICKE Omega1 Omega2 /
-# DELTA_RAMAN; a ratio of the two sides below VALIDITY_MIN warns.
-LAMB_DICKE = 0.1
-DELTA_RAMAN = 1e5
+# the effective mass is 1): the adiabatic elimination of the spin state
+# gives the quadratic Hamiltonian while its detuning DELTA_SPIN is much
+# larger than the two-photon coupling, which is 2 sqrt((nu + DELTA_SPIN)
+# Omega) whatever the Lamb-Dicke parameter, beam amplitudes and
+# excited-state detuning; a ratio of the two below VALIDITY_MIN warns.
 DELTA_SPIN = 1e3
 VALIDITY_MIN = 10.0
 
 
 @dataclass(frozen=True)
 class WaveformTable:
-    """Time series of the laser drive realizing a frequency ramp."""
+    """Time series of the laser drive realizing a frequency ramp.
+
+    In the frame of the sideband detuning nu (effective mass 1, the
+    oscillator's q and p) the drive realizes H0 + H1 of the ramp as
+    c_q q^2 + c_p p^2 + c_x (qp + pq), with
+    c_q = nu (nu - Omega_eff2 + Re Omega_eff1) / 2 = omega^2 / 2,
+    c_p = (nu - Omega_eff2 - Re Omega_eff1) / (2 nu) = 1/2 and
+    c_x = -Im Omega_eff1 / 2 = -omegadot / (4 omega).
+    """
 
     times: np.ndarray
     omega: np.ndarray
@@ -515,6 +522,9 @@ def ion_waveforms(config: HOConfig, nu: float,
     """
     if nu <= 0:
         raise InvalidDetuning("nu must be positive")
+    # a numpy scalar's nu^2 past float range raises under np.errstate,
+    # where a Python float's gives inf
+    nu = np.float64(nu)
     proto = config.protocol()
     times = np.linspace(0.0, config.tau, grid_points)
     omega = np.array([proto.value(t)[0] for t in times])
@@ -526,18 +536,9 @@ def ion_waveforms(config: HOConfig, nu: float,
     potential = (nu * nu - omega * omega) / (2.0 * nu)
     eff1 = -potential + 0.5j * omega_dot / omega
 
-    # Raw beam amplitudes: symmetric choice Omega1 = Omega3 fixes the
-    # remaining gauge freedom of the two Raman processes.
-    rabi_1 = np.sqrt(np.abs(eff1) * DELTA_RAMAN) / LAMB_DICKE
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rabi_2 = np.where(
-            rabi_1 > 0,
-            2.0 * DELTA_RAMAN * np.sqrt((nu + DELTA_SPIN) * np.abs(potential))
-            / (LAMB_DICKE * np.where(rabi_1 > 0, rabi_1, 1.0)),
-            0.0)
-    coupling = LAMB_DICKE * rabi_1 * rabi_2 / DELTA_RAMAN
-    ratio = np.where(coupling > 0,
-                     DELTA_SPIN / np.where(coupling > 0, coupling, 1.0), np.inf)
+    coupling = 2.0 * np.sqrt((nu + DELTA_SPIN) * potential)
+    ratio = np.divide(DELTA_SPIN, coupling, out=np.full_like(coupling, np.inf),
+                      where=coupling > 0)
     if ratio.min() < VALIDITY_MIN:
         warnings.warn(
             f"adiabatic-elimination ratio {ratio.min():.3g} below "

@@ -33,9 +33,9 @@ import numpy as np
 
 from . import ising
 from .errors import TruncationError
-from .geometry import (bures_fidelity, chain_lengths, ensemble_rates,
-                       fidelity_decay_check, path_lengths, qgt,
-                       speed_limit_report)
+from .geometry import (bures_fidelity, bures_length, chain_lengths,
+                       ensemble_rates, fidelity_decay_check, path_lengths,
+                       qgt, speed_limit_report)
 from .lanes import run_lanes
 from .oscillator import (HOConfig, HarmonicOscillator, cd_exact_energy,
                          ho_metric, ion_waveforms)
@@ -262,30 +262,35 @@ def _check_qgt(model):
                        f"max deviation {worst:.2e}")
 
 
+def _random_factor(rng, dim, rank):
+    """A random complex factor a (dim, rank) of unit Frobenius norm: the
+    factor of a random density a a^dagger of that rank."""
+    a = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    return a / np.linalg.norm(a)
+
+
 def _check_fidelity_properties(rng):
+    # the factor route every output takes, on rank-3 densities in d = 8
     worst = 0.0
-    dim = 8
+    dim, rank = 8, 3
     for _ in range(4):
-        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        rho = a @ a.conj().T
-        rho /= np.trace(rho).real
-        b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        sig = b @ b.conj().T
-        sig /= np.trace(sig).real
-        f = bures_fidelity(rho, sig)
-        worst = max(worst, abs(f - bures_fidelity(sig, rho)))
-        worst = max(worst, abs(bures_fidelity(rho, rho) - 1.0))
-        q, _ = np.linalg.qr(rng.standard_normal((dim, dim))
-                            + 1j * rng.standard_normal((dim, dim)))
-        worst = max(worst, abs(bures_fidelity(q @ rho @ q.conj().T,
-                                              q @ sig @ q.conj().T) - f))
-        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        psi /= np.linalg.norm(psi)
-        phi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        phi /= np.linalg.norm(phi)
-        pure = bures_fidelity(np.outer(psi, psi.conj()), np.outer(phi, phi.conj()))
-        worst = max(worst, abs(pure - abs(np.vdot(psi, phi)) ** 2))
-    return CheckResult("fidelity-properties", worst <= 1e-10,
+        a, b = _random_factor(rng, dim, rank), _random_factor(rng, dim, rank)
+        # unitaries Q (d x d) and W (K x K), and the commuting states
+        # Q diag(p) Q^dagger and Q diag(r) Q^dagger
+        q, w = (np.linalg.qr(_random_factor(rng, n, n))[0] for n in (dim, rank))
+        p, r = (x / x.sum() for x in rng.random((2, dim)))
+        psi, phi = _random_factor(rng, dim, 1), _random_factor(rng, dim, 1)
+        overlap = abs(np.vdot(psi, phi))
+        f = bures_fidelity(a, b)
+        worst = max(worst, abs(f - bures_fidelity(b, a)),
+                    abs(bures_fidelity(a, a) - 1.0),
+                    abs(bures_fidelity(q @ a, q @ b) - f),
+                    abs(bures_fidelity(a @ w, b) - f),
+                    abs(bures_fidelity(q * np.sqrt(p), q * np.sqrt(r))
+                        - np.sqrt(p * r).sum() ** 2),
+                    abs(bures_fidelity(psi, phi) - overlap ** 2),
+                    abs(bures_length(psi, phi) - np.arccos(overlap)))
+    return CheckResult("fidelity-properties", bool(worst <= 1e-10),
                        f"max deviation {worst:.2e}")
 
 

@@ -27,6 +27,13 @@ def read_all(outdir):
     return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
 
 
+def strict_json(path):
+    """The file parsed as RFC 8259 JSON, which has no Infinity or NaN."""
+    def refuse(name):
+        raise ValueError(f"{path.name}: {name} is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 class TestHoFigure1:
     def test_small_run_and_determinism(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -78,6 +85,18 @@ class TestHoFigure1:
         data = json.loads((tmp_path / "ho_figure1_mean_work.json").read_text())
         assert set(data["columns"]) == {"t", "mean_cd", "mean_ad"}
 
+
+    def test_infinite_beta_summary_is_a_config(self, tmp_path):
+        # the echoed beta is the string "inf", which --config reads back
+        argv = ["ho-figure1", *SMALL_HO, "--beta", "inf"]
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main([*argv, "--out", str(first)]) == 0
+        config = strict_json(first / "ho_figure1_summary.json")["config"]
+        assert config["beta"] == "inf"
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert main(["ho-figure1", "--config", str(tmp_path / "config.json"),
+                     "--out", str(second)]) == 0
+        assert read_all(first) == read_all(second)
 
     def test_failed_equality_named(self, tmp_path, capsys):
         # Simpson on 4 points misses every time average by 14%
@@ -211,9 +230,18 @@ class TestIonWaveforms:
                      "--format", "json", "--out", str(tmp_path)])
         assert code == 0
         assert not (tmp_path / "ion_waveforms.csv").exists()
-        data = json.loads((tmp_path / "ion_waveforms.json").read_text())
+        data = strict_json(tmp_path / "ion_waveforms.json")
         assert len(data["columns"]["Omega"]) == 21
         assert data["metadata"]["command"] == "ion-waveforms"
+        # at t = tau omega = nu and the drive vanishes: an infinite ratio
+        assert data["columns"]["validity_ratio"][-1] == "inf"
+        strict_json(tmp_path / "ion_waveforms_validity.json")
+
+    def test_constant_ramp_validity_is_json(self, tmp_path):
+        assert main(["ion-waveforms", "--omega-i", "3", "--omega-f", "3",
+                     "--grid", "5", "--out", str(tmp_path)]) == 0
+        summary = strict_json(tmp_path / "ion_waveforms_validity.json")
+        assert summary["min_validity_ratio"] == "inf"
 
     def test_failed_round_trip_exit_code(self, tmp_path, capsys):
         with pytest.warns(ValidityWarning):

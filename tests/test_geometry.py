@@ -12,15 +12,14 @@ from cdwork import (DegeneracyError, HOConfig, HarmonicOscillator, NotAState,
                     fidelity_decay_check, ho_metric, model_ensemble,
                     path_lengths, qgt, quintic_ramp, speed_limit_report)
 from cdwork.geometry import DEGENERACY_TOL
+from cdwork.verify import _random_factor as random_factor
 from cdwork.workstats import BLOCK_POINTS, fluctuation_kernel
 from cdwork.ising import IsingConfig, dense_model, ground_metric
-from conftest import band_to_dense, evolved_density, two_level_model
+from conftest import band_to_dense, two_level_model
 
 
-def random_density(rng, dim):
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
+def random_unitary(rng, dim):
+    return np.linalg.qr(random_factor(rng, dim, dim))[0]
 
 
 def dense_dh0(model, t):
@@ -388,62 +387,60 @@ class TestClosedFormLengths:
 
 class TestBures:
     def test_identical_states(self, rng):
-        rho = random_density(rng, 6)
-        assert bures_fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
-        factor = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-        factor /= np.linalg.norm(factor)
+        factor = random_factor(rng, 6, 3)
+        assert bures_fidelity(factor, factor) == pytest.approx(1.0, abs=1e-12)
         assert bures_length(factor, factor) < 1e-5
 
     def test_orthogonal_pure_states(self):
-        a = np.zeros((3, 3), dtype=complex)
-        a[0, 0] = 1.0
-        b = np.zeros((3, 3), dtype=complex)
-        b[1, 1] = 1.0
-        assert bures_fidelity(a, b) == pytest.approx(0.0, abs=1e-14)
         # a pure state is its own factor
-        assert bures_length(a[:, :1], b[:, 1:2]) \
-            == pytest.approx(math.pi / 2, abs=1e-7)
+        a, b = np.eye(3, dtype=complex)[:, :1], np.eye(3, dtype=complex)[:, 1:2]
+        assert bures_fidelity(a, b) == pytest.approx(0.0, abs=1e-14)
+        assert bures_length(a, b) == pytest.approx(math.pi / 2, abs=1e-7)
 
-    @given(seed=st.integers(0, 10_000))
+    @given(seed=st.integers(0, 10_000), rank=st.integers(1, 7))
     @settings(max_examples=15)
-    def test_properties(self, seed):
+    def test_properties(self, seed, rank):
         gen = np.random.default_rng(seed)
-        rho = random_density(gen, 7)
-        sig = random_density(gen, 7)
-        f = bures_fidelity(rho, sig)
+        a, b = random_factor(gen, 7, rank), random_factor(gen, 7, 7)
+        f = bures_fidelity(a, b)
         assert 0.0 <= f <= 1.0
-        assert f == pytest.approx(bures_fidelity(sig, rho), abs=1e-10)
-        q, _ = np.linalg.qr(gen.standard_normal((7, 7))
-                            + 1j * gen.standard_normal((7, 7)))
-        rotated = bures_fidelity(q @ rho @ q.conj().T, q @ sig @ q.conj().T)
-        assert rotated == pytest.approx(f, abs=1e-10)
+        assert f == pytest.approx(bures_fidelity(b, a), abs=1e-10)
+        q = random_unitary(gen, 7)
+        assert bures_fidelity(q @ a, q @ b) == pytest.approx(f, abs=1e-10)
+        # a factor is fixed up to a unitary on its columns, and zero
+        # columns add nothing to its density
+        w = random_unitary(gen, rank)
+        assert bures_fidelity(a @ w, b) == pytest.approx(f, abs=1e-10)
+        padded = np.hstack([a, np.zeros((7, 2))])
+        assert bures_fidelity(padded, b) == pytest.approx(f, abs=1e-10)
 
     def test_pure_state_reduction(self, rng):
-        psi = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        psi /= np.linalg.norm(psi)
-        phi = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        phi /= np.linalg.norm(phi)
-        f = bures_fidelity(np.outer(psi, psi.conj()), np.outer(phi, phi.conj()))
-        assert f == pytest.approx(abs(np.vdot(psi, phi)) ** 2, abs=1e-12)
+        psi, phi = random_factor(rng, 5, 1), random_factor(rng, 5, 1)
+        overlap = abs(np.vdot(psi, phi))
+        assert bures_fidelity(psi, phi) == pytest.approx(overlap ** 2,
+                                                         abs=1e-12)
+        assert bures_length(psi, phi) == pytest.approx(math.acos(overlap),
+                                                       abs=1e-12)
 
     @pytest.mark.parametrize("dim, rank", [(7, 7), (100, 100), (100, 3)])
     def test_real_input_matches_complex(self, rng, dim, rank):
-        # real densities are decomposed in real arithmetic
-        rho, sig = (a @ a.T for a in rng.standard_normal((2, dim, rank)))
-        rho, sig = rho / np.trace(rho), sig / np.trace(sig)
-        f = bures_fidelity(rho, sig)
-        assert abs(f - bures_fidelity(rho.astype(complex),
-                                      sig.astype(complex))) < 1e-14
+        # real factors are multiplied in real arithmetic
+        a, b = (x / np.linalg.norm(x)
+                for x in rng.standard_normal((2, dim, rank)))
+        f = bures_fidelity(a, b)
+        assert abs(f - bures_fidelity(a.astype(complex),
+                                      b.astype(complex))) < 1e-14
 
-    def test_rejects_non_states(self, rng):
-        with pytest.raises(NotAState):
-            bures_fidelity(2.0 * np.eye(3), np.eye(3) / 3.0)
-        with pytest.raises(NotAState):
-            bures_fidelity(np.diag([1.5, -0.5, 0.0]).astype(complex),
-                           np.eye(3) / 3.0)
-        with pytest.raises(NotAState):
-            bures_fidelity(np.array([[0.5, 0.5], [0.0, 0.5]]),
-                           np.eye(2) / 2.0)
+    def test_rejects_non_states(self):
+        state = np.eye(3)[:, :1]
+        with pytest.raises(NotAState, match="trace"):
+            bures_fidelity(np.sqrt(2.0) * state, state)   # trace 2
+        with pytest.raises(NotAState, match="trace"):
+            bures_fidelity(state, np.eye(3) / 3.0)         # trace 1/3
+        with pytest.raises(NotAState, match="2-D"):
+            bures_fidelity(state[:, 0], state)             # a 1-D factor
+        with pytest.raises(NotAState, match="row counts"):
+            bures_fidelity(state, np.eye(4)[:, :1])
 
     def test_figure_endpoints(self, fig1_model, fig1_ensemble):
         value = bures_length(density_factor(fig1_model, fig1_ensemble, 0.0),
@@ -452,25 +449,23 @@ class TestBures:
 
     def test_figure_endpoints_match_low_rank_form(self, fig1_model):
         # rho = V0 P V0^H and sigma = V1 P V1^H have the ensemble's rank K,
-        # so F = (tr |sqrt(P) V0^H V1 sqrt(P)|)^2; the densities' rounding
-        # eigenvalues must not enter their square roots
+        # so F = (tr |sqrt(P) V0^H V1 sqrt(P)|)^2 from the K retained
+        # eigenvectors at each end
         ensemble = model_ensemble(fig1_model, 0.5)
         k, root = ensemble.n_levels, np.sqrt(ensemble.weights)
         v0, v1 = (fig1_model.spectrum0_at(t).states[:, :k] for t in (0.0, 0.8))
         reference = np.linalg.svd(root[:, None] * (v0.conj().T @ v1) * root,
                                   compute_uv=False).sum() ** 2
-        fidelity = bures_fidelity(evolved_density(fig1_model, ensemble, 0.0),
-                                  evolved_density(fig1_model, ensemble, 0.8))
+        fidelity = bures_fidelity(density_factor(fig1_model, ensemble, 0.0),
+                                  density_factor(fig1_model, ensemble, 0.8))
         assert abs(fidelity - reference) <= 1e-13
 
     @pytest.mark.parametrize("beta", [4.0, 1.0])
     def test_factor_form_against_mpmath(self, fig1_model, beta):
         # the figure endpoints' Bures length from their K retained columns
         # (K = 6 at beta = 4, 24 at beta = 1) against a 32-digit SVD of the
-        # same columns: 3e-16 and 7e-16 off it, where the dense d x d route
-        # is 9e-16 and 4.1e-15 off; the bound allows 2e-15 (36 ulps of the
-        # lengths 0.38 and 0.47, about 3x the larger error seen), and the
-        # dense route must be no closer
+        # same columns: 3e-16 and 7e-16 off it; the bound allows 2e-15 (36
+        # ulps of the lengths 0.38 and 0.47, about 3x the larger error seen)
         ensemble = model_ensemble(fig1_model, beta)
         a, b = (density_factor(fig1_model, ensemble, t) for t in (0.0, 0.8))
         with mpmath.workdps(32):
@@ -478,12 +473,8 @@ class TestBures:
             product = mpmath.matrix(a.T.tolist()) * mpmath.matrix(b.tolist())
             singulars = mpmath.svd_r(product, compute_uv=False)
             reference = mpmath.acos(mpmath.fsum(singulars))
-        dense = float(np.arccos(np.sqrt(bures_fidelity(
-            evolved_density(fig1_model, ensemble, 0.0),
-            evolved_density(fig1_model, ensemble, 0.8)))))
         error = abs(float(bures_length(a, b) - reference))
         assert error <= 2e-15
-        assert error <= abs(float(dense - reference))
 
 
 class TestEtaLength:

@@ -606,6 +606,25 @@ class TestTruncationConvergence:
             assert abs(a - b) < 1e-7
 
 
+def realization_error(model, columns, nu):
+    """Largest deviation, relative to the band's largest entry at each
+    table time, of the Hamiltonian the emitted waveform columns realize
+    (``WaveformTable``: c_q q^2 + c_p p^2 + c_x (qp + pq)) from the
+    model's H0 + H1 there."""
+    eff2, re1, im1 = (columns[k] for k in ("Omega_eff2", "re_Omega_eff1",
+                                           "im_Omega_eff1"))
+    c_q = nu * (nu - eff2 + re1) / 2.0
+    c_p = (nu - eff2 - re1) / (2.0 * nu)
+    c_x = -im1 / 2.0
+    worst = 0.0
+    for t, q, p, x in zip(columns["t"], c_q, c_p, c_x):
+        target = model.h_drive_at(t, 1.0)
+        band = q * model._q2 + p * model._p2 + x * model._qp_sym
+        worst = max(worst, np.abs(band - target).max()
+                    / np.abs(target).max())
+    return worst
+
+
 class TestIonWaveforms:
     def test_flat_ramp_needs_no_drive(self):
         table = ion_waveforms(HOConfig(3.0, 3.0, 1.0), nu=3.0)
@@ -643,6 +662,19 @@ class TestIonWaveforms:
         with pytest.warns(ValidityWarning), \
                 pytest.raises(InvalidDetuning, match="round trip"):
             ion_waveforms(HOConfig(1.0, 3.0, 0.8), nu=1e8, grid_points=21)
+
+    @pytest.mark.parametrize("nu", [3.0, 5.0])
+    def test_realizes_h0_plus_h1(self, fig1_model, nu):
+        # 4.1e-16 at nu = 3 and 1.0e-15 at nu = 5; a conjugated
+        # Omega_eff1 (the CD term's sign flipped) misses by 0.90, and
+        # Omega_eff2 times 1 + 1e-9 by 1.3e-9 and 3.4e-9
+        columns = ion_waveforms(fig1_model.config, nu).columns()
+        assert realization_error(fig1_model, columns, nu) <= 1e-12
+        faults = [{"im_Omega_eff1": -columns["im_Omega_eff1"]},
+                  {"Omega_eff2": columns["Omega_eff2"] * (1.0 + 1e-9)}]
+        for fault in faults:
+            assert realization_error(fig1_model, {**columns, **fault},
+                                     nu) > 1e-12
 
     def test_marginal_validity_warns(self):
         # at nu = 10 the initial potential (nu^2 - omega_i^2) / 2 nu is

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from cdwork import (HOConfig, HarmonicOscillator, StepNotConverged,
-                    TruncationError, lanes, model_ensemble, spectral,
-                    transition_matrix, transitionless_certificate,
+                    TruncationError, geometry, lanes, model_ensemble,
+                    spectral, transition_matrix, transitionless_certificate,
                     work_moments, verify)
-from cdwork.verify import (_check_cd_gauge_invariance, _check_length_chain,
+from cdwork.verify import (_check_cd_gauge_invariance,
+                           _check_fidelity_properties, _check_length_chain,
                            _check_lz_closed_form, _check_mean_identity,
                            _check_spectrum_contract, _sized_oscillator,
                            run_verification)
@@ -80,6 +81,22 @@ def test_length_chain_reports_populated_levels():
     low, high = map(int, re.search(r"populated levels (\d+)-(\d+)",
                                    result.detail).groups())
     assert 1 <= low <= high <= 100
+
+
+def test_squared_fidelity_fails_both_fidelity_checks(monkeypatch):
+    """F squared in the one fidelity route, patched where its callers
+    look it up, misses the closed forms of the fidelity properties and
+    puts the Bures length above eta in the length chain."""
+    assert _check_fidelity_properties(np.random.default_rng(5)).passed
+    fidelity = geometry.bures_fidelity
+
+    def squared(a, b):
+        return fidelity(a, b) ** 2
+
+    for module in (geometry, verify):
+        monkeypatch.setattr(module, "bures_fidelity", squared)
+    assert not _check_fidelity_properties(np.random.default_rng(5)).passed
+    assert not _check_length_chain(np.random.default_rng(3), 2).passed
 
 
 def test_default_run_path_length_nodes(solve_counter, monkeypatch):
