@@ -18,7 +18,7 @@ from .geometry import (GeometricTensor, SpeedLimitReport, bound_chain,
                        path_lengths, qgt, speed_limit_report)
 from .models import ParametrizedModel, SpectrumCache
 from .oscillator import (HOConfig, HarmonicOscillator, WaveformTable,
-                         cd_exact_energy, ho_metric, ion_waveforms, ramp)
+                         cd_exact_energy, ho_metric, ion_waveforms)
 from .protocols import Protocol, cubic_ramp, log_ramp, quintic_ramp
 from .quadrature import clenshaw_curtis, simpson
 from .spectral import (CertificateReport, Spectrum, assert_hermitian,

@@ -162,7 +162,7 @@ def ensemble_rates(model, ensemble, times):
     n_rows = ensemble.n_levels
     weights = np.zeros(model.dim)
     weights[:n_rows] = ensemble.weights
-    lamdot = np.array([model.protocol.derivative(t) for t in flat])
+    lamdot = model.protocol.derivative(flat)
     eta = metric = 0.0
     for index, rows, gaps in _coupling_rows(model, flat, np.arange(n_rows)):
         p, populated = weights[index], index < n_rows

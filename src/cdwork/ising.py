@@ -131,8 +131,7 @@ def cd_excess_trajectory(config: IsingConfig, grid) -> ExcessTrajectory:
     """Instantaneous excess work fluctuations for the ground-state sweep."""
     proto = config.protocol()
     grid = np.asarray(grid, dtype=float)
-    lam = np.array([proto.value(t)[0] for t in grid])
-    lam_dot = np.array([proto.derivative(t)[0] for t in grid])
+    lam, lam_dot = proto.value(grid)[..., 0], proto.derivative(grid)[..., 0]
     g = ground_metric(lam, config.n_sites)
     excess = g * lam_dot**2
     return ExcessTrajectory(lam, excess, np.sqrt(excess))

@@ -18,6 +18,7 @@ import os
 import pickle
 import signal
 
+from .errors import CdworkError
 from .oscillator import one_blas_thread
 
 
@@ -44,7 +45,8 @@ def _run_lane(lane):
 def _run_forked(lane_a, lane_b):
     """Lane B in a forked child, lane A here; returns both lanes'
     (position, result) pairs, or None if no child can be forked, or
-    raises the exception of the earliest raising call."""
+    raises the exception of the earliest raising call, or CdworkError
+    if the child ends without a result."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -78,7 +80,7 @@ def _run_forked(lane_a, lane_b):
     try:
         done_b, raised_b = pickle.loads(payload)
     except (EOFError, pickle.UnpicklingError):
-        raise RuntimeError(
+        raise CdworkError(
             f"the forked lane ended without a result (exit status "
             f"{os.waitstatus_to_exitcode(status)})") from None
     raised = [r for r in (raised_a, raised_b) if r is not None]

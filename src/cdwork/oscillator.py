@@ -25,6 +25,8 @@ driving Hamiltonians lie in the span of q^2, p^2 and qp + pq, which is
 closed under commutators, so the commutator i[A, B] that each
 propagation step needs is again a band, formed in O(d), and a block of
 propagation steps is solved by the same solver (``evolve_block``).
+``omega`` and ``omega_dot`` take one time or an array of them, so a
+block method reads the ramp once per block.
 
 The reference frequency is sqrt(omega_i * omega_f).  That choice splits
 the squeezing between the two ends of the ramp (factor
@@ -178,11 +180,6 @@ else:
     _SET_THREADS.argtypes, _SET_THREADS.restype = [ctypes.c_int], None
 
 
-def ramp(omega_i: float, omega_f: float, tau: float) -> Protocol:
-    """Quintic frequency ramp omega_i + delta (10 s^3 - 15 s^4 + 6 s^5)."""
-    return quintic_ramp([omega_i], [omega_f], tau)
-
-
 @dataclass(frozen=True)
 class HOConfig:
     """Frequency-ramp parameters and the Fock-space truncation."""
@@ -199,7 +196,7 @@ class HOConfig:
 
     def protocol(self) -> Protocol:
         if self.ramp_kind == "quintic":
-            return ramp(self.omega_i, self.omega_f, self.tau)
+            return quintic_ramp([self.omega_i], [self.omega_f], self.tau)
         if self.ramp_kind == "log":
             return log_ramp(self.omega_i, self.omega_f, self.tau)
         raise ConfigError(f"unknown ramp kind {self.ramp_kind!r}")
@@ -253,11 +250,13 @@ class HarmonicOscillator(ParametrizedModel):
         # the bands below stand in for h0_of and dh0_of
         super().__init__(config.protocol(), None, None, cache_size=cache_size)
 
-    def omega(self, t: float) -> float:
-        return float(self.protocol.value(t)[0])
+    def omega(self, t):
+        """omega(t): a NumPy scalar for a scalar t, shape (N,) for N times."""
+        return self.protocol.value(t).T[0]
 
-    def omega_dot(self, t: float) -> float:
-        return float(self.protocol.derivative(t)[0])
+    def omega_dot(self, t):
+        """d omega / dt, shaped as ``omega``."""
+        return self.protocol.derivative(t).T[0]
 
     def _cd_scale(self, t):
         """The coefficient -omegadot / (4 omega) of qp + pq in H1 at t."""
@@ -274,9 +273,10 @@ class HarmonicOscillator(ParametrizedModel):
         return self._cd_scale(t) * self._qp_sym
 
     def dh0_dlambda_at(self, t):
-        """[dH0/domega] = [omega q^2] at t as a band, the operator of the
-        coupling rows (``coupling_rows``)."""
-        return [self.omega(t) * self._q2]
+        """[dH0/domega] = [omega q^2] at t as a band, or as bands of shape
+        (N, 2, d) for N times: the operator of the coupling rows
+        (``coupling_rows``)."""
+        return [np.multiply.outer(self.omega(t), self._q2)]
 
     def coupling_rows(self, times, spectra, k):
         """The coupling rows of a block of H0 spectra, one parity sector
@@ -286,7 +286,7 @@ class HarmonicOscillator(ParametrizedModel):
         eigenvectors (at most its size) are formed on the q^2 band, as
         the band product of those k vectors times the sector's
         eigenvector matrix: no dense dH0 and no d x d product."""
-        bands = np.array([self.dh0_dlambda_at(t)[0] for t in times])
+        bands = self.dh0_dlambda_at(np.asarray(times, dtype=float))[0]
         out = []
         for parity in (0, 1):
             levels = np.stack([spec.sectors[parity][0] for spec in spectra])
@@ -305,7 +305,7 @@ class HarmonicOscillator(ParametrizedModel):
         """out[b] = H1(t) @ vectors[b] for each t = times[b], one band
         product with no dense matrix: H1 couples only levels two apart
         and has a zero diagonal."""
-        scale = np.array([self._cd_scale(t) for t in times])
+        scale = self._cd_scale(np.asarray(times, dtype=float))
         upper = scale[:, None, None] * self._qp_sym[1, :-2, None]
         np.multiply(upper, vectors[:, 2:], out=out[:, :-2])
         out[:, -2:] = 0.0
@@ -527,8 +527,7 @@ def ion_waveforms(config: HOConfig, nu: float,
     nu = np.float64(nu)
     proto = config.protocol()
     times = np.linspace(0.0, config.tau, grid_points)
-    omega = np.array([proto.value(t)[0] for t in times])
-    omega_dot = np.array([proto.derivative(t)[0] for t in times])
+    omega, omega_dot = proto.value(times)[:, 0], proto.derivative(times)[:, 0]
     if np.any(omega * omega > nu * nu):
         raise InvalidDetuning(
             f"omega(t) reaches {omega.max():g} > nu = {nu:g}; the ramp is "

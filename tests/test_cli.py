@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdwork import HOConfig, HarmonicOscillator, ValidityWarning, model_ensemble
-from cdwork import cli, figures, ising, oscillator, spectral, verify
+from cdwork import cli, figures, ising, lanes, oscillator, spectral, verify
 from cdwork.cli import main
 
 SMALL_HO = ["--beta", "2", "--fock-dim", "80", "--grid", "51",
@@ -582,6 +582,24 @@ class TestVerifyCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "TruncationError" in err and "fock_dim = 40" in err
+
+    def test_dead_forked_lane_exits_one_with_one_line(self, tmp_path,
+                                                      monkeypatch, capsys):
+        parent = os.getpid()
+
+        def die():
+            # only the forked child ends: a serial run would end pytest
+            if os.getpid() == parent:
+                raise AssertionError("lane B ran in the parent process")
+            os._exit(9)
+
+        monkeypatch.setattr(lanes, "_two_cpus", lambda: True)
+        monkeypatch.setattr(verify, "_check_ising_trajectory", die)
+        code = main(["verify", "--chain-samples", "1",
+                     "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and "exit status 9" in err
 
 
 def test_module_entry_point():

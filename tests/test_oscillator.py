@@ -11,8 +11,8 @@ from scipy.linalg.lapack import get_lapack_funcs
 from cdwork import (BandStructureError, ConfigError, HOConfig, HarmonicOscillator, InvalidDetuning,
                     NonHermitianInput, ParametrizedModel, SupercriticalDrive,
                     ValidityWarning, cd_exact_energy, ho_metric,
-                    ion_waveforms, model_ensemble, path_lengths, qgt, ramp,
-                    work_distribution)
+                    ion_waveforms, model_ensemble, path_lengths, qgt,
+                    quintic_ramp, work_distribution)
 from cdwork import oscillator
 from cdwork.spectral import gauge_fix
 from conftest import band_to_dense, work_variance
@@ -42,19 +42,19 @@ def cd_exact_wavefunction(omega, omega_dot, n):
 
 class TestRamp:
     def test_boundary_conditions(self):
-        proto = ramp(1.0, 3.0, 0.8)
+        proto = quintic_ramp([1.0], [3.0], 0.8)
         assert proto.value(0.0)[0] == 1.0
         assert proto.value(0.8)[0] == 3.0
         assert proto.derivative(0.0)[0] == 0.0
         assert proto.derivative(0.8)[0] == 0.0
 
     def test_midpoint_values(self):
-        proto = ramp(1.0, 3.0, 0.8)
+        proto = quintic_ramp([1.0], [3.0], 0.8)
         assert proto.value(0.4)[0] == pytest.approx(2.0, abs=1e-14)
         assert proto.derivative(0.4)[0] == pytest.approx(4.6875, abs=1e-12)
 
     def test_flat_ramp(self):
-        proto = ramp(2.0, 2.0, 1.0)
+        proto = quintic_ramp([2.0], [2.0], 1.0)
         assert all(proto.value(t)[0] == 2.0 for t in np.linspace(0, 1, 5))
 
 

@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cdwork import Protocol, ProtocolError, cubic_ramp, log_ramp, quintic_ramp
+from cdwork import (HOConfig, HarmonicOscillator, Protocol, ProtocolError,
+                    cubic_ramp, ensemble_rates, ion_waveforms, log_ramp,
+                    model_ensemble, quintic_ramp)
+from cdwork.ising import IsingConfig, cd_excess_trajectory
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 duration = st.floats(min_value=0.1, max_value=10.0, allow_nan=False)
@@ -107,3 +110,86 @@ def test_multiparameter_ramp():
 def test_bad_duration_rejected():
     with pytest.raises(ProtocolError):
         quintic_ramp([0.0], [1.0], 0.0)
+
+
+# the array contract: np.shape(t) + (P,), with the bits of a lone time
+RAMPS = {
+    "quintic": quintic_ramp([1.0], [3.0], 0.8),
+    "cubic": cubic_ramp([2.0], [0.0], 0.7),
+    "log": log_ramp(1.0, 2.2, 0.7),
+    "quintic-2": quintic_ramp([0.0, 1.0], [1.0, -1.0], 2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RAMPS))
+@pytest.mark.parametrize("t", [0.3, np.float64(0.3), np.linspace(0, 0.7, 5),
+                               np.full((2, 3), 0.3), np.zeros(0)])
+def test_value_and_derivative_shapes(name, t):
+    proto = RAMPS[name]
+    size = 2 if name == "quintic-2" else 1
+    for f in (proto.value, proto.derivative):
+        assert np.shape(f(t)) == np.shape(t) + (size,)
+
+
+@pytest.mark.parametrize("name", sorted(RAMPS))
+@pytest.mark.parametrize("points", [7, 81, 201, 401, 2001])
+def test_grid_gives_the_bits_of_each_time(name, points):
+    # lone Python floats, lone numpy scalars and 16-point chunks all see
+    # the bits of the whole grid, so no lane cut moves an output
+    proto = RAMPS[name]
+    grid = np.linspace(0.0, proto.duration, points)
+
+    def bits(a):
+        return a.shape, a.tobytes()
+
+    for f in (proto.value, proto.derivative):
+        whole = bits(f(grid))
+        assert bits(np.array([f(float(t)) for t in grid])) == whole
+        assert bits(np.array([f(t) for t in grid])) == whole
+        assert bits(np.concatenate([f(grid[i:i + 16])
+                                    for i in range(0, points, 16)])) == whole
+
+
+def counting(proto, calls):
+    """The protocol with each call of value or derivative appended to
+    ``calls``."""
+    def value(t):
+        calls.append("value")
+        return proto.value(t)
+
+    def derivative(t):
+        calls.append("derivative")
+        return proto.derivative(t)
+
+    return Protocol(value, derivative, proto.duration)
+
+
+def test_oscillator_blocks_evaluate_the_protocol_once_per_block():
+    model = HarmonicOscillator(HOConfig(1.0, 3.0, 0.8, dim=80))
+    ensemble = model_ensemble(model, 1.0)
+    times = np.linspace(0.0, model.tau, 16)
+    spectra = model.spectra0_at(times)  # solved before counting
+    calls = []
+    model.protocol = counting(model.protocol, calls)
+    ensemble_rates(model, ensemble, times)
+    assert sorted(calls) == ["derivative", "value"]
+    calls.clear()
+    vectors = np.ones((16, model.dim, 2), dtype=complex)
+    model.apply_h1(times, vectors, np.empty_like(vectors))
+    assert sorted(calls) == ["derivative", "value"]
+    calls.clear()
+    model.coupling_rows(times, spectra, 4)
+    assert calls == ["value"]
+
+
+def test_whole_grids_evaluate_the_protocol_once(monkeypatch):
+    calls = []
+    for config in (HOConfig, IsingConfig):
+        own = config.protocol
+        monkeypatch.setattr(config, "protocol",
+                            lambda self, own=own: counting(own(self), calls))
+    ion_waveforms(HOConfig(1.0, 3.0, 0.8), 3.0)
+    assert sorted(calls) == ["derivative", "value"]
+    calls.clear()
+    cd_excess_trajectory(IsingConfig(64, 1.0, 1.0), np.linspace(0, 1, 401))
+    assert sorted(calls) == ["derivative", "value"]
